@@ -19,16 +19,32 @@ The two agree on the open upper half-plane and on the negative real
 axis, and differ by 2*pi*i on the open lower half-plane.  Powers are
 always exp(exponent * chosen log); no power is ever formed by
 ``cmath``'s ``**`` operator, whose branch policy we do not control.
+
+Numeric policy
+--------------
+Every decision "is this parameter an integer?" in the package goes
+through ``as_int``: exact for int and Fraction, within ``INT_TOL``
+(1e-12) for float and complex.  Evaluation refuses to come within
+``NEAR`` (1e-8) of a singular point, measured for the stratum
+c in {0, -1, -2, ...} by ``dist_to_nonpos_int``.  The gamma-pole test
+below is a different rule: it asks for bit-exact non-positive integers,
+the exact zeros of 1/Gamma.
 """
 
 import cmath
 import math
 from collections import namedtuple
+from fractions import Fraction
 from itertools import islice
 
 from .errors import AccuracyError, DomainError, PoleError
 
 __all__ = [
+    "INT_TOL",
+    "NEAR",
+    "as_int",
+    "dist_to_nonpos_int",
+    "exp_2pi_i",
     "principal_log",
     "semi_principal_log",
     "branched_power",
@@ -43,7 +59,38 @@ __all__ = [
 QuadResult = namedtuple("QuadResult", "value error")
 SumResult = namedtuple("SumResult", "value tail_bound")
 
-_TWO_PI = 2.0 * math.pi
+INT_TOL = 1e-12  # integer detection for inexact inputs
+NEAR = 1e-8      # refusal radius around z = 1 and c in Z_{<=0}
+
+
+def as_int(x):
+    """(is_integer, rounded value); exact test for int/Fraction, INT_TOL
+    tolerance for float/complex."""
+    if isinstance(x, int):
+        return True, x
+    if isinstance(x, Fraction):
+        return (x.denominator == 1), int(x) if x.denominator == 1 else None
+    w = complex(x)
+    n = round(w.real)
+    if abs(w.imag) <= INT_TOL and abs(w.real - n) <= INT_TOL:
+        return True, int(n)
+    return False, None
+
+
+def dist_to_nonpos_int(c):
+    """Distance from c to the nearest of 0, -1, -2, ..."""
+    w = complex(c)
+    n = min(0.0, round(w.real))
+    return abs(w - n)
+
+
+def exp_2pi_i(a):
+    """e^{2 pi i a}, exactly -1 at a = 1/2 (where exp leaves a 1e-16
+    imaginary part on the real point z = -1)."""
+    a = complex(a)
+    if a == 0.5:
+        return -1.0 + 0j
+    return cmath.exp(2j * math.pi * a)
 
 
 def _as_upper_edge(z):

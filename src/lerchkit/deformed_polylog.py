@@ -29,9 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .branch_numerics import branched_power, principal_log
+from .branch_numerics import INT_TOL, as_int, branched_power, principal_log
 from .errors import BranchError, DomainError, TransportError
 from .eval_core import phi as _phi
+from .special_values import _padd, _pmul, _pscale, poly_eval
 
 __all__ = [
     "CPolynomial",
@@ -69,10 +70,7 @@ class CPolynomial:
     coeffs: tuple = (0,)
 
     def eval(self, c):
-        acc = 0 * c if not isinstance(c, (int, float, complex)) else 0
-        for a in reversed(self.coeffs):
-            acc = acc * c + a
-        return acc
+        return poly_eval(self.coeffs, c)
 
     @property
     def degree(self):
@@ -85,48 +83,17 @@ class CPolynomial:
         return all(a == 0 for a in self.coeffs)
 
 
-def _ptrim(p):
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def _padd(p, q):
-    n = max(len(p), len(q))
-    return _ptrim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                   for i in range(n)])
-
-
-def _psub(p, q):
-    return _padd(p, tuple(-a for a in q))
-
-
-def _pmul_linear(p, a):
-    """p(c) * (c + a) with integer a."""
-    out = [0] * (len(p) + 1)
-    for i, v in enumerate(p):
-        out[i] += a * v
-        out[i + 1] += v
-    return _ptrim(out)
-
-
-def _pshift_c(p):
-    """p(c) * c."""
-    return _ptrim((0,) + tuple(p))
-
-
 def _stirling_rows(m_top):
     """Rows f^{(j)} of (theta + c - 1)^j = sum_k f^{(j)}_k z^k d^k,
     via f^{(j+1)}_k = f^{(j)}_{k-1} + (k + c - 1) f^{(j)}_k."""
-    rows = [[(1,)]]  # f^{(0)} = [1]
+    rows = [[[1]]]  # f^{(0)} = [1]
     for j in range(m_top):
         prev = rows[-1]
         nxt = []
         for k in range(len(prev) + 1):
-            term = prev[k - 1] if k >= 1 else (0,)
+            term = prev[k - 1] if k >= 1 else [0]
             if k < len(prev):
-                term = _padd(term, _pmul_linear(prev[k], k - 1))
+                term = _padd(term, _pmul(prev[k], [k - 1, 1]))
             nxt.append(term)
         rows.append(nxt)
     return rows
@@ -152,11 +119,11 @@ def weyl_expand(m):
     fm, fm1 = rows[m], rows[m + 1]
     entries = []
     for k in range(m + 2):
-        a = fm[k] if k < len(fm) else (0,)
-        b = fm1[k] if k < len(fm1) else (0,)
-        alpha = _psub(_pmul_linear(a, -1), b)          # (c-1) f_m - f_{m+1}
-        beta = _psub(b, _pshift_c(a))                  # f_{m+1} - c f_m
-        entries.append((CPolynomial(alpha), CPolynomial(beta)))
+        a = fm[k] if k < len(fm) else [0]
+        b = fm1[k] if k < len(fm1) else [0]
+        alpha = _padd(_pmul(a, [-1, 1]), _pscale(b, -1))  # (c-1) f_m - f_{m+1}
+        beta = _padd(b, _pscale(_pmul(a, [0, 1]), -1))    # f_{m+1} - c f_m
+        entries.append((CPolynomial(tuple(alpha)), CPolynomial(tuple(beta))))
     return WeylOperator(m + 1, tuple(entries))
 
 
@@ -338,14 +305,9 @@ def li_star(m, k, z, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 def _singular_c(c):
-    if isinstance(c, (int, Fraction)):
-        ci = int(c)
-        return (ci == c and ci <= 0), ci if ci == c else None
-    cc = complex(c)
-    r = round(cc.real)
-    if abs(cc.imag) <= 1e-12 and abs(cc.real - r) <= 1e-12 and r <= 0:
-        return True, r
-    return False, None
+    """(c is in Z_{<=0}, that integer) under the package integer test."""
+    is_int, n = as_int(c)
+    return is_int and n <= 0, n
 
 
 @dataclass(frozen=True)
@@ -483,15 +445,12 @@ def unipotency_class(m, c, irrational=False):
     for exact irrationals handed over as floats."""
     if irrational:
         return "borel"
-    if isinstance(c, complex) and abs(c.imag) > 1e-12:
+    if as_int(c)[0]:
+        return "unipotent"
+    if isinstance(c, complex) and abs(c.imag) > INT_TOL:
         return "borel"
-    cr = c.real if isinstance(c, complex) else c
-    if isinstance(cr, (int, Fraction)):
-        return "unipotent" if Fraction(cr).denominator == 1 \
-            else "quasi-unipotent"
     # floats are exact rationals by representation
-    return "unipotent" if float(cr) == round(float(cr)) \
-        else "quasi-unipotent"
+    return "quasi-unipotent"
 
 
 # ---------------------------------------------------------------------------

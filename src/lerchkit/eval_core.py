@@ -16,9 +16,12 @@ reflection  for Re(s) <= 0: the three-term transformation formula in the
 plus an exact short-circuit: integer s <= 0 with rational (z, c) is the
 bivariate rational from special_values, returned exactly.
 
-Evaluation refuses within 1e-8 of the singular strata z = 1 and
-c in {0, -1, -2, ...} rather than returning garbage; z on [1, infinity)
-is a branch error (the principal value is ambiguous there).
+Tolerances follow the numeric policy of branch_numerics: a float or
+complex parameter within 1e-12 of an integer counts as that integer
+(stratum tags), and evaluation refuses within 1e-8 of the singular
+strata z = 1 and c in {0, -1, -2, ...} rather than returning garbage;
+z on (or within 1e-8 of) [1, infinity) is a branch error (the principal
+value is ambiguous there).
 """
 
 import cmath
@@ -29,8 +32,13 @@ from functools import lru_cache
 from itertools import count
 
 from .branch_numerics import (
+    INT_TOL,
+    NEAR,
+    as_int,
     branched_power,
     complex_gamma,
+    dist_to_nonpos_int,
+    exp_2pi_i,
     principal_log,
     quad_semiaxis,
     reciprocal_gamma,
@@ -57,8 +65,6 @@ __all__ = [
 ]
 
 _2PI_I = 2j * math.pi
-_NEAR = 1e-8       # refuse within this distance of z=1 / c in Z_{<=0}
-_INT_TOL = 1e-12   # integer detection for inexact inputs
 
 
 @dataclass(frozen=True)
@@ -91,26 +97,6 @@ def _cplx(x):
     return complex(x)
 
 
-def _as_int(x):
-    """(is_integer, rounded value); exact test for int/Fraction, 1e-12
-    tolerance for float/complex."""
-    if isinstance(x, int):
-        return True, x
-    if isinstance(x, Fraction):
-        return (x.denominator == 1), int(x) if x.denominator == 1 else None
-    w = complex(x)
-    n = round(w.real)
-    if abs(w.imag) <= _INT_TOL and abs(w.real - n) <= _INT_TOL:
-        return True, int(n)
-    return False, None
-
-
-def _dist_to_nonpos_int(c):
-    w = _cplx(c)
-    n = min(0.0, round(w.real))
-    return abs(w - n)
-
-
 def classify_stratum(p, z=None, c=None):
     """Stratum tag of a parameter point (LerchPoint or an (s,z,c) triple).
 
@@ -129,9 +115,9 @@ def classify_stratum(p, z=None, c=None):
         flags.append("singular_zinf")
     elif zc == 0:
         flags.append("singular_z0")
-    elif zc == 1 or abs(zc - 1) <= _INT_TOL:
+    elif zc == 1 or abs(zc - 1) <= INT_TOL:
         flags.append("singular_z1")
-    is_int, n = _as_int(c_)
+    is_int, n = as_int(c_)
     if is_int:
         flags.append("singular_c" if n <= 0 else "removable_c")
     if not flags:
@@ -143,10 +129,10 @@ def classify_stratum(p, z=None, c=None):
 
 def _guard_near_singular(z, c):
     zc = _cplx(z)
-    if abs(zc - 1) < _NEAR:
+    if abs(zc - 1) < NEAR:
         raise StratumError("z within 1e-8 of the singular point z = 1",
                            stratum="singular_z1")
-    if _dist_to_nonpos_int(c) < _NEAR:
+    if dist_to_nonpos_int(c) < NEAR:
         raise StratumError(
             "c within 1e-8 of a non-positive integer (singular stratum)",
             stratum="singular_c")
@@ -155,7 +141,7 @@ def _guard_near_singular(z, c):
 def _guard_cut(z):
     """The principal branch is ambiguous on [1, inf)."""
     zc = _cplx(z)
-    if abs(zc.imag) < _NEAR and zc.real >= 1.0 - _NEAR:
+    if abs(zc.imag) < NEAR and zc.real >= 1.0 - NEAR:
         raise BranchError(
             "z = %s lies on (or within 1e-8 of) the cut [1, oo); the "
             "principal value is ambiguous there" % (zc,))
@@ -173,27 +159,40 @@ def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
     through the principal branched power like all the others.
     """
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
-    if _dist_to_nonpos_int(c) < _NEAR:
+    if dist_to_nonpos_int(c) < NEAR:
         raise StratumError("c is (nearly) a non-positive integer",
                            stratum="singular_c")
     az = abs(zc)
     if az >= 1.0:
         raise DomainError("series strategy needs |z| < 1, got |z| = %g" % az)
-    if abs(zc - 1) < _NEAR:
+    if abs(zc - 1) < NEAR:
         raise StratumError("z within 1e-8 of z = 1", stratum="singular_z1")
     if zc == 0:
         return EvalResult(branched_power(cc, -sc), "series", 0.0)
+    res = _series_sum(sc, zc, cc, tol, max_terms)
+    return EvalResult(res.value, "series", res.tail_bound)
 
+
+def _series_sum(sc, zc, cc, tol, max_terms=200_000, weight=0):
+    """Certified sum_{n>=0} n^weight z^n (n+c)^{-s}, weight in {0, 1},
+    for complex s, c and 0 < |z| < 1; returns a SumResult.
+
+    This is the package's one certified series core: weight 1 gives the
+    term-wise z d/dz of the plain sum, which verify's checks use.
+    """
+    az = abs(zc)
     lz = cmath.log(zc)
     ac = abs(cc)
 
     def term(n):
-        return cmath.exp(n * lz - sc * principal_log(n + cc))
+        t = cmath.exp(n * lz - sc * principal_log(n + cc))
+        return n * t if weight else t
 
     # Ratio majorant: for n >= n0, |t_{n+1}/t_n| <= |z| e^q <= rho < 1
-    # with q = 2|s| / (n - |c|) and a margin that keeps rho away from 1.
+    # with q = (2|s| + weight) / (n - |c|) (the weight's ratio is
+    # 1 + 1/n <= e^{1/n}) and a margin that keeps rho away from 1.
     q_cap = min(0.15, (1.0 - az) / 3.0) if az > 0 else 0.15
-    n0 = int(max(2 * ac + 2, ac + 2 * abs(sc) / q_cap)) + 1
+    n0 = int(max(2 * ac + 2, ac + (2 * abs(sc) + weight) / q_cap)) + 1
     rho = az * math.exp(q_cap)
     geo = 1.0 / (1.0 - rho)
 
@@ -202,9 +201,8 @@ def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
             return math.inf
         return abs(term(n)) * geo
 
-    res = sum_with_tail_bound((term(n) for n in count()), tail_bound,
-                              tol=tol, max_terms=max_terms)
-    return EvalResult(res.value, "series", res.tail_bound)
+    return sum_with_tail_bound((term(n) for n in count()), tail_bound,
+                               tol=tol, max_terms=max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,7 @@ def phi_integral(s, z, c, tol=1e-12):
     if cc.real <= 0:
         raise DomainError("integral strategy needs Re(c) > 0")
     _guard_cut(z)
-    if abs(zc - 1) < _NEAR:
+    if abs(zc - 1) < NEAR:
         raise StratumError("z within 1e-8 of z = 1", stratum="singular_z1")
     rg = reciprocal_gamma(sc)
     sm1 = sc - 1.0
@@ -259,7 +257,7 @@ def phi_c_shift(s, z, c, n_shift, tol=1e-12):
     zpow = 1.0 + 0j
     for k in range(n_shift):
         ck = cc + k
-        if abs(ck) < _NEAR:
+        if abs(ck) < NEAR:
             raise StratumError("c + %d vanishes (singular stratum)" % k,
                                stratum="singular_c")
         head += zpow * branched_power(ck, -sc)
@@ -327,7 +325,7 @@ def _reflect_with_c_normalization(s, z, c, tol):
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
     if 0.0 < cc.real < 1.0:
         return phi_reflect(sc, zc, cc, tol=tol)
-    if abs(cc.real - round(cc.real)) <= _INT_TOL:
+    if as_int(cc.real)[0]:
         raise DomainError(
             "Re(s) <= 0 with Re(c) an exact integer: the reflection route "
             "needs 0 < Re(c) < 1 after an integer shift and cannot reach "
@@ -408,10 +406,7 @@ def lerch_zeta(s, a, c, tol=1e-12):
     ac = _cplx(a)
     if not 0.0 < ac.real < 1.0:
         raise DomainError("lerch_zeta needs 0 < Re(a) < 1")
-    z = cmath.exp(_2PI_I * ac)
-    if ac.real == 0.5 and ac.imag == 0.0:
-        z = -1.0 + 0j  # kill the 1e-16 rounding at the half-period point
-    return phi(s, z, c, tol=tol)
+    return phi(s, exp_2pi_i(ac), c, tol=tol)
 
 
 def periodic_zeta(a, s, tol=1e-12):
@@ -426,9 +421,7 @@ def periodic_zeta(a, s, tol=1e-12):
     ac, sc = _cplx(a), _cplx(s)
     if not 0.0 < ac.real < 1.0:
         raise DomainError("periodic_zeta needs 0 < Re(a) < 1")
-    z = cmath.exp(_2PI_I * ac)
-    if ac.real == 0.5 and ac.imag == 0.0:
-        z = -1.0 + 0j
+    z = exp_2pi_i(ac)
     j = 0 if sc.real > 0 else math.ceil(1.0 - sc.real)
     sig = sc + j
     rg = reciprocal_gamma(sig)
@@ -469,9 +462,9 @@ def hurwitz_zeta(s, c, tol=1e-12):
     proxy (N doubles until it is below tol).
     """
     sc, cc = _cplx(s), _cplx(c)
-    if abs(sc - 1.0) < _INT_TOL:
+    if abs(sc - 1.0) < INT_TOL:
         raise PoleError("Hurwitz zeta has its pole at s = 1", location=1)
-    if _dist_to_nonpos_int(c) < _NEAR:
+    if dist_to_nonpos_int(c) < NEAR:
         raise StratumError("c is (nearly) a non-positive integer",
                            stratum="singular_c")
     k0 = max(0, math.ceil(0.5 - cc.real))

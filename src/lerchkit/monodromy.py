@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 
 from .branch_numerics import (
+    NEAR,
+    as_int,
     branched_power,
     complex_gamma,
     reciprocal_gamma,
@@ -53,7 +55,6 @@ __all__ = [
 ]
 
 _2PI = 2.0 * math.pi
-_INT_TOL = 1e-8  # integer-s detection for the 0/0 geometric ratios
 
 
 @dataclass(frozen=True)
@@ -212,22 +213,25 @@ def c_coeff(n, s):
         * cmath.exp(sign * 1j * math.pi * (1.0 - s) / 2.0)
 
 
-def _near_int(s):
-    sc = complex(s)
-    return (abs(sc.imag) <= _INT_TOL
-            and abs(sc.real - round(sc.real)) <= _INT_TOL)
+def _expm1_2pi_i(k, s):
+    """e^{2 pi i k s} - 1 for integer k, free of cancellation near
+    integer s: it is evaluated at d = s - round(Re s), which is exact,
+    and is an exact zero only when d or k is."""
+    s = complex(s)
+    d = complex(s.real - round(s.real), s.imag)
+    x, y = -_2PI * k * d.imag, _2PI * k * d.real
+    em1 = math.expm1(x)
+    return complex(em1 * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
+                   (em1 + 1.0) * math.sin(y))
 
 
-def _geom_ratio(s, j, sign):
-    """(lambda^j - 1)/(lambda - 1) with lambda = e^{sign 2 pi i s};
-    at (near-)integer s the 0/0 limit is j."""
-    if j == 0:
-        return 0.0
-    if _near_int(s):
+def _geom_ratio(s, j):
+    """(lambda^j - 1)/(lambda - 1) with lambda = e^{2 pi i s}; the 0/0
+    limit j is taken only at exactly integer s."""
+    den = _expm1_2pi_i(1, s)
+    if den == 0:
         return float(j)
-    lam_j = cmath.exp(sign * 2j * math.pi * complex(s) * j)
-    lam = cmath.exp(sign * 2j * math.pi * complex(s))
-    return (lam_j - 1.0) / (lam - 1.0)
+    return _expm1_2pi_i(j, s) / den
 
 
 def monodromy_Z_conj(k, j, s, z, c):
@@ -246,26 +250,26 @@ def monodromy_Z_conj(k, j, s, z, c):
         return 0j
     base = -cmath.exp(s * math.log(_2PI) + 1j * math.pi * s / 2.0) * rg \
         * f_elementary(k, s, z, c)
-    return _geom_ratio(s, j, +1) * base
+    return _geom_ratio(s, j) * base
 
 
 def monodromy_Y(n, k, s, z, c):
     """Monodromy of the branch along [Y_n]^k.
 
     Zero for n >= 1 (those punctures do not see the principal branch)
-    and at every integer s; otherwise (e^{-2 pi i k s} - 1) z^{-n}
-    (c-n)^{-s}, which folds the one-turn value and the geometric power
-    scaling into a single factor (exact for negative k too).
+    and exactly zero at every integer s; otherwise (e^{-2 pi i k s} - 1)
+    z^{-n} (c-n)^{-s}, which folds the one-turn value and the geometric
+    power scaling into a single factor (exact for negative k too).
     """
     if k == 0 or n >= 1:
         return 0j
     s, z, c = complex(s), complex(z), complex(c)
-    if abs(c - n) < 1e-12:
+    if abs(c - n) < NEAR:
         raise StratumError("c = %d sits on the puncture of Y_%d" % (n, n),
                            stratum="singular_c")
-    if _near_int(s):
+    factor = _expm1_2pi_i(-k, s)
+    if factor == 0:
         return 0j
-    factor = cmath.exp(-2j * math.pi * s * k) - 1.0
     return factor * z ** (-n) * branched_power(c - n, -s, "principal")
 
 
@@ -309,10 +313,8 @@ def monodromy_space_basis(s):
     fixed s: the three regimes are non-positive integer s (single
     valued, the branch alone), positive integer s (conjugate family
     only), and generic s (conjugates plus the Y-family)."""
-    sc = complex(s)
-    is_int = (abs(sc.imag) <= 1e-12
-              and abs(sc.real - round(sc.real)) <= 1e-12)
-    if is_int and round(sc.real) <= 0:
+    is_int, n = as_int(s)
+    if is_int and n <= 0:
         return {
             "case": "nonpositive_integer",
             "dimension": 1,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .branch_numerics import exp_2pi_i
 from .errors import IdentityViolation, PoleError
 
 __all__ = [
@@ -40,7 +41,8 @@ __all__ = [
 ]
 
 
-# --- tiny integer-polynomial kernel (ascending coefficient lists) ----------
+# --- the package's integer-polynomial kernel (ascending coefficient lists;
+# deformed_polylog builds its Z[c] coefficients with it too) ---------------
 
 def _trim(p):
     while len(p) > 1 and p[-1] == 0:
@@ -284,8 +286,4 @@ def periodic_zeta_special(a, m):
     if not 0 < a < 1:
         raise PoleError("periodic zeta special value needs 0 < a < 1 "
                         "(a = 0, 1 hits the pole of q_m)", location=a)
-    import cmath
-    w = cmath.exp(2j * math.pi * float(a))
-    if a == Fraction(1, 2):
-        w = -1.0 + 0j  # exact root of unity, avoid the 1e-16 rounding
-    return q_ratio(m, w)
+    return q_ratio(m, exp_2pi_i(a))

@@ -1,14 +1,21 @@
 """Residual checks for the differential and reflection identities.
 
 Each check evaluates both sides of one identity and reports the signed
-residual ``left - right``.  Derivatives are taken term-wise on the
-defining series when ``|z| <= 0.75`` (so the two sides are computed by
-genuinely different summations); elsewhere they are trapezoid sums over
-a small Cauchy circle.  For a holomorphic integrand the N-point
-trapezoid rule on a circle of radius r converges like (r/R)^N (R the
-distance to the nearest singularity), so with r = 0.05 R the quadrature
-error is negligible and the only cost is the roundoff amplification
-eps/r.
+residual ``left - right``.  Derivatives are trapezoid sums over a small
+Cauchy circle, except that when ``|z| <= 0.75`` and ``Re(c) > 0``
+("series mode") the z-derivatives of ``ladder_down`` and ``pde`` are
+summed term-wise by the certified series core of ``eval_core``, to
+1e-12 like ``phi`` itself.  ``ladder_up`` always uses the circle: its
+term-wise d/dc is the very series of its right-hand side.  For a
+holomorphic integrand the N-point trapezoid rule on a circle of radius
+r converges like (r/R)^N (R the distance to the nearest singularity), so
+with r = 0.05 R the quadrature error is negligible and the only cost is
+the roundoff amplification eps/r.
+
+Default tolerances on the relative residual: 1e-9 for the ladder and
+PDE checks in series mode and 1e-7 off it, 1e-8 for the monodromy-term
+PDE and the functional equations, 1e-10 for the dilogarithm identities,
+and 0 (an exact zero) for the commutator and monodromy vanishing.
 
 Suites bundle the checks over fixed deterministic grids; ``run_suite``
 returns a machine-readable SuiteReport (the CLI serialises it to JSON).
@@ -20,9 +27,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .branch_numerics import branched_power, complex_gamma
+from .branch_numerics import branched_power, complex_gamma, dist_to_nonpos_int
 from .errors import DomainError
-from .eval_core import _dist_to_nonpos_int, lerch_zeta, phi
+from .eval_core import _exact_rational_case, _series_sum, lerch_zeta, phi
 from .monodromy import monodromy, monodromy_Z_conj, parse_word
 from .special_values import negative_polylog
 
@@ -117,43 +124,14 @@ def _series_mode(z, c):
     return abs(complex(z)) <= 0.75 and complex(c).real > 0
 
 
-def _phi_z_deriv_series(s, z, c):
-    """d/dz of sum z^n (n+c)^{-s}, term by term (needs |z| <= 0.75)."""
-    sc, zc, cc = complex(s), complex(z), complex(c)
-    acc = 0j
-    zp = 1.0 + 0j  # z^{n-1}
-    for n in range(1, 100_000):
-        term = n * zp * branched_power(n + cc, -sc, "principal")
-        acc += term
-        zp *= zc
-        if n > 4 and abs(term) < 1e-17 * max(1.0, abs(acc)):
-            break
-    return acc
-
-
-def _phi_c_deriv_series(s, z, c):
-    """d/dc of sum z^n (n+c)^{-s} = -s sum z^n (n+c)^{-s-1} term-wise."""
-    sc, zc, cc = complex(s), complex(z), complex(c)
-    acc = 0j
-    zp = 1.0 + 0j
-    for n in range(0, 100_000):
-        term = zp * branched_power(n + cc, -sc - 1, "principal")
-        acc += term
-        zp *= zc
-        if n > 4 and abs(term) < 1e-17 * max(1.0, abs(acc)):
-            break
-    return -sc * acc
+def _series(s, z, c, weight):
+    """sum n^weight z^n (n+c)^{-s} by the certified series core (series
+    mode, z != 0)."""
+    return _series_sum(s, z, c, 1e-12, weight=weight).value
 
 
 def _phi_value(s, z, c):
     return phi(s, z, c).value
-
-
-def _shift_s(s, k):
-    """s + k, staying exact for int/Fraction s."""
-    if isinstance(s, (int, Fraction)):
-        return s + k
-    return complex(s) + k
 
 
 def _default_tol(z, c, series_tol, circle_tol):
@@ -174,12 +152,12 @@ def check_ladder_down(s, z, c, tol=None):
         right = branched_power(cc, 1 - sc, "principal") * (1 + 0j)
         return ResidualReport("ladder_down", (s, z, c), left, right, tol)
     if _series_mode(z, c):
-        dz = _phi_z_deriv_series(sc, zc, cc)
+        z_dz = _series(sc, zc, cc, 1)
     else:
         r = 0.05 * _dist_to_ray(zc, 1.0)
-        dz = _cauchy_deriv(lambda w: _phi_value(s, w, c), zc, r)
-    left = zc * dz + cc * _phi_value(s, z, c)
-    right = _phi_value(_shift_s(s, -1), z, c)
+        z_dz = zc * _cauchy_deriv(lambda w: _phi_value(s, w, c), zc, r)
+    left = z_dz + cc * _phi_value(s, z, c)
+    right = _phi_value(s - 1, z, c)
     return ResidualReport("ladder_down", (s, z, c), left, right, tol)
 
 
@@ -204,32 +182,20 @@ def check_ladder_up(s, z, c, tol=None):
         left, right = exact
         return ResidualReport("ladder_up", (s, z, c),
                               complex(left), complex(right), tol)
-    if _series_mode(z, c):
-        dc = _phi_c_deriv_series(sc, zc, cc)
-    else:
-        r = 0.05 * _dist_to_nonpos_int(cc)
-        dc = _cauchy_deriv(lambda w: _phi_value(s, z, w), cc, r)
-    right = -sc * _phi_value(_shift_s(s, 1), z, c)
+    r = 0.05 * dist_to_nonpos_int(cc)
+    dc = _cauchy_deriv(lambda w: _phi_value(s, z, w), cc, r)
+    right = -sc * _phi_value(s + 1, z, c)
     return ResidualReport("ladder_up", (s, z, c), dc, right, tol)
 
 
 def _ladder_up_exact(s, z, c):
     """Exact Fractions for integer s < 0, rational z, c; else None."""
-    if not isinstance(s, (int, Fraction)) or Fraction(s).denominator != 1:
-        return None
-    si = int(s)
-    if si >= 0:
-        return None
-    if not isinstance(z, (int, Fraction)) or not isinstance(c, (int, Fraction)):
+    up = _exact_rational_case(s + 1, z, c)
+    if up is None:
         return None
     zf, cf = Fraction(z), Fraction(c)
-    if zf in (0, 1) or (cf.denominator == 1 and cf <= 0):
-        return None
-    m = -si
-    left = negative_polylog(m).c_derivative().eval(zf, cf) / zf
-    up = phi(si + 1, z, c)
-    right = -Fraction(si) * up.exact
-    return left, right
+    left = negative_polylog(-int(s)).c_derivative().eval(zf, cf) / zf
+    return left, -Fraction(s) * up.exact
 
 
 def check_pde(s, z, c, tol=None, target="phi"):
@@ -260,21 +226,13 @@ def check_pde(s, z, c, tol=None, target="phi"):
         return ResidualReport("pde", (s, z, c), left, right, tol)
     if _series_mode(z, c):
         # the two derivative pieces as separate (n+c)^{-s-1} sums
-        mixed = 0j
-        plain = 0j
-        zp = 1.0 + 0j
-        for n in range(0, 100_000):
-            base = branched_power(n + cc, -sc - 1, "principal")
-            mixed += n * zp * base
-            plain += zp * base
-            zp *= zc
-            if n > 4 and abs(zp) * abs(base) < 1e-17:
-                break
+        mixed = _series(sc + 1, zc, cc, 1)
+        plain = _series(sc + 1, zc, cc, 0)
         left = -sc * (mixed + cc * plain)
     else:
         fun = lambda w, x: _phi_value(s, w, x)
         r_z = 0.05 * _dist_to_ray(zc, 1.0)
-        r_c = 0.05 * _dist_to_nonpos_int(cc)
+        r_c = 0.05 * dist_to_nonpos_int(cc)
         left = _pde_left_circles(fun, zc, cc, r_z, r_c, nodes=16)
     right = -sc * _phi_value(s, z, c)
     return ResidualReport("pde", (s, z, c), left, right, tol)
@@ -344,26 +302,14 @@ def check_lerch_three_term(s, a, c, tol=1e-8):
     """zeta(1-s, a, c) against the two-term rotation of zeta(s, ., .)."""
     _check_cylinder(s, a, c)
     sc, ac, cc = complex(s), complex(a), complex(c)
-    left = lerch_zeta(_shift_s_neg(s), a, c).value
+    left = lerch_zeta(1 - s, a, c).value
     pref = cmath.exp(-sc * math.log(2 * math.pi)) * complex_gamma(sc)
     right = pref * (
         cmath.exp(1j * math.pi * sc / 2) * cmath.exp(-_2PI_I * ac * cc)
-        * lerch_zeta(s, _one_minus(c), a).value
+        * lerch_zeta(s, 1 - c, a).value
         + cmath.exp(-1j * math.pi * sc / 2) * cmath.exp(_2PI_I * cc * (1 - ac))
-        * lerch_zeta(s, c, _one_minus(a)).value)
+        * lerch_zeta(s, c, 1 - a).value)
     return ResidualReport("three_term", (s, a, c), left, right, tol)
-
-
-def _one_minus(x):
-    if isinstance(x, (int, Fraction)):
-        return 1 - x
-    return 1 - complex(x)
-
-
-def _shift_s_neg(s):
-    if isinstance(s, (int, Fraction)):
-        return 1 - s
-    return 1 - complex(s)
 
 
 def check_four_term(s, a, c, parity=1, tol=1e-8):
@@ -387,10 +333,10 @@ def check_four_term(s, a, c, parity=1, tol=1e-8):
 
     combo_l = (lerch_zeta(s, a, c).value
                + parity * cmath.exp(-_2PI_I * ac)
-               * lerch_zeta(s, _one_minus(a), _one_minus(c)).value)
-    combo_r = (lerch_zeta(_shift_s_neg(s), _one_minus(c), a).value
+               * lerch_zeta(s, 1 - a, 1 - c).value)
+    combo_r = (lerch_zeta(1 - s, 1 - c, a).value
                + parity * cmath.exp(_2PI_I * cc)
-               * lerch_zeta(_shift_s_neg(s), c, _one_minus(a)).value)
+               * lerch_zeta(1 - s, c, 1 - a).value)
     twist = 1.0 if parity == 1 else 1j
     left = lam(sc) * combo_l
     right = twist * cmath.exp(-_2PI_I * ac * cc) * lam(1 - sc) * combo_r

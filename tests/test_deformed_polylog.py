@@ -212,6 +212,10 @@ def test_unipotency_classes():
     assert unipotency_class(1, 0.5) == "quasi-unipotent"
     assert unipotency_class(1, 0.3 + 0.4j) == "borel"
     assert unipotency_class(1, math.sqrt(2.0), irrational=True) == "borel"
+    # within the integer tolerance of c = -1: the singular stratum, whose
+    # rho(Z0) is the unipotent Pascal band
+    assert basis(2, -1 + 1e-13).kind == "singular"
+    assert unipotency_class(2, -1 + 1e-13) == "unipotent"
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,19 @@ def test_space_basis_cases():
     assert monodromy_space_basis(0.5 + 0.3j)["case"] == "generic"
 
 
+def test_near_integer_s_is_generic_and_accurate():
+    # off the integers by 1e-10 the space is generic and the Y loops act
+    s = 2 + 1e-10
+    assert monodromy_space_basis(s)["case"] == "generic"
+    assert monodromy_Y(-1, 1, s, 0.5 + 0.3j, 0.62) != 0
+    # three turns scale one turn by 1 + lam + lam^2 at full precision
+    s = 2 + 1e-9
+    lam = cmath.exp(2j * math.pi * s)
+    one = monodromy_Z_conj(0, 1, s, 0.5 + 0.3j, 0.62)
+    three = monodromy_Z_conj(0, 3, s, 0.5 + 0.3j, 0.62)
+    assert three == pytest.approx((1 + lam + lam ** 2) * one, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # independent composition engine
 # ---------------------------------------------------------------------------

@@ -1,0 +1,59 @@
+"""Source guard: the integer/near-singular tolerances, the integer
+polynomial kernel and the certified series sum each have one home.
+
+* Only ``branch_numerics`` (the numeric policy) may compare against the
+  literals 1e-8 or 1e-12, or bind them to a module-level name.
+* Only ``special_values`` may define ``_trim``/``_padd``/``_pmul``-style
+  polynomial helpers.
+* ``verify`` sums series through the certified core, so the old
+  uncertified ``1e-17`` stopping rule must not come back.
+"""
+
+import ast
+import pathlib
+import re
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "lerchkit"
+POLICY_HOME = "branch_numerics.py"
+KERNEL_HOME = "special_values.py"
+POLICY_LITERALS = (1e-8, 1e-12)
+KERNEL_NAME = re.compile(r"^_(p?trim|p(add|sub|mul|scale|deriv|shift))")
+
+
+def _modules():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, "no sources under %s" % SRC
+    return [(p.name, ast.parse(p.read_text(), filename=str(p))) for p in paths]
+
+
+def _is_policy_literal(node):
+    return isinstance(node, ast.Constant) and node.value in POLICY_LITERALS
+
+
+def test_policy_tolerances_live_in_branch_numerics():
+    offenders = []
+    for name, tree in _modules():
+        if name == POLICY_HOME:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left] + node.comparators
+                if any(_is_policy_literal(x) for x in operands):
+                    offenders.append("%s:%d" % (name, node.lineno))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and _is_policy_literal(node.value):
+                offenders.append("%s:%d" % (name, node.lineno))
+    assert not offenders, offenders
+
+
+def test_one_polynomial_kernel():
+    offenders = ["%s:%s" % (name, node.name)
+                 for name, tree in _modules() if name != KERNEL_HOME
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and KERNEL_NAME.match(node.name)]
+    assert not offenders, offenders
+
+
+def test_verify_has_no_uncertified_stop():
+    assert "1e-17" not in (SRC / "verify.py").read_text()

@@ -1,11 +1,13 @@
 """Cross-identity residual checks: ladders, PDE, functional equations,
 dilogarithm identities, and monodromy vanishing."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from lerchkit import verify
 from lerchkit.errors import DomainError
 from lerchkit.verify import (ResidualReport, SUITE_NAMES, check_commutator,
                              check_four_term, check_ladder_down,
@@ -67,6 +69,19 @@ def test_ladder_down(s, z, c):
 def test_ladder_up(s, z, c):
     r = check_ladder_up(s, z, c)
     assert r.passed, r.to_dict()
+
+
+def test_ladder_up_catches_a_wrong_phi_in_series_mode(monkeypatch):
+    # both sides must come from phi: a relative error of 1e-6 * s in phi
+    # breaks d/dc Phi = -s Phi(s+1) and has to show in the residual
+    real = verify.phi
+
+    def skewed(s, z, c, tol=1e-12):
+        r = real(s, z, c, tol=tol)
+        return dataclasses.replace(r, value=r.value * (1 + 1e-6 * complex(s)))
+
+    monkeypatch.setattr(verify, "phi", skewed)
+    assert not check_ladder_up(1.5, 0.3 + 0.2j, 0.7).passed
 
 
 def test_ladder_up_exact_at_s_zero():
