@@ -104,11 +104,6 @@ def _tol_of(args):
     return float(env) if env else 1e-12
 
 
-def _emit(payload, as_json):
-    if as_json:
-        print(json.dumps(payload))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -239,10 +234,7 @@ def cmd_ode(args):
 
 
 def cmd_verify(args):
-    try:
-        rep = run_suite(args.suite, tol=args.tol)
-    except ValueError as e:
-        raise ValueError(str(e)) from None
+    rep = run_suite(args.suite, tol=args.tol)
     if args.json:
         print(json.dumps({"schema": SCHEMA, "command": "verify",
                           **rep.to_dict()}))
@@ -406,13 +398,12 @@ def cmd_sweep(args):
 # parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_point_args(p, names, tol=True):
+def _add_point_args(p, names):
     for n in names:
         p.add_argument("--" + n, required=True)
-    if tol:
-        p.add_argument("--tol", type=float, default=None,
-                       help="target tolerance (default: env LERCH_KIT_TOL "
-                            "or 1e-12)")
+    p.add_argument("--tol", type=float, default=None,
+                   help="target tolerance (default: env LERCH_KIT_TOL "
+                        "or 1e-12)")
 
 
 def build_parser():

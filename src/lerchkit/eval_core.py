@@ -151,6 +151,11 @@ def _guard_cut(z):
 # strategy: direct series
 # ---------------------------------------------------------------------------
 
+def _series_region(zc, cc):
+    """The dispatcher's series region |z| <= 0.75, Re(c) > 0 (complex z, c)."""
+    return abs(zc) <= 0.75 and cc.real > 0
+
+
 def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
     """Direct summation of sum z^n (n+c)^{-s} with a certified tail bound.
 
@@ -196,12 +201,22 @@ def _series_sum(sc, zc, cc, tol, max_terms=200_000, weight=0):
     rho = az * math.exp(q_cap)
     geo = 1.0 / (1.0 - rho)
 
+    # sum_with_tail_bound asks for bound(n) right after drawing term n:
+    # the bound reuses that term instead of evaluating it again
+    last_n, last_t = -1, 0j
+
+    def terms():
+        nonlocal last_n, last_t
+        for n in count():
+            last_n, last_t = n, term(n)
+            yield last_t
+
     def tail_bound(n):
         if n < n0:
             return math.inf
-        return abs(term(n)) * geo
+        return abs(last_t if n == last_n else term(n)) * geo
 
-    return sum_with_tail_bound((term(n) for n in count()), tail_bound,
+    return sum_with_tail_bound(terms(), tail_bound,
                                tol=tol, max_terms=max_terms)
 
 
@@ -372,19 +387,24 @@ def phi(s, z, c, tol=1e-12):
     Route order: exact rational short-circuit (integer s <= 0, rational
     z and c); series for |z| <= 0.75 with Re(c) > 0; integral for
     Re(s) > 0, Re(c) > 0, z off [1, oo); c_shift when Re(c) <= 0;
-    reflection when Re(s) <= 0.  Singular strata raise StratumError,
-    the cut [1, oo) raises BranchError.
+    reflection when Re(s) <= 0.  Non-finite s or c and NaN z raise
+    DomainError before any route runs (z = oo is the singular_zinf
+    stratum), singular strata raise StratumError, the cut [1, oo)
+    raises BranchError.
     """
     exact = _exact_rational_case(s, z, c)
     if exact is not None:
         return exact
+    sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
+    if not (cmath.isfinite(sc) and cmath.isfinite(cc)) or cmath.isnan(zc):
+        raise DomainError("phi needs finite s and c and a z that is not NaN, "
+                          "got s = %s, z = %s, c = %s" % (s, z, c))
     stratum = classify_stratum(s, z, c)
     if stratum.tag not in ("regular", "removable_c"):
         raise StratumError("point lies on singular stratum: %s" % stratum.tag,
                            stratum=stratum.tag)
     _guard_near_singular(z, c)
-    sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
-    if abs(zc) <= 0.75 and cc.real > 0:
+    if _series_region(zc, cc):
         return phi_series(sc, zc, cc, tol=tol)
     if sc.real > 0 and cc.real > 0:
         _guard_cut(zc)  # raises BranchError on [1, oo)

@@ -25,6 +25,7 @@ Y-monodromy vanishes at every integer s.
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import wraps
 
 from .branch_numerics import (
     NEAR,
@@ -34,7 +35,7 @@ from .branch_numerics import (
     reciprocal_gamma,
     semi_principal_log,
 )
-from .errors import DomainError, PoleError, StratumError
+from .errors import AccuracyError, DomainError, PoleError, StratumError
 from .eval_core import phi as _phi
 
 __all__ = [
@@ -234,6 +235,26 @@ def _geom_ratio(s, j):
     return _expm1_2pi_i(j, s) / den
 
 
+def _refuse_overflow(closed_form):
+    """Raise AccuracyError, naming the overflow, where a closed form
+    leaves double precision (a bare OverflowError or an infinite value),
+    e.g. once |k Im s| passes ~113 in e^{2 pi i k s}."""
+    @wraps(closed_form)
+    def guarded(*args, **kwargs):
+        try:
+            value = closed_form(*args, **kwargs)
+        except OverflowError:
+            value = complex(math.inf)
+        if cmath.isinf(value):
+            raise AccuracyError(
+                "%s%s overflows double precision"
+                % (closed_form.__name__, args + tuple(kwargs.values())),
+                bound=math.inf)
+        return value
+    return guarded
+
+
+@_refuse_overflow
 def monodromy_Z_conj(k, j, s, z, c):
     """Monodromy of the branch along ([Z0]^k [Z1] [Z0]^{-k})^j.
 
@@ -253,6 +274,7 @@ def monodromy_Z_conj(k, j, s, z, c):
     return _geom_ratio(s, j) * base
 
 
+@_refuse_overflow
 def monodromy_Y(n, k, s, z, c):
     """Monodromy of the branch along [Y_n]^k.
 

@@ -1,24 +1,32 @@
 """Residual checks for the differential and reflection identities.
 
-Each check evaluates both sides of one identity and reports the signed
-residual ``left - right``.  Derivatives are trapezoid sums over a small
-Cauchy circle, except that when ``|z| <= 0.75`` and ``Re(c) > 0``
-("series mode") the z-derivatives of ``ladder_down`` and ``pde`` are
+Each check evaluates both sides of one identity with the package's own
+functions and reports the signed residual ``left - right``: ``phi`` for
+the ladders and the PDE, ``lerch_zeta`` for the functional equations,
+Li_2(x) = ``extended_polylog(2, x, 1)`` for the dilogarithm identities
+and the closed forms of ``monodromy`` for the vanishing checks, so a
+wrong value anywhere in that stack shows as a residual.
+
+Derivatives are trapezoid sums over a small Cauchy circle, except that
+in the series region of ``phi`` (``|z| <= 0.75`` and ``Re(c) > 0``,
+"series mode") the z-derivatives of ``ladder_down`` and ``pde`` are
 summed term-wise by the certified series core of ``eval_core``, to
 1e-12 like ``phi`` itself.  ``ladder_up`` always uses the circle: its
 term-wise d/dc is the very series of its right-hand side.  For a
 holomorphic integrand the N-point trapezoid rule on a circle of radius
 r converges like (r/R)^N (R the distance to the nearest singularity), so
 with r = 0.05 R the quadrature error is negligible and the only cost is
-the roundoff amplification eps/r.
+the roundoff amplification eps/r.  The ladder and PDE checks refuse
+z = 0 with the StratumError that ``phi`` raises there.
 
 Default tolerances on the relative residual: 1e-9 for the ladder and
 PDE checks in series mode and 1e-7 off it, 1e-8 for the monodromy-term
 PDE and the functional equations, 1e-10 for the dilogarithm identities,
 and 0 (an exact zero) for the commutator and monodromy vanishing.
 
-Suites bundle the checks over fixed deterministic grids; ``run_suite``
-returns a machine-readable SuiteReport (the CLI serialises it to JSON).
+A suite runs every one of its checks at every point of a fixed
+deterministic grid; ``run_suite`` returns a machine-readable
+SuiteReport (the CLI serialises it to JSON).
 """
 
 import cmath
@@ -26,10 +34,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
-from .branch_numerics import branched_power, complex_gamma, dist_to_nonpos_int
-from .errors import DomainError
-from .eval_core import _exact_rational_case, _series_sum, lerch_zeta, phi
+from .branch_numerics import complex_gamma, dist_to_nonpos_int
+from .errors import DomainError, StratumError
+from .eval_core import (_exact_rational_case, _series_region, _series_sum,
+                        extended_polylog, lerch_zeta, phi)
 from .monodromy import monodromy, monodromy_Z_conj, parse_word
 from .special_values import negative_polylog
 
@@ -120,10 +131,6 @@ def _dist_to_ray(z, x0):
     return abs(zc - x0)
 
 
-def _series_mode(z, c):
-    return abs(complex(z)) <= 0.75 and complex(c).real > 0
-
-
 def _series(s, z, c, weight):
     """sum n^weight z^n (n+c)^{-s} by the certified series core (series
     mode, z != 0)."""
@@ -134,8 +141,18 @@ def _phi_value(s, z, c):
     return phi(s, z, c).value
 
 
-def _default_tol(z, c, series_tol, circle_tol):
-    return series_tol if _series_mode(z, c) else circle_tol
+def _default_tol(zc, cc):
+    """Ladder and PDE default: 1e-9 in series mode, 1e-7 off it."""
+    return 1e-9 if _series_region(zc, cc) else 1e-7
+
+
+def _point(s, z, c):
+    """(s, z, c) as complex numbers; z = 0 is refused, as phi refuses it."""
+    sc, zc, cc = complex(s), complex(z), complex(c)
+    if zc == 0:
+        raise StratumError("z = 0 is a singular stratum point",
+                           stratum="singular_z0")
+    return sc, zc, cc
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +161,10 @@ def _default_tol(z, c, series_tol, circle_tol):
 
 def check_ladder_down(s, z, c, tol=None):
     """(z d/dz + c) Phi(s, z, c) = Phi(s-1, z, c)."""
+    sc, zc, cc = _point(s, z, c)
     if tol is None:
-        tol = _default_tol(z, c, 1e-9, 1e-7)
-    sc, zc, cc = complex(s), complex(z), complex(c)
-    if zc == 0:
-        left = branched_power(cc, 1 - sc, "principal")
-        right = branched_power(cc, 1 - sc, "principal") * (1 + 0j)
-        return ResidualReport("ladder_down", (s, z, c), left, right, tol)
-    if _series_mode(z, c):
+        tol = _default_tol(zc, cc)
+    if _series_region(zc, cc):
         z_dz = _series(sc, zc, cc, 1)
     else:
         r = 0.05 * _dist_to_ray(zc, 1.0)
@@ -168,15 +181,11 @@ def check_ladder_up(s, z, c, tol=None):
     rational z, c the derivative of the rational continuation is exact
     and the residual is an exact zero.
     """
+    sc, zc, cc = _point(s, z, c)
     if tol is None:
-        tol = _default_tol(z, c, 1e-9, 1e-7)
+        tol = _default_tol(zc, cc)
     if s == 0:
         return ResidualReport("ladder_up", (s, z, c), 0j, 0j, tol)
-    sc, zc, cc = complex(s), complex(z), complex(c)
-    if zc == 0:
-        left = -sc * branched_power(cc, -sc - 1, "principal")
-        right = -sc * branched_power(cc, -sc - 1, "principal") * (1 + 0j)
-        return ResidualReport("ladder_up", (s, z, c), left, right, tol)
     exact = _ladder_up_exact(s, z, c)
     if exact is not None:
         left, right = exact
@@ -206,7 +215,7 @@ def check_pde(s, z, c, tol=None, target="phi"):
     -(2 pi)^s e^{i pi s / 2} Gamma(s)^{-1} f_0(s, z, c), whose closed
     form satisfies the same equation.
     """
-    sc, zc, cc = complex(s), complex(z), complex(c)
+    sc, zc, cc = _point(s, z, c)
     if target == "monodromy":
         if tol is None:
             tol = 1e-8
@@ -219,12 +228,8 @@ def check_pde(s, z, c, tol=None, target="phi"):
     if target != "phi":
         raise ValueError("target must be 'phi' or 'monodromy'")
     if tol is None:
-        tol = _default_tol(z, c, 1e-9, 1e-7)
-    if zc == 0:
-        left = cc * (-sc) * branched_power(cc, -sc - 1, "principal")
-        right = -sc * branched_power(cc, -sc, "principal")
-        return ResidualReport("pde", (s, z, c), left, right, tol)
-    if _series_mode(z, c):
+        tol = _default_tol(zc, cc)
+    if _series_region(zc, cc):
         # the two derivative pieces as separate (n+c)^{-s-1} sums
         mixed = _series(sc + 1, zc, cc, 1)
         plain = _series(sc + 1, zc, cc, 0)
@@ -348,25 +353,9 @@ def check_four_term(s, a, c, parity=1, tol=1e-8):
 # dilogarithm identities on real sub-domains
 # ---------------------------------------------------------------------------
 
-def dilog_real(x):
-    """Li_2(x) for 0 <= x < 1: series below 1/2, Euler reflection above."""
-    if not 0.0 <= x < 1.0:
-        raise DomainError("dilog_real needs 0 <= x < 1, got %s" % x)
-    if x == 0.0:
-        return 0.0
-    if x > 0.5:
-        return (math.pi ** 2 / 6 - math.log(x) * math.log1p(-x)
-                - dilog_real(1.0 - x))
-    acc = 0.0
-    xp = x
-    n = 1
-    while True:
-        t = xp / (n * n)
-        acc += t
-        if t < 1e-18:
-            return acc
-        n += 1
-        xp *= x
+def _li2(x):
+    """Li_2(x) = x Phi(2, x, 1), the package's classical dilogarithm."""
+    return extended_polylog(2, x, 1).value
 
 
 def check_spence(x, y, tol=1e-10):
@@ -375,19 +364,17 @@ def check_spence(x, y, tol=1e-10):
         if not 0.0 <= w < 0.5:
             raise DomainError("spence needs x, y in [0, 1/2), got %s" % w)
     u = x * y / ((1.0 - x) * (1.0 - y))
-    left = complex(dilog_real(u))
-    right = complex(
-        dilog_real(x / (1.0 - y)) + dilog_real(y / (1.0 - x))
-        - dilog_real(x) - dilog_real(y)
-        - math.log1p(-x) * math.log1p(-y))
+    left = _li2(u)
+    right = (_li2(x / (1.0 - y)) + _li2(y / (1.0 - x)) - _li2(x) - _li2(y)
+             - math.log1p(-x) * math.log1p(-y))
     return ResidualReport("spence", (x, y), left, right, tol)
 
 
 def _rogers_L(x):
     """Rogers normalisation L(x) = Li_2(x) + log(x) log(1-x) / 2."""
     if x == 0.0:
-        return 0.0
-    return dilog_real(x) + 0.5 * math.log(x) * math.log1p(-x)
+        return 0j
+    return _li2(x) + 0.5 * math.log(x) * math.log1p(-x)
 
 
 def check_rogers(x, y, tol=1e-10):
@@ -396,9 +383,8 @@ def check_rogers(x, y, tol=1e-10):
         if not 0.0 < w < 1.0:
             raise DomainError("rogers needs x, y in (0, 1), got %s" % w)
     xy = x * y
-    left = complex(_rogers_L(x) + _rogers_L(y) - _rogers_L(xy))
-    right = complex(_rogers_L((x - xy) / (1.0 - xy))
-                    + _rogers_L((y - xy) / (1.0 - xy)))
+    left = _rogers_L(x) + _rogers_L(y) - _rogers_L(xy)
+    right = _rogers_L((x - xy) / (1.0 - xy)) + _rogers_L((y - xy) / (1.0 - xy))
     return ResidualReport("rogers", (x, y), left, right, tol)
 
 
@@ -475,83 +461,45 @@ _FOUR_TERM_GRID = (
     (0.65, 0.15, 0.3),
 )
 
-_DILOG_AXIS = (0.05, 0.16, 0.27, 0.38, 0.49)
+_DILOG_GRID = tuple(product((0.05, 0.16, 0.27, 0.38, 0.49), repeat=2))
 
 
-def _suite_ladders(grid, tol):
-    pts = _LADDER_GRID if grid is None else grid
-    out = []
-    for (s, z, c) in pts:
-        out.append(check_ladder_down(s, z, c, tol=tol))
-        out.append(check_ladder_up(s, z, c, tol=tol))
-    return out
+def _every(checks, default_grid, extra=()):
+    """Suite runner (grid, tol): every check at every grid point, a point
+    being an argument tuple or one bare argument.  ``grid=None`` runs the
+    default grid plus the ``(check, point)`` pairs in ``extra``;
+    ``tol=None`` keeps each check's own default tolerance."""
+    def run(grid, tol):
+        pairs = [(check, point)
+                 for point in (default_grid if grid is None else grid)
+                 for check in checks]
+        if grid is None:
+            pairs += extra
+        kw = {} if tol is None else {"tol": tol}
+        return [check(*(p if isinstance(p, (tuple, list)) else (p,)), **kw)
+                for check, p in pairs]
+    return run
 
 
-def _suite_pde(grid, tol):
-    pts = _LADDER_GRID if grid is None else grid
-    out = [check_pde(s, z, c, tol=tol) for (s, z, c) in pts]
-    if grid is None:
-        out.append(check_pde(0.5, -0.5, 0.5, tol=tol, target="monodromy"))
-        out.append(check_pde(0.3 + 0.2j, -1.1 + 0.4j, 0.8,
-                             tol=tol, target="monodromy"))
-    return out
-
-
-def _suite_commutator(grid, tol):
-    degrees = (6,) if grid is None else grid
-    return [check_commutator(max_degree=d, tol=0.0 if tol is None else tol)
-            for d in degrees]
-
-
-def _suite_three_term(grid, tol):
-    pts = _THREE_TERM_GRID if grid is None else grid
-    t = 1e-8 if tol is None else tol
-    return [check_lerch_three_term(s, a, c, tol=t) for (s, a, c) in pts]
-
-
-def _suite_four_term(grid, tol):
-    pts = _FOUR_TERM_GRID if grid is None else grid
-    t = 1e-8 if tol is None else tol
-    out = []
-    for (s, a, c) in pts:
-        out.append(check_four_term(s, a, c, parity=1, tol=t))
-        out.append(check_four_term(s, a, c, parity=-1, tol=t))
-    return out
-
-
-def _suite_spence(grid, tol):
-    pts = (grid if grid is not None
-           else [(x, y) for x in _DILOG_AXIS for y in _DILOG_AXIS])
-    t = 1e-10 if tol is None else tol
-    return [check_spence(x, y, tol=t) for (x, y) in pts]
-
-
-def _suite_rogers(grid, tol):
-    pts = (grid if grid is not None
-           else [(x, y) for x in _DILOG_AXIS for y in _DILOG_AXIS])
-    t = 1e-10 if tol is None else tol
-    return [check_rogers(x, y, tol=t) for (x, y) in pts]
-
-
-def _suite_monodromy(grid, tol):
-    svals = (0, -1, -2, -3, 2) if grid is None else grid
-    t = 0.0 if tol is None else tol
-    return [check_monodromy_vanishing(s, tol=t) for s in svals]
-
+_pde_monodromy = partial(check_pde, target="monodromy")
 
 _SUITES = {
-    "ladders": _suite_ladders,
-    "pde": _suite_pde,
-    "commutator": _suite_commutator,
-    "three_term": _suite_three_term,
-    "four_term": _suite_four_term,
-    "spence": _suite_spence,
-    "rogers": _suite_rogers,
-    "monodromy_vanishing": _suite_monodromy,
+    "ladders": _every((check_ladder_down, check_ladder_up), _LADDER_GRID),
+    "pde": _every((check_pde,), _LADDER_GRID, extra=(
+        (_pde_monodromy, (0.5, -0.5, 0.5)),
+        (_pde_monodromy, (0.3 + 0.2j, -1.1 + 0.4j, 0.8)))),
+    "commutator": _every((check_commutator,), (6,)),
+    "three_term": _every((check_lerch_three_term,), _THREE_TERM_GRID),
+    "four_term": _every((partial(check_four_term, parity=1),
+                         partial(check_four_term, parity=-1)),
+                        _FOUR_TERM_GRID),
+    "spence": _every((check_spence,), _DILOG_GRID),
+    "rogers": _every((check_rogers,), _DILOG_GRID),
+    "monodromy_vanishing": _every((check_monodromy_vanishing,),
+                                  (0, -1, -2, -3, 2)),
 }
 
-SUITE_NAMES = ("ladders", "pde", "commutator", "three_term", "four_term",
-               "spence", "rogers", "monodromy_vanishing", "all")
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name, grid=None, tol=None):
@@ -564,8 +512,8 @@ def run_suite(name, grid=None, tol=None):
         if grid is not None:
             raise ValueError("the combined suite takes no grid")
         reports = []
-        for sub in SUITE_NAMES[:-1]:
-            reports.extend(_SUITES[sub](None, tol))
+        for suite in _SUITES.values():
+            reports.extend(suite(None, tol))
         return SuiteReport("all", tuple(reports))
     if name not in _SUITES:
         raise ValueError("unknown suite %r; choose from %s"

@@ -126,6 +126,14 @@ def test_monodromy_empty_word(capsys):
     assert "monodromy total = 0" in out
 
 
+def test_monodromy_overflow_exits_three(capsys):
+    code, out, err = run(capsys, "monodromy", "--word", "Y-1^3",
+                         "--s", "0.5+100i", "--z", "0.5+0.3i", "--c", "0.62")
+    assert code == 3 and out == ""
+    assert err.startswith("lerch-kit: error: ")
+    assert "overflows double precision" in err and err.count("\n") == 1
+
+
 def test_monodromy_bad_word(capsys):
     code, _, err = run(capsys, "monodromy", "--word", "Q3",
                        "--s", "1/2", "--z", "-1", "--c", "1/2")

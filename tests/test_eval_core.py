@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from lerchkit import eval_core
 from lerchkit.errors import (AccuracyError, BranchError, DomainError,
                              StratumError)
 from lerchkit.eval_core import (classify_stratum, extended_polylog,
@@ -80,6 +81,48 @@ def test_singular_strata_raise():
         phi(2, 0, 0.5)          # z = 0 stratum
     with pytest.raises(BranchError):
         phi(0.5, 1.5, 0.5)      # on the cut [1, oo)
+
+
+def test_non_finite_input_is_refused_up_front(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("non-finite input reached a route")
+
+    monkeypatch.setattr(eval_core, "quad_semiaxis", no_work)
+    monkeypatch.setattr(eval_core, "sum_with_tail_bound", no_work)
+    nan, inf = math.nan, math.inf
+    for s, z, c in ((1.5, 0.5, nan), (1.5, 0.5, inf), (inf, 0.5, 0.5),
+                    (nan, 0.5, 0.5), (1.5, nan, 0.5), (1.5, 0.5, 1j * inf),
+                    (1.5, complex(0.5, nan), 0.5)):
+        with pytest.raises(DomainError) as exc:
+            phi(s, z, c)
+        assert type(exc.value) is DomainError, (s, z, c)
+    with pytest.raises(StratumError) as exc:
+        phi(1.5, inf, 0.5)
+    assert exc.value.stratum == "singular_zinf"
+
+
+def test_series_evaluates_each_term_once(monkeypatch):
+    # the tail bound at n reuses term n instead of evaluating it again
+    logs, drawn = [0], [0]
+    real_log, real_sum = eval_core.principal_log, eval_core.sum_with_tail_bound
+
+    def counted_log(w):
+        logs[0] += 1
+        return real_log(w)
+
+    def counted_sum(terms, *args, **kwargs):
+        def counted():
+            for t in terms:
+                drawn[0] += 1
+                yield t
+        return real_sum(counted(), *args, **kwargs)
+
+    monkeypatch.setattr(eval_core, "principal_log", counted_log)
+    monkeypatch.setattr(eval_core, "sum_with_tail_bound", counted_sum)
+    res = phi_series(2.0, 0.5 + 0.1j, 1.3)
+    assert drawn[0] > 0 and logs[0] == drawn[0]
+    assert res.value == pytest.approx(phi_integral(2.0, 0.5 + 0.1j, 1.3).value,
+                                      abs=1e-11)
 
 
 def test_classify_stratum_tags():

@@ -16,7 +16,8 @@ import pytest
 
 from lerchkit.branch_numerics import (branched_power, principal_log,
                                       reciprocal_gamma, semi_principal_log)
-from lerchkit.errors import DomainError, PoleError, StratumError
+from lerchkit.errors import (AccuracyError, DomainError, PoleError,
+                             StratumError)
 from lerchkit.eval_core import phi
 from lerchkit.monodromy import (GeneratorLetter, HomotopyWord, branch_value,
                                 c_coeff, f_elementary, monodromy,
@@ -145,6 +146,15 @@ def test_integer_s_vanishing_is_exact():
         for s in (0, -1, -2):
             total, _ = monodromy(letters, s, -0.8 + 0.5j, 0.7)
             assert total == 0j  # exact zero, not approximately zero
+
+
+@pytest.mark.parametrize("fn,args", [
+    (monodromy_Y, (-1, 3, 0.5 + 100j, 0.5 + 0.3j, 0.62)),
+    (monodromy_Z_conj, (0, 1, 0.5 - 250j, 0.5 + 0.3j, 0.62)),
+])
+def test_closed_form_overflow_is_an_accuracy_error(fn, args):
+    with pytest.raises(AccuracyError, match="overflows double precision"):
+        fn(*args)
 
 
 def test_space_basis_cases():

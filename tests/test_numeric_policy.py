@@ -6,7 +6,8 @@ polynomial kernel and the certified series sum each have one home.
 * Only ``special_values`` may define ``_trim``/``_padd``/``_pmul``-style
   polynomial helpers.
 * ``verify`` sums series through the certified core, so the old
-  uncertified ``1e-17`` stopping rule must not come back.
+  uncertified ``1e-17`` stopping rule must not come back, and it has no
+  ``while`` loop: it sums no series of its own.
 """
 
 import ast
@@ -57,3 +58,10 @@ def test_one_polynomial_kernel():
 
 def test_verify_has_no_uncertified_stop():
     assert "1e-17" not in (SRC / "verify.py").read_text()
+
+
+def test_verify_sums_no_series_of_its_own():
+    tree = ast.parse((SRC / "verify.py").read_text())
+    loops = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.While)]
+    assert not loops, loops

@@ -3,18 +3,16 @@ dilogarithm identities, and monodromy vanishing."""
 
 import dataclasses
 import json
-import math
 
 import pytest
 
-from lerchkit import verify
-from lerchkit.errors import DomainError
+from lerchkit import eval_core, verify
+from lerchkit.errors import DomainError, StratumError
 from lerchkit.verify import (ResidualReport, SUITE_NAMES, check_commutator,
                              check_four_term, check_ladder_down,
                              check_ladder_up, check_lerch_three_term,
                              check_monodromy_vanishing, check_pde,
-                             check_rogers, check_spence, dilog_real,
-                             run_suite)
+                             check_rogers, check_spence, run_suite)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +82,15 @@ def test_ladder_up_catches_a_wrong_phi_in_series_mode(monkeypatch):
     assert not check_ladder_up(1.5, 0.3 + 0.2j, 0.7).passed
 
 
+@pytest.mark.parametrize("check", [check_ladder_down, check_ladder_up,
+                                   check_pde])
+def test_ladder_and_pde_checks_refuse_z_zero(check):
+    # z = 0 is a singular stratum of phi; a check there could not fail
+    with pytest.raises(StratumError) as exc:
+        check(2, 0, 0.5)
+    assert exc.value.stratum == "singular_z0"
+
+
 def test_ladder_up_exact_at_s_zero():
     r = check_ladder_up(0, 0.5, 0.75)
     assert r.passed and r.abs_residual == 0.0
@@ -138,12 +145,6 @@ def test_three_term_rejects_points_off_the_cylinder():
 # dilogarithm identities
 # ---------------------------------------------------------------------------
 
-def test_dilog_real_values():
-    assert dilog_real(0.0) == 0.0
-    assert dilog_real(0.5) == pytest.approx(
-        math.pi ** 2 / 12.0 - math.log(2.0) ** 2 / 2.0, abs=1e-14)
-
-
 def test_spence_five_term():
     for x in (0.0, 0.15, 0.3, 0.45):
         for y in (0.0, 0.2, 0.4):
@@ -151,6 +152,21 @@ def test_spence_five_term():
             assert r.passed, r.to_dict()
     with pytest.raises(DomainError):
         check_spence(0.6, 0.1)
+
+
+@pytest.mark.parametrize("check", [check_spence, check_rogers])
+def test_dilog_identities_run_on_phi(check, monkeypatch):
+    # Li_2 comes from the package: a relative error of 1e-6 in phi has to
+    # show in the five-term residual
+    real = eval_core.phi
+
+    def skewed(s, z, c, tol=1e-12):
+        r = real(s, z, c, tol=tol)
+        return dataclasses.replace(r, value=r.value * (1 + 1e-6))
+
+    assert check(0.3, 0.4).passed
+    monkeypatch.setattr(eval_core, "phi", skewed)
+    assert not check(0.3, 0.4).passed
 
 
 def test_rogers_five_term():
@@ -188,7 +204,60 @@ def test_every_suite_passes():
         assert rep.passed, (name, [r.to_dict() for r in rep.reports
                                    if not r.passed])
     combined = run_suite("all")
-    assert len(combined.reports) > 50
+    assert [(r.name, r.point, r.tol)
+            for r in combined.reports] == _combined_checks()
+
+
+def _suite_tol(z, c):
+    series = abs(complex(z)) <= 0.75 and complex(c).real > 0
+    return 1e-9 if series else 1e-7
+
+
+def _combined_checks():
+    """The 103 (name, point, tol) triples of run_suite("all"), in order."""
+    ladder = [(2, 0.5, 0.5), (1.5, 0.3 + 0.2j, 0.7), (0.5 + 0.5j, -0.4, 1.2),
+              (2.5, 0.6j, 0.8 - 0.1j), (3, -0.7, 2.0), (0, 0.5, 0.75),
+              (-1.5, 0.55, 0.9), (2, 0.85, 0.6), (1.2, -1.3, 0.8),
+              (0.8, 1.5j, 1.1)]
+    three = [(0.3, 0.4, 0.6), (0.5, 0.5, 0.5), (0.3 + 0.2j, 0.4, 0.6),
+             (0.6, 0.7, 0.3), (0.45, 0.25, 0.85)]
+    four = [(0.5, 0.5, 0.5), (0.4, 0.3, 0.7), (0.25, 0.6, 0.45),
+            (0.35, 0.55, 0.8), (0.65, 0.15, 0.3)]
+    axis = (0.05, 0.16, 0.27, 0.38, 0.49)
+    want = []
+    for p in ladder:
+        want += [(name, p, _suite_tol(*p[1:]))
+                 for name in ("ladder_down", "ladder_up")]
+    want += [("pde", p, _suite_tol(*p[1:])) for p in ladder]
+    want += [("pde_monodromy_term", p, 1e-8)
+             for p in ((0.5, -0.5, 0.5), (0.3 + 0.2j, -1.1 + 0.4j, 0.8))]
+    want.append(("commutator", ("monomials z^j c^k, j,k <= 6",), 0.0))
+    want += [("three_term", p, 1e-8) for p in three]
+    for p in four:
+        want += [("four_term_plus", p + (1,), 1e-8),
+                 ("four_term_minus", p + (-1,), 1e-8)]
+    for name in ("spence", "rogers"):
+        want += [(name, (x, y), 1e-10) for x in axis for y in axis]
+    for s in (0, -1, -2, -3, 2):
+        words = verify._VANISH_WORDS if s <= 0 else verify._VANISH_Y_WORDS
+        want.append(("monodromy_vanishing", (s,) + words, 0.0))
+    assert len(want) == 103
+    return want
+
+
+def test_custom_grids_keep_their_shapes():
+    rep = run_suite("commutator", grid=(2, 4))
+    assert [r.point for r in rep.reports] == [
+        ("monomials z^j c^k, j,k <= 2",), ("monomials z^j c^k, j,k <= 4",)]
+    rep = run_suite("monodromy_vanishing", grid=(1, -4))
+    assert [r.point[0] for r in rep.reports] == [1, -4] and rep.passed
+    rep = run_suite("spence", grid=[(0.1, 0.2)], tol=1e-9)
+    assert [(r.point, r.tol) for r in rep.reports] == [((0.1, 0.2), 1e-9)]
+    rep = run_suite("four_term", grid=[(0.4, 0.3, 0.7)])
+    assert [r.name for r in rep.reports] == ["four_term_plus",
+                                             "four_term_minus"]
+    # custom pde grids do not add the two monodromy-term checks
+    assert len(run_suite("pde", grid=[(2, 0.5, 0.5)]).reports) == 1
 
 
 def test_empty_grid_is_a_vacuous_pass():
