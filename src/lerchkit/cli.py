@@ -15,7 +15,6 @@ a top-level ``"schema": "lerch-kit/1"``.
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -97,13 +96,6 @@ def _mat_pairs(entries):
             for i in range(entries.shape[0])]
 
 
-def _tol_of(args):
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("LERCH_KIT_TOL")
-    return float(env) if env else 1e-12
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -112,7 +104,7 @@ def cmd_eval(args):
     s, se = parse_number(args.s)
     z, ze = parse_number(args.z)
     c, ce = parse_number(args.c)
-    res = phi(s, z, c, tol=_tol_of(args))
+    res = phi(s, z, c, tol=args.tol)
     stratum = classify_stratum(s, z, c).tag
     approx = not (se and ze and ce)
     if args.json:
@@ -144,7 +136,7 @@ def cmd_monodromy(args):
     s, _ = parse_number(args.s)
     z, _ = parse_number(args.z)
     c, _ = parse_number(args.c)
-    bv = branch_value(word, s, z, c, tol=_tol_of(args))
+    bv = branch_value(word, s, z, c, tol=args.tol)
     mono = bv.total - bv.base
     if args.json:
         print(json.dumps({
@@ -334,7 +326,7 @@ def cmd_sweep(args):
         if raw is None:
             raise ValueError("missing --%s for expr %s" % (name, args.expr))
         fixed[name] = raw if name in ("m", "k") else parse_number(raw)[0]
-    tol = _tol_of(args)
+    tol = args.tol
 
     cols = []
     for name in needed:
@@ -401,9 +393,8 @@ def cmd_sweep(args):
 def _add_point_args(p, names):
     for n in names:
         p.add_argument("--" + n, required=True)
-    p.add_argument("--tol", type=float, default=None,
-                   help="target tolerance (default: env LERCH_KIT_TOL "
-                        "or 1e-12)")
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="target tolerance (default: 1e-12)")
 
 
 def build_parser():
@@ -459,7 +450,8 @@ def build_parser():
         sw.add_argument("--" + n)
     sw.add_argument("--m", type=int)
     sw.add_argument("--k", type=int)
-    sw.add_argument("--tol", type=float, default=None)
+    sw.add_argument("--tol", type=float, default=1e-12,
+                    help="target tolerance (default: 1e-12)")
     sw.add_argument("--out", help="output file; .json selects JSON, "
                                   "anything else CSV (default: CSV to stdout)")
     sw.set_defaults(func=cmd_sweep)

@@ -26,6 +26,7 @@ value is ambiguous there).
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,6 +66,7 @@ __all__ = [
 ]
 
 _2PI_I = 2j * math.pi
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -174,30 +176,16 @@ def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
         raise StratumError("z within 1e-8 of z = 1", stratum="singular_z1")
     if zc == 0:
         return EvalResult(branched_power(cc, -sc), "series", 0.0)
-    res = _series_sum(sc, zc, cc, tol, max_terms)
-    return EvalResult(res.value, "series", res.tail_bound)
-
-
-def _series_sum(sc, zc, cc, tol, max_terms=200_000, weight=0):
-    """Certified sum_{n>=0} n^weight z^n (n+c)^{-s}, weight in {0, 1},
-    for complex s, c and 0 < |z| < 1; returns a SumResult.
-
-    This is the package's one certified series core: weight 1 gives the
-    term-wise z d/dz of the plain sum, which verify's checks use.
-    """
-    az = abs(zc)
     lz = cmath.log(zc)
     ac = abs(cc)
 
     def term(n):
-        t = cmath.exp(n * lz - sc * principal_log(n + cc))
-        return n * t if weight else t
+        return cmath.exp(n * lz - sc * principal_log(n + cc))
 
     # Ratio majorant: for n >= n0, |t_{n+1}/t_n| <= |z| e^q <= rho < 1
-    # with q = (2|s| + weight) / (n - |c|) (the weight's ratio is
-    # 1 + 1/n <= e^{1/n}) and a margin that keeps rho away from 1.
-    q_cap = min(0.15, (1.0 - az) / 3.0) if az > 0 else 0.15
-    n0 = int(max(2 * ac + 2, ac + (2 * abs(sc) + weight) / q_cap)) + 1
+    # with q = 2|s| / (n - |c|) and a margin that keeps rho away from 1.
+    q_cap = min(0.15, (1.0 - az) / 3.0)
+    n0 = int(max(2 * ac + 2, ac + 2 * abs(sc) / q_cap)) + 1
     rho = az * math.exp(q_cap)
     geo = 1.0 / (1.0 - rho)
 
@@ -216,8 +204,8 @@ def _series_sum(sc, zc, cc, tol, max_terms=200_000, weight=0):
             return math.inf
         return abs(last_t if n == last_n else term(n)) * geo
 
-    return sum_with_tail_bound(terms(), tail_bound,
-                               tol=tol, max_terms=max_terms)
+    res = sum_with_tail_bound(terms(), tail_bound, tol=tol, max_terms=max_terms)
+    return EvalResult(res.value, "series", res.tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +366,12 @@ def _exact_rational_case(s, z, c):
         return None  # singular stratum; let the guards report it
     # Phi(-m, z, c) = Li_{-m}(z,c) / z, both exact rationals
     val = negative_polylog(m).eval(zf, cf) / zf
-    return EvalResult(_cplx(val), "rational", 0.0, exact=val)
+    try:
+        value = _cplx(val)
+    except OverflowError:
+        raise AccuracyError("Phi(%d, %s, %s) is exact but overflows double "
+                            "precision" % (-m, zf, cf), bound=math.inf) from None
+    return EvalResult(value, "rational", 0.0, exact=val)
 
 
 def phi(s, z, c, tol=1e-12):
@@ -395,7 +388,10 @@ def phi(s, z, c, tol=1e-12):
     exact = _exact_rational_case(s, z, c)
     if exact is not None:
         return exact
-    sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
+    try:
+        sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
+    except OverflowError:  # an int or Fraction beyond double range
+        raise DomainError("phi needs s, z and c within double range") from None
     if not (cmath.isfinite(sc) and cmath.isfinite(cc)) or cmath.isnan(zc):
         raise DomainError("phi needs finite s and c and a z that is not NaN, "
                           "got s = %s, z = %s, c = %s" % (s, z, c))
@@ -479,7 +475,9 @@ def hurwitz_zeta(s, c, tol=1e-12):
 
     Head terms push Re(c) above 1/2 first; the correction sum uses exact
     Bernoulli numbers with the asymptotic term magnitude as the error
-    proxy (N doubles until it is below tol).
+    proxy (N doubles until it is below tol).  The estimate adds the
+    rounding of every exponential e^w of the sum, eps (|w| + 4) times
+    its term, so cancellation among large terms (Re s << 0) shows in it.
     """
     sc, cc = _cplx(s), _cplx(c)
     if abs(sc - 1.0) < INT_TOL:
@@ -487,8 +485,20 @@ def hurwitz_zeta(s, c, tol=1e-12):
     if dist_to_nonpos_int(c) < NEAR:
         raise StratumError("c is (nearly) a non-positive integer",
                            stratum="singular_c")
+    rounding = 0.0
+
+    def rounded(w, term):
+        """term, a multiple of e^w, with the rounding of e^w booked."""
+        nonlocal rounding
+        rounding += _EPS * (abs(w) + 4.0) * abs(term)
+        return term
+
+    def power(base):
+        w = -sc * principal_log(base)
+        return rounded(w, cmath.exp(w))
+
     k0 = max(0, math.ceil(0.5 - cc.real))
-    head = sum(branched_power(cc + k, -sc) for k in range(k0))
+    head = sum(power(cc + k) for k in range(k0))
     cx = cc + k0
 
     K = 12
@@ -506,17 +516,20 @@ def hurwitz_zeta(s, c, tol=1e-12):
     else:
         raise AccuracyError("Euler-Maclaurin tail would not drop below tol")
 
-    total = sum(cmath.exp(-sc * principal_log(n + cx)) for n in range(big_n))
+    total = sum(power(n + cx) for n in range(big_n))
     base = big_n + cx
     lb = principal_log(base)
-    total += cmath.exp((1.0 - sc) * lb) / (sc - 1.0)
-    total += 0.5 * cmath.exp(-sc * lb)
+    w = (1.0 - sc) * lb
+    total += rounded(w, cmath.exp(w) / (sc - 1.0))
+    w = -sc * lb
+    total += rounded(w, 0.5 * cmath.exp(w))
     poch = sc
     for k in range(1, K + 1):
         bk = float(_bernoulli(2 * k)) / math.factorial(2 * k)
-        total += bk * poch * cmath.exp((-sc - 2 * k + 1) * lb)
+        w = (-sc - 2 * k + 1) * lb
+        total += rounded(w, bk * poch * cmath.exp(w))
         poch *= (sc + 2 * k - 1) * (sc + 2 * k)
-    return EvalResult(head + total, "euler_maclaurin", tail)
+    return EvalResult(head + total, "euler_maclaurin", tail + rounding)
 
 
 def extended_polylog(s, z, c, tol=1e-12):

@@ -7,22 +7,25 @@ Li_2(x) = ``extended_polylog(2, x, 1)`` for the dilogarithm identities
 and the closed forms of ``monodromy`` for the vanishing checks, so a
 wrong value anywhere in that stack shows as a residual.
 
-Derivatives are trapezoid sums over a small Cauchy circle, except that
-in the series region of ``phi`` (``|z| <= 0.75`` and ``Re(c) > 0``,
-"series mode") the z-derivatives of ``ladder_down`` and ``pde`` are
-summed term-wise by the certified series core of ``eval_core``, to
-1e-12 like ``phi`` itself.  ``ladder_up`` always uses the circle: its
-term-wise d/dc is the very series of its right-hand side.  For a
-holomorphic integrand the N-point trapezoid rule on a circle of radius
-r converges like (r/R)^N (R the distance to the nearest singularity), so
-with r = 0.05 R the quadrature error is negligible and the only cost is
-the roundoff amplification eps/r.  The ladder and PDE checks refuse
-z = 0 with the StratumError that ``phi`` raises there.
+Every derivative comes from one primitive: the first two Taylor
+coefficients a_1, a_2 of g(t) at t = 0, as 16-node trapezoid sums on
+the unit circle |t| = 1.  The ladders take g(t) = Phi(s, z + t r, c)
+and g(t) = Phi(s, z, c + t r), so F' = a_1 / r.  The PDE takes the two
+diagonal circles g(t) = F(z + t r_z, c +- t r_c), whose coefficients
+differ by a_1+ - a_1- = 2 r_c dF/dc and a_2+ - a_2- = 2 r_z r_c
+d^2F/dz dc: 33 evaluations of F per point.  For a holomorphic g the
+N-point trapezoid rule converges like (r/R)^N (R the distance to the
+nearest singularity), so with r = 0.05 R the quadrature error is
+negligible and the only cost is the roundoff amplification eps/r.  Both
+sides come from ``phi`` at every point, in its series region too, so a
+wrong ``phi`` shows in the residual (``ladder_up`` at integer s < 0
+with rational z, c alone is exact arithmetic on the exact input).  The ladder and PDE
+checks refuse z = 0 with the StratumError that ``phi`` raises there.
 
-Default tolerances on the relative residual: 1e-9 for the ladder and
-PDE checks in series mode and 1e-7 off it, 1e-8 for the monodromy-term
-PDE and the functional equations, 1e-10 for the dilogarithm identities,
-and 0 (an exact zero) for the commutator and monodromy vanishing.
+Default tolerances on the relative residual: 1e-9 for every ladder and
+PDE check on ``phi``, 1e-8 for the monodromy-term PDE and the
+functional equations, 1e-10 for the dilogarithm identities, and 0 (an
+exact zero) for the commutator and monodromy vanishing.
 
 A suite runs every one of its checks at every point of a fixed
 deterministic grid; ``run_suite`` returns a machine-readable
@@ -39,8 +42,8 @@ from itertools import product
 
 from .branch_numerics import complex_gamma, dist_to_nonpos_int
 from .errors import DomainError, StratumError
-from .eval_core import (_exact_rational_case, _series_region, _series_sum,
-                        extended_polylog, lerch_zeta, phi)
+from .eval_core import (_exact_rational_case, extended_polylog, lerch_zeta,
+                        phi)
 from .monodromy import monodromy, monodromy_Z_conj, parse_word
 from .special_values import negative_polylog
 
@@ -114,13 +117,19 @@ class SuiteReport:
 # derivative machinery
 # ---------------------------------------------------------------------------
 
-def _cauchy_deriv(f, w0, radius, nodes=24):
-    """f'(w0) as the trapezoid sum of (2 pi i)^{-1} oint f/(w-w0)^2 dw."""
-    acc = 0j
-    for k in range(nodes):
-        rot = cmath.exp(2j * math.pi * k / nodes)
-        acc += f(w0 + radius * rot) / rot
-    return acc / (nodes * radius)
+_NODES = 16
+
+
+def _taylor12(g):
+    """(a_1, a_2), the Taylor coefficients of t and t^2 in g(t) at t = 0,
+    as trapezoid sums of (2 pi i)^{-1} oint g(t) t^{-k-1} dt on |t| = 1."""
+    a1 = a2 = 0j
+    for k in range(_NODES):
+        rot = cmath.exp(2j * math.pi * k / _NODES)
+        v = g(rot)
+        a1 += v / rot
+        a2 += v / (rot * rot)
+    return a1 / _NODES, a2 / _NODES
 
 
 def _dist_to_ray(z, x0):
@@ -131,19 +140,8 @@ def _dist_to_ray(z, x0):
     return abs(zc - x0)
 
 
-def _series(s, z, c, weight):
-    """sum n^weight z^n (n+c)^{-s} by the certified series core (series
-    mode, z != 0)."""
-    return _series_sum(s, z, c, 1e-12, weight=weight).value
-
-
 def _phi_value(s, z, c):
     return phi(s, z, c).value
-
-
-def _default_tol(zc, cc):
-    """Ladder and PDE default: 1e-9 in series mode, 1e-7 off it."""
-    return 1e-9 if _series_region(zc, cc) else 1e-7
 
 
 def _point(s, z, c):
@@ -159,42 +157,32 @@ def _point(s, z, c):
 # ladder and PDE checks
 # ---------------------------------------------------------------------------
 
-def check_ladder_down(s, z, c, tol=None):
+def check_ladder_down(s, z, c, tol=1e-9):
     """(z d/dz + c) Phi(s, z, c) = Phi(s-1, z, c)."""
     sc, zc, cc = _point(s, z, c)
-    if tol is None:
-        tol = _default_tol(zc, cc)
-    if _series_region(zc, cc):
-        z_dz = _series(sc, zc, cc, 1)
-    else:
-        r = 0.05 * _dist_to_ray(zc, 1.0)
-        z_dz = zc * _cauchy_deriv(lambda w: _phi_value(s, w, c), zc, r)
-    left = z_dz + cc * _phi_value(s, z, c)
+    r = 0.05 * _dist_to_ray(zc, 1.0)
+    a1, _ = _taylor12(lambda t: _phi_value(s, zc + t * r, c))
+    left = zc * a1 / r + cc * _phi_value(s, z, c)
     right = _phi_value(s - 1, z, c)
     return ResidualReport("ladder_down", (s, z, c), left, right, tol)
 
 
-def check_ladder_up(s, z, c, tol=None):
+def check_ladder_up(s, z, c, tol=1e-9):
     """d/dc Phi(s, z, c) = -s Phi(s+1, z, c).
 
-    At s = 0 both sides vanish identically; at integer s < 0 with
-    rational z, c the derivative of the rational continuation is exact
-    and the residual is an exact zero.
+    At integer s < 0 with rational z, c the derivative of the rational
+    continuation is exact and the residual is an exact zero.
     """
     sc, zc, cc = _point(s, z, c)
-    if tol is None:
-        tol = _default_tol(zc, cc)
-    if s == 0:
-        return ResidualReport("ladder_up", (s, z, c), 0j, 0j, tol)
     exact = _ladder_up_exact(s, z, c)
     if exact is not None:
         left, right = exact
         return ResidualReport("ladder_up", (s, z, c),
                               complex(left), complex(right), tol)
     r = 0.05 * dist_to_nonpos_int(cc)
-    dc = _cauchy_deriv(lambda w: _phi_value(s, z, w), cc, r)
+    a1, _ = _taylor12(lambda t: _phi_value(s, z, cc + t * r))
     right = -sc * _phi_value(s + 1, z, c)
-    return ResidualReport("ladder_up", (s, z, c), dc, right, tol)
+    return ResidualReport("ladder_up", (s, z, c), a1 / r, right, tol)
 
 
 def _ladder_up_exact(s, z, c):
@@ -216,39 +204,28 @@ def check_pde(s, z, c, tol=None, target="phi"):
     form satisfies the same equation.
     """
     sc, zc, cc = _point(s, z, c)
-    if target == "monodromy":
-        if tol is None:
-            tol = 1e-8
-        fun = lambda w, x: monodromy_Z_conj(0, 1, s, w, x)
-        r_z = 0.05 * _dist_to_ray(zc, 0.0)
-        r_c = 0.2
-        left = _pde_left_circles(fun, zc, cc, r_z, r_c)
-        right = -sc * fun(zc, cc)
-        return ResidualReport("pde_monodromy_term", (s, z, c), left, right, tol)
-    if target != "phi":
-        raise ValueError("target must be 'phi' or 'monodromy'")
-    if tol is None:
-        tol = _default_tol(zc, cc)
-    if _series_region(zc, cc):
-        # the two derivative pieces as separate (n+c)^{-s-1} sums
-        mixed = _series(sc + 1, zc, cc, 1)
-        plain = _series(sc + 1, zc, cc, 0)
-        left = -sc * (mixed + cc * plain)
-    else:
+    if target == "phi":
+        name, default = "pde", 1e-9
         fun = lambda w, x: _phi_value(s, w, x)
         r_z = 0.05 * _dist_to_ray(zc, 1.0)
         r_c = 0.05 * dist_to_nonpos_int(cc)
-        left = _pde_left_circles(fun, zc, cc, r_z, r_c, nodes=16)
-    right = -sc * _phi_value(s, z, c)
-    return ResidualReport("pde", (s, z, c), left, right, tol)
-
-
-def _pde_left_circles(fun, zc, cc, r_z, r_c, nodes=16):
-    """z d/dz d/dc fun + c d/dc fun by nested Cauchy circles."""
-    def dc_at(w):
-        return _cauchy_deriv(lambda x: fun(w, x), cc, r_c, nodes)
-    mixed = _cauchy_deriv(dc_at, zc, r_z, nodes)
-    return zc * mixed + cc * dc_at(zc)
+    elif target == "monodromy":
+        name, default = "pde_monodromy_term", 1e-8
+        fun = lambda w, x: monodromy_Z_conj(0, 1, s, w, x)
+        r_z = 0.05 * _dist_to_ray(zc, 0.0)
+        r_c = 0.2
+    else:
+        raise ValueError("target must be 'phi' or 'monodromy'")
+    # on the diagonal circles g(t) = F(z + t r_z, c +- t r_c) the t- and
+    # t^2-coefficients differ by 2 r_c F_c and 2 r_z r_c F_zc
+    p1, p2 = _taylor12(lambda t: fun(zc + t * r_z, cc + t * r_c))
+    m1, m2 = _taylor12(lambda t: fun(zc + t * r_z, cc - t * r_c))
+    dc = (p1 - m1) / (2 * r_c)
+    dzdc = (p2 - m2) / (2 * r_z * r_c)
+    left = zc * dzdc + cc * dc
+    right = -sc * fun(z, c)
+    return ResidualReport(name, (s, z, c), left, right,
+                          default if tol is None else tol)
 
 
 # ---------------------------------------------------------------------------

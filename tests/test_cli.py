@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from lerchkit import cli
 from lerchkit.cli import _parse_grid, main, parse_number
 from lerchkit.eval_core import phi
 
@@ -289,20 +290,24 @@ def test_sweep_checks_grid_variable(capsys):
 # tolerance plumbing
 # ---------------------------------------------------------------------------
 
-def test_env_tolerance_is_honored(capsys, monkeypatch):
-    monkeypatch.setenv("LERCH_KIT_TOL", "1e-6")
+def test_tol_flag_reaches_phi_and_env_is_ignored(capsys, monkeypatch):
+    # --tol (default 1e-12) is the one way to set the tolerance: the
+    # environment plays no part
+    seen = []
+
+    def spy(s, z, c, tol):
+        seen.append(tol)
+        return phi(s, z, c, tol=tol)
+
+    monkeypatch.setattr(cli, "phi", spy)
+    monkeypatch.setenv("LERCH_KIT_TOL", "1e-2")
     code, out, _ = run(capsys, "eval", "--s", "2", "--z", "0.85", "--c",
-                       "0.6", "--json")
+                       "0.6", "--tol", "1e-6", "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["error_estimate"] <= 1e-6
     ref = phi(2, 0.85, 0.6).value
     assert complex(*doc["value"]) == pytest.approx(ref, rel=1e-5)
-
-
-def test_tol_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("LERCH_KIT_TOL", "1e-2")
-    code, out, _ = run(capsys, "eval", "--s", "2", "--z", "0.85",
-                       "--c", "0.6", "--tol", "1e-13", "--json")
+    code, _, _ = run(capsys, "eval", "--s", "2", "--z", "0.85", "--c", "0.6")
     assert code == 0
-    assert json.loads(out)["error_estimate"] <= 1e-12
+    assert seen == [1e-6, 1e-12]

@@ -60,6 +60,13 @@ def test_phi_exact_rational_route():
     assert res.exact == want
 
 
+def test_exact_value_beyond_double_range_is_an_accuracy_error():
+    # Phi(-120, 9/10, 1/2) ~ 120! / log(10/9)^121 ~ 1e317
+    with pytest.raises(AccuracyError, match="overflows double precision"):
+        phi(-120, Fraction(9, 10), Fraction(1, 2))
+    assert phi(-110, Fraction(9, 10), Fraction(1, 2)).value.real > 1e286
+
+
 def test_strategies_agree_pairwise():
     s, c = 1.4, 0.85
     for z in (0.6, -0.7, 0.45 + 0.5j):
@@ -92,7 +99,8 @@ def test_non_finite_input_is_refused_up_front(monkeypatch):
     nan, inf = math.nan, math.inf
     for s, z, c in ((1.5, 0.5, nan), (1.5, 0.5, inf), (inf, 0.5, 0.5),
                     (nan, 0.5, 0.5), (1.5, nan, 0.5), (1.5, 0.5, 1j * inf),
-                    (1.5, complex(0.5, nan), 0.5)):
+                    (1.5, complex(0.5, nan), 0.5), (10**400, 0.5, 0.5),
+                    (1.5, 0.5, Fraction(10**400, 3))):
         with pytest.raises(DomainError) as exc:
             phi(s, z, c)
         assert type(exc.value) is DomainError, (s, z, c)
@@ -143,6 +151,21 @@ def test_hurwitz_zeta_reference():
     ]
     for (s, c), want in cases:
         assert hurwitz_zeta(s, c).value == pytest.approx(want, abs=1e-10)
+
+
+def test_hurwitz_zeta_estimate_counts_rounding():
+    # Euler-Maclaurin cancels badly for Re s << 0: the values below are
+    # poor, but the estimate has to say so (40-digit mpmath references)
+    cases = [
+        ((-2.5, 1.3), -0.05879141110697949),
+        ((-5.5, 0.7), 0.0033300854596457134),
+        ((-8.5, 0.7), -0.002822799495331288),
+        ((-12.5, 0.7), -0.026043586687027342),
+        ((-20.5, 0.7), -69.4798215539926),
+    ]
+    for (s, c), want in cases:
+        r = hurwitz_zeta(s, c)
+        assert abs(r.value - want) <= r.error_estimate, (s, c)
 
 
 def test_hurwitz_zeta_pole():

@@ -5,9 +5,10 @@ polynomial kernel and the certified series sum each have one home.
   literals 1e-8 or 1e-12, or bind them to a module-level name.
 * Only ``special_values`` may define ``_trim``/``_padd``/``_pmul``-style
   polynomial helpers.
-* ``verify`` sums series through the certified core, so the old
-  uncertified ``1e-17`` stopping rule must not come back, and it has no
-  ``while`` loop: it sums no series of its own.
+* ``verify`` takes every value from ``phi``: the old uncertified
+  ``1e-17`` stopping rule must not come back, it has no ``while`` loop
+  (it sums no series of its own), and of the private names of
+  ``eval_core`` it uses only ``_exact_rational_case``.
 """
 
 import ast
@@ -65,3 +66,18 @@ def test_verify_sums_no_series_of_its_own():
     loops = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.While)]
     assert not loops, loops
+
+
+def test_verify_uses_no_eval_core_internals():
+    tree = ast.parse((SRC / "verify.py").read_text())
+    used = [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] == "eval_core"
+            for alias in node.names]
+    used += [node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and node.value.id == "eval_core"]
+    private = [name for name in used
+               if name.startswith("_") and name != "_exact_rational_case"]
+    assert not private, private

@@ -82,6 +82,32 @@ def test_ladder_up_catches_a_wrong_phi_in_series_mode(monkeypatch):
     assert not check_ladder_up(1.5, 0.3 + 0.2j, 0.7).passed
 
 
+SERIES_GRID = [p for p in verify._LADDER_GRID
+               if eval_core._series_region(complex(p[1]), complex(p[2]))]
+
+
+def test_ladder_down_catches_a_wrong_phi_in_series_mode(monkeypatch):
+    # an error delta = 1e-6 z c^{-s} in phi leaves (z d/dz + c) delta(s)
+    # - delta(s-1) = delta(s): a z-derivative summed from the series
+    # instead of taken from phi would cancel it
+    real = verify.phi
+
+    def skewed(s, z, c, tol=1e-12):
+        r = real(s, z, c, tol=tol)
+        sc, zc, cc = complex(s), complex(z), complex(c)
+        if not eval_core._series_region(zc, cc):
+            return r
+        return dataclasses.replace(r, value=r.value + 1e-6 * zc * cc ** -sc)
+
+    assert len(SERIES_GRID) == 7
+    assert all(check_ladder_down(*p).passed for p in SERIES_GRID)
+    monkeypatch.setattr(verify, "phi", skewed)
+    for p in SERIES_GRID:
+        assert not check_ladder_down(*p).passed, p
+        if p[0] != 0:
+            assert not check_pde(*p).passed, p
+
+
 @pytest.mark.parametrize("check", [check_ladder_down, check_ladder_up,
                                    check_pde])
 def test_ladder_and_pde_checks_refuse_z_zero(check):
@@ -91,9 +117,19 @@ def test_ladder_and_pde_checks_refuse_z_zero(check):
     assert exc.value.stratum == "singular_z0"
 
 
-def test_ladder_up_exact_at_s_zero():
+def test_ladder_up_exact_at_s_zero(monkeypatch):
+    # at s = 0 both sides vanish, and the check still evaluates them
+    calls = []
+    real = verify.phi
+
+    def counted(s, z, c, tol=1e-12):
+        calls.append((s, z, c))
+        return real(s, z, c, tol=tol)
+
+    monkeypatch.setattr(verify, "phi", counted)
     r = check_ladder_up(0, 0.5, 0.75)
-    assert r.passed and r.abs_residual == 0.0
+    assert r.passed and r.tol == 1e-9
+    assert len(calls) == 17 and (1, 0.5, 0.75) in calls
 
 
 @pytest.mark.parametrize("s,z,c", LADDER_POINTS)
@@ -208,11 +244,6 @@ def test_every_suite_passes():
             for r in combined.reports] == _combined_checks()
 
 
-def _suite_tol(z, c):
-    series = abs(complex(z)) <= 0.75 and complex(c).real > 0
-    return 1e-9 if series else 1e-7
-
-
 def _combined_checks():
     """The 103 (name, point, tol) triples of run_suite("all"), in order."""
     ladder = [(2, 0.5, 0.5), (1.5, 0.3 + 0.2j, 0.7), (0.5 + 0.5j, -0.4, 1.2),
@@ -226,9 +257,8 @@ def _combined_checks():
     axis = (0.05, 0.16, 0.27, 0.38, 0.49)
     want = []
     for p in ladder:
-        want += [(name, p, _suite_tol(*p[1:]))
-                 for name in ("ladder_down", "ladder_up")]
-    want += [("pde", p, _suite_tol(*p[1:])) for p in ladder]
+        want += [(name, p, 1e-9) for name in ("ladder_down", "ladder_up")]
+    want += [("pde", p, 1e-9) for p in ladder]
     want += [("pde_monodromy_term", p, 1e-8)
              for p in ((0.5, -0.5, 0.5), (0.3 + 0.2j, -1.1 + 0.4j, 0.8))]
     want.append(("commutator", ("monomials z^j c^k, j,k <= 6",), 0.0))
