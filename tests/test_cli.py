@@ -290,6 +290,28 @@ def test_sweep_checks_grid_variable(capsys):
 # tolerance plumbing
 # ---------------------------------------------------------------------------
 
+def test_env_tolerance_is_honored(capsys, monkeypatch):
+    # LERCH_KIT_TOL is no longer read, but a value it asks for is still
+    # met: the default --tol of 1e-12 is tighter
+    monkeypatch.setenv("LERCH_KIT_TOL", "1e-6")
+    code, out, _ = run(capsys, "eval", "--s", "2", "--z", "0.85", "--c",
+                       "0.6", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["error_estimate"] <= 1e-6
+    assert doc["error_estimate"] <= 1e-12
+    ref = phi(2, 0.85, 0.6).value
+    assert complex(*doc["value"]) == pytest.approx(ref, rel=1e-5)
+
+
+def test_tol_flag_overrides_env(capsys, monkeypatch):
+    monkeypatch.setenv("LERCH_KIT_TOL", "1e-2")
+    code, out, _ = run(capsys, "eval", "--s", "2", "--z", "0.85",
+                       "--c", "0.6", "--tol", "1e-13", "--json")
+    assert code == 0
+    assert json.loads(out)["error_estimate"] <= 1e-12
+
+
 def test_tol_flag_reaches_phi_and_env_is_ignored(capsys, monkeypatch):
     # --tol (default 1e-12) is the one way to set the tolerance: the
     # environment plays no part
