@@ -24,7 +24,8 @@ Numeric policy
 --------------
 Every decision "is this parameter an integer?" in the package goes
 through ``as_int``: exact for int and Fraction, within ``INT_TOL``
-(1e-12) for float and complex.  Evaluation refuses to come within
+(1e-12) for float and complex.  ``EPS`` is the one machine epsilon
+that rounding bounds are built from.  Evaluation refuses to come within
 ``NEAR`` (1e-8) of a singular point, measured for the stratum
 c in {0, -1, -2, ...} by ``dist_to_nonpos_int``.  The gamma-pole test
 below is a different rule: it asks for bit-exact non-positive integers,
@@ -33,6 +34,7 @@ the exact zeros of 1/Gamma.
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
@@ -40,6 +42,7 @@ from itertools import islice
 from .errors import AccuracyError, DomainError, PoleError
 
 __all__ = [
+    "EPS",
     "INT_TOL",
     "NEAR",
     "as_int",
@@ -59,6 +62,7 @@ __all__ = [
 QuadResult = namedtuple("QuadResult", "value error")
 SumResult = namedtuple("SumResult", "value tail_bound")
 
+EPS = sys.float_info.epsilon  # 2**-52, the base of every rounding bound
 INT_TOL = 1e-12  # integer detection for inexact inputs
 NEAR = 1e-8      # refusal radius around z = 1 and c in Z_{<=0}
 
@@ -227,6 +231,9 @@ def reciprocal_gamma(s):
 _U_MIN = -9.0
 _U_MAX = 12.5
 _T_FLOOR = 1e-290
+_MAX_LEVEL = 12     # mesh halvings before the quadrature gives up
+_FLOOR_WINDOW = 16  # a level difference within this many rounding
+                    # floors has stalled
 
 
 def _de_term(f, u):
@@ -237,7 +244,7 @@ def _de_term(f, u):
     return f(t) * (t * (1.0 + emu))
 
 
-def quad_semiaxis(f, tol=1e-12, max_level=12):
+def quad_semiaxis(f, tol=1e-12):
     """Integrate f over (0, infinity) by double-exponential trapezoid.
 
     Substitutes t = exp(u - exp(-u)) and applies the trapezoid rule in u
@@ -246,8 +253,19 @@ def quad_semiaxis(f, tol=1e-12, max_level=12):
     scale-aware sense |T_k - T_{k-1}| <= tol * (1 + |T_k|).
 
     Returns ``QuadResult(value, error)`` with the level-agreement bound
-    as the error field.  Raises ``AccuracyError`` if ``max_level`` mesh
-    halvings are not enough, with the best estimate attached.
+    as the error field.  Raises ``AccuracyError``, with the best
+    estimate attached, when
+
+    * the integrand is not negligible at the edge of the u-window;
+    * the rounding floor is reached: with ``mag`` the sum of |term| over
+      every node so far, F = EPS * h * mag (about EPS * int |f|) is the
+      rounding a level sum cannot get below.  Once the target
+      tol * (1 + |T_k|) lies under F and two successive level
+      differences are within ``_FLOOR_WINDOW`` (16) times F, the levels
+      have stopped converging and no finer mesh can meet the target
+      (a single difference in that window can still be the last step of
+      the double-exponential descent, with the next level on target);
+    * ``_MAX_LEVEL`` (12) halvings are not enough.
     """
     h = 0.5
     # negligibility threshold for truncating the u-range, kept well below
@@ -255,7 +273,7 @@ def quad_semiaxis(f, tol=1e-12, max_level=12):
     cut = min(tol, 1e-13) * 1e-3
 
     total = _de_term(f, 0.0)
-    scale = abs(total)
+    scale = mag = abs(total)
     jmin = jmax = 0
     # extend to the right, then to the left, until several consecutive
     # terms are negligible relative to the running scale
@@ -264,8 +282,10 @@ def quad_semiaxis(f, tol=1e-12, max_level=12):
         while _U_MIN <= j * h <= _U_MAX and quiet < 4:
             term = _de_term(f, j * h)
             total += term
-            scale = max(scale, abs(term))
-            if abs(term) <= cut * (1.0 + scale):
+            size = abs(term)
+            mag += size
+            scale = max(scale, size)
+            if size <= cut * (1.0 + scale):
                 quiet += 1
             else:
                 quiet = 0
@@ -282,12 +302,15 @@ def quad_semiaxis(f, tol=1e-12, max_level=12):
     umin, umax = jmin * h, jmax * h
     value = total * h
 
-    for _level in range(1, max_level + 1):
+    was_stalled = False
+    for level in range(1, _MAX_LEVEL + 1):
         h *= 0.5
         mids = 0j
         u = umin + h
         while u < umax:
-            mids += _de_term(f, u)
+            term = _de_term(f, u)
+            mids += term
+            mag += abs(term)
             u += 2.0 * h
         refined = 0.5 * value + h * mids
         # at the finer mesh the window may need to grow a little
@@ -296,7 +319,9 @@ def quad_semiaxis(f, tol=1e-12, max_level=12):
             while _U_MIN <= u <= _U_MAX and quiet < 4:
                 term = _de_term(f, u)
                 refined += h * term
-                if abs(term) <= cut * (1.0 + scale):
+                size = abs(term)
+                mag += size
+                if size <= cut * (1.0 + scale):
                     quiet += 1
                 else:
                     quiet = 0
@@ -307,10 +332,20 @@ def quad_semiaxis(f, tol=1e-12, max_level=12):
                 umin = min(umin, u + h)
         err = abs(refined - value)
         value = refined
-        if err <= tol * (1.0 + abs(value)):
+        target = tol * (1.0 + abs(value))
+        if err <= target:
             return QuadResult(value, err)
+        floor = EPS * h * mag
+        stalled = err <= _FLOOR_WINDOW * floor
+        if target < floor and stalled and was_stalled:
+            raise AccuracyError(
+                "quadrature reached its rounding floor %.3g at level %d, "
+                "above the tolerance %.3g" % (floor, level, target),
+                best=value, bound=err,
+            )
+        was_stalled = stalled
     raise AccuracyError(
-        "quadrature did not converge within %d levels" % max_level,
+        "quadrature did not converge within %d levels" % _MAX_LEVEL,
         best=value, bound=err,
     )
 

@@ -81,9 +81,44 @@ def test_quad_semiaxis_gamma_integral():
 def test_quad_semiaxis_reports_failure():
     # a non-integrable integrand cannot satisfy the tolerance
     with pytest.raises(AccuracyError) as exc:
-        quad_semiaxis(lambda t: cmath.exp(1j * t * t), tol=1e-12,
-                      max_level=4)
+        quad_semiaxis(lambda t: cmath.exp(1j * t * t), tol=1e-12)
     assert exc.value.best is not None
+
+
+def _counted(f):
+    calls = [0]
+
+    def g(t):
+        calls[0] += 1
+        return f(t)
+    return g, calls
+
+
+def test_quad_semiaxis_refuses_after_twelve_levels():
+    # t^-0.99 is cut off at the window's left end, so the levels creep
+    # towards each other far above the rounding floor
+    f, calls = _counted(lambda t: t ** -0.99 * math.exp(-t))
+    with pytest.raises(AccuracyError, match="within 12 levels") as exc:
+        quad_semiaxis(f)
+    assert exc.value.best is not None
+    assert calls[0] == 114_636
+
+
+def test_quad_semiaxis_refuses_at_rounding_floor():
+    # int_0^oo e^-t cos(40 t) dt = 1/1601; its rounding floor is about
+    # eps * int |e^-t cos 40t| ~ 1.4e-16, above a 1e-18 target.  Levels 8
+    # and 9 both land at the floor, so level 9 refuses (all 12 levels
+    # take 114,636 calls)
+    f, calls = _counted(lambda t: math.exp(-t) * math.cos(40.0 * t))
+    with pytest.raises(AccuracyError, match="rounding floor") as exc:
+        quad_semiaxis(f, tol=1e-18)
+    assert abs(exc.value.best - 1.0 / 1601) <= 1e-15
+    assert calls[0] < 20_000
+    # a target above the floor converges as before
+    f, calls = _counted(lambda t: math.exp(-t) * math.cos(40.0 * t))
+    got = quad_semiaxis(f, tol=1e-15)
+    assert got.value == 0.0006246096189881585
+    assert calls[0] == 7161
 
 
 def test_sum_with_tail_bound_geometric():

@@ -133,6 +133,46 @@ def test_series_evaluates_each_term_once(monkeypatch):
                                       abs=1e-11)
 
 
+def test_integral_refusal_is_cheap(monkeypatch):
+    # at Im s = 12, 1/Gamma(s) ~ 1e8 amplifies the integrand's rounding far
+    # above 1e-13: the quadrature refuses once its levels stall there
+    calls = [0]
+    real_quad = eval_core.quad_semiaxis
+
+    def counted_quad(f, *args, **kwargs):
+        def g(t):
+            calls[0] += 1
+            return f(t)
+        return real_quad(g, *args, **kwargs)
+
+    monkeypatch.setattr(eval_core, "quad_semiaxis", counted_quad)
+    with pytest.raises(AccuracyError, match="rounding floor"):
+        phi(0.5 + 12j, 0.9 + 0.3j, 0.4)
+    assert calls[0] <= 10_000
+
+
+# box points whose quadrature converges only at level 8 or later, with a
+# target above the rounding floor, and their values before the floor rule
+SLOW_QUADRATURE = [
+    ((4.281909530319474, 30.914096852930076 + 1.5096229753132897j,
+      1.1513550620533106 + 2.6989555854775986j),
+     -0.00043897019336209446 + 0.0001252341648785031j, "integral"),
+    ((-5.995922457542969, -0.8334184537456808 - 1.2266439069621173j,
+      -0.023689146435049935 - 1.3354386997382695j),
+     33.78310963685942 + 36.69461046059082j, "c_shift"),
+    ((-1.6549538344243828, 1.171034115465843 - 0.3851547767150901j,
+      1.9668717647219829 - 1.2175012208274263j),
+     2.2505554024139194 + 20.606043100386728j, "reflection"),
+]
+
+
+def test_slow_quadratures_above_the_floor_still_converge():
+    for (s, z, c), want, route in SLOW_QUADRATURE:
+        res = phi(s, z, c)
+        assert res.method == route
+        assert abs(res.value - want) <= 1e-14 * max(1.0, abs(want))
+
+
 def test_classify_stratum_tags():
     assert classify_stratum(2, 0.5, 0.5).tag == "regular"
     assert classify_stratum(2, 0.5, 3).tag == "removable_c"
@@ -206,6 +246,22 @@ def test_periodic_zeta_negative_integers_hit_q():
     z = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
     assert periodic_zeta(Fraction(1, 3), 0).value == pytest.approx(
         z / (1 - z), abs=1e-10)
+
+
+def test_periodic_zeta_near_zero():
+    # 0 < Re s < 1/2 takes one step of the q-ladder, so the quadrature's
+    # exponent keeps a real part of at least 1/2 (Hurwitz-formula values)
+    cases = [
+        ((Fraction(3, 5), 0.0263),
+         -0.5047587769884637 - 0.16682092331564996j),
+        ((Fraction(1, 5), 0.25 + 2j),
+         -0.2568953540206138 + 2.36802927419723j),
+        ((Fraction(4, 5), 0.4), -0.356643700234649 - 0.8279994825369484j),
+        ((Fraction(2, 5), 0.1 - 2j),
+         -0.3188696257830074 + 0.5740480464823566j),
+    ]
+    for (a, s), want in cases:
+        assert periodic_zeta(a, s).value == pytest.approx(want, rel=1e-14)
 
 
 def test_extended_polylog():

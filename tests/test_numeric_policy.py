@@ -2,7 +2,8 @@
 polynomial kernel and the certified series sum each have one home.
 
 * Only ``branch_numerics`` (the numeric policy) may compare against the
-  literals 1e-8 or 1e-12, or bind them to a module-level name.
+  literals 1e-8 or 1e-12, or bind them to a module-level name, and only
+  it reads ``sys.float_info.epsilon`` (every other module uses ``EPS``).
 * Only ``special_values`` may define ``_trim``/``_padd``/``_pmul``-style
   polynomial helpers.
 * ``verify`` takes every value from ``phi``: the old uncertified
@@ -45,6 +46,22 @@ def test_policy_tolerances_live_in_branch_numerics():
         for node in tree.body:
             if isinstance(node, ast.Assign) and _is_policy_literal(node.value):
                 offenders.append("%s:%d" % (name, node.lineno))
+    assert not offenders, offenders
+
+
+def _reads_epsilon(node):
+    """sys.float_info.epsilon, or float_info.epsilon after an import."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "epsilon"):
+        return False
+    inner = node.value
+    return (isinstance(inner, ast.Attribute) and inner.attr == "float_info"
+            or isinstance(inner, ast.Name) and inner.id == "float_info")
+
+
+def test_one_machine_epsilon():
+    offenders = ["%s:%d" % (name, node.lineno)
+                 for name, tree in _modules() if name != POLICY_HOME
+                 for node in ast.walk(tree) if _reads_epsilon(node)]
     assert not offenders, offenders
 
 
