@@ -27,8 +27,8 @@ The integral route (and ``periodic_zeta``) multiplies 1/Gamma(s) into
 the integrand and asks ``quad_semiaxis`` for 0.1 * tol, so the
 quadrature's own test |T_k - T_{k-1}| <= 0.1 tol (1 + |T_k|) is made on
 the value the route returns, and its level difference is the route's
-error estimate.  When that target lies below the quadrature's rounding
-floor the call raises ``AccuracyError`` as soon as the levels stall.
+error estimate.  A target the quadrature cannot reach makes it raise
+``AccuracyError`` (its docstring gives the rule).
 """
 
 import cmath

@@ -110,10 +110,10 @@ def test_quad_semiaxis_refuses_at_rounding_floor():
     # and 9 both land at the floor, so level 9 refuses (all 12 levels
     # take 114,636 calls)
     f, calls = _counted(lambda t: math.exp(-t) * math.cos(40.0 * t))
-    with pytest.raises(AccuracyError, match="rounding floor") as exc:
+    with pytest.raises(AccuracyError, match="rounding floor .* level 9,") as exc:
         quad_semiaxis(f, tol=1e-18)
     assert abs(exc.value.best - 1.0 / 1601) <= 1e-15
-    assert calls[0] < 20_000
+    assert calls[0] <= 15_000
     # a target above the floor converges as before
     f, calls = _counted(lambda t: math.exp(-t) * math.cos(40.0 * t))
     got = quad_semiaxis(f, tol=1e-15)
