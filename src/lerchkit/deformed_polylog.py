@@ -20,14 +20,23 @@ take the Pascal band form with entries (2 pi i)^d / d!.  All logs are
 principal; the base point z = -1 sits on the cut and takes its
 upper-edge values (log(-1) = +i pi), matching the branch conventions
 used everywhere else in this package.
+
+The transport oracle steps the frame by Taylor expansions of degree
+n_taylor (30 by default).  At each expansion point the operator turns
+into one linear recurrence for the Taylor coefficients, built once and
+applied to all m+1 frame columns; its index pattern and factorials
+depend only on (n_taylor, m) and are cached.  A step is accepted when
+the two dropped Horner terms (the full jet minus the two-orders-lower
+one) are below the tolerance.  numpy is imported only where a matrix is
+built (rho, rho_word, numeric_transport), not with the module.
 """
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .branch_numerics import INT_TOL, as_int, branched_power, principal_log
 from .errors import BranchError, DomainError, TransportError
@@ -360,11 +369,13 @@ class MonodromyMatrix:
         return self.entries.shape[0] - 1
 
     def det(self):
+        import numpy as np
         return complex(np.linalg.det(self.entries))
 
 
 def _pascal_band(n, w):
     """Upper-triangular band with w^d/d! on the d-th superdiagonal."""
+    import numpy as np
     mat = np.zeros((n, n), dtype=complex)
     for d in range(n):
         val = w ** d / math.factorial(d)
@@ -382,6 +393,7 @@ def rho(generator, m, c, inverse=False):
     band of 2 pi i; on the singular stratum the band runs through the
     first row as well.  Z1 is I - 2 pi i E_{12} on both strata.
     """
+    import numpy as np
     if m < 1:
         raise DomainError("rho wants m >= 1")
     n = m + 1
@@ -422,6 +434,8 @@ def rho_word(word, m, c):
     """Ordered product of generator matrices for a Y-free word; paths
     read left to right and the matrices multiply in the same order
     (validated against numeric transport of concatenated loops)."""
+    import numpy as np
+
     from .monodromy import parse_word
     if isinstance(word, str):
         word = parse_word(word)
@@ -504,20 +518,23 @@ def _check_path(path):
             raise TransportError("path strays within 0.1 of a singular point")
 
 
-def _lead_values(m, c, singular, ci, tol=1e-13):
-    """Values Li_j(-1) (or Li*_j(-1,c)) for j = 0..m."""
+def _lead_values(m, c, singular, ci):
+    """Values Li_j(-1) (or Li*_j(-1,c)) for j = 0..m, at phi's default
+    tolerance: a tighter one sits below the quadrature's rounding floor
+    for some regular c (c near 0.1 + 0.5i, m = 3), which phi refuses."""
     vals = [_BASE / (1.0 - _BASE)]  # z/(1-z) at z = -1
     for j in range(1, m + 1):
         if singular:
-            vals.append(li_star(j, -ci, _BASE.real, tol=tol))
+            vals.append(li_star(j, -ci, _BASE.real))
         else:
-            vals.append(_BASE * _phi(j, _BASE.real, c, tol=tol).value)
+            vals.append(_BASE * _phi(j, _BASE.real, c).value)
     return vals
 
 
 def _start_frame(m, c):
     """Jet matrix S at z = -1: rows are derivative orders 0..m, columns
     the basis entries [lead, b_{m-1}, ..., b_0]."""
+    import numpy as np
     cc = complex(c)
     singular, ci = _singular_c(c)
     n = m + 1
@@ -562,43 +579,104 @@ def _poly_w_coeffs(op, cc, z0):
     return out
 
 
-def _taylor_extend(pw, jet, n_top, m):
-    """Taylor coefficients A_0..A_{n_top} of a solution with the given
-    derivative jet at the expansion point."""
-    A = [jet[i] / math.factorial(i) for i in range(m + 1)]
-    top = pw[m + 1][0]  # (1-z0) z0^{m+1}, nonzero off the singular set
+@functools.cache
+def _index_tables(n_top, m):
+    """The parts of the Taylor recurrence that depend only on (n_top, m).
+
+    Substituting y = sum_q A_q w^q into sum_k P_k(w) y^{(k)} = 0 and
+    reading off w^{q-m-1} gives A_q from A_lo..A_{q-1},
+    lo = max(0, q - m - 2).  At gap d = q - idx the coefficient of A_idx
+    is sum_k p[k][k+d-m-1] perm(idx, k) over k = max(0, m+1-d)..m+1,
+    divided by -p[m+1][0] perm(q, m+1).  Returns, for each q in
+    m+1..n_top, (lo, perm(q, m+1), per idx the pair (d, the perm(idx, k)
+    over that k range)), and the falling factorials perm(q, r) for
+    r = 0..m, q = 0..n_top that the jet evaluation uses.
+    """
+    pattern = []
     for q in range(m + 1, n_top + 1):
-        N = q - m - 1
-        acc = 0j
-        for k in range(m + 2):
-            for i, p in enumerate(pw[k]):
-                if p == 0:
-                    continue
-                idx = N - i + k
-                if idx < 0 or idx >= q:
-                    continue
-                acc += p * A[idx] * math.perm(idx, k)
-        A.append(-acc / (top * math.perm(q, m + 1)))
+        lo = max(0, q - m - 2)
+        rows = []
+        for idx in range(lo, q):
+            d = q - idx
+            rows.append((d, tuple(math.perm(idx, k)
+                                  for k in range(max(0, m + 1 - d), m + 2))))
+        pattern.append((lo, math.perm(q, m + 1), tuple(rows)))
+    falling = tuple(tuple(math.perm(q, r) for q in range(n_top + 1))
+                    for r in range(m + 1))
+    return tuple(pattern), falling
+
+
+def _recurrence(pw, n_top, m):
+    """The Taylor recurrence at one expansion point, shared by every
+    solution: for q = m+1..n_top a pair (lo, coefs) with
+    A_q = sum_j coefs[j] A_{lo+j}."""
+    top = pw[m + 1][0]  # (1-z0) z0^{m+1}, nonzero off the singular set
+    by_gap = [None] + [[pw[k][k + d - m - 1]
+                        for k in range(max(0, m + 1 - d), m + 2)]
+                       for d in range(1, m + 3)]
+    rec = []
+    for lo, perm_q, rows in _index_tables(n_top, m)[0]:
+        scale = -1.0 / (top * perm_q)
+        rec.append((lo, [scale * sum(map(operator.mul, by_gap[d], f))
+                         for d, f in rows]))
+    return rec
+
+
+def _taylor_extend(rec, jet):
+    """Taylor coefficients A_0..A_{n_top} of the solution with the given
+    derivative jet at the expansion point of `rec`."""
+    A = [complex(d) / math.factorial(i) for i, d in enumerate(jet)]
+    for lo, coefs in rec:
+        A.append(sum(map(operator.mul, coefs, A[lo:])))
     return A
 
 
 def _jet_at(A, h, m):
     """Evaluate (y, y', ..., y^{(m)}) at offset h by Horner."""
+    falling = _index_tables(len(A) - 1, m)[1]
     jet = []
     for r in range(m + 1):
+        fr = falling[r]
         acc = 0j
         for q in range(len(A) - 1, r - 1, -1):
-            acc = acc * h + A[q] * math.perm(q, r)
+            acc = acc * h + A[q] * fr[q]
         jet.append(acc)
     return jet
+
+
+def _tail_at(A, h, m):
+    """The last two Horner terms of _jet_at(A, h, m): the full jet minus
+    the jet of A without its top two coefficients."""
+    n = len(A) - 1
+    falling = _index_tables(n, m)[1]
+    return [(A[n - 1] * falling[r][n - 1] + A[n] * falling[r][n] * h)
+            * h ** (n - 1 - r) for r in range(m + 1)]
+
+
+def _advance(coeffs, step, m, tol):
+    """The frame's jets at offset `step` from the Taylor coefficients of
+    its columns, or None when a column fails the accept test."""
+    frame = []
+    for A in coeffs:
+        jet = _jet_at(A, step, m)
+        scale = max(1.0, max(abs(x) for x in jet))
+        if max(abs(x) for x in _tail_at(A, step, m)) > tol * scale:
+            return None
+        frame.append(jet)
+    return frame
 
 
 def numeric_transport(m, c, path, n_taylor=30, tol=1e-10):
     """Continue the full solution frame of D_{m+1}^c along a polyline
     (start = end = -1), and express the continued basis in the original
-    one.  Step size stays below 0.4 times the distance to {0, 1}; each
-    step is accepted by comparing against a two-orders-lower evaluation.
+    one.  Step size stays below 0.4 times the distance to {0, 1}.  At
+    each expansion point the Taylor recurrence is built once and shared
+    by the m+1 frame columns; a step is accepted when, for every column,
+    the two highest-order terms of the degree-`n_taylor` jet (the full
+    jet minus the two-orders-lower one) stay below tol * max(1, |jet|),
+    and halved otherwise.
     """
+    import numpy as np
     if m < 1:
         raise DomainError("transport wants m >= 1")
     path = [complex(p) for p in path]
@@ -608,37 +686,26 @@ def numeric_transport(m, c, path, n_taylor=30, tol=1e-10):
     S = _start_frame(m, c)
     if np.linalg.cond(S) > 1e12:
         raise TransportError("degenerate start frame")
-    frame = S.copy()
+    frame = S.T.tolist()  # one list of derivatives 0..m per basis entry
     singular, _ = _singular_c(c)
     for a, b in zip(path, path[1:]):
         pos = a
         while abs(pos - b) > 1e-13:
             dist = min(abs(pos), abs(pos - 1.0))
-            h_full = min(abs(b - pos), 0.4 * dist)
+            h = min(abs(b - pos), 0.4 * dist)
             direction = (b - pos) / abs(b - pos)
-            h = h_full
+            rec = _recurrence(_poly_w_coeffs(op, cc, pos), n_taylor, m)
+            coeffs = [_taylor_extend(rec, col) for col in frame]
             for _ in range(40):
-                pw = _poly_w_coeffs(op, cc, pos)
-                ok = True
-                new_frame = np.zeros_like(frame)
                 step = h * direction
-                for col in range(m + 1):
-                    A = _taylor_extend(pw, frame[:, col], n_taylor, m)
-                    jet = _jet_at(A, step, m)
-                    jet_lo = _jet_at(A[: n_taylor - 1], step, m)
-                    scale = max(1.0, max(abs(x) for x in jet))
-                    if max(abs(u - v) for u, v in zip(jet, jet_lo)) \
-                            > tol * scale:
-                        ok = False
-                        break
-                    new_frame[:, col] = jet
-                if ok:
+                new_frame = _advance(coeffs, step, m, tol)
+                if new_frame is not None:
                     frame = new_frame
                     pos = pos + step
                     break
                 h *= 0.5
             else:
                 raise TransportError("step size underflow near %r" % (pos,))
-    X = np.linalg.solve(S, frame)
+    X = np.linalg.solve(S, np.array(frame).T)
     return MonodromyMatrix(X.T, "transport",
                            "singular" if singular else "regular")

@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lerchkit
 from lerchkit import cli
 from lerchkit.cli import _parse_grid, main, parse_number
 from lerchkit.eval_core import phi
@@ -333,3 +337,15 @@ def test_tol_flag_reaches_phi_and_env_is_ignored(capsys, monkeypatch):
     code, _, _ = run(capsys, "eval", "--s", "2", "--z", "0.85", "--c", "0.6")
     assert code == 0
     assert seen == [1e-6, 1e-12]
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is imported only when a monodromy matrix is built, so a
+    # fresh interpreter that imports the CLI must not have loaded it
+    src = os.path.dirname(os.path.dirname(lerchkit.__file__))
+    code = ("import sys; sys.path.insert(0, %r); import lerchkit.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numpy'))" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
