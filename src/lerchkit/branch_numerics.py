@@ -252,9 +252,11 @@ def quad_semiaxis(f, tol=1e-12):
     nodes; converged when two successive levels agree to ``tol`` in the
     scale-aware sense |T_k - T_{k-1}| <= tol * (1 + |T_k|).
 
-    Returns ``QuadResult(value, error)`` with the level-agreement bound
-    as the error field.  Raises ``AccuracyError``, with the best
-    estimate attached, when
+    Returns ``QuadResult(value, error)``; the error is the last level
+    difference plus the rounding floor F = EPS * h * mag defined below,
+    since the converged sum still carries its rounding.  The success
+    test uses the level difference alone.  Raises ``AccuracyError``,
+    with the best estimate attached, when
 
     * the integrand is not negligible at the edge of the u-window;
     * the rounding floor is reached: with ``mag`` the sum of |term| over
@@ -333,9 +335,9 @@ def quad_semiaxis(f, tol=1e-12):
         err = abs(refined - value)
         value = refined
         target = tol * (1.0 + abs(value))
-        if err <= target:
-            return QuadResult(value, err)
         floor = EPS * h * mag
+        if err <= target:
+            return QuadResult(value, err + floor)
         stalled = err <= _FLOOR_WINDOW * floor
         if target < floor and stalled and was_stalled:
             raise AccuracyError(

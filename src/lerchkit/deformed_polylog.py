@@ -563,12 +563,18 @@ def _start_frame(m, c):
     return S
 
 
-def _poly_w_coeffs(op, cc, z0):
+def _coeff_values(op, cc):
+    """The pairs (alpha_k(c), beta_k(c)) of the operator at c, k = 0..m+1;
+    they depend on c alone, so a transport evaluates them once."""
+    return [(complex(alpha.eval(cc)), complex(beta.eval(cc)))
+            for alpha, beta in op.entries]
+
+
+def _poly_w_coeffs(ab, z0):
     """Coefficients p[k][i] of P_k(w) = (alpha_k (z0+w) + beta_k)(z0+w)^k
-    expanded about w = 0."""
+    expanded about w = 0, from the pairs ab of ``_coeff_values``."""
     out = []
-    for k, (alpha, beta) in enumerate(op.entries):
-        av, bv = complex(alpha.eval(cc)), complex(beta.eval(cc))
+    for k, (av, bv) in enumerate(ab):
         base = av * z0 + bv
         p = [0j] * (k + 2)
         for i in range(k + 1):
@@ -681,8 +687,7 @@ def numeric_transport(m, c, path, n_taylor=30, tol=1e-10):
         raise DomainError("transport wants m >= 1")
     path = [complex(p) for p in path]
     _check_path(path)
-    cc = complex(c)
-    op = weyl_expand(m)
+    ab = _coeff_values(weyl_expand(m), complex(c))
     S = _start_frame(m, c)
     if np.linalg.cond(S) > 1e12:
         raise TransportError("degenerate start frame")
@@ -694,7 +699,7 @@ def numeric_transport(m, c, path, n_taylor=30, tol=1e-10):
             dist = min(abs(pos), abs(pos - 1.0))
             h = min(abs(b - pos), 0.4 * dist)
             direction = (b - pos) / abs(b - pos)
-            rec = _recurrence(_poly_w_coeffs(op, cc, pos), n_taylor, m)
+            rec = _recurrence(_poly_w_coeffs(ab, pos), n_taylor, m)
             coeffs = [_taylor_extend(rec, col) for col in frame]
             for _ in range(40):
                 step = h * direction

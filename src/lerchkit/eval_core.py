@@ -26,9 +26,15 @@ value is ambiguous there).
 The integral route (and ``periodic_zeta``) multiplies 1/Gamma(s) into
 the integrand and asks ``quad_semiaxis`` for 0.1 * tol, so the
 quadrature's own test |T_k - T_{k-1}| <= 0.1 tol (1 + |T_k|) is made on
-the value the route returns, and its level difference is the route's
-error estimate.  A target the quadrature cannot reach makes it raise
-``AccuracyError`` (its docstring gives the rule).
+the integral the route returns; the quadrature's error (level
+difference plus rounding floor) is the route's error estimate.  A target
+the quadrature cannot reach makes it raise ``AccuracyError`` (its
+docstring gives the rule).  For |z| > 1 the kernel 1/(1 - z e^{-t}) has
+its pole t0 = Log z in the right half-plane, |arg z| off the real axis;
+``phi_integral`` then takes that pole out in closed form (its residue is
+the source of the Z1 monodromy) where that does not make the integrand
+larger at the pole's foot Re t0, and books the rounding the subtraction
+adds in the estimate.
 """
 
 import cmath
@@ -223,6 +229,35 @@ def phi_integral(s, z, c, tol=1e-12):
 
     Valid for Re(s) > 0, Re(c) > 0, z off the cut [1, inf); the
     denominator never vanishes for real t > 0 there.
+
+    With g(t) = t^{s-1} e^{-ct} / Gamma(s) and w = z e^{-t}, the kernel
+    1/(1 - w) has a simple pole at t0 = Log z, and the integrand's
+    residue there is g(t0) = (Log z)^{s-1} z^{-c} / Gamma(s).  As z
+    crosses the cut [1, inf) the pole crosses the path of integration,
+    and 2 pi i g(t0) is the jump of Phi, the Z1 monodromy.  For |z| > 1,
+    Re t0 > 0 and the pole sits |arg z| off the real axis, where a
+    small |arg z| keeps the trapezoid from converging until its last
+    levels.  The route then integrates [g(t) - g0 w] / (1 - w), analytic
+    at t0 for g0 = g(t0), and adds back
+    g0 int_0^inf w/(1 - w) dt = -g0 log(1 - z) (principal log; 1 - z
+    stays off (-inf, 0] for z off the cut).  The identity holds for any
+    constant g0, so the rounding of g0 itself cancels.
+
+    The gate: at the pole's foot x0 = Re t0, where w = e^{i arg z}, the
+    subtraction changes the integrand's numerator from g(x0) to
+    g(x0) - g0 w; the route subtracts only when that is no larger in
+    modulus, so the subtraction never raises the integrand, or its
+    rounding, where the pole acts.  A pole near the axis passes
+    (g0 ~ g(x0)); a pole far from it with g0 >> g(x0), as from large
+    |Im s|, does not, and then g0 = 0 and the integrand is the plain
+    kernel, bit for bit.  So is z < -1, whose two nearest poles tie at
+    pi off the axis.
+
+    The estimate is the quadrature's error (level difference plus its
+    rounding floor eps h sum|f|) plus what the subtraction adds and the
+    floor does not see: the rounding of the closed term, 4 eps |closed|,
+    and the cancellation in g - g0 w, at most 2 eps |g0| L with
+    L = int_0^inf |w/(1 - w)| dt in closed form.
     """
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
     if sc.real <= 0:
@@ -234,13 +269,42 @@ def phi_integral(s, z, c, tol=1e-12):
         raise StratumError("z within 1e-8 of z = 1", stratum="singular_z1")
     rg = reciprocal_gamma(sc)
     sm1 = sc - 1.0
+    g0, closed, pole_err = _pole_term(sc, zc, cc, rg)
 
     def integrand(t):
-        return (rg * cmath.exp(sm1 * math.log(t) - cc * t)
-                / (1.0 - zc * math.exp(-t)))
+        w = zc * math.exp(-t)
+        return ((rg * cmath.exp(sm1 * math.log(t) - cc * t) - g0 * w)
+                / (1.0 - w))
 
     value, err = quad_semiaxis(integrand, tol=0.1 * tol)
-    return EvalResult(value, "integral", err)
+    return EvalResult(value + closed, "integral", err + pole_err)
+
+
+def _pole_term(sc, zc, cc, rg):
+    """(g0, closed, rounding) of the pole subtraction in ``phi_integral``,
+    all zero when the pole is not subtracted (gate and estimate in its
+    docstring)."""
+    r = abs(zc)
+    # on the negative axis the poles log|z| +- i pi tie, both pi off the
+    # real axis; subtracting one would make Phi complex at real s, c
+    if r <= 1.0 or zc.imag == 0.0:
+        return 0j, 0j, 0.0
+    t0 = principal_log(zc)
+    x0, theta = t0.real, t0.imag
+    lg0 = (sc - 1.0) * principal_log(t0) - cc * t0  # log(g(t0) / rg)
+    lgx = (sc - 1.0) * math.log(x0) - cc * x0       # log(g(x0) / rg)
+    # exp(d) = g0 w(x0) / g(x0) with w(x0) = e^{i theta}; a modulus
+    # above e fails the test anyway (and might overflow exp)
+    d = lg0 - lgx + 1j * theta
+    if d.real > 1.0 or abs(1.0 - cmath.exp(d)) > 1.0:
+        return 0j, 0j, 0.0
+    log1mz = principal_log(1.0 - zc)
+    # L = int_0^inf |w / (1 - w)| dt in closed form (x = |z| e^{-t})
+    big_l = math.log((r - math.cos(theta) + abs(1.0 - zc))
+                     / (2.0 * math.sin(0.5 * theta) ** 2))
+    g0 = rg * cmath.exp(lg0)
+    return (g0, -g0 * log1mz,
+            EPS * abs(g0) * (2.0 * big_l + 4.0 * abs(log1mz)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lerchkit.deformed_polylog import (MonodromyMatrix, _poly_w_coeffs,
-                                       _recurrence, _taylor_extend,
-                                       apply_operator,
+from lerchkit import deformed_polylog
+from lerchkit.deformed_polylog import (MonodromyMatrix, _coeff_values,
+                                       _poly_w_coeffs, _recurrence,
+                                       _taylor_extend, apply_operator,
                                        basis, basis_series, li_series,
                                        li_star, li_star_series,
                                        log_power_series, numeric_transport,
@@ -304,10 +305,10 @@ def test_shared_recurrence_matches_per_solution_loop(m, c):
     # terms that make them, so the two summation orders agree only to
     # about 1e-11 coefficient by coefficient.
     rng = random.Random(m)
-    op = weyl_expand(m)
+    ab = _coeff_values(weyl_expand(m), complex(c))
     for path in (z0_loop(), z1_loop()):
         for z0 in path[1:-1:3]:
-            pw = _poly_w_coeffs(op, complex(c), z0)
+            pw = _poly_w_coeffs(ab, z0)
             r = 0.4 * min(abs(z0), abs(z0 - 1.0))
             for n_top in (30, 20):
                 rec = _recurrence(pw, n_top, m)
@@ -321,6 +322,22 @@ def test_shared_recurrence_matches_per_solution_loop(m, c):
                     diff = max(abs(g - w) * r ** q
                                for q, (g, w) in enumerate(zip(got, want)))
                     assert diff <= 1e-13 * scale
+
+
+def test_transport_evaluates_operator_coefficients_once(monkeypatch):
+    # alpha_k(c), beta_k(c) depend on c alone: one evaluation per
+    # polynomial per transport, not one per expansion point
+    calls = [0]
+    real_eval = deformed_polylog.CPolynomial.eval
+
+    def counted(self, c):
+        calls[0] += 1
+        return real_eval(self, c)
+
+    monkeypatch.setattr(deformed_polylog.CPolynomial, "eval", counted)
+    m = 2
+    numeric_transport(m, 0.3 + 0.2j, z1_loop())
+    assert calls[0] == 2 * (m + 2)
 
 
 def test_transport_composes_like_the_word():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from lerchkit import eval_core
+from lerchkit.branch_numerics import EPS, quad_semiaxis
 from lerchkit.errors import (AccuracyError, BranchError, DomainError,
                              StratumError)
 from lerchkit.eval_core import (classify_stratum, extended_polylog,
@@ -133,9 +134,7 @@ def test_series_evaluates_each_term_once(monkeypatch):
                                       abs=1e-11)
 
 
-def test_integral_refusal_is_cheap(monkeypatch):
-    # at Im s = 12, 1/Gamma(s) ~ 1e8 amplifies the integrand's rounding far
-    # above 1e-13: the quadrature refuses once its levels stall there
+def _count_integrand_calls(monkeypatch):
     calls = [0]
     real_quad = eval_core.quad_semiaxis
 
@@ -146,6 +145,13 @@ def test_integral_refusal_is_cheap(monkeypatch):
         return real_quad(g, *args, **kwargs)
 
     monkeypatch.setattr(eval_core, "quad_semiaxis", counted_quad)
+    return calls
+
+
+def test_integral_refusal_is_cheap(monkeypatch):
+    # at Im s = 12, 1/Gamma(s) ~ 1e8 amplifies the integrand's rounding far
+    # above 1e-13: the quadrature refuses once its levels stall there
+    calls = _count_integrand_calls(monkeypatch)
     with pytest.raises(AccuracyError, match="rounding floor"):
         phi(0.5 + 12j, 0.9 + 0.3j, 0.4)
     assert calls[0] <= 10_000
@@ -171,6 +177,56 @@ def test_slow_quadratures_above_the_floor_still_converge():
         res = phi(s, z, c)
         assert res.method == route
         assert abs(res.value - want) <= 1e-14 * max(1.0, abs(want))
+
+
+# |z| > 1 with the pole of 1/(1 - z e^-t) near the real axis: the plain
+# kernel runs all 12 quadrature levels here (about 1e5 integrand calls)
+# and refuses; with the pole at t0 = Log z taken out it converges.  45-digit
+# references: mpmath quadrature of the subtracted integrand, checked at 65
+# digits, against mpmath.lerchphi (real c) and, for the first point,
+# against the unsubtracted integral split at Re t0.
+POLE_NEAR_AXIS = [
+    ((1.076068850956796, 35.03394371378086 - 2.1984387507431613j,
+      -0.6691038158667579 + 0.7692172000369193j),
+     complex("-26.6341642595483578115264095609546808567904966"
+             "+68.9467122063993112873427155212147439477107952j")),
+    ((3.4568939770232365 + 4.812972952845694j,
+      18.431010516159773 + 0.00709450837008603j,
+      5.630698765916181 - 2.5294879038276634j),
+     complex("-0.00000352348461471640205383212120182333325134664833"
+             "+0.0000376498300987045126039785791723342743028581296j")),
+    ((2.5, 5 + 1e-6j, 0.7),
+     complex("2.33935485774824443681686184954385620653959596"
+             "+1.56403314983507877220511704277932687249516284j")),
+    ((1.3, 1.5 + 1e-5j, 0.6),
+     complex("2.39661076960637784635799761510860449630741755"
+             "+2.09342282483208947876351537170493103811881281j")),
+]
+
+
+def test_pole_near_the_axis_converges_within_its_estimate(monkeypatch):
+    calls = _count_integrand_calls(monkeypatch)
+    for (s, z, c), want in POLE_NEAR_AXIS:
+        calls[0] = 0
+        res = phi(s, z, c)
+        assert abs(res.value - want) <= res.error_estimate, (s, z, c)
+        assert res.error_estimate <= 1e-12 * (1.0 + abs(want))
+        assert calls[0] < 2_000, (s, z, c)
+
+
+def test_pole_far_from_the_axis_is_not_subtracted():
+    # g(t0) is 1e14 times g(Re t0): the subtraction would cost digits, so
+    # the route integrates the plain kernel, and the value is that of the
+    # plain quadrature bit for bit
+    res = phi(5.784472829332346 - 8.489143972192258j,
+              -1.108434255380906 + 0.14970024530836087j,
+              5.03680460996577 + 1.3583245299860742j)
+    assert res.method == "integral"
+    assert res.value == 5.737599655182763e-06 - 3.580792300311062e-06j
+
+
+def test_quadrature_error_counts_its_rounding():
+    assert quad_semiaxis(lambda t: math.exp(-t)).error >= EPS
 
 
 def test_classify_stratum_tags():
