@@ -226,11 +226,11 @@ def reciprocal_gamma(s):
 # Hard window for the transformed variable u; t = exp(u - exp(-u)) spans
 # ~1e-290 .. 2.7e5 over it, which is all double precision can represent
 # usefully.  Integrands t^(sigma-1)*bounded need sigma >~ 0.05 for the
-# truncated left tail to be negligible; every internal caller keeps the
-# exponent's real part at or above 1/2.
+# truncated left tail (t < T_FLOOR) to be negligible; ``phi_integral``,
+# the one caller that goes below sigma = 1/2, books that tail itself.
 _U_MIN = -9.0
 _U_MAX = 12.5
-_T_FLOOR = 1e-290
+T_FLOOR = 1e-290
 _MAX_LEVEL = 12     # mesh halvings before the quadrature gives up
 _FLOOR_WINDOW = 16  # a level difference within this many rounding
                     # floors has stalled
@@ -239,7 +239,7 @@ _FLOOR_WINDOW = 16  # a level difference within this many rounding
 def _de_term(f, u):
     emu = math.exp(-u)
     t = math.exp(u - emu)
-    if t < _T_FLOOR:
+    if t < T_FLOOR:
         return 0j
     return f(t) * (t * (1.0 + emu))
 

@@ -81,13 +81,6 @@ class CPolynomial:
     def eval(self, c):
         return poly_eval(self.coeffs, c)
 
-    @property
-    def degree(self):
-        d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d] == 0:
-            d -= 1
-        return d
-
     def is_zero(self):
         return all(a == 0 for a in self.coeffs)
 
@@ -149,9 +142,6 @@ class PowerLogSeries:
 
     def coeff(self, n, j=0):
         return self.coeffs.get(n, {}).get(j, 0)
-
-    def max_log_power(self):
-        return max((j for d in self.coeffs.values() for j in d), default=0)
 
 
 def _new_coeffs():

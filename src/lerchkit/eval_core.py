@@ -9,9 +9,11 @@ integral    Gamma(s)^{-1} * int_0^inf t^{s-1} e^{-ct} / (1 - z e^{-t}) dt
             for Re(s) > 0, Re(c) > 0, z off the cut
 c_shift     Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} + z^N Phi(s,z,c+N),
             pushes Re(c) into the right half-plane, then re-dispatches
-reflection  for Re(s) <= 0: the three-term transformation formula in the
-            Lerch-zeta coordinates (a = Log z / 2 pi i, semi-principal
-            Log), whose right-hand side lives at s' = 1 - s, Re(s') > 1/2
+reflection  for Re(s) <= 0, |z| > 0.75: one signed shift of the same
+            identity moves c into 0 < Re(c) < 1, then the three-term
+            transformation formula in the Lerch-zeta coordinates
+            (a = Log z / 2 pi i, semi-principal Log), whose right-hand
+            side lives at s' = 1 - s, Re(s') > 1/2
 
 plus an exact short-circuit: integer s <= 0 with rational (z, c) is the
 bivariate rational from special_values, returned exactly.
@@ -48,6 +50,7 @@ from .branch_numerics import (
     EPS,
     INT_TOL,
     NEAR,
+    T_FLOOR,
     as_int,
     branched_power,
     complex_gamma,
@@ -257,7 +260,11 @@ def phi_integral(s, z, c, tol=1e-12):
     rounding floor eps h sum|f|) plus what the subtraction adds and the
     floor does not see: the rounding of the closed term, 4 eps |closed|,
     and the cancellation in g - g0 w, at most 2 eps |g0| L with
-    L = int_0^inf |w/(1 - w)| dt in closed form.
+    L = int_0^inf |w/(1 - w)| dt in closed form.  It also counts the
+    left tail the quadrature drops below t = T_FLOOR, where the
+    integrand is g(t) / (1 - z) to first order: that tail is at most
+    |1/Gamma(s)| T^sigma / (sigma |1 - z|), sigma = Re s, doubled because
+    the last mesh node can leave part of the next cell out as well.
     """
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
     if sc.real <= 0:
@@ -277,7 +284,8 @@ def phi_integral(s, z, c, tol=1e-12):
                 / (1.0 - w))
 
     value, err = quad_semiaxis(integrand, tol=0.1 * tol)
-    return EvalResult(value + closed, "integral", err + pole_err)
+    tail = 2.0 * abs(rg) * T_FLOOR ** sc.real / (sc.real * abs(1.0 - zc))
+    return EvalResult(value + closed, "integral", err + pole_err + tail)
 
 
 def _pole_term(sc, zc, cc, rg):
@@ -308,32 +316,41 @@ def _pole_term(sc, zc, cc, rg):
 
 
 # ---------------------------------------------------------------------------
-# strategy: shift c to the right
+# strategy: shift c by an integer
 # ---------------------------------------------------------------------------
 
-def phi_c_shift(s, z, c, n_shift, tol=1e-12):
-    """Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} + z^N Phi(s,z,c+N).
+def _shift_c(sc, zc, cc, n, tol, inner_route):
+    """(value, error) of Phi(s,z,c) = head + z^N inner_route(s, z, c+N).
 
-    The head terms use the principal branched power (some c+k may have
-    non-positive real part); the tail re-enters the dispatcher.
+    One identity for a shift N of either sign: the head is
+    sum_{0<=k<N} z^k (c+k)^{-s} for N >= 0 and
+    -sum_{N<=k<0} z^k (c+k)^{-s} = -z^N sum_{k<|N|} z^k (c+N+k)^{-s} for
+    N < 0.  The head terms use the principal branched power (some c+k
+    may have non-positive real part).
     """
-    if n_shift < 0:
-        raise DomainError("shift count must be >= 0")
-    sc, zc = _cplx(s), _cplx(z)
-    cc = _cplx(c)
-    head = 0j
-    zpow = 1.0 + 0j
-    for k in range(n_shift):
-        ck = cc + k
+    lo = min(n, 0)
+    head, zpow = 0j, 1.0 + 0j
+    for k in range(abs(n)):
+        ck = cc + lo + k
         if abs(ck) < NEAR:
-            raise StratumError("c + %d vanishes (singular stratum)" % k,
+            raise StratumError("c + %d vanishes (singular stratum)" % (k + lo),
                                stratum="singular_c")
         head += zpow * branched_power(ck, -sc)
         zpow *= zc
-    inner_tol = 0.5 * tol / max(1.0, abs(zpow))
-    inner = phi(sc, zc, cc + n_shift, tol=inner_tol)
+    if n < 0:  # zpow = z^|N|
+        zpow = 1.0 / zpow
+        head = -zpow * head
+    inner = inner_route(sc, zc, cc + n, tol=0.5 * tol / max(1.0, abs(zpow)))
     value = head + zpow * inner.value
-    err = abs(zpow) * inner.error_estimate + 1e-15 * (n_shift + 1) * abs(head)
+    err = abs(zpow) * inner.error_estimate + 1e-15 * (abs(n) + 1) * abs(head)
+    return value, err
+
+
+def phi_c_shift(s, z, c, n_shift, tol=1e-12):
+    """Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} + z^N Phi(s,z,c+N), N >= 0."""
+    if n_shift < 0:
+        raise DomainError("shift count must be >= 0")
+    value, err = _shift_c(_cplx(s), _cplx(z), _cplx(c), n_shift, tol, phi)
     return EvalResult(value, "c_shift", err)
 
 
@@ -383,12 +400,14 @@ def phi_reflect(s, z, c, tol=1e-12):
 
 
 def _reflect_with_c_normalization(s, z, c, tol):
-    """Bring Re(c) into (0,1) by an integer shift, then reflect.
+    """Bring Re(c) into (0,1) by one signed integer shift, then reflect.
 
-    Downward shift inverts the c_shift identity:
-    Phi(s,z,c) = z^{-M} [ Phi(s,z,c-M) - sum_{k<M} z^k (c-M+k)^{-s} ].
-    Exactly-integer Re(c) can never reach the *open* strip, which is a
-    documented limitation of this route.
+    The dispatcher sends every Re(s) <= 0, |z| > 0.75 point here, whatever
+    the sign of Re(c).  The shift N = -floor(Re c), up or down, applies
+    the c_shift identity of ``_shift_c`` once, with ``phi_reflect`` (the
+    three-term formula) as the inner route.  Exactly-integer Re(c) can
+    never reach the *open* strip, which is a documented limitation of
+    this route.
     """
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
     if 0.0 < cc.real < 1.0:
@@ -399,16 +418,7 @@ def _reflect_with_c_normalization(s, z, c, tol):
             "needs 0 < Re(c) < 1 after an integer shift and cannot reach "
             "the open strip; perturb c or use integer s (exact rational "
             "path) instead")
-    m_shift = math.floor(cc.real)  # Re(c - m_shift) lands in (0, 1)
-    head = 0j
-    zpow = 1.0 + 0j
-    cm = cc - m_shift
-    for k in range(m_shift):
-        head += zpow * branched_power(cm + k, -sc)
-        zpow *= zc
-    inner = phi_reflect(sc, zc, cm, tol=0.25 * tol / max(1.0, abs(zpow)))
-    value = (inner.value - head) / zpow
-    err = (inner.error_estimate + 1e-15 * abs(head)) / abs(zpow)
+    value, err = _shift_c(sc, zc, cc, -math.floor(cc.real), tol, phi_reflect)
     return EvalResult(value, "reflection", err)
 
 
@@ -443,9 +453,10 @@ def phi(s, z, c, tol=1e-12):
     """Evaluate Phi(s, z, c) on the principal branch, auto-dispatched.
 
     Route order: exact rational short-circuit (integer s <= 0, rational
-    z and c); series for |z| <= 0.75 with Re(c) > 0; integral for
-    Re(s) > 0, Re(c) > 0, z off [1, oo); c_shift when Re(c) <= 0;
-    reflection when Re(s) <= 0.  Non-finite s or c and NaN z raise
+    z and c); series for |z| <= 0.75 with Re(c) > 0; reflection for
+    Re(s) <= 0, |z| > 0.75 (one signed shift of c into 0 < Re(c) < 1,
+    then the three-term formula); c_shift for the other Re(c) <= 0;
+    integral for the rest.  Non-finite s or c and NaN z raise
     DomainError before any route runs (z = oo is the singular_zinf
     stratum), singular strata raise StratumError, the cut [1, oo)
     raises BranchError.
@@ -467,15 +478,15 @@ def phi(s, z, c, tol=1e-12):
     _guard_near_singular(z, c)
     if _series_region(zc, cc):
         return phi_series(sc, zc, cc, tol=tol)
-    if sc.real > 0 and cc.real > 0:
+    if sc.real <= 0 and abs(zc) > 0.75:
         _guard_cut(zc)  # raises BranchError on [1, oo)
-        return phi_integral(sc, zc, cc, tol=tol)
+        return _reflect_with_c_normalization(sc, zc, cc, tol)
     if cc.real <= 0:
         n_shift = math.ceil(1.0 - cc.real)
         return phi_c_shift(sc, zc, cc, n_shift, tol=tol)
-    # now Re(s) <= 0, Re(c) > 0, |z| > 0.75
+    # now Re(s) > 0, Re(c) > 0, |z| > 0.75
     _guard_cut(zc)
-    return _reflect_with_c_normalization(sc, zc, cc, tol)
+    return phi_integral(sc, zc, cc, tol=tol)
 
 
 # ---------------------------------------------------------------------------

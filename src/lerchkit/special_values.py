@@ -160,10 +160,6 @@ class BivariateRational:
     def degree_c(self):
         return len(self.c_polys) - 1
 
-    @property
-    def degree_z(self):
-        return max(len(p) - 1 for p in self.c_polys)
-
     def numerator(self, z, c):
         acc = 0
         cp = 1

@@ -165,7 +165,7 @@ SLOW_QUADRATURE = [
      -0.00043897019336209446 + 0.0001252341648785031j, "integral"),
     ((-5.995922457542969, -0.8334184537456808 - 1.2266439069621173j,
       -0.023689146435049935 - 1.3354386997382695j),
-     33.78310963685942 + 36.69461046059082j, "c_shift"),
+     33.78310963685942 + 36.69461046059082j, "reflection"),
     ((-1.6549538344243828, 1.171034115465843 - 0.3851547767150901j,
       1.9668717647219829 - 1.2175012208274263j),
      2.2505554024139194 + 20.606043100386728j, "reflection"),
@@ -227,6 +227,41 @@ def test_pole_far_from_the_axis_is_not_subtracted():
 
 def test_quadrature_error_counts_its_rounding():
     assert quad_semiaxis(lambda t: math.exp(-t)).error >= EPS
+
+
+# Re s <= 0, |z| > 0.75 with Re c outside (0, 1): one signed c-shift into
+# the strip, then the three-term formula.  Shifting up past the strip and
+# back down again asked the inner quadratures for targets below their
+# rounding floor, and both points were refused.  40-digit references: the
+# c-shift taken exactly, then mpmath quadrature of the integral
+# integrated by parts until Re(s + j) >= 2, split at Re Log z.
+ONE_SIGNED_SHIFT = [
+    ((-3.3578677907102374, -1.9510833909955383 - 1.2862789268899586j,
+      -0.729250019728894 - 0.17689036898757093j),
+     -0.685449979323336 + 0.28088055738948475j),
+    ((-0.22506844219199085, -1.3951148848543318 + 5.202773412770687j,
+      4.8893409245542685 + 1.5517308974105006j),
+     0.0809067483036982 + 0.22896207804526203j),
+]
+
+
+def test_reflection_shifts_c_into_its_strip_in_one_step():
+    for (s, z, c), want in ONE_SIGNED_SHIFT:
+        res = phi(s, z, c)
+        assert res.method == "reflection"
+        err = abs(res.value - want)
+        assert err <= 1e-14 * max(1.0, abs(want)), (s, z, c)
+        assert err <= res.error_estimate + EPS * abs(res.value), (s, z, c)
+
+
+def test_integral_estimate_counts_the_dropped_left_tail():
+    # at Re s = 0.033 the integrand below t = 1e-290, which the quadrature
+    # drops, still carries about 7e-12; 40-digit reference as above
+    res = phi(0.0329697517943881, -37.93749371271551 - 0.21567143973750924j,
+              3.307747594343919 - 0.8452208956831502j)
+    want = 0.024921528613196246 + 0.00014595285953488037j
+    assert res.method == "integral"
+    assert abs(res.value - want) <= res.error_estimate <= 1e-10
 
 
 def test_classify_stratum_tags():

@@ -10,6 +10,9 @@ polynomial kernel and the certified series sum each have one home.
   ``1e-17`` stopping rule must not come back, it has no ``while`` loop
   (it sums no series of its own), and of the private names of
   ``eval_core`` it uses only ``_exact_rational_case``.
+* ``eval_core`` hand-rolls the c-shift identity
+  Phi(s,z,c) = sum_k z^k (c+k)^{-s} + z^N Phi(s,z,c+N) once: one function
+  holds a ``for`` loop over ``branched_power``.
 """
 
 import ast
@@ -98,3 +101,17 @@ def test_verify_uses_no_eval_core_internals():
     private = [name for name in used
                if name.startswith("_") and name != "_exact_rational_case"]
     assert not private, private
+
+
+def _calls(node, name):
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == name for n in ast.walk(node))
+
+
+def test_one_c_shift_identity():
+    tree = ast.parse((SRC / "eval_core.py").read_text())
+    homes = [fn.name for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef)
+             and any(isinstance(loop, ast.For) and _calls(loop, "branched_power")
+                     for loop in ast.walk(fn))]
+    assert len(homes) == 1, homes
