@@ -6,7 +6,8 @@ the principal log).  Four strategies cover the parameter space:
 
 series      |z| <= 0.75 (geometric tail majorant, certified bound)
 integral    Gamma(s)^{-1} * int_0^inf t^{s-1} e^{-ct} / (1 - z e^{-t}) dt
-            for Re(s) > 0, Re(c) > 0, z off the cut
+            for any s, Re(c) > 0, z off the cut (integrated by parts
+            j times below Re(s) = 1/2, so that Re(s+j) >= 1/2)
 c_shift     Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} + z^N Phi(s,z,c+N),
             pushes Re(c) into the right half-plane, then re-dispatches
 reflection  for Re(s) <= 0, |z| > 0.75: one signed shift of the same
@@ -25,18 +26,12 @@ strata z = 1 and c in {0, -1, -2, ...} rather than returning garbage;
 z on (or within 1e-8 of) [1, infinity) is a branch error (the principal
 value is ambiguous there).
 
-The integral route (and ``periodic_zeta``) multiplies 1/Gamma(s) into
-the integrand and asks ``quad_semiaxis`` for 0.1 * tol, so the
-quadrature's own test |T_k - T_{k-1}| <= 0.1 tol (1 + |T_k|) is made on
-the integral the route returns; the quadrature's error (level
-difference plus rounding floor) is the route's error estimate.  A target
-the quadrature cannot reach makes it raise ``AccuracyError`` (its
-docstring gives the rule).  For |z| > 1 the kernel 1/(1 - z e^{-t}) has
-its pole t0 = Log z in the right half-plane, |arg z| off the real axis;
-``phi_integral`` then takes that pole out in closed form (its residue is
-the source of the Z1 monodromy) where that does not make the integrand
-larger at the pole's foot Re t0, and books the rounding the subtraction
-adds in the estimate.
+The integral route (``periodic_zeta`` is z Phi(s, z, 1) on it) asks
+``quad_semiaxis`` for 0.1 * tol on the integral it returns, 1/Gamma
+included; a target the quadrature cannot reach makes it raise
+``AccuracyError``.  The docstrings of ``phi_integral`` (the ladder, the
+pole subtraction for |z| > 1, the estimate) and ``quad_semiaxis`` (the
+refusal rule) give the details.
 """
 
 import cmath
@@ -50,12 +45,12 @@ from .branch_numerics import (
     EPS,
     INT_TOL,
     NEAR,
-    T_FLOOR,
     as_int,
     branched_power,
     complex_gamma,
     dist_to_nonpos_int,
     exp_2pi_i,
+    gamma_rel_error,
     principal_log,
     quad_semiaxis,
     reciprocal_gamma,
@@ -63,7 +58,7 @@ from .branch_numerics import (
     sum_with_tail_bound,
 )
 from .errors import AccuracyError, BranchError, DomainError, PoleError, StratumError
-from .special_values import negative_polylog, q_ratio
+from .special_values import negative_polylog, poly_eval
 
 __all__ = [
     "LerchPoint",
@@ -228,20 +223,25 @@ def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
 # ---------------------------------------------------------------------------
 
 def phi_integral(s, z, c, tol=1e-12):
-    """Gamma(s)^{-1} int_0^inf t^{s-1} e^{-ct}/(1 - z e^{-t}) dt.
+    """Gamma(s)^{-1} int_0^inf t^{s-1} e^{-ct}/(1 - z e^{-t}) dt, any s.
 
-    Valid for Re(s) > 0, Re(c) > 0, z off the cut [1, inf); the
-    denominator never vanishes for real t > 0 there.
+    Valid for Re(c) > 0 and z off the cut [1, inf); the denominator
+    never vanishes for real t > 0 there.
 
-    With g(t) = t^{s-1} e^{-ct} / Gamma(s) and w = z e^{-t}, the kernel
-    1/(1 - w) has a simple pole at t0 = Log z, and the integrand's
-    residue there is g(t0) = (Log z)^{s-1} z^{-c} / Gamma(s).  As z
-    crosses the cut [1, inf) the pole crosses the path of integration,
-    and 2 pi i g(t0) is the jump of Phi, the Z1 monodromy.  For |z| > 1,
-    Re t0 > 0 and the pole sits |arg z| off the real axis, where a
-    small |arg z| keeps the trapezoid from converging until its last
-    levels.  The route then integrates [g(t) - g0 w] / (1 - w), analytic
-    at t0 for g0 = g(t0), and adds back
+    Below Re(s) = 1/2 it integrates by parts j = ceil(1 - Re s) times
+    (the ladder (z d/dz + c) Phi(s) = Phi(s-1) under the integral), so the
+    exponent keeps the real part >= 1/2 that ``quad_semiaxis`` needs:
+    Phi(s, z, c) = Gamma(s+j)^{-1} int t^{s+j-1} e^{-ct} Phi(-j, w, c) dt.
+
+    For Re(s) >= 1/2 (j = 0), with g(t) = t^{s-1} e^{-ct} / Gamma(s) and
+    w = z e^{-t}, the kernel 1/(1 - w) has a simple pole at t0 = Log z,
+    and the integrand's residue there is g(t0) = (Log z)^{s-1} z^{-c} /
+    Gamma(s).  As z crosses the cut [1, inf) the pole crosses the path of
+    integration, and 2 pi i g(t0) is the jump of Phi, the Z1 monodromy.
+    For |z| > 1, Re t0 > 0 and the pole sits |arg z| off the real axis,
+    where a small |arg z| keeps the trapezoid from converging until its
+    last levels.  The route then integrates [g(t) - g0 w] / (1 - w),
+    analytic at t0 for g0 = g(t0), and adds back
     g0 int_0^inf w/(1 - w) dt = -g0 log(1 - z) (principal log; 1 - z
     stays off (-inf, 0] for z off the cut).  The identity holds for any
     constant g0, so the rounding of g0 itself cancels.
@@ -257,35 +257,52 @@ def phi_integral(s, z, c, tol=1e-12):
     pi off the axis.
 
     The estimate is the quadrature's error (level difference plus its
-    rounding floor eps h sum|f|) plus what the subtraction adds and the
+    rounding floor eps h sum|f|), the error of 1/Gamma(s+j) times the
+    value (``gamma_rel_error``), and what the subtraction adds and the
     floor does not see: the rounding of the closed term, 4 eps |closed|,
     and the cancellation in g - g0 w, at most 2 eps |g0| L with
-    L = int_0^inf |w/(1 - w)| dt in closed form.  It also counts the
-    left tail the quadrature drops below t = T_FLOOR, where the
-    integrand is g(t) / (1 - z) to first order: that tail is at most
-    |1/Gamma(s)| T^sigma / (sigma |1 - z|), sigma = Re s, doubled because
-    the last mesh node can leave part of the next cell out as well.
+    L = int_0^inf |w/(1 - w)| dt in closed form.
     """
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
-    if sc.real <= 0:
-        raise DomainError("integral strategy needs Re(s) > 0")
     if cc.real <= 0:
         raise DomainError("integral strategy needs Re(c) > 0")
     _guard_cut(z)
     if abs(zc - 1) < NEAR:
         raise StratumError("z within 1e-8 of z = 1", stratum="singular_z1")
-    rg = reciprocal_gamma(sc)
-    sm1 = sc - 1.0
-    g0, closed, pole_err = _pole_term(sc, zc, cc, rg)
+    j = 0 if sc.real >= 0.5 else math.ceil(1.0 - sc.real)
+    sig = sc + j
+    rg = reciprocal_gamma(sig)
+    sm1 = sig - 1.0
+    if j:
+        p = _ladder_numerator(j, cc)
+        closed, pole_err = 0j, 0.0
 
-    def integrand(t):
-        w = zc * math.exp(-t)
-        return ((rg * cmath.exp(sm1 * math.log(t) - cc * t) - g0 * w)
-                / (1.0 - w))
+        def integrand(t):
+            w = zc * math.exp(-t)
+            return (rg * cmath.exp(sm1 * math.log(t) - cc * t)
+                    * poly_eval(p, w) / (1.0 - w) ** (j + 1))
+    else:
+        g0, closed, pole_err = _pole_term(sc, zc, cc, rg)
+
+        def integrand(t):
+            w = zc * math.exp(-t)
+            return ((rg * cmath.exp(sm1 * math.log(t) - cc * t) - g0 * w)
+                    / (1.0 - w))
 
     value, err = quad_semiaxis(integrand, tol=0.1 * tol)
-    tail = 2.0 * abs(rg) * T_FLOOR ** sc.real / (sc.real * abs(1.0 - zc))
-    return EvalResult(value + closed, "integral", err + pole_err + tail)
+    value += closed
+    return EvalResult(value, "integral",
+                      err + pole_err + gamma_rel_error(sig) * abs(value))
+
+
+def _ladder_numerator(j, cc):
+    """P(w) of the special value Phi(-j, w, c) = P(w)/(1 - w)^{j+1}: the
+    c_polys of ``negative_polylog(j)`` (Li_{-j} = w Phi(-j)) at c, over w."""
+    p = [0j] * (j + 1)
+    for k, poly in enumerate(negative_polylog(j).c_polys):
+        for i, a in enumerate(poly[1:]):
+            p[i] += a * cc ** k
+    return p
 
 
 def _pole_term(sc, zc, cc, rg):
@@ -370,7 +387,8 @@ def phi_reflect(s, z, c, tol=1e-12):
 
     with s' = 1 - s, so both inner evaluations live at Re(s') > 1/2 and
     are handled by the series/integral/c-shift strategies (for z on
-    (0,1), Re(a) = 0 and the inner dispatch goes through c_shift).
+    (0,1), Re(a) = 0 and the inner dispatch goes through c_shift).  The
+    estimate counts the error of Gamma(s') (``gamma_rel_error``).
     """
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
     if sc.real >= 0.5:
@@ -394,8 +412,9 @@ def phi_reflect(s, z, c, tol=1e-12):
     r1 = phi(sp, z1, a, tol=inner_tol)
     r2 = phi(sp, z2, 1.0 - a, tol=inner_tol)
     value = pref * (pa * r1.value + pb * r2.value)
-    err = abs(pref) * (abs(pa) * r1.error_estimate
-                       + abs(pb) * r2.error_estimate) + 1e-15 * abs(value)
+    err = (abs(pref) * (abs(pa) * r1.error_estimate
+                        + abs(pb) * r2.error_estimate)
+           + (1e-15 + gamma_rel_error(sp)) * abs(value))
     return EvalResult(value, "reflection", err)
 
 
@@ -426,6 +445,25 @@ def _reflect_with_c_normalization(s, z, c, tol):
 # dispatcher
 # ---------------------------------------------------------------------------
 
+def _overflows_double(m, zf, cf):
+    """True when Phi(-m, z, c) = sum_n (n+c)^m z^n certainly exceeds double
+    range: for rational 0 < z < 1 and c > 0 every term is positive, and
+    the log of the largest (near n = m / |log z| - c), less a rounding
+    margin, passes log 2^1024.  False for other z and c, or when floats
+    cannot resolve the terms."""
+    if not (0 < zf < 1 and cf > 0):
+        return False
+    try:
+        lz = math.log(zf) if zf < 0.5 else math.log1p(-float(1 - zf))
+        cx = float(cf)
+        n = max(0, math.floor(m / -lz - cx))
+        parts = [(m * math.log(k + cx), k * lz) for k in (n, n + 1)]
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return False
+    return max(a + b - 1e-9 * (abs(a) + abs(b))
+               for a, b in parts) > 1024 * math.log(2.0)
+
+
 def _exact_rational_case(s, z, c):
     if not isinstance(s, (int, Fraction)):
         return None
@@ -439,9 +477,11 @@ def _exact_rational_case(s, z, c):
     zf, cf = Fraction(z), Fraction(c)
     if zf in (0, 1) or (cf.denominator == 1 and cf <= 0):
         return None  # singular stratum; let the guards report it
-    # Phi(-m, z, c) = Li_{-m}(z,c) / z, both exact rationals
-    val = negative_polylog(m).eval(zf, cf) / zf
     try:
+        if _overflows_double(m, zf, cf):
+            raise OverflowError
+        # Phi(-m, z, c) = Li_{-m}(z,c) / z, both exact rationals
+        val = negative_polylog(m).eval(zf, cf) / zf
         value = _cplx(val)
     except OverflowError:
         raise AccuracyError("Phi(%d, %s, %s) is exact but overflows double "
@@ -502,35 +542,15 @@ def lerch_zeta(s, a, c, tol=1e-12):
 
 
 def periodic_zeta(a, s, tol=1e-12):
-    """F(a, s) = sum_{n>=1} e^{2 pi i n a} n^{-s}, entire in s.
-
-    Re(s) >= 1/2: F = Gamma(s)^{-1} int_0^inf t^{s-1} w/(1-w) dt with
-    w = e^{2 pi i a} e^{-t}.  Re(s) < 1/2: the ladder
-    F(a, s) = (z d/dz)^j F(a, s+j) (z = e^{2 pi i a}) is applied under
-    the integral sign with j = ceil(1 - Re s), so that Re(s + j) >= 1
-    (quad_semiaxis needs exponents with real part 1/2 or above); (z d/dz)^j
-    of the geometric kernel is the exact rational q_j(w), never a
-    numerical derivative.
-    """
-    ac, sc = _cplx(a), _cplx(s)
+    """F(a, s) = sum_{n>=1} e^{2 pi i n a} n^{-s} = z Phi(s, z, 1), entire
+    in s: ``phi_integral`` at z = e^{2 pi i a}, off the cut for
+    0 < Re(a) < 1, with its estimate scaled by |z|."""
+    ac = _cplx(a)
     if not 0.0 < ac.real < 1.0:
         raise DomainError("periodic_zeta needs 0 < Re(a) < 1")
     z = exp_2pi_i(ac)
-    j = 0 if sc.real >= 0.5 else math.ceil(1.0 - sc.real)
-    sig = sc + j
-    rg = reciprocal_gamma(sig)
-
-    if j == 0:
-        def integrand(t):
-            w = z * math.exp(-t)
-            return rg * cmath.exp((sig - 1.0) * math.log(t)) * w / (1.0 - w)
-    else:
-        def integrand(t):
-            w = z * math.exp(-t)
-            return rg * cmath.exp((sig - 1.0) * math.log(t)) * q_ratio(j, w)
-
-    value, err = quad_semiaxis(integrand, tol=0.1 * tol)
-    return EvalResult(value, "integral", err)
+    res = phi_integral(s, z, 1.0, tol=tol)
+    return EvalResult(z * res.value, "integral", abs(z) * res.error_estimate)
 
 
 @lru_cache(maxsize=None)

@@ -2,13 +2,14 @@
 
 import cmath
 import math
+import random
 
 import pytest
 
-from lerchkit.branch_numerics import (QuadResult, branched_power,
-                                      complex_gamma, principal_log,
-                                      quad_semiaxis, reciprocal_gamma,
-                                      semi_principal_log,
+from lerchkit.branch_numerics import (EPS, QuadResult, branched_power,
+                                      complex_gamma, gamma_rel_error,
+                                      principal_log, quad_semiaxis,
+                                      reciprocal_gamma, semi_principal_log,
                                       sum_with_tail_bound)
 from lerchkit.errors import AccuracyError, DomainError
 
@@ -61,6 +62,28 @@ def test_complex_gamma_known_values():
     g = complex_gamma(0.5 + 1j)
     assert abs(g) ** 2 == pytest.approx(math.pi / math.cosh(math.pi),
                                         rel=1e-11)
+
+
+def test_gamma_rel_error_covers_gamma_and_its_reciprocal():
+    # the s range of the benchmark box and of the routes' Gamma factors,
+    # plus points next to the poles, where the reflection's sin(pi s) loses
+    # digits; mpmath is the reference (installed, not a dependency)
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2015)
+    points = [complex(rng.uniform(-7, 9), rng.uniform(-16, 16))
+              for _ in range(2000)]
+    points += [-n + cmath.rect(10.0 ** rng.uniform(-9, -2), rng.uniform(-3, 3))
+               for n in range(8)]
+    with mpmath.workdps(30):
+        for s in points:
+            x = mpmath.mpc(s.real, s.imag)
+            bound = gamma_rel_error(s)
+            want = complex(mpmath.gamma(x))
+            assert abs(complex_gamma(s) - want) <= bound * abs(want), s
+            want = complex(mpmath.rgamma(x))
+            assert abs(reciprocal_gamma(s) - want) <= bound * abs(want), s
+    assert gamma_rel_error(-3) == 0.0  # 1/Gamma is exactly 0 there
+    assert gamma_rel_error(1.5) < 200 * EPS
 
 
 def test_reciprocal_gamma_exact_zeros():

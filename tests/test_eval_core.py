@@ -5,6 +5,7 @@ implementation and frozen here at 17 significant digits.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -68,14 +69,28 @@ def test_exact_value_beyond_double_range_is_an_accuracy_error():
     assert phi(-110, Fraction(9, 10), Fraction(1, 2)).value.real > 1e286
 
 
+def test_exact_overflow_is_refused_before_the_rational_is_built():
+    # 0 < z < 1, c > 0: the largest term of sum (n+c)^m z^n already lies
+    # beyond double range, so no rational of degree m is built
+    half = Fraction(1, 2)
+    start = time.perf_counter()
+    with pytest.raises(AccuracyError, match="overflows double precision"):
+        phi(-200, half, half)
+    assert time.perf_counter() - start < 0.05
+    with pytest.raises(AccuracyError, match="overflows double precision"):
+        phi(-1200, half, half)
+
+
 def test_strategies_agree_pairwise():
-    s, c = 1.4, 0.85
-    for z in (0.6, -0.7, 0.45 + 0.5j):
-        a = phi_series(s, z, c).value
-        b = phi_integral(s, z, c).value
-        d = phi_c_shift(s, z, c + 0, 2).value
-        assert a == pytest.approx(b, abs=1e-10)
-        assert a == pytest.approx(d, abs=1e-10)
+    # s = 0.03 and -1.5 take the integral route's q-ladder (j = 1 and 3)
+    c = 0.85
+    for s in (1.4, 0.03, -1.5):
+        for z in (0.6, -0.7, 0.45 + 0.5j):
+            a = phi_series(s, z, c).value
+            b = phi_integral(s, z, c).value
+            d = phi_c_shift(s, z, c + 0, 2).value
+            assert a == pytest.approx(b, abs=1e-10), (s, z)
+            assert a == pytest.approx(d, abs=1e-10), (s, z)
 
 
 def test_singular_strata_raise():
@@ -255,13 +270,41 @@ def test_reflection_shifts_c_into_its_strip_in_one_step():
 
 
 def test_integral_estimate_counts_the_dropped_left_tail():
-    # at Re s = 0.033 the integrand below t = 1e-290, which the quadrature
-    # drops, still carries about 7e-12; 40-digit reference as above
+    # at Re s = 0.033 the plain integrand t^(s-1) carries about 7e-12 below
+    # t = 1e-290, where the quadrature stops; one step of the q-ladder
+    # integrates t^s instead, whose tail there is negligible.  40-digit
+    # reference as above
     res = phi(0.0329697517943881, -37.93749371271551 - 0.21567143973750924j,
               3.307747594343919 - 0.8452208956831502j)
     want = 0.024921528613196246 + 0.00014595285953488037j
     assert res.method == "integral"
-    assert abs(res.value - want) <= res.error_estimate <= 1e-10
+    err = abs(res.value - want)
+    assert err <= res.error_estimate
+    assert err <= 1e-14 * max(1.0, abs(want))
+
+
+def test_integral_ladder_below_re_s_one_half(monkeypatch):
+    # Re s = 0.016: the plain integrand t^(s-1) never lets the quadrature's
+    # levels settle (12 levels, then a refusal); one step of the q-ladder
+    # converges.  40-digit reference as above
+    calls = _count_integrand_calls(monkeypatch)
+    res = phi(0.01592769728216581, 6.67672378601727 - 9.67801600910213j,
+              3.3863922711397567 - 2.7562765979168993j)
+    want = -0.04310487350664083 - 0.07590726457185902j
+    assert res.method == "integral"
+    assert abs(res.value - want) <= 1e-14 * max(1.0, abs(want))
+    assert calls[0] < 2_000
+
+
+def test_integral_estimate_counts_the_error_of_gamma():
+    # 1/Gamma(s+1) at Im s = 13.7 is off by about 8e-14 relative, which
+    # the quadrature cannot see; 50-digit reference as above
+    res = phi(0.28242610086897013 + 13.747459382976675j,
+              -11.246344349458735 - 23.700196277263498j,
+              1.0264168625981709 + 2.435472396931318j)
+    want = 3680432.2886132917 - 4817692.9015826936j
+    assert res.method == "integral"
+    assert abs(res.value - want) <= res.error_estimate
 
 
 def test_classify_stratum_tags():

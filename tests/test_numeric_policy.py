@@ -13,6 +13,8 @@ polynomial kernel and the certified series sum each have one home.
 * ``eval_core`` hand-rolls the c-shift identity
   Phi(s,z,c) = sum_k z^k (c+k)^{-s} + z^N Phi(s,z,c+N) once: one function
   holds a ``for`` loop over ``branched_power``.
+* ``eval_core`` has one Mellin integral: only ``phi_integral`` calls
+  ``quad_semiaxis`` (``periodic_zeta`` is z Phi(s, z, 1) on it).
 """
 
 import ast
@@ -115,3 +117,10 @@ def test_one_c_shift_identity():
              and any(isinstance(loop, ast.For) and _calls(loop, "branched_power")
                      for loop in ast.walk(fn))]
     assert len(homes) == 1, homes
+
+
+def test_one_mellin_integral():
+    tree = ast.parse((SRC / "eval_core.py").read_text())
+    callers = [fn.name for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and _calls(fn, "quad_semiaxis")]
+    assert callers == ["phi_integral"], callers
