@@ -206,18 +206,16 @@ def complex_gamma(s):
 
 def gamma_rel_error(s):
     """Bound on the relative error of ``complex_gamma(s)`` and
-    ``reciprocal_gamma(s)``: EPS (64 (1 + |s|) + 2 pi |s cot(pi s)|).
+    ``reciprocal_gamma(s)`` for Re s >= 1/16, where the integral and
+    reflection routes take them: EPS (64 (1 + |s|) + 2 pi |s cot(pi s)|).
 
     The first term covers the Lanczos sum (against mpmath, at most
     37 EPS (1 + |s|) for Re s in [-40, 60], |Im s| <= 40, worst near
     Re s = 1/2); the second, for Re s < 1/2 only, the rounding of pi s
-    in the reflection's sin(pi s), large near the poles.  0 at the exact
-    zeros of 1/Gamma."""
+    in the reflection's sin(pi s)."""
     s = complex(s)
     bound = 64.0 * (1.0 + abs(s))
     if s.real < 0.5:
-        if _is_exact_nonpositive_int(s):
-            return 0.0
         bound += 2.0 * math.pi * abs(s) / abs(cmath.tan(math.pi * s))
     return EPS * bound
 
@@ -245,11 +243,12 @@ def reciprocal_gamma(s):
 # Hard window for the transformed variable u; t = exp(u - exp(-u)) spans
 # ~1e-290 .. 2.7e5 over it, which is all double precision can represent
 # usefully.  Integrands t^(sigma-1)*bounded need sigma >~ 0.05 for the
-# truncated left tail (t < _T_FLOOR) to be negligible; every caller keeps
-# sigma >= 1/2 (``phi_integral`` integrates by parts below that).
+# truncated left tail (t < T_FLOOR) to be negligible.  Callers keep
+# sigma >= 1/2, except ``phi_integral``, which goes down to sigma = 1/16
+# with its kernel's pole subtracted and books that tail itself.
 _U_MIN = -9.0
 _U_MAX = 12.5
-_T_FLOOR = 1e-290
+T_FLOOR = 1e-290
 _MAX_LEVEL = 12     # mesh halvings before the quadrature gives up
 _FLOOR_WINDOW = 16  # a level difference within this many rounding
                     # floors has stalled
@@ -258,7 +257,7 @@ _FLOOR_WINDOW = 16  # a level difference within this many rounding
 def _de_term(f, u):
     emu = math.exp(-u)
     t = math.exp(u - emu)
-    if t < _T_FLOOR:
+    if t < T_FLOOR:
         return 0j
     return f(t) * (t * (1.0 + emu))
 

@@ -7,7 +7,8 @@ the principal log).  Four strategies cover the parameter space:
 series      |z| <= 0.75 (geometric tail majorant, certified bound)
 integral    Gamma(s)^{-1} * int_0^inf t^{s-1} e^{-ct} / (1 - z e^{-t}) dt
             for any s, Re(c) > 0, z off the cut (integrated by parts
-            j times below Re(s) = 1/2, so that Re(s+j) >= 1/2)
+            j times below Re(s) = 1/2, so that Re(s+j) >= 1/2, unless
+            the pole at Log z is subtracted and Re(s) >= 1/16)
 c_shift     Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} + z^N Phi(s,z,c+N),
             pushes Re(c) into the right half-plane, then re-dispatches
 reflection  for Re(s) <= 0, |z| > 0.75: one signed shift of the same
@@ -45,6 +46,7 @@ from .branch_numerics import (
     EPS,
     INT_TOL,
     NEAR,
+    T_FLOOR,
     as_int,
     branched_power,
     complex_gamma,
@@ -228,19 +230,14 @@ def phi_integral(s, z, c, tol=1e-12):
     Valid for Re(c) > 0 and z off the cut [1, inf); the denominator
     never vanishes for real t > 0 there.
 
-    Below Re(s) = 1/2 it integrates by parts j = ceil(1 - Re s) times
-    (the ladder (z d/dz + c) Phi(s) = Phi(s-1) under the integral), so the
-    exponent keeps the real part >= 1/2 that ``quad_semiaxis`` needs:
-    Phi(s, z, c) = Gamma(s+j)^{-1} int t^{s+j-1} e^{-ct} Phi(-j, w, c) dt.
-
-    For Re(s) >= 1/2 (j = 0), with g(t) = t^{s-1} e^{-ct} / Gamma(s) and
-    w = z e^{-t}, the kernel 1/(1 - w) has a simple pole at t0 = Log z,
-    and the integrand's residue there is g(t0) = (Log z)^{s-1} z^{-c} /
-    Gamma(s).  As z crosses the cut [1, inf) the pole crosses the path of
-    integration, and 2 pi i g(t0) is the jump of Phi, the Z1 monodromy.
-    For |z| > 1, Re t0 > 0 and the pole sits |arg z| off the real axis,
-    where a small |arg z| keeps the trapezoid from converging until its
-    last levels.  The route then integrates [g(t) - g0 w] / (1 - w),
+    With g(t) = t^{s-1} e^{-ct} / Gamma(s) and w = z e^{-t}, the kernel
+    1/(1 - w) has a simple pole at t0 = Log z, and the integrand's
+    residue there is g(t0) = (Log z)^{s-1} z^{-c} / Gamma(s).  As z
+    crosses the cut [1, inf) the pole crosses the path of integration,
+    and 2 pi i g(t0) is the jump of Phi, the Z1 monodromy.  For |z| > 1,
+    Re t0 > 0 and the pole sits |arg z| off the real axis, where a
+    small |arg z| keeps the trapezoid from converging until its last
+    levels.  The route then integrates [g(t) - g0 w] / (1 - w),
     analytic at t0 for g0 = g(t0), and adds back
     g0 int_0^inf w/(1 - w) dt = -g0 log(1 - z) (principal log; 1 - z
     stays off (-inf, 0] for z off the cut).  The identity holds for any
@@ -256,12 +253,25 @@ def phi_integral(s, z, c, tol=1e-12):
     kernel, bit for bit.  So is z < -1, whose two nearest poles tie at
     pi off the axis.
 
+    Below Re(s) = 1/2 the route integrates by parts j = ceil(1 - Re s)
+    times (the ladder (z d/dz + c) Phi(s) = Phi(s-1) under the integral),
+    so the exponent keeps the real part >= 1/2 that ``quad_semiaxis``
+    needs: Phi(s, z, c) = Gamma(s+j)^{-1} int t^{s+j-1} e^{-ct}
+    Phi(-j, w, c) dt.  That kernel's pole at t0 has order j + 1, whose
+    rounding near the foot grows like eps / |arg z|^{j+1}, so where the
+    simple pole is subtracted and Re s >= 1/16 the route keeps j = 0 and
+    books the left tail the quadrature drops below t = T_FLOOR, where the
+    integrand is g(t) / (1 - z) to first order: 2 |1/Gamma(s)| T^sigma /
+    (sigma |1 - z|), sigma = Re s, doubled because the last mesh node can
+    leave part of the next cell out as well (below 3e-17 |1/Gamma(s)| /
+    |1 - z| for sigma >= 1/16).
+
     The estimate is the quadrature's error (level difference plus its
     rounding floor eps h sum|f|), the error of 1/Gamma(s+j) times the
-    value (``gamma_rel_error``), and what the subtraction adds and the
-    floor does not see: the rounding of the closed term, 4 eps |closed|,
-    and the cancellation in g - g0 w, at most 2 eps |g0| L with
-    L = int_0^inf |w/(1 - w)| dt in closed form.
+    value (``gamma_rel_error``), that tail, and what the subtraction adds
+    and the floor does not see: the rounding of the closed term,
+    4 eps |closed|, and the cancellation in g - g0 w, at most
+    2 eps |g0| L with L = int_0^inf |w/(1 - w)| dt in closed form.
     """
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
     if cc.real <= 0:
@@ -269,20 +279,34 @@ def phi_integral(s, z, c, tol=1e-12):
     _guard_cut(z)
     if abs(zc - 1) < NEAR:
         raise StratumError("z within 1e-8 of z = 1", stratum="singular_z1")
+    return _mellin(sc, zc, cc, tol)
+
+
+def _mellin(sc, zc, cc, tol):
+    """``phi_integral`` past its checks.  ``periodic_zeta`` calls in here:
+    its z = e^{2 pi i a}, 0 < Re(a) < 1, keeps arg z in (0, 2 pi), off
+    the cut even within 1e-8 of z = 1."""
     j = 0 if sc.real >= 0.5 else math.ceil(1.0 - sc.real)
+    g0 = closed = 0j
+    pole_err = 0.0
+    if sc.real >= 0.0625:  # T_FLOOR^(1/16) < 1e-18: the dropped tail is tiny
+        rg = reciprocal_gamma(sc)
+        g0, closed, pole_err = _pole_term(sc, zc, cc, rg)
+        if g0:
+            j = 0
     sig = sc + j
-    rg = reciprocal_gamma(sig)
     sm1 = sig - 1.0
     if j:
+        rg = reciprocal_gamma(sig)
         p = _ladder_numerator(j, cc)
-        closed, pole_err = 0j, 0.0
+        tail = 0.0
 
         def integrand(t):
             w = zc * math.exp(-t)
             return (rg * cmath.exp(sm1 * math.log(t) - cc * t)
                     * poly_eval(p, w) / (1.0 - w) ** (j + 1))
     else:
-        g0, closed, pole_err = _pole_term(sc, zc, cc, rg)
+        tail = 2.0 * abs(rg) * T_FLOOR ** sc.real / (sc.real * abs(1.0 - zc))
 
         def integrand(t):
             w = zc * math.exp(-t)
@@ -291,8 +315,8 @@ def phi_integral(s, z, c, tol=1e-12):
 
     value, err = quad_semiaxis(integrand, tol=0.1 * tol)
     value += closed
-    return EvalResult(value, "integral",
-                      err + pole_err + gamma_rel_error(sig) * abs(value))
+    return EvalResult(value, "integral", err + pole_err + tail
+                      + gamma_rel_error(sig) * abs(value))
 
 
 def _ladder_numerator(j, cc):
@@ -543,13 +567,13 @@ def lerch_zeta(s, a, c, tol=1e-12):
 
 def periodic_zeta(a, s, tol=1e-12):
     """F(a, s) = sum_{n>=1} e^{2 pi i n a} n^{-s} = z Phi(s, z, 1), entire
-    in s: ``phi_integral`` at z = e^{2 pi i a}, off the cut for
-    0 < Re(a) < 1, with its estimate scaled by |z|."""
+    in s: the integral of ``phi_integral`` at z = e^{2 pi i a}, without
+    its z guards (see ``_mellin``), with its estimate scaled by |z|."""
     ac = _cplx(a)
     if not 0.0 < ac.real < 1.0:
         raise DomainError("periodic_zeta needs 0 < Re(a) < 1")
     z = exp_2pi_i(ac)
-    res = phi_integral(s, z, 1.0, tol=tol)
+    res = _mellin(_cplx(s), z, 1.0 + 0j, tol)
     return EvalResult(z * res.value, "integral", abs(z) * res.error_estimate)
 
 

@@ -279,7 +279,7 @@ def test_integral_estimate_counts_the_dropped_left_tail():
     want = 0.024921528613196246 + 0.00014595285953488037j
     assert res.method == "integral"
     err = abs(res.value - want)
-    assert err <= res.error_estimate
+    assert err <= res.error_estimate <= 1e-10
     assert err <= 1e-14 * max(1.0, abs(want))
 
 
@@ -293,6 +293,26 @@ def test_integral_ladder_below_re_s_one_half(monkeypatch):
     want = -0.04310487350664083 - 0.07590726457185902j
     assert res.method == "integral"
     assert abs(res.value - want) <= 1e-14 * max(1.0, abs(want))
+    assert calls[0] < 2_000
+
+
+def test_integral_keeps_the_simple_pole_near_the_cut(monkeypatch):
+    # |z| > 1 just off the cut with 0 < Re s < 1/2: the laddered kernel's
+    # pole of order j + 1 at Log z would run all 12 levels; the plain
+    # kernel with its simple pole taken out converges at once.  40-digit
+    # references (mpmath.lerchphi, checked by quadrature)
+    calls = _count_integrand_calls(monkeypatch)
+    cases = [
+        ((0.3, 5 + 1e-6j, 0.7),
+         -0.33506883321993298511 + 0.24394953966521827027j),
+        ((0.45, 3 + 0.01j, 1.2),
+         -0.5885451819796527231 + 0.40762596844986064868j),
+    ]
+    for point, want in cases:
+        res = phi(*point)
+        err = abs(res.value - want)
+        assert res.method == "integral"
+        assert err <= res.error_estimate <= 1e-12
     assert calls[0] < 2_000
 
 
@@ -380,6 +400,16 @@ def test_periodic_zeta_negative_integers_hit_q():
     z = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
     assert periodic_zeta(Fraction(1, 3), 0).value == pytest.approx(
         z / (1 - z), abs=1e-10)
+
+
+def test_periodic_zeta_next_to_a_integer():
+    # z = e^{2 pi i a} within 1e-8 of z = 1 is still off the cut, so the
+    # z guards of phi do not apply; F(a, 2) = Li_2(z), 40-digit mpmath
+    cases = [(1e-9, 1.6449340569786220453 + 1.2494358255059243984e-7j),
+             (1 - 1e-9, 1.6449340569786223244 - 1.2494357919464720767e-7j)]
+    for a, want in cases:
+        res = periodic_zeta(a, 2)
+        assert abs(res.value - want) <= res.error_estimate <= 1e-12
 
 
 def test_periodic_zeta_near_zero():

@@ -13,8 +13,9 @@ polynomial kernel and the certified series sum each have one home.
 * ``eval_core`` hand-rolls the c-shift identity
   Phi(s,z,c) = sum_k z^k (c+k)^{-s} + z^N Phi(s,z,c+N) once: one function
   holds a ``for`` loop over ``branched_power``.
-* ``eval_core`` has one Mellin integral: only ``phi_integral`` calls
-  ``quad_semiaxis`` (``periodic_zeta`` is z Phi(s, z, 1) on it).
+* ``eval_core`` has one Mellin integral: only ``_mellin`` calls
+  ``quad_semiaxis``; ``phi_integral`` (past its z guards) and
+  ``periodic_zeta`` (z Phi(s, z, 1)) both reach it.
 """
 
 import ast
@@ -123,4 +124,7 @@ def test_one_mellin_integral():
     tree = ast.parse((SRC / "eval_core.py").read_text())
     callers = [fn.name for fn in tree.body
                if isinstance(fn, ast.FunctionDef) and _calls(fn, "quad_semiaxis")]
-    assert callers == ["phi_integral"], callers
+    assert callers == ["_mellin"], callers
+    users = [fn.name for fn in tree.body
+             if isinstance(fn, ast.FunctionDef) and _calls(fn, "_mellin")]
+    assert users == ["phi_integral", "periodic_zeta"], users
