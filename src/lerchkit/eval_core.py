@@ -2,20 +2,21 @@
 
 Phi(s,z,c) = sum_{n>=0} z^n (n+c)^{-s} on |z| < 1, continued to the cut
 plane z not in [1, infinity) on the principal branch (powers of n+c use
-the principal log).  Four strategies cover the parameter space:
+the principal log).  Four strategies cover the parameter space, tried
+in this order:
 
-series      |z| <= 0.75 (geometric tail majorant, certified bound)
-integral    Gamma(s)^{-1} * int_0^inf t^{s-1} e^{-ct} / (1 - z e^{-t}) dt
-            for any s, Re(c) > 0, z off the cut (integrated by parts
-            j times below Re(s) = 1/2, so that Re(s+j) >= 1/2, unless
-            the pole at Log z is subtracted and Re(s) >= 1/16)
-c_shift     Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} + z^N Phi(s,z,c+N),
-            pushes Re(c) into the right half-plane, then re-dispatches
-reflection  for Re(s) <= 0, |z| > 0.75: one signed shift of the same
-            identity moves c into 0 < Re(c) < 1, then the three-term
-            transformation formula in the Lerch-zeta coordinates
-            (a = Log z / 2 pi i, semi-principal Log), whose right-hand
-            side lives at s' = 1 - s, Re(s') > 1/2
+series      |z| <= 0.75, Re(c) > 0 (geometric tail majorant, certified bound)
+reflection  Re(s) <= 0, |z| > 0.75, Re(c) not an integer: one signed
+            c_shift into 0 < Re(c) < 1, then the three-term formula in
+            Lerch-zeta coordinates (a = Log z / 2 pi i, semi-principal
+            Log) with the prefactors c_0(s), c_1(s) of ``c_coeff``; its
+            right-hand side lives at s' = 1 - s, Re(s') > 1/2
+c_shift     other Re(c) <= 0: Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} +
+            z^N Phi(s,z,c+N) pushes Re(c) above 0, then re-dispatches
+integral    the rest: Gamma(s)^{-1} int_0^inf t^{s-1} e^{-ct} /
+            (1 - z e^{-t}) dt for any s (integrated by parts j times
+            below Re(s) = 1/2, so that Re(s+j) >= 1/2, unless the pole at
+            Log z is subtracted and Re(s) >= 1/16)
 
 plus an exact short-circuit: integer s <= 0 with rational (z, c) is the
 bivariate rational from special_values, returned exactly.
@@ -25,7 +26,9 @@ complex parameter within 1e-12 of an integer counts as that integer
 (stratum tags), and evaluation refuses within 1e-8 of the singular
 strata z = 1 and c in {0, -1, -2, ...} rather than returning garbage;
 z on (or within 1e-8 of) [1, infinity) is a branch error (the principal
-value is ambiguous there).
+value is ambiguous there).  Every term formed as e^w books
+EPS (|w| + 4) |e^w| of rounding in its route's estimate
+(``_exp_rounding``).
 
 The integral route (``periodic_zeta`` is z Phi(s, z, 1) on it) asks
 ``quad_semiaxis`` for 0.1 * tol on the integral it returns, 1/Gamma
@@ -70,7 +73,7 @@ __all__ = [
     "phi_series",
     "phi_integral",
     "phi_c_shift",
-    "phi_reflect",
+    "c_coeff",
     "phi",
     "lerch_zeta",
     "periodic_zeta",
@@ -78,6 +81,7 @@ __all__ = [
     "extended_polylog",
 ]
 
+_2PI = 2.0 * math.pi
 _2PI_I = 2j * math.pi
 
 
@@ -141,17 +145,6 @@ def classify_stratum(p, z=None, c=None):
     return StratumClass("multiple", tuple(flags))
 
 
-def _guard_near_singular(z, c):
-    zc = _cplx(z)
-    if abs(zc - 1) < NEAR:
-        raise StratumError("z within 1e-8 of the singular point z = 1",
-                           stratum="singular_z1")
-    if dist_to_nonpos_int(c) < NEAR:
-        raise StratumError(
-            "c within 1e-8 of a non-positive integer (singular stratum)",
-            stratum="singular_c")
-
-
 def _guard_cut(z):
     """The principal branch is ambiguous on [1, inf)."""
     zc = _cplx(z)
@@ -159,6 +152,12 @@ def _guard_cut(z):
         raise BranchError(
             "z = %s lies on (or within 1e-8 of) the cut [1, oo); the "
             "principal value is ambiguous there" % (zc,))
+
+
+def _exp_rounding(w, term):
+    """EPS (|w| + 4) |term| for a term formed as e^w: the rounding of w,
+    of exp and of the product or sum the term enters."""
+    return EPS * (abs(w) + 4.0) * abs(term)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +174,9 @@ def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
 
     Works for |z| < 1 and any s (the geometric factor wins eventually);
     for Re(c) <= 0 the finitely many terms with Re(n+c) <= 0 simply go
-    through the principal branched power like all the others.
+    through the principal branched power like all the others.  The
+    estimate is the tail bound plus the rounding of each drawn term
+    e^w, w = n Log z - s Log(n+c) (``_exp_rounding``).
     """
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
     if dist_to_nonpos_int(c) < NEAR:
@@ -187,12 +188,11 @@ def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
     if abs(zc - 1) < NEAR:
         raise StratumError("z within 1e-8 of z = 1", stratum="singular_z1")
     if zc == 0:
-        return EvalResult(branched_power(cc, -sc), "series", 0.0)
+        w = -sc * principal_log(cc)
+        value = cmath.exp(w)
+        return EvalResult(value, "series", _exp_rounding(w, value))
     lz = cmath.log(zc)
     ac = abs(cc)
-
-    def term(n):
-        return cmath.exp(n * lz - sc * principal_log(n + cc))
 
     # Ratio majorant: for n >= n0, |t_{n+1}/t_n| <= |z| e^q <= rho < 1
     # with q = 2|s| / (n - |c|) and a margin that keeps rho away from 1.
@@ -201,23 +201,25 @@ def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
     rho = az * math.exp(q_cap)
     geo = 1.0 / (1.0 - rho)
 
-    # sum_with_tail_bound asks for bound(n) right after drawing term n:
-    # the bound reuses that term instead of evaluating it again
-    last_n, last_t = -1, 0j
+    # sum_with_tail_bound asks for bound(n) right after drawing term n,
+    # or at n = last_n + 1 once max_terms are drawn, where |t_{n-1}| geo
+    # bounds the tail as well: the bound reuses the last term's modulus
+    last_n, last_abs, rounding = -1, 0.0, 0.0
 
     def terms():
-        nonlocal last_n, last_t
+        nonlocal last_n, last_abs, rounding
         for n in count():
-            last_n, last_t = n, term(n)
-            yield last_t
+            w = n * lz - sc * principal_log(n + cc)
+            t = cmath.exp(w)
+            last_n, last_abs = n, abs(t)
+            rounding += (abs(w) + 4.0) * last_abs  # _exp_rounding / EPS
+            yield t
 
     def tail_bound(n):
-        if n < n0:
-            return math.inf
-        return abs(last_t if n == last_n else term(n)) * geo
+        return math.inf if last_n < n0 else last_abs * geo
 
     res = sum_with_tail_bound(terms(), tail_bound, tol=tol, max_terms=max_terms)
-    return EvalResult(res.value, "series", res.tail_bound)
+    return EvalResult(res.value, "series", res.tail_bound + EPS * rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +278,7 @@ def phi_integral(s, z, c, tol=1e-12):
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
     if cc.real <= 0:
         raise DomainError("integral strategy needs Re(c) > 0")
-    _guard_cut(z)
-    if abs(zc - 1) < NEAR:
-        raise StratumError("z within 1e-8 of z = 1", stratum="singular_z1")
+    _guard_cut(z)  # which holds z = 1 and its 1e-8 neighbourhood
     return _mellin(sc, zc, cc, tol)
 
 
@@ -367,24 +367,32 @@ def _shift_c(sc, zc, cc, n, tol, inner_route):
     sum_{0<=k<N} z^k (c+k)^{-s} for N >= 0 and
     -sum_{N<=k<0} z^k (c+k)^{-s} = -z^N sum_{k<|N|} z^k (c+N+k)^{-s} for
     N < 0.  The head terms use the principal branched power (some c+k
-    may have non-positive real part).
+    may have non-positive real part) e^w, w = -s Log(c+k); each books
+    ``_exp_rounding`` and 2 EPS per product, sum or division (at most
+    2|N| + 3) that carries it into the head.  The inner route gets half
+    of tol (all of it for N = 0) over max(1, |z^N|).
     """
     lo = min(n, 0)
-    head, zpow = 0j, 1.0 + 0j
+    head, zpow, rounding, mag = 0j, 1.0 + 0j, 0.0, 0.0
     for k in range(abs(n)):
         ck = cc + lo + k
         if abs(ck) < NEAR:
             raise StratumError("c + %d vanishes (singular stratum)" % (k + lo),
                                stratum="singular_c")
-        head += zpow * branched_power(ck, -sc)
+        term = zpow * branched_power(ck, -sc)
+        head += term
+        rounding += _exp_rounding(sc * principal_log(ck), term)
+        mag += abs(term)
         zpow *= zc
+    rounding += 4.0 * EPS * (abs(n) + 2) * mag
     if n < 0:  # zpow = z^|N|
         zpow = 1.0 / zpow
         head = -zpow * head
-    inner = inner_route(sc, zc, cc + n, tol=0.5 * tol / max(1.0, abs(zpow)))
+        rounding *= abs(zpow)
+    share = 0.5 if n else 1.0
+    inner = inner_route(sc, zc, cc + n, tol=share * tol / max(1.0, abs(zpow)))
     value = head + zpow * inner.value
-    err = abs(zpow) * inner.error_estimate + 1e-15 * (abs(n) + 1) * abs(head)
-    return value, err
+    return value, abs(zpow) * inner.error_estimate + rounding
 
 
 def phi_c_shift(s, z, c, n_shift, tol=1e-12):
@@ -399,69 +407,60 @@ def phi_c_shift(s, z, c, n_shift, tol=1e-12):
 # strategy: reflection to Re(s') > 1/2
 # ---------------------------------------------------------------------------
 
-def phi_reflect(s, z, c, tol=1e-12):
-    """The three-term transformation formula, solved for Phi at Re(s) < 1/2.
+def c_coeff(n, s):
+    """Fourier-side coefficient c_n(s) = (2 pi)^{s-1} Gamma(1-s)
+    e^{-+ i pi (1-s)/2}, the sign negative for n >= 1 and positive for
+    n <= 0.  Simple poles at s in {1, 2, 3, ...}."""
+    s = complex(s)
+    if s.imag == 0 and s.real == round(s.real) and s.real >= 1:
+        raise PoleError("c_n(s) has a simple pole at s = %d" % round(s.real),
+                        location=s)
+    sign = -1.0 if n >= 1 else 1.0
+    return cmath.exp((s - 1.0) * math.log(_2PI)) * complex_gamma(1.0 - s) \
+        * cmath.exp(sign * 1j * math.pi * (1.0 - s) / 2.0)
+
+
+def _three_term(sc, zc, cc, tol):
+    """The three-term transformation formula for Re(s) < 1/2, 0 < Re(c) < 1.
 
     In Lerch-zeta coordinates z = e^{2 pi i a} (a from the semi-principal
     Log, so 0 <= Re(a) < 1):
 
-      zeta(1-s', a, c) = (2 pi)^{-s'} Gamma(s') *
-          [ e^{ i pi s'/2} e^{-2 pi i a c}     zeta(s', 1-c, a)
-          + e^{-i pi s'/2} e^{ 2 pi i c(1-a)}  zeta(s', c, 1-a) ]
+      Phi(s, z, c) = c_0(s) e^{-2 pi i a c}    Phi(1-s, e^{-2 pi i c}, a)
+                   + c_1(s) e^{2 pi i c(1-a)}  Phi(1-s, e^{2 pi i c}, 1-a)
 
-    with s' = 1 - s, so both inner evaluations live at Re(s') > 1/2 and
-    are handled by the series/integral/c-shift strategies (for z on
-    (0,1), Re(a) = 0 and the inner dispatch goes through c_shift).  The
-    estimate counts the error of Gamma(s') (``gamma_rel_error``).
+    with the coefficients c_n of ``c_coeff``, so both inner evaluations
+    live at Re(1-s) > 1/2 and are handled by the series/integral/c-shift
+    strategies (for z on (0,1), Re(a) = 0 and the inner dispatch goes
+    through c_shift).  The estimate counts the error of Gamma(1-s)
+    (``gamma_rel_error``) and the rounding of forming the two products
+    and their sum (below).
     """
-    sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
-    if sc.real >= 0.5:
-        raise DomainError("reflection strategy expects Re(s) < 1/2")
-    if not 0.0 < cc.real < 1.0:
-        raise DomainError("reflection needs 0 < Re(c) < 1; shift c first")
-    if zc == 0:
-        raise StratumError("z = 0 is a singular stratum point",
-                           stratum="singular_z0")
-    _guard_cut(z)
-    _guard_near_singular(z, c)
     sp = 1.0 - sc
     a = semi_principal_log(zc) / _2PI_I
-    z1 = cmath.exp(-_2PI_I * cc)
-    z2 = cmath.exp(_2PI_I * cc)
-    pref = cmath.exp(-sp * math.log(2 * math.pi)) * complex_gamma(sp)
-    pa = cmath.exp(1j * math.pi * sp / 2 - _2PI_I * a * cc)
-    pb = cmath.exp(-1j * math.pi * sp / 2 + _2PI_I * cc * (1.0 - a))
-    scale = abs(pref) * (abs(pa) + abs(pb)) + 1.0
-    inner_tol = 0.25 * tol / scale
-    r1 = phi(sp, z1, a, tol=inner_tol)
-    r2 = phi(sp, z2, 1.0 - a, tol=inner_tol)
-    value = pref * (pa * r1.value + pb * r2.value)
-    err = (abs(pref) * (abs(pa) * r1.error_estimate
-                        + abs(pb) * r2.error_estimate)
-           + (1e-15 + gamma_rel_error(sp)) * abs(value))
+    w1, w2 = -_2PI_I * a * cc, _2PI_I * cc * (1.0 - a)
+    p1 = c_coeff(0, sc) * cmath.exp(w1)
+    p2 = c_coeff(1, sc) * cmath.exp(w2)
+    inner_tol = 0.25 * tol / (abs(p1) + abs(p2) + 1.0)
+    r1 = phi(sp, cmath.exp(-_2PI_I * cc), a, tol=inner_tol)
+    r2 = phi(sp, cmath.exp(_2PI_I * cc), 1.0 - a, tol=inner_tol)
+    t1, t2 = p1 * r1.value, p2 * r2.value
+    value = t1 + t2
+    # t_i is Gamma(1-s) r_i times three factors e^w, c_n's two with |w|
+    # summing to |1-s| (log 2 pi + pi/2): EPS (|w| + 4) per factor as in
+    # _exp_rounding, 2 EPS each for the product with r_i and the sum, 16
+    wc = abs(sp) * (math.log(_2PI) + 0.5 * math.pi) + 16.0
+    rounding = EPS * ((wc + abs(w1)) * abs(t1) + (wc + abs(w2)) * abs(t2))
+    err = (abs(p1) * r1.error_estimate + abs(p2) * r2.error_estimate
+           + gamma_rel_error(sp) * abs(value) + rounding)
     return EvalResult(value, "reflection", err)
 
 
 def _reflect_with_c_normalization(s, z, c, tol):
-    """Bring Re(c) into (0,1) by one signed integer shift, then reflect.
-
-    The dispatcher sends every Re(s) <= 0, |z| > 0.75 point here, whatever
-    the sign of Re(c).  The shift N = -floor(Re c), up or down, applies
-    the c_shift identity of ``_shift_c`` once, with ``phi_reflect`` (the
-    three-term formula) as the inner route.  Exactly-integer Re(c) can
-    never reach the *open* strip, which is a documented limitation of
-    this route.
-    """
+    """Bring Re(c) into (0,1) by one signed integer shift N = -floor(Re c)
+    through ``_shift_c``, with ``_three_term`` as the inner route."""
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
-    if 0.0 < cc.real < 1.0:
-        return phi_reflect(sc, zc, cc, tol=tol)
-    if as_int(cc.real)[0]:
-        raise DomainError(
-            "Re(s) <= 0 with Re(c) an exact integer: the reflection route "
-            "needs 0 < Re(c) < 1 after an integer shift and cannot reach "
-            "the open strip; perturb c or use integer s (exact rational "
-            "path) instead")
-    value, err = _shift_c(sc, zc, cc, -math.floor(cc.real), tol, phi_reflect)
+    value, err = _shift_c(sc, zc, cc, -math.floor(cc.real), tol, _three_term)
     return EvalResult(value, "reflection", err)
 
 
@@ -518,9 +517,9 @@ def phi(s, z, c, tol=1e-12):
 
     Route order: exact rational short-circuit (integer s <= 0, rational
     z and c); series for |z| <= 0.75 with Re(c) > 0; reflection for
-    Re(s) <= 0, |z| > 0.75 (one signed shift of c into 0 < Re(c) < 1,
-    then the three-term formula); c_shift for the other Re(c) <= 0;
-    integral for the rest.  Non-finite s or c and NaN z raise
+    Re(s) <= 0, |z| > 0.75 and Re(c) not an integer (one signed shift of
+    c into 0 < Re(c) < 1, then the three-term formula); c_shift for the
+    other Re(c) <= 0; integral for the rest.  Non-finite s or c and NaN z raise
     DomainError before any route runs (z = oo is the singular_zinf
     stratum), singular strata raise StratumError, the cut [1, oo)
     raises BranchError.
@@ -539,17 +538,22 @@ def phi(s, z, c, tol=1e-12):
     if stratum.tag not in ("regular", "removable_c"):
         raise StratumError("point lies on singular stratum: %s" % stratum.tag,
                            stratum=stratum.tag)
-    _guard_near_singular(z, c)
+    if abs(zc - 1) < NEAR:
+        raise StratumError("z within 1e-8 of the singular point z = 1",
+                           stratum="singular_z1")
+    if dist_to_nonpos_int(c) < NEAR:
+        raise StratumError(
+            "c within 1e-8 of a non-positive integer (singular stratum)",
+            stratum="singular_c")
     if _series_region(zc, cc):
         return phi_series(sc, zc, cc, tol=tol)
-    if sc.real <= 0 and abs(zc) > 0.75:
+    if sc.real <= 0 and abs(zc) > 0.75 and not as_int(cc.real)[0]:
         _guard_cut(zc)  # raises BranchError on [1, oo)
         return _reflect_with_c_normalization(sc, zc, cc, tol)
     if cc.real <= 0:
         n_shift = math.ceil(1.0 - cc.real)
         return phi_c_shift(sc, zc, cc, n_shift, tol=tol)
-    # now Re(s) > 0, Re(c) > 0, |z| > 0.75
-    _guard_cut(zc)
+    # now Re(c) > 0, |z| > 0.75; phi_integral guards the cut
     return phi_integral(sc, zc, cc, tol=tol)
 
 
@@ -594,11 +598,8 @@ def _bernoulli(n):
 def hurwitz_zeta(s, c, tol=1e-12):
     """zeta_H(s, c) = sum (n+c)^{-s} by Euler-Maclaurin, |s| <= ~30.
 
-    Head terms push Re(c) above 1/2 first; the correction sum uses exact
-    Bernoulli numbers with the asymptotic term magnitude as the error
-    proxy (N doubles until it is below tol).  The estimate adds the
-    rounding of every exponential e^w of the sum, eps (|w| + 4) times
-    its term, so cancellation among large terms (Re s << 0) shows in it.
+    Head terms push Re(c) above 1/2 first: the c-shift identity of
+    ``_shift_c`` at z = 1, with ``_euler_maclaurin`` as the inner route.
     """
     sc, cc = _cplx(s), _cplx(c)
     if abs(sc - 1.0) < INT_TOL:
@@ -606,22 +607,20 @@ def hurwitz_zeta(s, c, tol=1e-12):
     if dist_to_nonpos_int(c) < NEAR:
         raise StratumError("c is (nearly) a non-positive integer",
                            stratum="singular_c")
-    rounding = 0.0
+    n = max(0, math.ceil(0.5 - cc.real))
+    value, err = _shift_c(sc, 1.0 + 0j, cc, n, tol, _euler_maclaurin)
+    return EvalResult(value, "euler_maclaurin", err)
 
-    def rounded(w, term):
-        """term, a multiple of e^w, with the rounding of e^w booked."""
-        nonlocal rounding
-        rounding += EPS * (abs(w) + 4.0) * abs(term)
-        return term
 
-    def power(base):
-        w = -sc * principal_log(base)
-        return rounded(w, cmath.exp(w))
+def _euler_maclaurin(sc, zc, cx, tol):
+    """zeta_H(s, c) for Re(c) >= 1/2 (zc = 1 is ``_shift_c``'s argument).
 
-    k0 = max(0, math.ceil(0.5 - cc.real))
-    head = sum(power(cc + k) for k in range(k0))
-    cx = cc + k0
-
+    The correction sum uses exact Bernoulli numbers with the asymptotic
+    term magnitude as the error proxy (N doubles until it is below tol).
+    The estimate adds the rounding of every exponential e^w of the sum
+    (``_exp_rounding``), so cancellation among large terms (Re s << 0)
+    shows in it.
+    """
     K = 12
     big_n = max(10, math.ceil(1.2 * abs(sc)) + 5)
     for _ in range(6):
@@ -637,20 +636,22 @@ def hurwitz_zeta(s, c, tol=1e-12):
     else:
         raise AccuracyError("Euler-Maclaurin tail would not drop below tol")
 
-    total = sum(power(n + cx) for n in range(big_n))
-    base = big_n + cx
-    lb = principal_log(base)
+    # (w, term) pairs, each term a multiple of e^w
+    terms = [(w, cmath.exp(w))
+             for w in (-sc * principal_log(n + cx) for n in range(big_n))]
+    lb = principal_log(big_n + cx)
     w = (1.0 - sc) * lb
-    total += rounded(w, cmath.exp(w) / (sc - 1.0))
+    terms.append((w, cmath.exp(w) / (sc - 1.0)))
     w = -sc * lb
-    total += rounded(w, 0.5 * cmath.exp(w))
+    terms.append((w, 0.5 * cmath.exp(w)))
     poch = sc
     for k in range(1, K + 1):
         bk = float(_bernoulli(2 * k)) / math.factorial(2 * k)
         w = (-sc - 2 * k + 1) * lb
-        total += rounded(w, bk * poch * cmath.exp(w))
+        terms.append((w, bk * poch * cmath.exp(w)))
         poch *= (sc + 2 * k - 1) * (sc + 2 * k)
-    return EvalResult(head + total, "euler_maclaurin", tail + rounding)
+    return EvalResult(sum(t for _, t in terms), "euler_maclaurin",
+                      tail + sum(_exp_rounding(w, t) for w, t in terms))
 
 
 def extended_polylog(s, z, c, tol=1e-12):

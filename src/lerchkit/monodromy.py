@@ -6,11 +6,13 @@ the Y's commute with everything, so a word is stored as a freely reduced
 Z-letter sequence plus a net-exponent map for the Y's.
 
 The Z-side monodromy of the branch Z~ of Phi is carried entirely by the
-conjugates  Z0^k Z1 Z0^{-k}: scanning the Z-part left to right and
+conjugates  Z0^j Z1 Z0^{-j}: scanning the Z-part left to right and
 logging each Z1^{+-1} at its current net Z0-offset k gives the profile
-h(k); the leftover pure Z0^t power contributes nothing on its own and is
-dropped.  Each conjugate power contributes a closed form built from the
-elementary functions
+h(k) and the word's net Z0 power t.  The word is Z0^t times the
+conjugates with j = k - t, since every later Z0 loop moves an
+accumulated term f_j to f_{j-1}; the pure power Z0^t on its own
+contributes nothing.  Each conjugate power contributes a closed form
+built from the elementary functions
 
     f_n(s,z,c) = e^{i pi (s-1)} e^{2 pi i n c} z^{-c} (n-a)^{s-1}   (n >= 1)
     f_n(s,z,c) =                e^{2 pi i n c} z^{-c} (a-n)^{s-1}   (n <= 0)
@@ -31,11 +33,11 @@ from .branch_numerics import (
     NEAR,
     as_int,
     branched_power,
-    complex_gamma,
     reciprocal_gamma,
     semi_principal_log,
 )
-from .errors import AccuracyError, DomainError, PoleError, StratumError
+from .errors import AccuracyError, DomainError, StratumError
+from .eval_core import c_coeff
 from .eval_core import phi as _phi
 
 __all__ = [
@@ -201,19 +203,6 @@ def f_elementary(n, s, z, c):
     return phase * zmc * branched_power(a - n, s - 1.0, "principal")
 
 
-def c_coeff(n, s):
-    """Fourier-side coefficient c_n(s) = (2 pi)^{s-1} Gamma(1-s)
-    e^{-+ i pi (1-s)/2}, the sign negative for n >= 1 and positive for
-    n <= 0.  Simple poles at s in {1, 2, 3, ...}."""
-    s = complex(s)
-    if s.imag == 0 and s.real == round(s.real) and s.real >= 1:
-        raise PoleError("c_n(s) has a simple pole at s = %d" % round(s.real),
-                        location=s)
-    sign = -1.0 if n >= 1 else 1.0
-    return cmath.exp((s - 1.0) * math.log(_2PI)) * complex_gamma(1.0 - s) \
-        * cmath.exp(sign * 1j * math.pi * (1.0 - s) / 2.0)
-
-
 def _expm1_2pi_i(k, s):
     """e^{2 pi i k s} - 1 for integer k, free of cancellation near
     integer s: it is evaluated at d = s - round(Re s), which is exact,
@@ -301,8 +290,10 @@ def monodromy(word, s, z, c):
 
     Returns (total, ledger) where ledger lists ("<term>", value) pairs:
     the Y-part summed over net exponents, the Z-part over the conjugate
-    profile (the residual Z0^t power contributes nothing).  Exact zeros
-    stay exact, so the total is the exact complex 0 at s in Z_{<=0}.
+    profile, each Z1 met at offset k booked as the conjugate of index
+    k - t (t the net Z0 power, which on its own contributes nothing).
+    Exact zeros stay exact, so the total is the exact complex 0 at
+    s in Z_{<=0}.
     """
     if not isinstance(word, HomotopyWord):
         word = reduce_word(word)
@@ -314,8 +305,9 @@ def monodromy(word, s, z, c):
         total += v
     profile = z_profile(word.z_part)
     for k, h in profile.h:
-        v = monodromy_Z_conj(k, h, s, z, c)
-        ledger.append(("(Z0^%d Z1 Z0^%d)^%d" % (k, -k, h), v))
+        j = k - profile.t
+        v = monodromy_Z_conj(j, h, s, z, c)
+        ledger.append(("(Z0^%d Z1 Z0^%d)^%d" % (j, -j, h), v))
         total += v
     return total, ledger
 

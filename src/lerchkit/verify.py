@@ -42,8 +42,8 @@ from itertools import product
 
 from .branch_numerics import complex_gamma, dist_to_nonpos_int
 from .errors import DomainError, StratumError
-from .eval_core import (_exact_rational_case, extended_polylog, lerch_zeta,
-                        phi)
+from .eval_core import (_exact_rational_case, c_coeff, extended_polylog,
+                        lerch_zeta, phi)
 from .monodromy import monodromy, monodromy_Z_conj, parse_word
 from .special_values import negative_polylog
 
@@ -281,16 +281,15 @@ def _check_cylinder(s, a, c):
 
 
 def check_lerch_three_term(s, a, c, tol=1e-8):
-    """zeta(1-s, a, c) against the two-term rotation of zeta(s, ., .)."""
+    """zeta(1-s, a, c) against the two-term rotation of zeta(s, ., .),
+    weighted by c_0(1-s) and c_1(1-s) of ``c_coeff``."""
     _check_cylinder(s, a, c)
     sc, ac, cc = complex(s), complex(a), complex(c)
     left = lerch_zeta(1 - s, a, c).value
-    pref = cmath.exp(-sc * math.log(2 * math.pi)) * complex_gamma(sc)
-    right = pref * (
-        cmath.exp(1j * math.pi * sc / 2) * cmath.exp(-_2PI_I * ac * cc)
-        * lerch_zeta(s, 1 - c, a).value
-        + cmath.exp(-1j * math.pi * sc / 2) * cmath.exp(_2PI_I * cc * (1 - ac))
-        * lerch_zeta(s, c, 1 - a).value)
+    right = (c_coeff(0, 1 - sc) * cmath.exp(-_2PI_I * ac * cc)
+             * lerch_zeta(s, 1 - c, a).value
+             + c_coeff(1, 1 - sc) * cmath.exp(_2PI_I * cc * (1 - ac))
+             * lerch_zeta(s, c, 1 - a).value)
     return ResidualReport("three_term", (s, a, c), left, right, tol)
 
 

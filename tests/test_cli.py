@@ -1,5 +1,6 @@
 """Command-line interface: argument parsing, output formats, exit codes."""
 
+import cmath
 import csv
 import io
 import json
@@ -122,6 +123,22 @@ def test_monodromy_ledger(capsys):
     assert complex(*doc["value"]) == pytest.approx(
         complex(*doc["base"]) + got, abs=1e-12)
     assert doc["contributions"]
+
+
+def test_monodromy_word_with_net_z0_power(capsys):
+    # "Z1 Z0" ends one Z0 loop past its Z1: the Z1 term is booked at
+    # index -1.  Row 0 of rho_word gives the same branch of z Phi(2, z, c)
+    # in the basis z^{1-c} log z, z^{1-c}.
+    code, out, _ = run(capsys, "monodromy", "--word", "Z1 Z0",
+                       "--s", "2", "--z", "-1", "--c", "3/10", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    z, c, lg = -1.0, 0.3, math.pi * 1j
+    row = lerchkit.rho_word("Z1 Z0", 2, Fraction(3, 10)).entries[0]
+    zpow = cmath.exp((1 - c) * lg)
+    want = complex(*doc["base"]) + (row[1] * zpow * lg + row[2] * zpow) / z
+    assert complex(*doc["value"]) == pytest.approx(want, abs=1e-12)
+    assert complex(*doc["value"]) == pytest.approx(-45.670 - 18.299j, abs=1e-3)
 
 
 def test_monodromy_empty_word(capsys):

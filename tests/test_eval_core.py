@@ -269,6 +269,47 @@ def test_reflection_shifts_c_into_its_strip_in_one_step():
         assert err <= res.error_estimate + EPS * abs(res.value), (s, z, c)
 
 
+def test_integer_re_c_below_re_s_zero_takes_the_other_routes():
+    # the reflection's strip 0 < Re c < 1 is out of reach for integer
+    # Re c; c_shift and the q-laddered integral take these points
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for s, z, c in [(-1.5, 0.9j, 1), (-2.5 + 1j, 0.8 - 0.5j, 1 + 0.7j),
+                        (-1.5, 0.9j, -1 + 0.3j)]:
+            res = phi(s, z, c)
+            assert res.method in ("integral", "c_shift"), (s, z, c)
+            want = complex(mpmath.lerchphi(z, s, c))
+            err = abs(res.value - want)
+            assert err <= 1e-13 * max(1.0, abs(want)), (s, z, c)
+            assert err <= res.error_estimate, (s, z, c)
+        res = extended_polylog(-1.5, 0.9j, 1)
+        want = complex(mpmath.polylog(-1.5, 0.9j))
+        err = abs(res.value - want)
+        assert err <= 1e-13 * max(1.0, abs(want))
+        assert err <= res.error_estimate
+
+
+def test_series_and_c_shift_estimates_count_rounding():
+    # large |s| makes each term e^w round by about eps |w|; the estimates
+    # used to hold the tail bound (series) or a flat 1e-15 |head|
+    # (c_shift) alone and sat 1e5 times below the error.  40-digit
+    # direct-sum references
+    cases = [
+        ((-4.8335627697991965 - 10.189474229307727j,
+          -0.4798746732729076 + 0.22210943774403966j,
+          0.6979650986122818 + 2.778890235792293j),
+         -0.004732115534255231 - 0.0017629801882207644j, "series"),
+        ((-5.0869395887717115 - 13.470993156162384j,
+          0.47103574121391695 + 0.06699454017307174j,
+          -0.6971916345695499 + 1.370167061411455j),
+         2.870094391816123e-05 - 0.0029166024155722033j, "c_shift"),
+    ]
+    for (s, z, c), want, method in cases:
+        res = phi(s, z, c)
+        assert res.method == method
+        assert abs(res.value - want) <= res.error_estimate <= 1e-11, (s, z, c)
+
+
 def test_integral_estimate_counts_the_dropped_left_tail():
     # at Re s = 0.033 the plain integrand t^(s-1) carries about 7e-12 below
     # t = 1e-290, where the quadrature stops; one step of the q-ladder

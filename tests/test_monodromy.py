@@ -18,6 +18,7 @@ from lerchkit.branch_numerics import (branched_power, principal_log,
                                       reciprocal_gamma, semi_principal_log)
 from lerchkit.errors import (AccuracyError, DomainError, PoleError,
                              StratumError)
+from lerchkit.deformed_polylog import rho_word
 from lerchkit.eval_core import phi
 from lerchkit.monodromy import (GeneratorLetter, HomotopyWord, branch_value,
                                 c_coeff, f_elementary, monodromy,
@@ -231,21 +232,58 @@ _POINTS = [(0.5 + 0.3j, -0.7 + 0.4j, 0.62),
 
 
 def test_profile_formula_matches_composition_engine():
+    # each word as drawn (net Z0 power t, mostly nonzero) and with Z0
+    # letters appended to make t = 0
     rng = random.Random(7)
     worst = 0.0
+    net_powers = set()
     for _ in range(40):
         letters = _random_letters(rng, rng.randint(1, 10))
         t = sum(x.exp for x in letters if x.kind == "Z0")
-        letters += [L("Z0", -1 if t > 0 else 1)] * abs(t)  # residual t = 0
-        for (s, z, c) in _POINTS:
-            direct, _ = monodromy(letters, s, z, c)
-            comp = _mono_by_composition(letters, s, z, c)
-            worst = max(worst, abs(direct - comp) / max(1.0, abs(comp)))
+        net_powers.add(t)
+        balanced = letters + [L("Z0", -1 if t > 0 else 1)] * abs(t)
+        for word in (letters, balanced):
+            for (s, z, c) in _POINTS:
+                direct, _ = monodromy(word, s, z, c)
+                comp = _mono_by_composition(word, s, z, c)
+                worst = max(worst, abs(direct - comp) / max(1.0, abs(comp)))
+    assert len(net_powers - {0}) >= 3
     assert worst < 1e-11
 
 
+def test_ledger_matches_rho_word_at_integer_s():
+    # At s = m, z Phi is Li_{m,c}, the lead entry of the basis of
+    # D_{m+1}^c, and row 0 of rho_word holds its continuation along the
+    # word: 1 times itself plus row[1 + i] times z^{1-c} (log z)^j / j!,
+    # j = m-1-i.  So the ledger total is that tail of the row over z.
+    # Base points lie in the closed upper half-plane, where the
+    # principal and semi-principal Logs agree.
+    rng = random.Random(23)
+    letters_z = [L("Z0", 1), L("Z0", -1), L("Z1", 1), L("Z1", -1)]
+    bases = (-1, -0.5 + 0.3j, 0.3 + 0.6j, 2 + 0.4j)
+    worst = 0.0
+    net_powers = set()
+    for _ in range(60):
+        word = [rng.choice(letters_z) for _ in range(rng.randint(1, 9))]
+        net_powers.add(sum(x.exp for x in word if x.kind == "Z0"))
+        m = rng.randint(1, 3)
+        c = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5))
+        row = rho_word(word, m, c).entries[0]
+        for z in bases:
+            lg = principal_log(z)
+            zpow = cmath.exp((1 - c) * lg)
+            want = sum(row[1 + i] * zpow * lg ** (m - 1 - i)
+                       / math.factorial(m - 1 - i) for i in range(m)) / z
+            got, _ = monodromy(word, m, z, c)
+            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    assert len(net_powers - {0}) >= 3
+    assert worst < 1e-12
+
+
 def test_profile_additivity_under_concatenation():
-    # h_{sigma tau}(k) = h_sigma(k) + h_tau(k - t_sigma), Y-maps add
+    # a Z1 met at Z0-offset k is booked at index j = k - t, so the booked
+    # profiles g(j) = h(j + t) add as g_{sigma tau}(j) = g_sigma(j + t_tau)
+    # + g_tau(j), and Y-maps add
     rng = random.Random(19)
     s, z, c = 0.4 + 0.2j, -0.8 + 0.5j, 0.7
     worst = 0.0
@@ -255,9 +293,12 @@ def test_profile_additivity_under_concatenation():
         m_cat, _ = monodromy(sig + tau, s, z, c)
         wsig, wtau = reduce_word(sig), reduce_word(tau)
         psig, ptau = z_profile(wsig.z_part), z_profile(wtau.z_part)
-        h = dict(psig.h)
+        h = {}
+        for k, v in psig.h:
+            j = k - psig.t - ptau.t
+            h[j] = h.get(j, 0) + v
         for k, v in ptau.h:
-            h[k + psig.t] = h.get(k + psig.t, 0) + v
+            h[k - ptau.t] = h.get(k - ptau.t, 0) + v
         ymap = wsig.y_map()
         for n, k in wtau.y_exponents:
             ymap[n] = ymap.get(n, 0) + k

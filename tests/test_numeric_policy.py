@@ -16,6 +16,10 @@ polynomial kernel and the certified series sum each have one home.
 * ``eval_core`` has one Mellin integral: only ``_mellin`` calls
   ``quad_semiaxis``; ``phi_integral`` (past its z guards) and
   ``periodic_zeta`` (z Phi(s, z, 1)) both reach it.
+* ``eval_core`` takes every rounding bound from ``EPS``: it holds no
+  float literal between 1e-17 and 1e-13.
+* The three-term prefactor has one home: ``c_coeff`` is the only
+  ``eval_core`` function that calls ``complex_gamma``.
 """
 
 import ast
@@ -128,3 +132,20 @@ def test_one_mellin_integral():
     users = [fn.name for fn in tree.body
              if isinstance(fn, ast.FunctionDef) and _calls(fn, "_mellin")]
     assert users == ["phi_integral", "periodic_zeta"], users
+
+
+def test_rounding_bounds_come_from_eps():
+    tree = ast.parse((SRC / "eval_core.py").read_text())
+    literals = ["%r at line %d" % (node.value, node.lineno)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 1e-17 <= abs(node.value) <= 1e-13]
+    assert not literals, literals
+
+
+def test_one_home_for_the_three_term_prefactor():
+    tree = ast.parse((SRC / "eval_core.py").read_text())
+    callers = [fn.name for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and _calls(fn, "complex_gamma")]
+    assert callers == ["c_coeff"], callers
