@@ -11,8 +11,10 @@ reflection  Re(s) <= 0, |z| > 0.75, Re(c) not an integer: one signed
             Lerch-zeta coordinates (a = Log z / 2 pi i, semi-principal
             Log) with the prefactors c_0(s), c_1(s) of ``c_coeff``; its
             right-hand side lives at s' = 1 - s, Re(s') > 1/2
-c_shift     other Re(c) <= 0: Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} +
-            z^N Phi(s,z,c+N) pushes Re(c) above 0, then re-dispatches
+c_shift     other Re(c) < 1/16: Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} +
+            z^N Phi(s,z,c+N), N = ceil(1 - Re c), pushes Re(c) to 1 or
+            above, then re-dispatches (for Re(c) > 0 the integral takes
+            over if the shift refuses)
 integral    the rest: Gamma(s)^{-1} int_0^inf t^{s-1} e^{-ct} /
             (1 - z e^{-t}) dt for any s (integrated by parts j times
             below Re(s) = 1/2, so that Re(s+j) >= 1/2, unless the pole at
@@ -193,6 +195,12 @@ def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
         return EvalResult(value, "series", _exp_rounding(w, value))
     lz = cmath.log(zc)
     ac = abs(cc)
+    # principal_log only turns a -0.0 imaginary part into +0.0 and rejects
+    # 0, which the c guard above already excludes: with that sign set once
+    # here, cmath.log(n + c) equals principal_log(n + c) bit for bit
+    if cc.imag == 0.0:
+        cc = complex(cc.real, 0.0)
+    log = cmath.log
 
     # Ratio majorant: for n >= n0, |t_{n+1}/t_n| <= |z| e^q <= rho < 1
     # with q = 2|s| / (n - |c|) and a margin that keeps rho away from 1.
@@ -209,7 +217,7 @@ def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
     def terms():
         nonlocal last_n, last_abs, rounding
         for n in count():
-            w = n * lz - sc * principal_log(n + cc)
+            w = n * lz - sc * log(n + cc)
             t = cmath.exp(w)
             last_n, last_abs = n, abs(t)
             rounding += (abs(w) + 4.0) * last_abs  # _exp_rounding / EPS
@@ -518,11 +526,13 @@ def phi(s, z, c, tol=1e-12):
     Route order: exact rational short-circuit (integer s <= 0, rational
     z and c); series for |z| <= 0.75 with Re(c) > 0; reflection for
     Re(s) <= 0, |z| > 0.75 and Re(c) not an integer (one signed shift of
-    c into 0 < Re(c) < 1, then the three-term formula); c_shift for the
-    other Re(c) <= 0; integral for the rest.  Non-finite s or c and NaN z raise
-    DomainError before any route runs (z = oo is the singular_zinf
-    stratum), singular strata raise StratumError, the cut [1, oo)
-    raises BranchError.
+    c into 0 < Re(c) < 1, then the three-term formula); c_shift by
+    N = ceil(1 - Re c) for the other Re(c) < 1/16, so a small positive
+    Re(c), whose slowly decaying e^{-ct} often made the integral refuse,
+    takes one shift up (and the integral only if that shift refuses);
+    integral for the rest.  Non-finite s or c and NaN z raise DomainError
+    before any route runs (z = oo is the singular_zinf stratum), singular
+    strata raise StratumError, the cut [1, oo) raises BranchError.
     """
     exact = _exact_rational_case(s, z, c)
     if exact is not None:
@@ -551,8 +561,15 @@ def phi(s, z, c, tol=1e-12):
         _guard_cut(zc)  # raises BranchError on [1, oo)
         return _reflect_with_c_normalization(sc, zc, cc, tol)
     if cc.real <= 0:
-        n_shift = math.ceil(1.0 - cc.real)
-        return phi_c_shift(sc, zc, cc, n_shift, tol=tol)
+        return phi_c_shift(sc, zc, cc, math.ceil(1.0 - cc.real), tol=tol)
+    if cc.real < 0.0625:
+        # the slow decay of e^{-ct} often keeps the integral from its
+        # target; where the head and z Phi(s, z, c + 1) cancel, the
+        # shift's inner target 0.5 tol / |z| is out of reach instead
+        try:
+            return phi_c_shift(sc, zc, cc, 1, tol=tol)
+        except AccuracyError:
+            pass
     # now Re(c) > 0, |z| > 0.75; phi_integral guards the cut
     return phi_integral(sc, zc, cc, tol=tol)
 

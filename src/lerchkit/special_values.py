@@ -15,7 +15,10 @@ The two-variable special value is the bivariate rational
 
 a polynomial of degree m in c over the denominator (1-z)^{m+1}.  All
 arithmetic in this module is exact (int / fractions.Fraction); floats
-never enter unless the caller evaluates at a complex point.
+never enter unless the caller evaluates at a complex point.  The tables
+of ``negative_polylog(m)`` are built once per m and cached, and an
+exact evaluation runs in integers on the homogenised numerator
+(``poly_eval_homogeneous``), forming one Fraction at the end.
 
 Polynomials are plain lists of ints, ascending degree.
 """
@@ -38,6 +41,7 @@ __all__ = [
     "identity_suite",
     "periodic_zeta_special",
     "poly_eval",
+    "poly_eval_homogeneous",
 ]
 
 
@@ -78,6 +82,16 @@ def poly_eval(p, x):
     acc = 0 * x if not isinstance(x, complex) else 0j
     for a in reversed(p):
         acc = acc * x + a
+    return acc
+
+
+def poly_eval_homogeneous(p, num, den, deg):
+    """den^deg p(num/den) = sum_i p[i] num^i den^(deg-i) for len(p) <= deg + 1,
+    by Horner on the homogenised form: exact and Fraction-free for ints."""
+    acc, dpow = 0, den ** (deg + 1 - len(p))
+    for a in reversed(p):
+        acc = acc * num + a * dpow
+        dpow *= den
     return acc
 
 
@@ -169,17 +183,30 @@ class BivariateRational:
         return acc
 
     def eval(self, z, c):
-        """Exact for Fraction/int inputs, numeric for float/complex."""
+        """Exact for Fraction/int inputs, numeric for float/complex.
+
+        The exact branch stays in integers: with z = p/q, c = a/b, d the
+        top z-degree and k = degree_c, the numerator times b^k q^d is
+        sum_j a^j b^(k-j) sum_i P_{j,i} p^i q^(d-i), and (1-z)^e is
+        (q-p)^e / q^e; one Fraction is formed from the two integers.
+        """
         if z == 1:
             raise PoleError(
                 "Li_{-%d}(z,c) has a pole of order %d at z = 1"
                 % (self.m, self.pole_order),
                 location=1,
             )
-        num = self.numerator(z, c)
         if isinstance(z, (int, Fraction)) and isinstance(c, (int, Fraction)):
-            return Fraction(num) / Fraction(1 - z) ** self.pole_order
-        return num / (1 - z) ** self.pole_order
+            p, q = z.numerator, z.denominator
+            a, b = c.numerator, c.denominator
+            d = max(len(poly) for poly in self.c_polys) - 1
+            k, e = self.degree_c, self.pole_order
+            num = poly_eval_homogeneous(
+                [poly_eval_homogeneous(poly, p, q, d) for poly in self.c_polys],
+                a, b, k)
+            return Fraction(num * q ** max(e - d, 0),
+                            b ** k * q ** max(d - e, 0) * (q - p) ** e)
+        return self.numerator(z, c) / (1 - z) ** self.pole_order
 
     def c_derivative(self):
         """d/dc as another exact object (degree in c drops by one)."""
@@ -190,8 +217,11 @@ class BivariateRational:
         return BivariateRational(self.m, polys, self.pole_order)
 
 
+@lru_cache(maxsize=64)
 def negative_polylog(m):
-    """The exact rational continuation of sum_{n>=0} (n+c)^m z^{n+1}."""
+    """The exact rational continuation of sum_{n>=0} (n+c)^m z^{n+1}.
+
+    Cached per m (the object is frozen, so callers share it)."""
     if m < 0:
         raise ValueError("m must be >= 0")
     polys = []

@@ -4,14 +4,18 @@ The reference values were computed with an independent multiprecision
 implementation and frozen here at 17 significant digits.
 """
 
+import cmath
+import importlib.util
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lerchkit import eval_core
-from lerchkit.branch_numerics import EPS, quad_semiaxis
+from lerchkit.branch_numerics import (EPS, principal_log, quad_semiaxis,
+                                      semi_principal_log)
 from lerchkit.errors import (AccuracyError, BranchError, DomainError,
                              StratumError)
 from lerchkit.eval_core import (classify_stratum, extended_polylog,
@@ -126,12 +130,17 @@ def test_non_finite_input_is_refused_up_front(monkeypatch):
 
 
 def test_series_evaluates_each_term_once(monkeypatch):
-    # the tail bound at n reuses term n instead of evaluating it again
-    logs, drawn = [0], [0]
-    real_log, real_sum = eval_core.principal_log, eval_core.sum_with_tail_bound
+    # the tail bound at n reuses term n instead of evaluating it again;
+    # the terms take log(n + c) from cmath.log, which also forms Log z once
+    z = 0.5 + 0.1j
+    logs, log_z, drawn = [0], [0], [0]
+    real_log, real_sum = cmath.log, eval_core.sum_with_tail_bound
 
     def counted_log(w):
-        logs[0] += 1
+        if w == z:
+            log_z[0] += 1
+        else:
+            logs[0] += 1
         return real_log(w)
 
     def counted_sum(terms, *args, **kwargs):
@@ -141,12 +150,43 @@ def test_series_evaluates_each_term_once(monkeypatch):
                 yield t
         return real_sum(counted(), *args, **kwargs)
 
-    monkeypatch.setattr(eval_core, "principal_log", counted_log)
+    monkeypatch.setattr(cmath, "log", counted_log)
     monkeypatch.setattr(eval_core, "sum_with_tail_bound", counted_sum)
-    res = phi_series(2.0, 0.5 + 0.1j, 1.3)
-    assert drawn[0] > 0 and logs[0] == drawn[0]
-    assert res.value == pytest.approx(phi_integral(2.0, 0.5 + 0.1j, 1.3).value,
+    res = phi_series(2.0, z, 1.3)
+    monkeypatch.undo()
+    assert drawn[0] > 0 and logs[0] == drawn[0] and log_z[0] == 1
+    assert res.value == pytest.approx(phi_integral(2.0, z, 1.3).value,
                                       abs=1e-11)
+
+
+class _PrincipalLogCmath:
+    """cmath with log replaced by principal_log: run under it, phi_series
+    is the reference whose terms take the principal log."""
+
+    def __getattr__(self, name):
+        return getattr(cmath, name)
+
+    @staticmethod
+    def log(w):
+        return principal_log(w)
+
+
+def test_series_log_equals_principal_log_bit_for_bit(monkeypatch):
+    # cases: real c <= 0 (public phi_series only), c with a -0.0
+    # imaginary part, complex c; Log z itself is the same under both logs
+    cases = [(2.0, 0.5 + 0.1j, -0.5), (-1.5 + 0.7j, -0.6 + 0.2j, -2.3),
+             (0.5, 0.3, complex(-1.5, -0.0)), (3.0, -0.4, complex(0.7, -0.0)),
+             (2.0, 0.5 + 0.1j, 0.4 - 0.8j), (-4.5, 0.7j, -2.5 + 1e-3j)]
+    for s, z, c in cases:
+        got = phi_series(s, z, c)
+        with monkeypatch.context() as m:
+            m.setattr(eval_core, "cmath", _PrincipalLogCmath())
+            want = phi_series(s, z, c)
+        assert (got.value, got.error_estimate) == (want.value,
+                                                   want.error_estimate), c
+    # the sign of a zero imaginary part of c does not reach the terms
+    for s, z, c in cases[2:4]:
+        assert phi_series(s, z, c) == phi_series(s, z, c.real)
 
 
 def _count_integrand_calls(monkeypatch):
@@ -287,6 +327,80 @@ def test_integer_re_c_below_re_s_zero_takes_the_other_routes():
         err = abs(res.value - want)
         assert err <= 1e-13 * max(1.0, abs(want))
         assert err <= res.error_estimate
+
+
+# 0 < Re c < 1/16 with |z| > 0.75 and no reflection takes one c-shift
+# up: the integral route refuses both points (a rounding floor above
+# the target, then an integrand not negligible at the window edge).
+# References: the second from a 40-digit direct sum, the first from the
+# shift taken exactly and a 40-digit mpmath quadrature of the integral
+# at c + 1, split at Re Log z.
+SMALL_RE_C = [
+    ((1.5, 2 + 1j, 1e-3 + 0.3j),
+     -3.1865653152306454 - 2.6579224254274206j),
+    ((-1.5, 0.9j, 1e-13 + 0.3j),
+     -0.62263081083100186 - 0.36341371572504663j),
+]
+
+
+def test_small_positive_re_c_takes_one_c_shift():
+    for (s, z, c), want in SMALL_RE_C:
+        res = phi(s, z, c)
+        assert res.method == "c_shift", (s, z, c)
+        err = abs(res.value - want)
+        assert err <= 1e-14 * max(1.0, abs(want)), (s, z, c)
+        assert err <= res.error_estimate, (s, z, c)
+    # 40-digit direct sum of the series, |z| < 1
+    res = phi_c_shift(2.5, 0.9 + 0.3j, 0.01 + 0.3j, 1)
+    want = -14.512931375112514 + 12.883125351270172j
+    assert abs(res.value - want) <= 1e-15 * abs(want)
+
+
+def _box_points(seed, n):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    gen = workloads.box_points(seed)
+    return [next(gen)[:3] for _ in range(n)]
+
+
+def _meets_small_re_c(s, z, c):
+    """True when phi(s, z, c) may dispatch a call with 0 < Re c < 1/16 and
+    |z| > 0.75 to the c_shift-first branch: directly, or through one of
+    the reflection's inner calls, whose c is a or 1 - a, a = Log z / 2 pi i."""
+    if abs(z) <= 0.75:
+        return False
+    if 0 < c.real < 0.0625:
+        return True
+    a = (semi_principal_log(z) / (2j * math.pi)).real
+    return s.real <= 0 and (0 < a < 0.0625 or a > 0.9375)
+
+
+# (seed, index) of the points among the first 512 `box` points of seeds
+# 1-3 that meet the branch and that neither route can certify
+SMALL_RE_C_REFUSED = {
+    (1, 11), (1, 43), (1, 62), (1, 121), (1, 244), (1, 274), (1, 338),
+    (1, 509), (2, 22), (2, 26), (2, 166), (2, 185), (2, 188), (2, 482),
+    (3, 37), (3, 116), (3, 200), (3, 234), (3, 344), (3, 382), (3, 410),
+    (3, 506),
+}
+
+
+def test_small_positive_re_c_loses_no_box_point():
+    # every point that meets the branch returns, except those above; the
+    # shift alone returns eleven of them (1:86, 1:199, 1:307, 1:347,
+    # 1:410, 1:413, 1:502, 1:506, 3:121, 3:154, 3:496), and the integral
+    # fallback keeps the others the integral route returns
+    met = 0
+    for seed in (1, 2, 3):
+        for i, (s, z, c) in enumerate(_box_points(seed, 512)):
+            s, z, c = complex(s), complex(z), complex(c)
+            if (seed, i) in SMALL_RE_C_REFUSED or not _meets_small_re_c(s, z, c):
+                continue
+            met += 1
+            phi(s, z, c)  # raises if the point is refused
+    assert met == 44
 
 
 def test_series_and_c_shift_estimates_count_rounding():

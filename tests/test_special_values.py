@@ -9,7 +9,7 @@ from lerchkit.errors import IdentityViolation, PoleError
 from lerchkit.special_values import (BivariateRational, egf_check,
                                      identity_suite, laurent_coeffs,
                                      negative_polylog, periodic_zeta_special,
-                                     q_ratio, r_poly)
+                                     poly_eval_homogeneous, q_ratio, r_poly)
 
 # ascending coefficients of r_m for m = 0..5
 R_TABLE = {
@@ -96,6 +96,56 @@ def test_negative_polylog_degrees_and_pole_order():
         biv = negative_polylog(m)
         assert biv.pole_order == m + 1
         assert biv.degree_c == m
+
+
+# z < 0, 0 < z < 1, z > 1, integer z; c > 0, c < 0, integer c
+EXACT_POINTS = [(Fraction(-7, 3), Fraction(5, 4)), (Fraction(2, 9), Fraction(-8, 5)),
+                (Fraction(11, 4), Fraction(1, 6)), (-3, 2), (5, Fraction(-1, 2)),
+                (Fraction(1, 2), -4), (2, 0), (-1, 7)]
+
+
+def test_exact_eval_matches_fraction_horner():
+    # the integer path equals Horner on Fractions over (1-z)^pole_order
+    for m in range(13):
+        for biv in (negative_polylog(m), negative_polylog(m).c_derivative()):
+            for z, c in EXACT_POINTS:
+                want = (Fraction(biv.numerator(Fraction(z), Fraction(c)))
+                        / Fraction(1 - z) ** biv.pole_order)
+                got = biv.eval(z, c)
+                assert type(got) is Fraction and got == want, (m, z, c)
+
+
+def test_exact_eval_builds_one_fraction_for_any_m(monkeypatch):
+    built = [0]
+    real_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built[0] += 1
+        return real_new(cls, *args, **kwargs)
+
+    z, c = Fraction(-7, 3), Fraction(5, 4)
+    counts = []
+    for m in (2, 6, 12, 24):
+        biv = negative_polylog(m)
+        built[0] = 0
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        biv.eval(z, c)
+        monkeypatch.undo()
+        counts.append(built[0])
+    assert counts == [1] * 4
+
+
+def test_negative_polylog_is_built_once_per_m():
+    assert negative_polylog(7) is negative_polylog(7)
+    with pytest.raises(ValueError):
+        negative_polylog(-1)
+
+
+def test_poly_eval_homogeneous():
+    # 3^2 p(2/3) for p = 1 + 2x - x^2, then as a form of degree 3
+    assert poly_eval_homogeneous([1, 2, -1], 2, 3, 2) == 9 + 12 - 4
+    assert poly_eval_homogeneous([1, 2, -1], 2, 3, 3) == 3 * (9 + 12 - 4)
+    assert poly_eval_homogeneous([0], 5, 7, 0) == 0
 
 
 def test_c_derivative_is_exact_partial():
