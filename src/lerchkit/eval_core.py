@@ -5,7 +5,8 @@ plane z not in [1, infinity) on the principal branch (powers of n+c use
 the principal log).  Four strategies cover the parameter space, tried
 in this order:
 
-series      |z| <= 0.75, Re(c) > 0 (geometric tail majorant, certified bound)
+series      |z| <= 0.75, Re(c) > 0 (certified tail bound from the ratio
+            majorant at the current n, asked for 0.5 tol)
 reflection  Re(s) <= 0, |z| > 0.75, Re(c) not an integer: one signed
             c_shift into 0 < Re(c) < 1, then the three-term formula in
             Lerch-zeta coordinates (a = Log z / 2 pi i, semi-principal
@@ -21,7 +22,9 @@ integral    the rest: Gamma(s)^{-1} int_0^inf t^{s-1} e^{-ct} /
             Log z is subtracted and Re(s) >= 1/16)
 
 plus an exact short-circuit: integer s <= 0 with rational (z, c) is the
-bivariate rational from special_values, returned exactly.
+bivariate rational from special_values, returned exactly, for
+m = -s <= EXACT_M_BUDGET (above it, or beyond double range, the call
+raises AccuracyError).
 
 Tolerances follow the numeric policy of branch_numerics: a float or
 complex parameter within 1e-12 of an integer counts as that integer
@@ -176,9 +179,17 @@ def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
 
     Works for |z| < 1 and any s (the geometric factor wins eventually);
     for Re(c) <= 0 the finitely many terms with Re(n+c) <= 0 simply go
-    through the principal branched power like all the others.  The
-    estimate is the tail bound plus the rounding of each drawn term
-    e^w, w = n Log z - s Log(n+c) (``_exp_rounding``).
+    through the principal branched power like all the others.
+
+    The tail majorant is taken at the current n.  For k >= n >= |c| + 2,
+    Re(k+c) >= 2, so |Log(1 + 1/(k+c))| <= 2/(n - |c|) and
+    |t_{k+1}/t_k| <= rho(n) = |z| e^{2|s|/(n - |c|)}, which falls with n;
+    once rho(n) < 1 the tail from n is at most |t_n| / (1 - rho(n)).
+    The sum stops at the first such n where that bound is below half of
+    tol, which leaves the other half for the rounding.  The estimate is
+    the tail bound plus the rounding of each drawn term e^w,
+    w = n Log z - s Log(n+c) (``_exp_rounding``).  A term beyond double
+    range raises ``AccuracyError``.
     """
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
     if dist_to_nonpos_int(c) < NEAR:
@@ -189,29 +200,37 @@ def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
         raise DomainError("series strategy needs |z| < 1, got |z| = %g" % az)
     if abs(zc - 1) < NEAR:
         raise StratumError("z within 1e-8 of z = 1", stratum="singular_z1")
-    if zc == 0:
-        w = -sc * principal_log(cc)
-        value = cmath.exp(w)
-        return EvalResult(value, "series", _exp_rounding(w, value))
+    try:
+        if zc == 0:
+            w = -sc * principal_log(cc)
+            value = cmath.exp(w)
+            return EvalResult(value, "series", _exp_rounding(w, value))
+        return _series_sum(sc, zc, cc, tol, max_terms)
+    except OverflowError:
+        raise AccuracyError("a term z^n (n+c)^(-s) of Phi(%s, %s, %s) "
+                            "overflows double precision" % (sc, zc, cc),
+                            bound=math.inf) from None
+
+
+def _series_sum(sc, zc, cc, tol, max_terms):
+    """``phi_series`` past its guards, for 0 < |z| < 1."""
     lz = cmath.log(zc)
     ac = abs(cc)
+    n_min = ac + 2.0
+    s2 = 2.0 * abs(sc)
+    q_max = -lz.real  # rho(n) < 1 exactly when q = 2|s|/(n - |c|) < -log|z|
+    target = 0.5 * tol
     # principal_log only turns a -0.0 imaginary part into +0.0 and rejects
-    # 0, which the c guard above already excludes: with that sign set once
+    # 0, which the c guard already excludes: with that sign set once
     # here, cmath.log(n + c) equals principal_log(n + c) bit for bit
     if cc.imag == 0.0:
         cc = complex(cc.real, 0.0)
     log = cmath.log
 
-    # Ratio majorant: for n >= n0, |t_{n+1}/t_n| <= |z| e^q <= rho < 1
-    # with q = 2|s| / (n - |c|) and a margin that keeps rho away from 1.
-    q_cap = min(0.15, (1.0 - az) / 3.0)
-    n0 = int(max(2 * ac + 2, ac + 2 * abs(sc) / q_cap)) + 1
-    rho = az * math.exp(q_cap)
-    geo = 1.0 / (1.0 - rho)
-
     # sum_with_tail_bound asks for bound(n) right after drawing term n,
-    # or at n = last_n + 1 once max_terms are drawn, where |t_{n-1}| geo
-    # bounds the tail as well: the bound reuses the last term's modulus
+    # or at n = last_n + 1 once max_terms are drawn, where
+    # |t_{n-1}| / (1 - rho(n-1)) bounds the tail as well: the bound
+    # reuses the last term's modulus
     last_n, last_abs, rounding = -1, 0.0, 0.0
 
     def terms():
@@ -224,9 +243,21 @@ def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
             yield t
 
     def tail_bound(n):
-        return math.inf if last_n < n0 else last_abs * geo
+        if last_n < n_min or last_abs > target:
+            return math.inf
+        q = s2 / (last_n - ac)
+        if q >= q_max:  # rho >= 1, and exp(q) might overflow
+            return math.inf
+        # rho = |z| e^q.  The factor books the rounding of log|z| and exp;
+        # that of q is far inside the bound's slack, as |Log(1 + u)| <= |u|
+        # for Re u >= 0 gives the ratio bound with |s|, not 2|s|
+        rho = math.exp(q - q_max) * (1.0 + 4.0 * EPS * (q_max + 2.0))
+        if rho >= 1.0:
+            return math.inf
+        return last_abs / (1.0 - rho) * (1.0 + 4.0 * EPS)
 
-    res = sum_with_tail_bound(terms(), tail_bound, tol=tol, max_terms=max_terms)
+    res = sum_with_tail_bound(terms(), tail_bound, tol=target,
+                              max_terms=max_terms)
     return EvalResult(res.value, "series", res.tail_bound + EPS * rounding)
 
 
@@ -495,6 +526,11 @@ def _overflows_double(m, zf, cf):
                for a, b in parts) > 1024 * math.log(2.0)
 
 
+# the largest m the exact path builds: the first negative_polylog(200)
+# takes about 1.3 s, and the cost grows like m^3
+EXACT_M_BUDGET = 200
+
+
 def _exact_rational_case(s, z, c):
     if not isinstance(s, (int, Fraction)):
         return None
@@ -511,6 +547,11 @@ def _exact_rational_case(s, z, c):
     try:
         if _overflows_double(m, zf, cf):
             raise OverflowError
+        if m > EXACT_M_BUDGET:
+            raise AccuracyError(
+                "Phi(%d, %s, %s) is exact, but m = %d is above the exact "
+                "path's budget m <= %d" % (-m, zf, cf, m, EXACT_M_BUDGET),
+                bound=math.inf)
         # Phi(-m, z, c) = Li_{-m}(z,c) / z, both exact rationals
         val = negative_polylog(m).eval(zf, cf) / zf
         value = _cplx(val)

@@ -105,14 +105,19 @@ def _one_minus_z_pow(j):
 
 # --- r_m, q_m, Laurent coefficients ----------------------------------------
 
-@lru_cache(maxsize=None)
+_R_CACHE = {0: (1,)}
+
+
 def _r_cached(m):
-    if m == 0:
-        return (1,)
-    r = list(_r_cached(m - 1))
-    # r_{m} = z [ (1-z) r_{m-1}' + m r_{m-1} ]
-    inner = _padd(_pmul([1, -1], _pderiv(r)), _pscale(r, m))
-    return tuple([0] + inner)
+    """r_m as a tuple, from a table built bottom-up and kept for good (no
+    recursion, so any m >= 0 works).  Two threads that extend the table
+    at once write equal entries."""
+    for k in range(len(_R_CACHE), m + 1):
+        prev = list(_R_CACHE[k - 1])
+        # r_k = z [ (1-z) r_{k-1}' + k r_{k-1} ]
+        inner = _padd(_pmul([1, -1], _pderiv(prev)), _pscale(prev, k))
+        _R_CACHE[k] = tuple([0] + inner)
+    return _R_CACHE[m]
 
 
 def r_poly(m):

@@ -7,6 +7,7 @@ implementation and frozen here at 17 significant digits.
 import cmath
 import importlib.util
 import math
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -85,6 +86,21 @@ def test_exact_overflow_is_refused_before_the_rational_is_built():
         phi(-1200, half, half)
 
 
+def test_exact_path_refuses_above_its_budget_on_m():
+    # other signs of z or c: no cheap overflow test, so the budget on m
+    # refuses before any table is built (these raised RecursionError)
+    for z, c in ((Fraction(-1, 2), Fraction(1, 2)),
+                 (Fraction(1, 2), Fraction(-1, 2))):
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError, match="budget m <= %d"
+                           % eval_core.EXACT_M_BUDGET):
+            phi(-1200, z, c)
+        assert time.perf_counter() - start < 0.01
+    m = eval_core.EXACT_M_BUDGET + 1
+    with pytest.raises(AccuracyError, match="budget"):
+        phi(-m, Fraction(-1, 2), Fraction(1, 2))
+
+
 def test_strategies_agree_pairwise():
     # s = 0.03 and -1.5 take the integral route's q-ladder (j = 1 and 3)
     c = 0.85
@@ -157,6 +173,89 @@ def test_series_evaluates_each_term_once(monkeypatch):
     assert drawn[0] > 0 and logs[0] == drawn[0] and log_z[0] == 1
     assert res.value == pytest.approx(phi_integral(2.0, z, 1.3).value,
                                       abs=1e-11)
+
+
+def _count_drawn_terms(monkeypatch):
+    drawn = [0]
+    real_sum = eval_core.sum_with_tail_bound
+
+    def counted_sum(terms, *args, **kwargs):
+        def counted():
+            for t in terms:
+                drawn[0] += 1
+                yield t
+        return real_sum(counted(), *args, **kwargs)
+
+    monkeypatch.setattr(eval_core, "sum_with_tail_bound", counted_sum)
+    return drawn
+
+
+def test_series_tail_test_runs_at_the_current_n(monkeypatch):
+    # the ratio majorant at n takes over once rho(n) < 1 (n = 30 here);
+    # a fixed burn-in to n0 = |c| + 2|s| / 0.15 drew 136 terms
+    drawn = _count_drawn_terms(monkeypatch)
+    res = phi_series(10, 0.5, 1)
+    assert 0 < drawn[0] <= 40
+    want = 1.0004926412120136  # 2 Li_10(1/2), 40-digit mpmath
+    assert abs(res.value - want) <= res.error_estimate + EPS * want
+
+
+def test_series_with_big_s_stays_finite():
+    # rho(n) is formed only once 2|s|/(n - |c|) < -log|z|, so e^q cannot
+    # overflow; every term of the first point underflows to 0
+    res = phi(1e4, 0.5, 1.5)
+    assert res.method == "series" and res.value == 0j
+    res = phi(800, 0.5, 1.5)  # 1.5^-800 (1 + 2^-1 (5/3)^-800 + ...)
+    want = 1.5 ** -800
+    assert abs(res.value - want) <= res.error_estimate + EPS * want
+
+
+def test_overflowing_series_term_is_an_accuracy_error():
+    # the terms (n + 3)^700 0.6^n pass double range long before their
+    # peak near n = 1370
+    with pytest.raises(AccuracyError, match="overflows double precision"):
+        phi(-700, 0.6, 3.0)
+
+
+def _direct_sum(mpmath, s, z, c):
+    """sum z^n (n+c)^-s in mpmath, stopped once the tail is below
+    10^-dps."""
+    s, z, c = mpmath.mpc(s), mpmath.mpc(z), mpmath.mpc(c)
+    az, ac, total, n = abs(z), abs(c), mpmath.mpc(0), 0
+    r = (1 + az) / 2
+    while True:
+        t = z ** n * (n + c) ** (-s)
+        total += t
+        n += 1
+        # for k >= n > |c|: |t_{k+1} / t_k| <= |z| e^{|s| / (n - |c|)}
+        if (n > ac + 2 and az * mpmath.exp(abs(s) / (n - ac)) <= r
+                and abs(t) / (1 - r) < mpmath.mpf(10) ** (-mpmath.mp.dps)):
+            return complex(total)
+
+
+def test_series_majorant_is_certified():
+    # |s| <= 30, |z| <= 0.75, Re c of both signs away from the integers:
+    # the error never exceeds the estimate (tail bound plus rounding).
+    # Loose tolerances let the tail bound dominate the estimate, and a
+    # third of the points is real with z > 0, so the tail cannot cancel
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(13)
+    for i in range(48):
+        s = cmath.rect(rng.uniform(0.0, 30.0), rng.uniform(-math.pi, math.pi))
+        z = cmath.rect(0.75 * rng.random() ** 0.5,
+                       rng.uniform(-math.pi, math.pi))
+        c = complex(rng.randint(-4, 5) + rng.uniform(0.05, 0.95),
+                    rng.uniform(-2.0, 2.0))
+        if i % 3 == 0:
+            s, z, c = complex(s.real), complex(abs(z)), complex(c.real)
+        res = phi_series(s, z, c, tol=(1e-12, 1e-8, 1e-4, 1e-2)[i % 4])
+        # 40 digits below the largest term
+        big = max(n * math.log(abs(z)) - (s * cmath.log(n + c)).real
+                  for n in range(400))
+        with mpmath.workdps(40 + max(0, int(big / math.log(10.0)))):
+            want = _direct_sum(mpmath, s, z, c)
+        err = abs(res.value - want)
+        assert err <= res.error_estimate + EPS * abs(want), (s, z, c)
 
 
 class _PrincipalLogCmath:

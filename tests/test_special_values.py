@@ -1,10 +1,13 @@
 """Exact rational layer: r_m, Laurent data, Li_{-m}(z,c), EGF division."""
 
+import inspect
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
+from lerchkit import special_values
 from lerchkit.errors import IdentityViolation, PoleError
 from lerchkit.special_values import (BivariateRational, egf_check,
                                      identity_suite, laurent_coeffs,
@@ -34,6 +37,21 @@ def test_r_poly_normalizations():
         assert r[-1] == 1             # monic
         assert sum(r) == math.factorial(m)   # r_m(1) = m!
         assert r[1:] == r[:0:-1]      # palindrome across z^1..z^m
+
+
+def test_r_poly_is_built_bottom_up(monkeypatch):
+    # from an empty table and a recursion limit far below m: a recursive
+    # build would raise RecursionError
+    monkeypatch.setattr(special_values, "_R_CACHE", {0: (1,)})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        r = r_poly(300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sum(r) == math.factorial(300) and r[1:] == r[:0:-1]
+    assert r_poly(5) == R_TABLE[5]
+    assert sorted(special_values._R_CACHE) == list(range(301))
 
 
 def test_q_ratio_exact_and_pole():
