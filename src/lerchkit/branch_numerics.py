@@ -250,8 +250,8 @@ _U_MIN = -9.0
 _U_MAX = 12.5
 T_FLOOR = 1e-290
 _MAX_LEVEL = 12     # mesh halvings before the quadrature gives up
-_FLOOR_WINDOW = 16  # a level difference within this many rounding
-                    # floors has stalled
+_FLOOR_WINDOW = 16  # a floor this many targets high is out of reach, and
+                    # a level difference within this many floors stalled
 
 
 def _de_term(f, u):
@@ -277,14 +277,14 @@ def quad_semiaxis(f, tol=1e-12):
     with the best estimate attached, when
 
     * the integrand is not negligible at the edge of the u-window;
-    * the rounding floor is reached: with ``mag`` the sum of |term| over
-      every node so far, F = EPS * h * mag (about EPS * int |f|) is the
-      rounding a level sum cannot get below.  Once the target
-      tol * (1 + |T_k|) lies under F and two successive level
-      differences are within ``_FLOOR_WINDOW`` (16) times F, the levels
-      have stopped converging and no finer mesh can meet the target
-      (a single difference in that window can still be the last step of
-      the double-exponential descent, with the next level on target);
+    * the rounding floor passes the target: with ``mag`` the sum of
+      |term| over every node so far, F = EPS * h * mag (about
+      EPS * int |f|) is the rounding a level sum cannot get below.  A
+      level that misses its target tol * (1 + |T_k|) < F refuses when F
+      is above ``_FLOOR_WINDOW`` (16) targets, beyond any finer mesh
+      (mostly at level 1), or when two successive level differences lie
+      within 16 F, stalled by the integrand's own rounding (one such
+      difference alone can still end the double-exponential descent);
     * ``_MAX_LEVEL`` (12) halvings are not enough.
     """
     h = 0.5
@@ -357,7 +357,8 @@ def quad_semiaxis(f, tol=1e-12):
         if err <= target:
             return QuadResult(value, err + floor)
         stalled = err <= _FLOOR_WINDOW * floor
-        if target < floor and stalled and was_stalled:
+        if target < floor and (floor > _FLOOR_WINDOW * target
+                               or stalled and was_stalled):
             raise AccuracyError(
                 "quadrature reached its rounding floor %.3g at level %d, "
                 "above the tolerance %.3g" % (floor, level, target),

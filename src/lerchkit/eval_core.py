@@ -38,9 +38,11 @@ EPS (|w| + 4) |e^w| of rounding in its route's estimate
 The integral route (``periodic_zeta`` is z Phi(s, z, 1) on it) asks
 ``quad_semiaxis`` for 0.1 * tol on the integral it returns, 1/Gamma
 included; a target the quadrature cannot reach makes it raise
-``AccuracyError``.  The docstrings of ``phi_integral`` (the ladder, the
-pole subtraction for |z| > 1, the estimate) and ``quad_semiaxis`` (the
-refusal rule) give the details.
+``AccuracyError``.  c_shift and reflection ask their inner calls for a
+plain share of tol, and once more for what the measured magnitudes need
+if the combined estimate misses tol (1 + |value|).  The docstrings of
+``phi_integral`` (the ladder, the pole subtraction for |z| > 1, the
+estimate) and ``quad_semiaxis`` (the refusal rule) give the details.
 """
 
 import cmath
@@ -409,7 +411,8 @@ def _shift_c(sc, zc, cc, n, tol, inner_route):
     may have non-positive real part) e^w, w = -s Log(c+k); each books
     ``_exp_rounding`` and 2 EPS per product, sum or division (at most
     2|N| + 3) that carries it into the head.  The inner route gets half
-    of tol (all of it for N = 0) over max(1, |z^N|).
+    of tol (all of it for N = 0), and ``_inner_need``'s tolerance once
+    more if the estimate misses tol (1 + |value|).
     """
     lo = min(n, 0)
     head, zpow, rounding, mag = 0j, 1.0 + 0j, 0.0, 0.0
@@ -428,10 +431,22 @@ def _shift_c(sc, zc, cc, n, tol, inner_route):
         zpow = 1.0 / zpow
         head = -zpow * head
         rounding *= abs(zpow)
-    share = 0.5 if n else 1.0
-    inner = inner_route(sc, zc, cc + n, tol=share * tol / max(1.0, abs(zpow)))
+    share, az = (0.5 if n else 1.0), abs(zpow)
+    inner = inner_route(sc, zc, cc + n, tol=share * tol)
     value = head + zpow * inner.value
-    return value, abs(zpow) * inner.error_estimate + rounding
+    need = _inner_need(share * tol, value, zpow, inner)
+    if need and az * inner.error_estimate + rounding > tol * (1.0 + abs(value)):
+        inner = inner_route(sc, zc, cc + n, tol=need)
+        value = head + zpow * inner.value
+    return value, az * inner.error_estimate + rounding
+
+
+def _inner_need(budget, value, factor, inner):
+    """The inner tolerance that holds factor * inner to budget (1 + |value|),
+    or None if that is no tighter than the budget the inner call had."""
+    scale = abs(factor) * (1.0 + abs(inner.value))
+    if 1.0 + abs(value) < scale:
+        return budget * (1.0 + abs(value)) / scale
 
 
 def phi_c_shift(s, z, c, n_shift, tol=1e-12):
@@ -471,27 +486,32 @@ def _three_term(sc, zc, cc, tol):
     with the coefficients c_n of ``c_coeff``, so both inner evaluations
     live at Re(1-s) > 1/2 and are handled by the series/integral/c-shift
     strategies (for z on (0,1), Re(a) = 0 and the inner dispatch goes
-    through c_shift).  The estimate counts the error of Gamma(1-s)
-    (``gamma_rel_error``) and the rounding of forming the two products
-    and their sum (below).
+    through c_shift) at a quarter of tol each, retried as in ``_shift_c``.
+    The estimate counts the error of Gamma(1-s) (``gamma_rel_error``) and
+    the rounding of forming the two products and their sum (below).
     """
     sp = 1.0 - sc
     a = semi_principal_log(zc) / _2PI_I
     w1, w2 = -_2PI_I * a * cc, _2PI_I * cc * (1.0 - a)
     p1 = c_coeff(0, sc) * cmath.exp(w1)
     p2 = c_coeff(1, sc) * cmath.exp(w2)
-    inner_tol = 0.25 * tol / (abs(p1) + abs(p2) + 1.0)
-    r1 = phi(sp, cmath.exp(-_2PI_I * cc), a, tol=inner_tol)
-    r2 = phi(sp, cmath.exp(_2PI_I * cc), 1.0 - a, tol=inner_tol)
-    t1, t2 = p1 * r1.value, p2 * r2.value
-    value = t1 + t2
     # t_i is Gamma(1-s) r_i times three factors e^w, c_n's two with |w|
     # summing to |1-s| (log 2 pi + pi/2): EPS (|w| + 4) per factor as in
     # _exp_rounding, 2 EPS each for the product with r_i and the sum, 16
     wc = abs(sp) * (math.log(_2PI) + 0.5 * math.pi) + 16.0
-    rounding = EPS * ((wc + abs(w1)) * abs(t1) + (wc + abs(w2)) * abs(t2))
-    err = (abs(p1) * r1.error_estimate + abs(p2) * r2.error_estimate
-           + gamma_rel_error(sp) * abs(value) + rounding)
+    args = [(sp, cmath.exp(-_2PI_I * cc), a),
+            (sp, cmath.exp(_2PI_I * cc), 1.0 - a)]
+    rs = [phi(*arg, tol=0.25 * tol) for arg in args]
+    for retry in (True, False):
+        t1, t2 = p1 * rs[0].value, p2 * rs[1].value
+        value = t1 + t2
+        rounding = EPS * ((wc + abs(w1)) * abs(t1) + (wc + abs(w2)) * abs(t2))
+        err = (abs(p1) * rs[0].error_estimate + abs(p2) * rs[1].error_estimate
+               + gamma_rel_error(sp) * abs(value) + rounding)
+        if not retry or err <= tol * (1.0 + abs(value)):
+            break
+        needs = [_inner_need(0.25 * tol, value, p, r) for p, r in zip((p1, p2), rs)]
+        rs = [phi(*arg, tol=nd) if nd else r for arg, r, nd in zip(args, rs, needs)]
     return EvalResult(value, "reflection", err)
 
 
@@ -605,8 +625,7 @@ def phi(s, z, c, tol=1e-12):
         return phi_c_shift(sc, zc, cc, math.ceil(1.0 - cc.real), tol=tol)
     if cc.real < 0.0625:
         # the slow decay of e^{-ct} often keeps the integral from its
-        # target; where the head and z Phi(s, z, c + 1) cancel, the
-        # shift's inner target 0.5 tol / |z| is out of reach instead
+        # target; the shift refuses where head and z Phi(s, z, c + 1) cancel
         try:
             return phi_c_shift(sc, zc, cc, 1, tol=tol)
         except AccuracyError:

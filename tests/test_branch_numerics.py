@@ -127,12 +127,19 @@ def test_quad_semiaxis_refuses_after_twelve_levels():
 
 def test_quad_semiaxis_refuses_at_rounding_floor():
     # int_0^oo e^-t cos(40 t) dt = 1/1601; its rounding floor is about
-    # eps * int |e^-t cos 40t| ~ 1.4e-16, above a 1e-18 target.  Levels 8
-    # and 9 both land at the floor, so level 9 refuses (all 12 levels
-    # take 114,636 calls)
+    # eps * int |e^-t cos 40t| ~ 1.4e-16, more than 16 times a 1e-18
+    # target, so level 1 refuses (all 12 levels take 114,636 calls), and
+    # the attached bound covers the level-1 value's error
+    f, calls = _counted(lambda t: math.exp(-t) * math.cos(40.0 * t))
+    with pytest.raises(AccuracyError, match="rounding floor .* level 1,") as exc:
+        quad_semiaxis(f, tol=1e-18)
+    assert abs(exc.value.best - 1.0 / 1601) <= exc.value.bound
+    assert calls[0] == 52
+    # a floor within 16 targets is waited out until two successive level
+    # differences stall within 16 floors: levels 8 and 9 here
     f, calls = _counted(lambda t: math.exp(-t) * math.cos(40.0 * t))
     with pytest.raises(AccuracyError, match="rounding floor .* level 9,") as exc:
-        quad_semiaxis(f, tol=1e-18)
+        quad_semiaxis(f, tol=2e-17)
     assert abs(exc.value.best - 1.0 / 1601) <= 1e-15
     assert calls[0] <= 15_000
     # a target above the floor converges as before
