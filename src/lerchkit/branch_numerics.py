@@ -282,7 +282,7 @@ def quad_semiaxis(f, tol=1e-12):
       EPS * int |f|) is the rounding a level sum cannot get below.  A
       level that misses its target tol * (1 + |T_k|) < F refuses when F
       is above ``_FLOOR_WINDOW`` (16) targets, beyond any finer mesh
-      (mostly at level 1), or when two successive level differences lie
+      (mostly by level 4), or when two successive level differences lie
       within 16 F, stalled by the integrand's own rounding (one such
       difference alone can still end the double-exponential descent);
     * ``_MAX_LEVEL`` (12) halvings are not enough.

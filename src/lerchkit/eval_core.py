@@ -625,7 +625,7 @@ def phi(s, z, c, tol=1e-12):
         return phi_c_shift(sc, zc, cc, math.ceil(1.0 - cc.real), tol=tol)
     if cc.real < 0.0625:
         # the slow decay of e^{-ct} often keeps the integral from its
-        # target; the shift refuses where head and z Phi(s, z, c + 1) cancel
+        # target, so the shift goes first; the integral takes what it refuses
         try:
             return phi_c_shift(sc, zc, cc, 1, tol=tol)
         except AccuracyError:
