@@ -246,20 +246,51 @@ def reciprocal_gamma(s):
 # truncated left tail (t < T_FLOOR) to be negligible.  Callers keep
 # sigma >= 1/2, except ``phi_integral``, which goes down to sigma = 1/16
 # with its kernel's pole subtracted and books that tail itself.
+#
+# Every node is a dyadic rational u = _U_MIN + m h, so a level's new
+# nodes u = _U_MIN + (2i + 1) h have exact indices i.  Levels 1 to
+# _TABLE_DEPTH keep (t, weight) of all their new nodes across the window
+# in a table, built on first use: 21.5 * 2^level nodes of 16 bytes each,
+# about 175 KB for levels 1-8 together.  Deeper levels call ``_node``
+# for each node, as the base level and the window growth do.
 _U_MIN = -9.0
 _U_MAX = 12.5
 T_FLOOR = 1e-290
 _MAX_LEVEL = 12     # mesh halvings before the quadrature gives up
 _FLOOR_WINDOW = 16  # a floor this many targets high is out of reach, and
                     # a level difference within this many floors stalled
+_TABLE_DEPTH = 8    # deepest level whose nodes are kept
+_tables = {}        # level -> (ts, ws), see ``_level_nodes``
 
 
-def _de_term(f, u):
+def _node(u):
+    """(t, weight) at the node u: t = exp(u - exp(-u)) and the weight
+    dt/du = t (1 + exp(-u)); t = 0 below T_FLOOR, a node that adds no
+    term."""
     emu = math.exp(-u)
     t = math.exp(u - emu)
     if t < T_FLOOR:
-        return 0j
-    return f(t) * (t * (1.0 + emu))
+        return 0.0, 0.0
+    return t, t * (1.0 + emu)
+
+
+def _level_nodes(level):
+    """(ts, ws) for 1 <= level <= _TABLE_DEPTH: t and weight at the new
+    nodes u = _U_MIN + (2i + 1) h of the whole window, h = 0.5 / 2**level."""
+    table = _tables.get(level)
+    if table is None:
+        # imported here, so that a process that never integrates (most
+        # CLI commands) does not load the extension module
+        from array import array
+
+        h = 0.5 / 2 ** level
+        ts, ws = array("d"), array("d")
+        for i in range(int((_U_MAX - _U_MIN) / (2.0 * h))):
+            t, w = _node(_U_MIN + (2 * i + 1) * h)
+            ts.append(t)
+            ws.append(w)
+        table = _tables[level] = (ts, ws)
+    return table
 
 
 def quad_semiaxis(f, tol=1e-12):
@@ -268,7 +299,16 @@ def quad_semiaxis(f, tol=1e-12):
     Substitutes t = exp(u - exp(-u)) and applies the trapezoid rule in u
     with successive mesh halving (h = 0.5 / 2**level), reusing previous
     nodes; converged when two successive levels agree to ``tol`` in the
-    scale-aware sense |T_k - T_{k-1}| <= tol * (1 + |T_k|).
+    scale-aware sense |T_k - T_{k-1}| <= tol * (1 + |T_k|).  f takes
+    one float t.
+
+    The nodes of levels 1 to ``_TABLE_DEPTH`` (8) come from per-level
+    tables of t and weight over the whole u-window, built on first use
+    and kept for the process, about 175 KB in all; deeper levels, the
+    base level and the window growth compute theirs one by one.  Either
+    way a node's t and weight are the same floats, and every sum runs in
+    the same order: a level's new nodes left to right, then the window's
+    growth to the right, then to the left.
 
     Returns ``QuadResult(value, error)``; the error is the last level
     difference plus the rounding floor F = EPS * h * mag defined below,
@@ -292,7 +332,8 @@ def quad_semiaxis(f, tol=1e-12):
     # the requested tolerance so truncation never dominates
     cut = min(tol, 1e-13) * 1e-3
 
-    total = _de_term(f, 0.0)
+    t, w = _node(0.0)
+    total = f(t) * w
     scale = mag = abs(total)
     jmin = jmax = 0
     # extend to the right, then to the left, until several consecutive
@@ -300,7 +341,8 @@ def quad_semiaxis(f, tol=1e-12):
     for direction in (+1, -1):
         j, quiet = direction, 0
         while _U_MIN <= j * h <= _U_MAX and quiet < 4:
-            term = _de_term(f, j * h)
+            t, w = _node(j * h)
+            term = f(t) * w if t else 0j
             total += term
             size = abs(term)
             mag += size
@@ -325,19 +367,29 @@ def quad_semiaxis(f, tol=1e-12):
     was_stalled = False
     for level in range(1, _MAX_LEVEL + 1):
         h *= 0.5
+        # the new nodes inside (umin, umax) are those with lo <= i < hi
+        lo = int((umin - _U_MIN) / (2.0 * h))
+        hi = int((umax - _U_MIN) / (2.0 * h))
+        if level <= _TABLE_DEPTH:
+            ts, ws = _level_nodes(level)
+            nodes = zip(ts[lo:hi], ws[lo:hi])
+        else:
+            nodes = (_node(_U_MIN + (2 * i + 1) * h) for i in range(lo, hi))
+        # nodes below T_FLOOR come first, while mids is still 0j, so
+        # skipping them changes no bit of the sum
         mids = 0j
-        u = umin + h
-        while u < umax:
-            term = _de_term(f, u)
-            mids += term
-            mag += abs(term)
-            u += 2.0 * h
+        for t, w in nodes:
+            if t:
+                term = f(t) * w
+                mids += term
+                mag += abs(term)
         refined = 0.5 * value + h * mids
         # at the finer mesh the window may need to grow a little
         for direction, edge in ((+1, umax), (-1, umin)):
             u, quiet = edge + direction * h, 0
             while _U_MIN <= u <= _U_MAX and quiet < 4:
-                term = _de_term(f, u)
+                t, w = _node(u)
+                term = f(t) * w if t else 0j
                 refined += h * term
                 size = abs(term)
                 mag += size

@@ -349,10 +349,15 @@ def _mellin(sc, zc, cc, tol):
     else:
         tail = 2.0 * abs(rg) * T_FLOOR ** sc.real / (sc.real * abs(1.0 - zc))
 
-        def integrand(t):
-            w = zc * math.exp(-t)
-            return ((rg * cmath.exp(sm1 * math.log(t) - cc * t) - g0 * w)
-                    / (1.0 - w))
+        if g0:
+            def integrand(t):
+                w = zc * math.exp(-t)
+                return ((rg * cmath.exp(sm1 * math.log(t) - cc * t) - g0 * w)
+                        / (1.0 - w))
+        else:
+            def integrand(t):
+                return (rg * cmath.exp(sm1 * math.log(t) - cc * t)
+                        / (1.0 - zc * math.exp(-t)))
 
     value, err = quad_semiaxis(integrand, tol=0.1 * tol)
     value += closed

@@ -3,9 +3,14 @@
 import cmath
 import math
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from lerchkit import branch_numerics
 from lerchkit.branch_numerics import (EPS, QuadResult, branched_power,
                                       complex_gamma, gamma_rel_error,
                                       principal_log, quad_semiaxis,
@@ -147,6 +152,146 @@ def test_quad_semiaxis_refuses_at_rounding_floor():
     got = quad_semiaxis(f, tol=1e-15)
     assert got.value == 0.0006246096189881585
     assert calls[0] == 7161
+
+
+def _reference_quad(f, tol=1e-12):
+    """quad_semiaxis as it was before the node tables: each node's t and
+    weight computed in place.  The tables must not change a bit."""
+    def term_at(u):
+        emu = math.exp(-u)
+        t = math.exp(u - emu)
+        return 0j if t < 1e-290 else f(t) * (t * (1.0 + emu))
+
+    h, cut = 0.5, min(tol, 1e-13) * 1e-3
+    total = term_at(0.0)
+    scale = mag = abs(total)
+    jmin = jmax = 0
+    for direction in (+1, -1):
+        j, quiet = direction, 0
+        while -9.0 <= j * h <= 12.5 and quiet < 4:
+            term = term_at(j * h)
+            total += term
+            size = abs(term)
+            mag += size
+            scale = max(scale, size)
+            quiet = quiet + 1 if size <= cut * (1.0 + scale) else 0
+            if direction > 0:
+                jmax = j
+            else:
+                jmin = j
+            j += direction
+        if quiet < 4 and abs(term) > tol * (1.0 + scale):
+            raise AccuracyError("integrand not negligible at the quadrature "
+                                "window edge", best=total * h, bound=abs(term))
+    umin, umax, value, was_stalled = jmin * h, jmax * h, total * h, False
+    for level in range(1, 13):
+        h *= 0.5
+        mids, u = 0j, umin + h
+        while u < umax:
+            term = term_at(u)
+            mids += term
+            mag += abs(term)
+            u += 2.0 * h
+        refined = 0.5 * value + h * mids
+        for direction, edge in ((+1, umax), (-1, umin)):
+            u, quiet = edge + direction * h, 0
+            while -9.0 <= u <= 12.5 and quiet < 4:
+                term = term_at(u)
+                refined += h * term
+                size = abs(term)
+                mag += size
+                quiet = quiet + 1 if size <= cut * (1.0 + scale) else 0
+                u += direction * h
+            if direction > 0:
+                umax = max(umax, u - h)
+            else:
+                umin = min(umin, u + h)
+        err = abs(refined - value)
+        value = refined
+        target, floor = tol * (1.0 + abs(value)), EPS * h * mag
+        if err <= target:
+            return QuadResult(value, err + floor)
+        stalled = err <= 16 * floor
+        if target < floor and (floor > 16 * target or stalled and was_stalled):
+            raise AccuracyError(
+                "quadrature reached its rounding floor %.3g at level %d, "
+                "above the tolerance %.3g" % (floor, level, target),
+                best=value, bound=err)
+        was_stalled = stalled
+    raise AccuracyError("quadrature did not converge within 12 levels",
+                        best=value, bound=err)
+
+
+def _quad_outcome(quad, f, tol):
+    """(repr of the result or of the refusal's message, best and bound,
+    integrand calls): repr tells every bit of a float apart."""
+    g, calls = _counted(f)
+    try:
+        got = quad(g, tol)
+    except AccuracyError as exc:
+        got = (str(exc), exc.best, exc.bound)
+    return repr(got), calls[0]
+
+
+def _kernel(t):
+    # a Mellin kernel of the integral route: t^(s-1) e^(-ct) / (1 - z e^-t)
+    return (cmath.exp((-0.5 + 3j) * math.log(t) - (0.5 + 2j) * t)
+            / (1.0 - (0.9 + 0.3j) * math.exp(-t)))
+
+
+QUAD_CASES = {
+    # name: (integrand, tol, integrand calls, refusal message)
+    "level 1": (lambda t: math.exp(-t), 1e-6, 52, None),
+    "level 9": (lambda t: math.exp(-t) * math.cos(80.0 * t), 1e-12, 14_326,
+                None),
+    "mellin kernel": (_kernel, 1e-13, None, None),
+    "floor at level 1": (lambda t: math.exp(-t) * math.cos(40.0 * t), 1e-18,
+                         52, "rounding floor .* level 1,"),
+    "floor at level 9": (lambda t: math.exp(-t) * math.cos(40.0 * t), 2e-17,
+                         None, "rounding floor .* level 9,"),
+    "12 levels": (lambda t: t ** -0.99 * math.exp(-t), 1e-12, 114_636,
+                  "within 12 levels"),
+    "window edge": (lambda t: 1.0 / (1.0 + t), 1e-12, None,
+                    "not negligible at the quadrature window edge"),
+}
+
+
+@pytest.mark.parametrize("name", QUAD_CASES)
+def test_node_tables_change_no_bit(name):
+    # levels 1 to 8 take their nodes from the tables, level 9 on from
+    # _node; either way the sums are the reference's, bit for bit
+    f, tol, calls, refusal = QUAD_CASES[name]
+    got = _quad_outcome(quad_semiaxis, f, tol)
+    assert got == _quad_outcome(_reference_quad, f, tol)
+    assert calls is None or got[1] == calls
+    if refusal is None:
+        assert got[0].startswith("QuadResult(")
+    else:
+        assert re.search(refusal, got[0])
+
+
+def test_node_cache_is_bounded():
+    # the 12-level refusal walks every level; only the shallow ones keep
+    # their nodes
+    with pytest.raises(AccuracyError, match="within 12 levels"):
+        quad_semiaxis(lambda t: t ** -0.99 * math.exp(-t))
+    tables = branch_numerics._tables
+    assert max(tables) == branch_numerics._TABLE_DEPTH < 12
+    size = sum(sys.getsizeof(ts) + sys.getsizeof(ws)
+               for ts, ws in tables.values())
+    assert size <= 256 * 1024
+
+
+def test_no_node_table_at_import():
+    # the tables are built by the first quadrature that needs them, so
+    # importing the package (every CLI command does) builds none
+    src = str(Path(branch_numerics.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import lerchkit.cli; "
+            "from lerchkit import branch_numerics; "
+            "print(len(branch_numerics._tables))" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "0"
 
 
 def test_sum_with_tail_bound_geometric():

@@ -465,6 +465,30 @@ def _box_points(seed, n):
     return [next(gen)[:3] for _ in range(n)]
 
 
+def test_counting_wrapper_changes_nothing(monkeypatch):
+    # the benchmark's trace counts integrand calls by wrapping each
+    # integrand as g(t) = f(t), so quad_semiaxis must hand it one float t.
+    # Through the wrapper phi gives the same values and refusals on 48
+    # `box` points, and makes the 58,022 integrand calls the trapezoid
+    # made before it kept node tables
+    points = _box_points(4, 48)
+
+    def outcomes():
+        seen = []
+        for s, z, c in points:
+            try:
+                got = phi(s, z, c)
+            except AccuracyError as exc:
+                got = (str(exc), exc.best, exc.bound)
+            seen.append(repr(got))
+        return seen
+
+    plain = outcomes()
+    calls = _count_integrand_calls(monkeypatch)
+    assert outcomes() == plain
+    assert calls[0] == 58_022
+
+
 def _meets_small_re_c(s, z, c):
     """True when phi(s, z, c) may dispatch a call with 0 < Re c < 1/16 and
     |z| > 0.75 to the c_shift-first branch: directly, or through one of

@@ -20,6 +20,9 @@ polynomial kernel and the certified series sum each have one home.
   float literal between 1e-17 and 1e-13.
 * The three-term prefactor has one home: ``c_coeff`` is the only
   ``eval_core`` function that calls ``complex_gamma``.
+* The double-exponential map t = exp(u - exp(-u)) has one home:
+  ``branch_numerics._node``, which the quadrature and its node tables
+  share.
 """
 
 import ast
@@ -149,3 +152,46 @@ def test_one_home_for_the_three_term_prefactor():
     callers = [fn.name for fn in tree.body
                if isinstance(fn, ast.FunctionDef) and _calls(fn, "complex_gamma")]
     assert callers == ["c_coeff"], callers
+
+
+def _is_exp(node):
+    return (isinstance(node, ast.Call) and len(node.args) == 1
+            and (isinstance(node.func, ast.Attribute) and node.func.attr == "exp"
+                 or isinstance(node.func, ast.Name) and node.func.id == "exp"))
+
+
+def _exp_of_minus(node):
+    """The name x when node is exp(-x), else None."""
+    if _is_exp(node):
+        arg = node.args[0]
+        if (isinstance(arg, ast.UnaryOp) and isinstance(arg.op, ast.USub)
+                and isinstance(arg.operand, ast.Name)):
+            return arg.operand.id
+    return None
+
+
+def _writes_de_map(fn):
+    """True when fn computes exp(u - exp(-u)), with exp(-u) inline or
+    bound to a name first."""
+    bound = {node.targets[0].id: _exp_of_minus(node.value)
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Assign) and len(node.targets) == 1
+             and isinstance(node.targets[0], ast.Name)}
+    for node in ast.walk(fn):
+        if not (_is_exp(node) and isinstance(node.args[0], ast.BinOp)
+                and isinstance(node.args[0].op, ast.Sub)):
+            continue
+        left, right = node.args[0].left, node.args[0].right
+        inner = _exp_of_minus(right)
+        if inner is None and isinstance(right, ast.Name):
+            inner = bound.get(right.id)
+        if isinstance(left, ast.Name) and inner == left.id:
+            return True
+    return False
+
+
+def test_one_double_exponential_map():
+    homes = ["%s:%s" % (name, fn.name) for name, tree in _modules()
+             for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and _writes_de_map(fn)]
+    assert homes == ["branch_numerics.py:_node"], homes
