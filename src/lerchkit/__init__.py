@@ -16,7 +16,7 @@ from .deformed_polylog import (FuchsianBasis, MonodromyMatrix, WeylOperator,
                                z0_loop, z1_loop)
 from .errors import (AccuracyError, BranchError, DomainError, IdentityViolation,
                      LerchError, PoleError, StratumError, TransportError)
-from .eval_core import (EvalResult, LerchPoint, StratumClass, classify_stratum,
+from .eval_core import (EvalResult, StratumClass, classify_stratum,
                         extended_polylog, hurwitz_zeta, lerch_zeta,
                         periodic_zeta, phi, phi_series)
 from .monodromy import (BranchValue, GeneratorLetter, HomotopyWord,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError", "BivariateRational", "BranchError", "BranchValue",
     "DomainError", "EvalResult", "FuchsianBasis", "GeneratorLetter",
-    "HomotopyWord", "IdentityViolation", "LerchError", "LerchPoint",
+    "HomotopyWord", "IdentityViolation", "LerchError",
     "MonodromyMatrix", "PoleError", "ResidualReport", "StratumClass",
     "StratumError", "SuiteReport", "TransportError", "WeylOperator",
     "basis", "branch_value", "branched_power", "classify_stratum",

@@ -7,11 +7,11 @@ in this order:
 
 series      |z| <= 0.75, Re(c) > 0 (certified tail bound from the ratio
             majorant at the current n, asked for 0.5 tol)
-reflection  Re(s) <= 0, |z| > 0.75, Re(c) not an integer: one signed
-            c_shift into 0 < Re(c) < 1, then the three-term formula in
-            Lerch-zeta coordinates (a = Log z / 2 pi i, semi-principal
-            Log) with the prefactors c_0(s), c_1(s) of ``c_coeff``; its
-            right-hand side lives at s' = 1 - s, Re(s') > 1/2
+reflection  Re(s) <= 0, |z| > 0.75, Re(c) 1e-8 or more from any integer:
+            a signed c-shift into 0 < Re(c') < 1 and the three-term
+            formula in Lerch-zeta coordinates (a = Log z / 2 pi i,
+            semi-principal Log), prefactors c_0(s), c_1(s) of
+            ``c_coeff``; its Phi terms live at Re(1 - s) > 1/2
 c_shift     other Re(c) < 1/16: Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} +
             z^N Phi(s,z,c+N), N = ceil(1 - Re c), pushes Re(c) to 1 or
             above, then re-dispatches (for Re(c) > 0 the integral takes
@@ -38,9 +38,9 @@ EPS (|w| + 4) |e^w| of rounding in its route's estimate
 The integral route (``periodic_zeta`` is z Phi(s, z, 1) on it) asks
 ``quad_semiaxis`` for 0.1 * tol on the integral it returns, 1/Gamma
 included; a target the quadrature cannot reach makes it raise
-``AccuracyError``.  c_shift and reflection ask their inner calls for a
-plain share of tol, and once more for what the measured magnitudes need
-if the combined estimate misses tol (1 + |value|).  The docstrings of
+``AccuracyError``.  c_shift and reflection are one ``_compose`` step
+each: a plain share of tol per inner call, and one retry sized by the
+magnitudes if the estimate misses tol (1 + |value|).  The docstrings of
 ``phi_integral`` (the ladder, the pole subtraction for |z| > 1, the
 estimate) and ``quad_semiaxis`` (the refusal rule) give the details.
 """
@@ -73,7 +73,6 @@ from .errors import AccuracyError, BranchError, DomainError, PoleError, StratumE
 from .special_values import negative_polylog, poly_eval
 
 __all__ = [
-    "LerchPoint",
     "StratumClass",
     "EvalResult",
     "classify_stratum",
@@ -90,19 +89,13 @@ __all__ = [
 
 _2PI = 2.0 * math.pi
 _2PI_I = 2j * math.pi
-
-
-@dataclass(frozen=True)
-class LerchPoint:
-    s: object
-    z: object
-    c: object
+# phi_series gives up on its tail bound after this many terms
+SERIES_MAX_TERMS = 200_000
 
 
 @dataclass(frozen=True)
 class StratumClass:
     tag: str
-    flags: tuple = ()
 
     def __str__(self):
         return self.tag
@@ -122,19 +115,15 @@ def _cplx(x):
     return complex(x)
 
 
-def classify_stratum(p, z=None, c=None):
-    """Stratum tag of a parameter point (LerchPoint or an (s,z,c) triple).
+def classify_stratum(s, z, c):
+    """Stratum tag of a parameter point (s, z, c).
 
     regular / removable_c (c a positive integer) / singular_z0 /
     singular_z1 / singular_zinf / singular_c (c a non-positive integer) /
-    multiple (more than one of the above degenerations at once).
+    multiple (more than one of the above degenerations at once).  The
+    stratum depends on (z, c) only.
     """
-    if isinstance(p, LerchPoint):
-        s_, z_, c_ = p.s, p.z, p.c
-    else:
-        s_, z_, c_ = p, z, c
-    del s_  # the stratum depends only on (z, c)
-    zc = _cplx(z_)
+    zc = _cplx(z)
     flags = []
     if cmath.isinf(zc):
         flags.append("singular_zinf")
@@ -142,14 +131,12 @@ def classify_stratum(p, z=None, c=None):
         flags.append("singular_z0")
     elif zc == 1 or abs(zc - 1) <= INT_TOL:
         flags.append("singular_z1")
-    is_int, n = as_int(c_)
+    is_int, n = as_int(c)
     if is_int:
         flags.append("singular_c" if n <= 0 else "removable_c")
     if not flags:
         return StratumClass("regular")
-    if len(flags) == 1:
-        return StratumClass(flags[0], tuple(flags))
-    return StratumClass("multiple", tuple(flags))
+    return StratumClass(flags[0] if len(flags) == 1 else "multiple")
 
 
 def _guard_cut(z):
@@ -176,7 +163,7 @@ def _series_region(zc, cc):
     return abs(zc) <= 0.75 and cc.real > 0
 
 
-def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
+def phi_series(s, z, c, tol=1e-12):
     """Direct summation of sum z^n (n+c)^{-s} with a certified tail bound.
 
     Works for |z| < 1 and any s (the geometric factor wins eventually);
@@ -207,14 +194,14 @@ def phi_series(s, z, c, tol=1e-12, max_terms=200_000):
             w = -sc * principal_log(cc)
             value = cmath.exp(w)
             return EvalResult(value, "series", _exp_rounding(w, value))
-        return _series_sum(sc, zc, cc, tol, max_terms)
+        return _series_sum(sc, zc, cc, tol)
     except OverflowError:
         raise AccuracyError("a term z^n (n+c)^(-s) of Phi(%s, %s, %s) "
                             "overflows double precision" % (sc, zc, cc),
                             bound=math.inf) from None
 
 
-def _series_sum(sc, zc, cc, tol, max_terms):
+def _series_sum(sc, zc, cc, tol):
     """``phi_series`` past its guards, for 0 < |z| < 1."""
     lz = cmath.log(zc)
     ac = abs(cc)
@@ -230,7 +217,7 @@ def _series_sum(sc, zc, cc, tol, max_terms):
     log = cmath.log
 
     # sum_with_tail_bound asks for bound(n) right after drawing term n,
-    # or at n = last_n + 1 once max_terms are drawn, where
+    # or at n = last_n + 1 once SERIES_MAX_TERMS are drawn, where
     # |t_{n-1}| / (1 - rho(n-1)) bounds the tail as well: the bound
     # reuses the last term's modulus
     last_n, last_abs, rounding = -1, 0.0, 0.0
@@ -259,7 +246,7 @@ def _series_sum(sc, zc, cc, tol, max_terms):
         return last_abs / (1.0 - rho) * (1.0 + 4.0 * EPS)
 
     res = sum_with_tail_bound(terms(), tail_bound, tol=target,
-                              max_terms=max_terms)
+                              max_terms=SERIES_MAX_TERMS)
     return EvalResult(res.value, "series", res.tail_bound + EPS * rounding)
 
 
@@ -403,11 +390,32 @@ def _pole_term(sc, zc, cc, rg):
 
 
 # ---------------------------------------------------------------------------
-# strategy: shift c by an integer
+# identities that re-enter Phi: c_shift and reflection
 # ---------------------------------------------------------------------------
 
-def _shift_c(sc, zc, cc, n, tol, inner_route):
-    """(value, error) of Phi(s,z,c) = head + z^N inner_route(s, z, c+N).
+def _compose(calls, factors, share, tol, combine):
+    """(value, error) = combine(results) of an identity that re-enters Phi.
+
+    Each call maps a tolerance to an ``EvalResult``, whose value enters
+    the identity times its factor; each is asked for share * tol.  If
+    the error misses tol (1 + |value|), each call with
+    |factor| (1 + |result|) > 1 + |value| is asked once more, for
+    share tol (1 + |value|) / (|factor| (1 + |result|)).
+    """
+    budget = share * tol
+    rs = [call(budget) for call in calls]
+    value, err = combine(rs)
+    if err > tol * (1.0 + abs(value)):
+        mag = 1.0 + abs(value)
+        scales = [abs(f) * (1.0 + abs(r.value)) for f, r in zip(factors, rs)]
+        rs = [call(budget * mag / scale) if mag < scale else r
+              for call, r, scale in zip(calls, rs, scales)]
+        value, err = combine(rs)
+    return value, err
+
+
+def _c_shift_head(sc, zc, cc, n):
+    """(head, z^N, rounding) of Phi(s,z,c) = head + z^N Phi(s,z,c+N).
 
     One identity for a shift N of either sign: the head is
     sum_{0<=k<N} z^k (c+k)^{-s} for N >= 0 and
@@ -415,9 +423,7 @@ def _shift_c(sc, zc, cc, n, tol, inner_route):
     N < 0.  The head terms use the principal branched power (some c+k
     may have non-positive real part) e^w, w = -s Log(c+k); each books
     ``_exp_rounding`` and 2 EPS per product, sum or division (at most
-    2|N| + 3) that carries it into the head.  The inner route gets half
-    of tol (all of it for N = 0), and ``_inner_need``'s tolerance once
-    more if the estimate misses tol (1 + |value|).
+    2|N| + 3) that carries it into the head.
     """
     lo = min(n, 0)
     head, zpow, rounding, mag = 0j, 1.0 + 0j, 0.0, 0.0
@@ -436,22 +442,18 @@ def _shift_c(sc, zc, cc, n, tol, inner_route):
         zpow = 1.0 / zpow
         head = -zpow * head
         rounding *= abs(zpow)
-    share, az = (0.5 if n else 1.0), abs(zpow)
-    inner = inner_route(sc, zc, cc + n, tol=share * tol)
-    value = head + zpow * inner.value
-    need = _inner_need(share * tol, value, zpow, inner)
-    if need and az * inner.error_estimate + rounding > tol * (1.0 + abs(value)):
-        inner = inner_route(sc, zc, cc + n, tol=need)
-        value = head + zpow * inner.value
-    return value, az * inner.error_estimate + rounding
+    return head, zpow, rounding
 
 
-def _inner_need(budget, value, factor, inner):
-    """The inner tolerance that holds factor * inner to budget (1 + |value|),
-    or None if that is no tighter than the budget the inner call had."""
-    scale = abs(factor) * (1.0 + abs(inner.value))
-    if 1.0 + abs(value) < scale:
-        return budget * (1.0 + abs(value)) / scale
+def _shift_c(sc, zc, cc, n, tol, inner_route):
+    """(value, error) of Phi(s,z,c) = head + z^N inner_route(s, z, c+N)
+    (``_c_shift_head``): one ``_compose`` step, asking the inner route
+    for half of tol (all of it for N = 0)."""
+    head, zpow, rounding = _c_shift_head(sc, zc, cc, n)
+    return _compose([lambda t: inner_route(sc, zc, cc + n, tol=t)], [zpow],
+                    0.5 if n else 1.0, tol,
+                    lambda rs: (head + zpow * rs[0].value,
+                                abs(zpow) * rs[0].error_estimate + rounding))
 
 
 def phi_c_shift(s, z, c, n_shift, tol=1e-12):
@@ -479,52 +481,47 @@ def c_coeff(n, s):
         * cmath.exp(sign * 1j * math.pi * (1.0 - s) / 2.0)
 
 
-def _three_term(sc, zc, cc, tol):
-    """The three-term transformation formula for Re(s) < 1/2, 0 < Re(c) < 1.
+def _reflect_with_c_normalization(s, z, c, tol):
+    """Phi(s, z, c) = head + z^N Phi(s, z, c') (``_c_shift_head``), where
+    N = -floor(Re c) puts c' = c + N in 0 < Re(c') < 1, and the
+    three-term formula in Lerch-zeta coordinates z = e^{2 pi i a} (a from
+    the semi-principal Log, so 0 <= Re(a) < 1):
 
-    In Lerch-zeta coordinates z = e^{2 pi i a} (a from the semi-principal
-    Log, so 0 <= Re(a) < 1):
+      Phi(s, z, c') = c_0(s) e^{-2 pi i a c'}    Phi(1-s, e^{-2 pi i c'}, a)
+                    + c_1(s) e^{2 pi i c'(1-a)}  Phi(1-s, e^{2 pi i c'}, 1-a)
 
-      Phi(s, z, c) = c_0(s) e^{-2 pi i a c}    Phi(1-s, e^{-2 pi i c}, a)
-                   + c_1(s) e^{2 pi i c(1-a)}  Phi(1-s, e^{2 pi i c}, 1-a)
-
-    with the coefficients c_n of ``c_coeff``, so both inner evaluations
-    live at Re(1-s) > 1/2 and are handled by the series/integral/c-shift
-    strategies (for z on (0,1), Re(a) = 0 and the inner dispatch goes
-    through c_shift) at a quarter of tol each, retried as in ``_shift_c``.
-    The estimate counts the error of Gamma(1-s) (``gamma_rel_error``) and
-    the rounding of forming the two products and their sum (below).
+    with the coefficients c_n of ``c_coeff``, for Re(s) <= 0.  The two
+    inner ``phi`` calls live at Re(1-s) > 1/2 and are one ``_compose``
+    step, asked first for tol/8 each (tol/4 for N = 0).  The estimate
+    counts the error of Gamma(1-s) (``gamma_rel_error``) and the
+    rounding of the head, the two products and their sum (below).
     """
-    sp = 1.0 - sc
+    sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
+    n = -math.floor(cc.real)
+    head, zpow, head_rounding = _c_shift_head(sc, zc, cc, n)
+    cn, sp = cc + n, 1.0 - sc
     a = semi_principal_log(zc) / _2PI_I
-    w1, w2 = -_2PI_I * a * cc, _2PI_I * cc * (1.0 - a)
+    w1, w2 = -_2PI_I * a * cn, _2PI_I * cn * (1.0 - a)
     p1 = c_coeff(0, sc) * cmath.exp(w1)
     p2 = c_coeff(1, sc) * cmath.exp(w2)
     # t_i is Gamma(1-s) r_i times three factors e^w, c_n's two with |w|
     # summing to |1-s| (log 2 pi + pi/2): EPS (|w| + 4) per factor as in
     # _exp_rounding, 2 EPS each for the product with r_i and the sum, 16
     wc = abs(sp) * (math.log(_2PI) + 0.5 * math.pi) + 16.0
-    args = [(sp, cmath.exp(-_2PI_I * cc), a),
-            (sp, cmath.exp(_2PI_I * cc), 1.0 - a)]
-    rs = [phi(*arg, tol=0.25 * tol) for arg in args]
-    for retry in (True, False):
+    args = [(sp, cmath.exp(-_2PI_I * cn), a),
+            (sp, cmath.exp(_2PI_I * cn), 1.0 - a)]
+
+    def combine(rs):
         t1, t2 = p1 * rs[0].value, p2 * rs[1].value
-        value = t1 + t2
+        inner = t1 + t2
         rounding = EPS * ((wc + abs(w1)) * abs(t1) + (wc + abs(w2)) * abs(t2))
         err = (abs(p1) * rs[0].error_estimate + abs(p2) * rs[1].error_estimate
-               + gamma_rel_error(sp) * abs(value) + rounding)
-        if not retry or err <= tol * (1.0 + abs(value)):
-            break
-        needs = [_inner_need(0.25 * tol, value, p, r) for p, r in zip((p1, p2), rs)]
-        rs = [phi(*arg, tol=nd) if nd else r for arg, r, nd in zip(args, rs, needs)]
-    return EvalResult(value, "reflection", err)
+               + gamma_rel_error(sp) * abs(inner) + rounding)
+        return head + zpow * inner, abs(zpow) * err + head_rounding
 
-
-def _reflect_with_c_normalization(s, z, c, tol):
-    """Bring Re(c) into (0,1) by one signed integer shift N = -floor(Re c)
-    through ``_shift_c``, with ``_three_term`` as the inner route."""
-    sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
-    value, err = _shift_c(sc, zc, cc, -math.floor(cc.real), tol, _three_term)
+    calls = [lambda t, arg=arg: phi(*arg, tol=t) for arg in args]
+    value, err = _compose(calls, [zpow * p1, zpow * p2],
+                          0.125 if n else 0.25, tol, combine)
     return EvalResult(value, "reflection", err)
 
 
@@ -591,14 +588,15 @@ def phi(s, z, c, tol=1e-12):
 
     Route order: exact rational short-circuit (integer s <= 0, rational
     z and c); series for |z| <= 0.75 with Re(c) > 0; reflection for
-    Re(s) <= 0, |z| > 0.75 and Re(c) not an integer (one signed shift of
-    c into 0 < Re(c) < 1, then the three-term formula); c_shift by
-    N = ceil(1 - Re c) for the other Re(c) < 1/16, so a small positive
-    Re(c), whose slowly decaying e^{-ct} often made the integral refuse,
-    takes one shift up (and the integral only if that shift refuses);
-    integral for the rest.  Non-finite s or c and NaN z raise DomainError
-    before any route runs (z = oo is the singular_zinf stratum), singular
-    strata raise StratumError, the cut [1, oo) raises BranchError.
+    Re(s) <= 0, |z| > 0.75 and Re(c) 1e-8 or more from any integer (one
+    signed shift of c into 0 < Re(c) < 1 and the three-term formula);
+    c_shift by N = ceil(1 - Re c) for the other Re(c) < 1/16, so a small
+    positive Re(c), whose slowly decaying e^{-ct} often made the integral
+    refuse, takes one shift up (and the integral only if that shift
+    refuses); integral for the rest.  Non-finite s or c and NaN z raise
+    DomainError before any route runs (z = oo is the singular_zinf
+    stratum), singular strata raise StratumError, the cut [1, oo) raises
+    BranchError.
     """
     exact = _exact_rational_case(s, z, c)
     if exact is not None:
@@ -623,18 +621,18 @@ def phi(s, z, c, tol=1e-12):
             stratum="singular_c")
     if _series_region(zc, cc):
         return phi_series(sc, zc, cc, tol=tol)
-    if sc.real <= 0 and abs(zc) > 0.75 and not as_int(cc.real)[0]:
+    # next to an integer Re c the reflection meets c + k = 0 or an inner z = 1
+    if sc.real <= 0 and abs(zc) > 0.75 and NEAR <= cc.real % 1.0 <= 1.0 - NEAR:
         _guard_cut(zc)  # raises BranchError on [1, oo)
         return _reflect_with_c_normalization(sc, zc, cc, tol)
-    if cc.real <= 0:
-        return phi_c_shift(sc, zc, cc, math.ceil(1.0 - cc.real), tol=tol)
     if cc.real < 0.0625:
-        # the slow decay of e^{-ct} often keeps the integral from its
-        # target, so the shift goes first; the integral takes what it refuses
+        # the slow decay of e^{-ct} at 0 < Re c < 1/16 often keeps the
+        # integral from its target; it takes what the shift refuses
         try:
-            return phi_c_shift(sc, zc, cc, 1, tol=tol)
+            return phi_c_shift(sc, zc, cc, math.ceil(1.0 - cc.real), tol=tol)
         except AccuracyError:
-            pass
+            if cc.real <= 0:
+                raise
     # now Re(c) > 0, |z| > 0.75; phi_integral guards the cut
     return phi_integral(sc, zc, cc, tol=tol)
 

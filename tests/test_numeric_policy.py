@@ -18,6 +18,9 @@ polynomial kernel and the certified series sum each have one home.
   ``periodic_zeta`` (z Phi(s, z, 1)) both reach it.
 * ``eval_core`` takes every rounding bound from ``EPS``: it holds no
   float literal between 1e-17 and 1e-13.
+* ``eval_core`` has one retry rule for the identities that re-enter
+  Phi: only ``_compose`` compares a combined estimate with
+  ``tol * (1.0 + abs(...))``.
 * The three-term prefactor has one home: ``c_coeff`` is the only
   ``eval_core`` function that calls ``complex_gamma``.
 * The double-exponential map t = exp(u - exp(-u)) has one home:
@@ -135,6 +138,27 @@ def test_one_mellin_integral():
     users = [fn.name for fn in tree.body
              if isinstance(fn, ast.FunctionDef) and _calls(fn, "_mellin")]
     assert users == ["phi_integral", "periodic_zeta"], users
+
+
+def _is_tol_scale(node):
+    """True when node is tol * (1.0 + abs(...))."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Name) and node.left.id == "tol"
+            and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.op, ast.Add)
+            and isinstance(node.right.left, ast.Constant)
+            and node.right.left.value == 1.0
+            and _calls(node.right.right, "abs"))
+
+
+def test_one_retry_rule():
+    tree = ast.parse((SRC / "eval_core.py").read_text())
+    homes = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+             and any(isinstance(cmp, ast.Compare)
+                     and any(_is_tol_scale(side)
+                             for side in [cmp.left] + cmp.comparators)
+                     for cmp in ast.walk(fn))]
+    assert homes == ["_compose"], homes
 
 
 def test_rounding_bounds_come_from_eps():
