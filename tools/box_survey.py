@@ -1,13 +1,13 @@
 """Survey ``phi`` over the first N `box` points of some seeds, by route.
 
-    python tools/box_survey.py [--n 512] [--seeds 1,2,3] [--tol 1e-12]
-                               [--src SRC] [--against OTHER_SRC]
+    python tools/box_survey.py [--n 512] [--seeds 1,2,3] [--against OTHER_SRC]
 
-Calls ``eval_core.phi`` in process on ``bench/workloads.box_points`` and
-prints, per route (or error type), the points, the inner ``phi`` calls
-and the integrand calls.  --against surveys a second checkout's ``src``
-as well and lists each point whose outcome differs: value, estimate and
-method, or error type, message, ``best`` and ``bound``.
+Calls ``eval_core.phi`` of this checkout's ``src`` at tol = 1e-12, in
+process, on ``bench/workloads.box_points``, and prints per route (or
+error type) the points, the inner ``phi`` calls and the integrand calls.
+--against surveys a second checkout's ``src`` as well and lists each point
+whose outcome differs: value, estimate and method, or error type,
+message, ``best`` and ``bound``.
 """
 import argparse
 import importlib
@@ -15,12 +15,13 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TOL = 1e-12
 sys.dont_write_bytecode = True  # leave no cache files beside bench/
 sys.path.insert(0, str(ROOT / "bench"))
 from workloads import box_points  # noqa: E402
 
 
-def survey(src, args):
+def survey(src, n, seeds):
     """[(seed, i, outcome, inner phi calls, integrand calls)] under src."""
     for name in [m for m in sys.modules if m.split(".")[0] == "lerchkit"]:
         del sys.modules[name]
@@ -37,12 +38,12 @@ def survey(src, args):
         return wrapped
     ec.phi = counted(ec.phi, 0)
     ec.quad_semiaxis = lambda f, *a, **kw: quad(counted(f, 1), *a, **kw)
-    for seed in args.seeds:
+    for seed in seeds:
         points = box_points(seed)
-        for i in range(args.n):
+        for i in range(n):
             calls[:] = [-1, 0]  # the outer call is not an inner one
             try:
-                r = ec.phi(*next(points)[:3], tol=args.tol)
+                r = ec.phi(*next(points)[:3], tol=TOL)
                 out = (r.method, repr(r.value), repr(r.error_estimate))
             except errors.LerchError as e:
                 out = (type(e).__name__, str(e), repr(getattr(e, "best", None)),
@@ -55,13 +56,11 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=512)
     ap.add_argument("--seeds", default="1,2,3")
-    ap.add_argument("--tol", type=float, default=1e-12)
-    ap.add_argument("--src", default=str(ROOT / "src"))
     ap.add_argument("--against")
     args = ap.parse_args()
-    args.seeds = [int(x) for x in args.seeds.split(",")]
-    srcs = [src for src in (args.src, args.against) if src]
-    runs = [survey(src, args) for src in srcs]
+    seeds = [int(x) for x in args.seeds.split(",")]
+    srcs = [ROOT / "src"] + ([args.against] if args.against else [])
+    runs = [survey(src, args.n, seeds) for src in srcs]
     for src, rows in zip(srcs, runs):
         print("%s: %d points" % (src, len(rows)))
         for route in sorted({row[2][0] for row in rows}):
