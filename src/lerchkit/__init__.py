@@ -6,14 +6,18 @@ closed-form monodromy over homotopy words, exact rational values at
 non-positive integer s, the c-deformed polylogarithm Fuchsian ODE with
 its monodromy representation, and residual checks for the differential
 and reflection identities the family satisfies.
+
+The names of ``deformed_polylog`` and ``verify`` load their module on
+first access, so ``import lerchkit`` (and every CLI command that needs
+neither) skips both.  ``monodromy`` stays eager: the package attribute
+``lerchkit.monodromy`` is the function, and a lazy load of the
+submodule would rebind it to the module.
 """
+
+import importlib
 
 from .branch_numerics import (branched_power, complex_gamma, principal_log,
                               reciprocal_gamma, semi_principal_log)
-from .deformed_polylog import (FuchsianBasis, MonodromyMatrix, WeylOperator,
-                               basis, li_star, numeric_transport, rho,
-                               rho_word, unipotency_class, weyl_expand,
-                               z0_loop, z1_loop)
 from .errors import (AccuracyError, BranchError, DomainError, IdentityViolation,
                      LerchError, PoleError, StratumError, TransportError)
 from .eval_core import (EvalResult, StratumClass, classify_stratum,
@@ -25,7 +29,6 @@ from .monodromy import (BranchValue, GeneratorLetter, HomotopyWord,
                         z_profile)
 from .special_values import (BivariateRational, egf_check, laurent_coeffs,
                              negative_polylog, q_ratio, r_poly)
-from .verify import ResidualReport, SuiteReport, run_suite
 
 __version__ = "0.1.0"
 
@@ -44,3 +47,23 @@ __all__ = [
     "rho_word", "run_suite", "semi_principal_log", "unipotency_class",
     "weyl_expand", "z0_loop", "z1_loop", "z_profile",
 ]
+
+_LAZY = {
+    **dict.fromkeys(("FuchsianBasis", "MonodromyMatrix", "WeylOperator",
+                     "basis", "li_star", "numeric_transport", "rho",
+                     "rho_word", "unipotency_class", "weyl_expand",
+                     "z0_loop", "z1_loop"), "deformed_polylog"),
+    **dict.fromkeys(("ResidualReport", "SuiteReport", "run_suite"), "verify"),
+}
+
+
+def __getattr__(name):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    return getattr(importlib.import_module("." + home, __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

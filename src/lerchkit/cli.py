@@ -13,19 +13,16 @@ a top-level ``"schema": "lerch-kit/1"``.
 """
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
 
-from .deformed_polylog import li_star, rho, unipotency_class, weyl_expand
 from .errors import (AccuracyError, BranchError, DomainError, LerchError,
                      TransportError)
 from .eval_core import (classify_stratum, extended_polylog, periodic_zeta,
                         phi)
 from .monodromy import branch_value, monodromy_Z_conj, parse_word
 from .special_values import laurent_coeffs, negative_polylog, r_poly
-from .verify import SUITE_NAMES, run_suite
 
 SCHEMA = "lerch-kit/1"
 
@@ -63,7 +60,7 @@ def parse_number(text):
     if "/" in t:
         try:
             return Fraction(t), True
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     try:
         return float(t), False
@@ -89,11 +86,6 @@ def _fmt_complex(v):
 def _cpair(v):
     v = complex(v)
     return [v.real, v.imag]
-
-
-def _mat_pairs(entries):
-    return [[_cpair(entries[i, j]) for j in range(entries.shape[1])]
-            for i in range(entries.shape[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +180,7 @@ def cmd_special(args):
 
 
 def cmd_ode(args):
+    from .deformed_polylog import rho_rows, unipotency_class, weyl_expand
     c, _ = parse_number(args.c)
     want_all = not (args.matrices or args.coeffs or args.klass)
     payload = {"schema": SCHEMA, "command": "ode", "m": args.m, "c": args.c}
@@ -197,11 +190,10 @@ def cmd_ode(args):
             {"k": k, "alpha": list(a.coeffs), "beta": list(b.coeffs)}
             for k, (a, b) in enumerate(op.entries)]
     if args.matrices or want_all:
-        r0 = rho("Z0", args.m, c)
-        r1 = rho("Z1", args.m, c)
-        payload["basis_kind"] = r0.kind
-        payload["rho_Z0"] = _mat_pairs(r0.entries)
-        payload["rho_Z1"] = _mat_pairs(r1.entries)
+        for gen in ("Z0", "Z1"):
+            rows, _, kind = rho_rows(gen, args.m, c)
+            payload["basis_kind"] = kind
+            payload["rho_" + gen] = [[_cpair(v) for v in row] for row in rows]
     if args.klass or want_all:
         payload["class"] = unipotency_class(args.m, c)
     if args.json:
@@ -226,6 +218,11 @@ def cmd_ode(args):
 
 
 def cmd_verify(args):
+    from .verify import SUITE_NAMES, run_suite
+    if args.suite not in SUITE_NAMES:
+        args.usage_error("argument --suite: invalid choice: %r "
+                         "(choose from %s)"
+                         % (args.suite, ", ".join(map(repr, SUITE_NAMES))))
     rep = run_suite(args.suite, tol=args.tol)
     if args.json:
         print(json.dumps({"schema": SCHEMA, "command": "verify",
@@ -303,6 +300,7 @@ def _eval_expr(expr, p, tol):
         r = periodic_zeta(p["a"], p["s"], tol=tol)
         return r.value, r.method, r.error_estimate
     if expr == "li_star":
+        from .deformed_polylog import li_star
         v = li_star(_as_index(p["m"]), _as_index(p["k"]), p["z"], tol=tol)
         return v, "closed_form", tol
     if expr == "monodromy-term":
@@ -312,6 +310,7 @@ def _eval_expr(expr, p, tol):
 
 
 def cmd_sweep(args):
+    import csv
     var, values = _parse_grid(args.grid)
     needed = _SWEEP_PARAMS[args.expr]
     if var not in needed:
@@ -437,10 +436,12 @@ def build_parser():
     od.set_defaults(func=cmd_ode)
 
     ve = sub.add_parser("verify", help="run an identity suite")
-    ve.add_argument("--suite", required=True, choices=SUITE_NAMES)
+    ve.add_argument("--suite", required=True,
+                    help="identity suite, or all; an unknown name lists "
+                         "the suites")
     ve.add_argument("--tol", type=float, default=None)
     ve.add_argument("--json", action="store_true")
-    ve.set_defaults(func=cmd_verify)
+    ve.set_defaults(func=cmd_verify, usage_error=ve.error)
 
     sw = sub.add_parser("sweep", help="evaluate on a grid, CSV/JSON output")
     sw.add_argument("--expr", required=True, choices=sorted(_SWEEP_PARAMS))

@@ -27,8 +27,10 @@ into one linear recurrence for the Taylor coefficients, built once and
 applied to all m+1 frame columns; its index pattern and factorials
 depend only on (n_taylor, m) and are cached.  A step is accepted when
 the two dropped Horner terms (the full jet minus the two-orders-lower
-one) are below the tolerance.  numpy is imported only where a matrix is
-built (rho, rho_word, numeric_transport), not with the module.
+one) are below the tolerance.  numpy is imported only where an array is
+built or used (rho, rho_word, numeric_transport, MonodromyMatrix.det),
+not with the module; rho_rows gives rho's entries as plain rows, which
+is all the `ode` command prints.
 """
 
 import cmath
@@ -59,6 +61,7 @@ __all__ = [
     "basis",
     "basis_series",
     "rho",
+    "rho_rows",
     "rho_word",
     "numeric_transport",
     "z0_loop",
@@ -364,14 +367,34 @@ class MonodromyMatrix:
 
 
 def _pascal_band(n, w):
-    """Upper-triangular band with w^d/d! on the d-th superdiagonal."""
-    import numpy as np
-    mat = np.zeros((n, n), dtype=complex)
-    for d in range(n):
-        val = w ** d / math.factorial(d)
-        for i in range(n - d):
-            mat[i, i + d] = val
-    return mat
+    """Rows of the upper-triangular band with w^d/d! on the d-th
+    superdiagonal."""
+    band = [w ** d / math.factorial(d) for d in range(n)]
+    return [[band[j - i] if j >= i else 0j for j in range(n)]
+            for i in range(n)]
+
+
+def rho_rows(generator, m, c, inverse=False):
+    """The matrix of ``rho`` as rows of Python complex numbers, with its
+    label and basis kind; builds no array."""
+    if m < 1:
+        raise DomainError("rho wants m >= 1")
+    n = m + 1
+    w = -_2PI_I if inverse else _2PI_I
+    singular, _ = _singular_c(c)
+    kind = "singular" if singular else "regular"
+    if generator == "Z1":
+        rows = [[complex(i == j) for j in range(n)] for i in range(n)]
+        rows[0][1] = -w
+    elif generator != "Z0":
+        raise DomainError("generator must be Z0 or Z1")
+    elif singular:
+        rows = _pascal_band(n, w)
+    else:
+        phase = _unit_phase(c, inverse)
+        rows = [[1.0 + 0j] + [0j] * m]
+        rows += [[0j] + [phase * v for v in row] for row in _pascal_band(m, w)]
+    return rows, generator + ("^-1" if inverse else ""), kind
 
 
 def rho(generator, m, c, inverse=False):
@@ -384,26 +407,8 @@ def rho(generator, m, c, inverse=False):
     first row as well.  Z1 is I - 2 pi i E_{12} on both strata.
     """
     import numpy as np
-    if m < 1:
-        raise DomainError("rho wants m >= 1")
-    n = m + 1
-    w = -_2PI_I if inverse else _2PI_I
-    singular, _ = _singular_c(c)
-    if generator == "Z1":
-        mat = np.eye(n, dtype=complex)
-        mat[0, 1] = -w
-        return MonodromyMatrix(mat, "Z1" if not inverse else "Z1^-1",
-                               "singular" if singular else "regular")
-    if generator != "Z0":
-        raise DomainError("generator must be Z0 or Z1")
-    if singular:
-        mat = _pascal_band(n, w)
-        return MonodromyMatrix(mat, "Z0" if not inverse else "Z0^-1",
-                               "singular")
-    mat = np.zeros((n, n), dtype=complex)
-    mat[0, 0] = 1.0
-    mat[1:, 1:] = _unit_phase(c, inverse) * _pascal_band(m, w)
-    return MonodromyMatrix(mat, "Z0" if not inverse else "Z0^-1", "regular")
+    rows, label, kind = rho_rows(generator, m, c, inverse)
+    return MonodromyMatrix(np.array(rows, dtype=complex), label, kind)
 
 
 def _unit_phase(c, inverse):

@@ -36,6 +36,8 @@ def test_parse_number_types():
     assert parse_number("0.5j") == (0.5j, False)
     with pytest.raises(ValueError):
         parse_number("zebra")
+    with pytest.raises(ValueError, match="cannot parse number '1/0'"):
+        parse_number("1/0")
 
 
 def test_parse_grid_exact():
@@ -98,6 +100,17 @@ def test_eval_exit_codes(capsys):
     assert code == 4                             # on the cut [1, inf)
     code, _, err = run(capsys, "eval", "--s", "x", "--z", "1/2", "--c", "1")
     assert code == 1                             # unparseable number
+
+
+def test_zero_denominator_is_one_error_line(capsys):
+    code, out, err = run(capsys, "eval", "--s", "2", "--z=1/0", "--c", "1")
+    assert (code, out) == (1, "")
+    assert err == ("lerch-kit: error: cannot parse number '1/0' (want int, "
+                   "p/q, decimal or re+im i)\n")
+    code, out, err = run(capsys, "sweep", "--expr", "phi",
+                         "--grid=z=0:1/0:3", "--s", "2", "--c", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "cannot parse number '1/0'" in err
 
 
 def test_usage_error_exits_one(capsys):
@@ -202,6 +215,41 @@ def test_ode_coeffs_and_class(capsys):
     assert rows[2]["alpha"] == [-1] and rows[2]["beta"] == [1]
 
 
+ODE_M2_C45 = {
+    "schema": "lerch-kit/1", "command": "ode", "m": 2, "c": "4/5",
+    "coeffs": [{"k": 0, "alpha": [0], "beta": [-1, 2, -1]},
+               {"k": 1, "alpha": [0, 0, -1], "beta": [1, -2, 1]},
+               {"k": 2, "alpha": [-1, -2], "beta": [0, 2]},
+               {"k": 3, "alpha": [-1], "beta": [1]}],
+    "basis_kind": "regular",
+    "rho_Z0": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+               [[0.0, 0.0], [0.30901699437494745, 0.9510565162951535],
+                [-5.975664329483111, 1.9416110387254666]],
+               [[0.0, 0.0], [0.0, 0.0],
+                [0.30901699437494745, 0.9510565162951535]]],
+    "rho_Z1": [[[1.0, 0.0], [0.0, -6.283185307179586], [0.0, 0.0]],
+               [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+               [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
+    "class": "quasi-unipotent",
+}
+
+
+@pytest.mark.parametrize("flags, keys", [
+    ((), ("coeffs", "basis_kind", "rho_Z0", "rho_Z1", "class")),
+    (("--matrices",), ("basis_kind", "rho_Z0", "rho_Z1")),
+    (("--coeffs",), ("coeffs",)),
+    (("--class",), ("class",)),
+    (("--matrices", "--coeffs", "--class"),
+     ("coeffs", "basis_kind", "rho_Z0", "rho_Z1", "class")),
+])
+def test_ode_json_payload_is_pinned(capsys, flags, keys):
+    code, out, _ = run(capsys, "ode", "--m", "2", "--c", "4/5", *flags,
+                       "--json")
+    assert code == 0
+    head = ("schema", "command", "m", "c")
+    assert json.loads(out) == {k: ODE_M2_C45[k] for k in head + keys}
+
+
 def test_ode_text_output(capsys):
     code, out, _ = run(capsys, "ode", "--m", "1", "--c", "1", "--matrices")
     assert code == 0
@@ -231,6 +279,10 @@ def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])
     assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert ("lerch-kit verify: error: argument --suite: invalid choice: "
+            "'bogus' (choose from 'ladders', 'pde', ") in err
+    assert "'monodromy_vanishing', 'all')" in err
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +408,29 @@ def test_tol_flag_reaches_phi_and_env_is_ignored(capsys, monkeypatch):
     assert seen == [1e-6, 1e-12]
 
 
-def test_cli_import_leaves_numpy_out():
-    # numpy is imported only when a monodromy matrix is built, so a
-    # fresh interpreter that imports the CLI must not have loaded it
+def _fresh_modules(statements):
+    """The lerchkit and numpy modules a fresh interpreter holds after
+    running `statements`."""
     src = os.path.dirname(os.path.dirname(lerchkit.__file__))
-    code = ("import sys; sys.path.insert(0, %r); import lerchkit.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'numpy'))" % src)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    assert out.strip() == "[]"
+    code = ("import sys; sys.path.insert(0, %r); %s; "
+            "print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('lerchkit', 'numpy')), file=sys.stderr)"
+            % (src, statements))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    return proc.stdout, proc.stderr.split()
+
+
+def test_cli_import_leaves_numpy_out():
+    # the CLI loads the five core modules only; numpy is imported only
+    # when an array is built, so neither the import nor `ode` loads it
+    _, mods = _fresh_modules("import lerchkit.cli")
+    assert mods == ["lerchkit"] + ["lerchkit." + m for m in (
+        "branch_numerics", "cli", "errors", "eval_core", "monodromy",
+        "special_values")]
+    out, mods = _fresh_modules(
+        "from lerchkit import cli; cli.main(['ode', '--m=2', '--c=4/5', "
+        "'--matrices', '--coeffs', '--class', '--json'])")
+    assert json.loads(out) == ODE_M2_C45
+    assert "lerchkit.deformed_polylog" in mods
+    assert not [m for m in mods if m.split(".")[0] == "numpy"]

@@ -138,6 +138,48 @@ def test_li_star_matches_its_series_in_the_disk():
 # closed-form monodromy matrices
 # ---------------------------------------------------------------------------
 
+def _rho_reference(gen, m, c, inverse):
+    """rho's rows from the closed forms: I - w E_{12} for Z1, the Pascal
+    band of w for Z0 at c in Z_{<=0}, else 1 (+) e^{-/+ 2 pi i c} times
+    the band of size m, with w = +/- 2 pi i."""
+    n = m + 1
+    w = -TWO_PI_I if inverse else TWO_PI_I
+    if gen == "Z1":
+        rows = [[complex(i == j) for j in range(n)] for i in range(n)]
+        rows[0][1] = -w
+        return rows
+    sign = 1 if inverse else -1
+    if c in (0, -2):
+        phase, lo = 1, 0
+    else:
+        lo = 1
+        # e^{-2 pi i / 4} = -i exactly; else e^{2 pi Im c} e^{-2 pi i Re c}
+        phase = (sign * 1j if c == Fraction(1, 4) else
+                 cmath.exp(complex(-sign * 2 * math.pi * complex(c).imag,
+                                   sign * 2 * math.pi * complex(c).real)))
+    rows = [[0j] * n for _ in range(n)]
+    rows[0][0] = 1
+    for i in range(lo, n):
+        for j in range(i, n):
+            rows[i][j] = phase * (w ** (j - i) / math.factorial(j - i))
+    return rows
+
+
+@pytest.mark.parametrize("c", [0.3, 0.3 + 0.2j, Fraction(1, 4), 0, -2])
+def test_rho_equals_the_closed_form_rows_exactly(c):
+    for m in range(1, 7):
+        for gen in ("Z0", "Z1"):
+            for inverse in (False, True):
+                want = _rho_reference(gen, m, c, inverse)
+                got = rho(gen, m, c, inverse)
+                assert got.entries.tolist() == want, (m, gen, inverse)
+                rows, label, kind = deformed_polylog.rho_rows(gen, m, c,
+                                                              inverse)
+                assert rows == want
+                assert (label, kind) == (got.generator, got.kind)
+                assert kind == ("singular" if c in (0, -2) else "regular")
+
+
 def test_rho_z0_is_identity_at_c_one():
     mat = rho("Z0", 1, 1).entries
     assert np.array_equal(mat, np.eye(2, dtype=complex))  # exact

@@ -1,0 +1,47 @@
+"""The package namespace: every exported name, loaded eagerly or on
+first use, is the object its home module defines."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import lerchkit
+
+
+def test_every_exported_name_is_the_home_object():
+    for name in lerchkit.__all__:
+        obj = getattr(lerchkit, name)
+        home = obj.__module__
+        assert home.startswith("lerchkit."), name
+        assert getattr(sys.modules[home], name) is obj, name
+    assert set(lerchkit.__all__) <= set(dir(lerchkit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lerchkit.no_such_name
+
+
+def test_star_import_binds_every_exported_name():
+    ns = {}
+    exec("from lerchkit import *", ns)
+    assert {k for k in ns if k != "__builtins__"} == set(lerchkit.__all__)
+    assert all(ns[k] is getattr(lerchkit, k) for k in lerchkit.__all__)
+
+
+@pytest.mark.parametrize("statements", [
+    "import lerchkit.verify",
+    "import lerchkit.deformed_polylog",
+    "import lerchkit.cli",
+    "import lerchkit; lerchkit.rho; lerchkit.run_suite",
+])
+def test_monodromy_attribute_stays_the_function(statements):
+    # importing a submodule sets it as a package attribute; `monodromy`
+    # names both a submodule and its function, and the package keeps
+    # the function
+    src = os.path.dirname(os.path.dirname(lerchkit.__file__))
+    code = ("import sys; sys.path.insert(0, %r); %s; import lerchkit; "
+            "print(lerchkit.monodromy is "
+            "sys.modules['lerchkit.monodromy'].monodromy)" % (src, statements))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "True"
