@@ -27,10 +27,12 @@ into one linear recurrence for the Taylor coefficients, built once and
 applied to all m+1 frame columns; its index pattern and factorials
 depend only on (n_taylor, m) and are cached.  A step is accepted when
 the two dropped Horner terms (the full jet minus the two-orders-lower
-one) are below the tolerance.  numpy is imported only where an array is
-built or used (rho, rho_word, numeric_transport, MonodromyMatrix.det),
-not with the module; rho_rows gives rho's entries as plain rows, which
-is all the `ode` command prints.
+one) are below the tolerance.
+
+Matrices are tuples of rows of Python complex numbers, multiplied,
+factored and solved by one small LU kernel with partial pivoting.  Only
+``MonodromyMatrix.entries`` builds an array, on first read, and it is the
+one place this package imports numpy.
 """
 
 import cmath
@@ -312,6 +314,10 @@ def _singular_c(c):
     return is_int and n <= 0, n
 
 
+def _basis_kind(c):
+    return "singular" if _singular_c(c)[0] else "regular"
+
+
 @dataclass(frozen=True)
 class FuchsianBasis:
     m: int
@@ -348,22 +354,96 @@ def basis_series(fb, order):
 
 
 # ---------------------------------------------------------------------------
+# small complex matrices: tuples of rows, one LU kernel
+# ---------------------------------------------------------------------------
+
+def _lu(a):
+    """LU factorisation with partial pivoting of the square matrix `a`.
+
+    Returns (lu, perm, sign): P a = L U with L unit lower and U upper
+    triangular, both packed into the rows `lu`; row i of P a is row
+    perm[i] of a, and sign = det P.  A column with no nonzero pivot is
+    skipped, which leaves a zero on the diagonal of U.
+    """
+    lu = [list(row) for row in a]
+    n = len(lu)
+    perm, sign = list(range(n)), 1
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(lu[i][k]))
+        if p != k:
+            lu[k], lu[p] = lu[p], lu[k]
+            perm[k], perm[p] = perm[p], perm[k]
+            sign = -sign
+        pivot = lu[k][k]
+        if pivot == 0:
+            continue
+        top = lu[k]
+        for row in lu[k + 1:]:
+            f = row[k] = row[k] / pivot
+            for j in range(k + 1, n):
+                row[j] -= f * top[j]
+    return lu, perm, sign
+
+
+def _lu_solve(fac, b):
+    """The x with a x = b, from fac = _lu(a) of a nonsingular a."""
+    lu, perm, _ = fac
+    n = len(lu)
+    x = [b[p] for p in perm]
+    for i in range(1, n):
+        x[i] -= sum(map(operator.mul, lu[i][:i], x[:i]))
+    for i in range(n - 1, -1, -1):
+        row = lu[i]
+        x[i] = (x[i] - sum(map(operator.mul, row[i + 1:], x[i + 1:]))) / row[i]
+    return x
+
+
+def _cond1(a, fac):
+    """kappa_1 = |a|_1 |a^-1|_1 from fac = _lu(a), inf for singular a."""
+    lu = fac[0]
+    n = len(lu)
+    if any(lu[i][i] == 0 for i in range(n)):
+        return math.inf
+    inverse = [_lu_solve(fac, [float(i == j) for i in range(n)])
+               for j in range(n)]  # its columns
+
+    def norm1(cols):
+        return max(sum(map(abs, col)) for col in cols)
+    return norm1(zip(*a)) * norm1(inverse)
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
+                 for row in a)
+
+
+# ---------------------------------------------------------------------------
 # closed-form monodromy matrices
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class MonodromyMatrix:
-    entries: object          # (m+1) x (m+1) ndarray
+    rows: tuple              # m+1 tuples of m+1 Python complex numbers
     generator: str           # "Z0", "Z1", word text, or "transport"
     kind: str                # basis kind the matrix acts on
 
     @property
     def m(self):
-        return self.entries.shape[0] - 1
+        return len(self.rows) - 1
+
+    @functools.cached_property
+    def entries(self):
+        """`rows` as a read-only (m+1) x (m+1) complex ndarray, built on
+        first read and kept; the only numpy import in the package."""
+        import numpy as np
+        arr = np.array(self.rows, dtype=complex)
+        arr.flags.writeable = False
+        return arr
 
     def det(self):
-        import numpy as np
-        return complex(np.linalg.det(self.entries))
+        lu, _, sign = _lu(self.rows)
+        return complex(sign * math.prod(lu[i][i] for i in range(len(lu))))
 
 
 def _pascal_band(n, w):
@@ -381,14 +461,13 @@ def rho_rows(generator, m, c, inverse=False):
         raise DomainError("rho wants m >= 1")
     n = m + 1
     w = -_2PI_I if inverse else _2PI_I
-    singular, _ = _singular_c(c)
-    kind = "singular" if singular else "regular"
+    kind = _basis_kind(c)
     if generator == "Z1":
         rows = [[complex(i == j) for j in range(n)] for i in range(n)]
         rows[0][1] = -w
     elif generator != "Z0":
         raise DomainError("generator must be Z0 or Z1")
-    elif singular:
+    elif kind == "singular":
         rows = _pascal_band(n, w)
     else:
         phase = _unit_phase(c, inverse)
@@ -406,9 +485,8 @@ def rho(generator, m, c, inverse=False):
     band of 2 pi i; on the singular stratum the band runs through the
     first row as well.  Z1 is I - 2 pi i E_{12} on both strata.
     """
-    import numpy as np
     rows, label, kind = rho_rows(generator, m, c, inverse)
-    return MonodromyMatrix(np.array(rows, dtype=complex), label, kind)
+    return MonodromyMatrix(tuple(map(tuple, rows)), label, kind)
 
 
 def _unit_phase(c, inverse):
@@ -429,22 +507,21 @@ def rho_word(word, m, c):
     """Ordered product of generator matrices for a Y-free word; paths
     read left to right and the matrices multiply in the same order
     (validated against numeric transport of concatenated loops)."""
-    import numpy as np
-
     from .monodromy import parse_word
     if isinstance(word, str):
         word = parse_word(word)
     letters = list(word)
+    if m < 1:
+        raise DomainError("rho wants m >= 1")
     n = m + 1
-    mat = np.eye(n, dtype=complex)
-    kind = rho("Z0", m, c).kind
+    mat = tuple(tuple(complex(i == j) for j in range(n)) for i in range(n))
     for letter in letters:
         if letter.kind == "Y":
             raise DomainError("rho_word handles Z-letters only")
         g = rho(letter.kind, m, c, inverse=(letter.exp == -1))
-        mat = mat @ g.entries
+        mat = _matmul(mat, g.rows)
     text = " ".join(str(x) for x in letters) if letters else "e"
-    return MonodromyMatrix(mat, text, kind)
+    return MonodromyMatrix(mat, text, _basis_kind(c))
 
 
 def unipotency_class(m, c, irrational=False):
@@ -527,13 +604,10 @@ def _lead_values(m, c, singular, ci):
 
 
 def _start_frame(m, c):
-    """Jet matrix S at z = -1: rows are derivative orders 0..m, columns
-    the basis entries [lead, b_{m-1}, ..., b_0]."""
-    import numpy as np
+    """Jet matrix S at z = -1, as rows: rows are derivative orders 0..m,
+    columns the basis entries [lead, b_{m-1}, ..., b_0]."""
     cc = complex(c)
     singular, ci = _singular_c(c)
-    n = m + 1
-    S = np.zeros((n, n), dtype=complex)
     # lead column via the ladder Li_j' = (Li_{j-1} - (c-1) Li_j)/z,
     # iterated with Leibniz: D[j][i+1] = (D[j-1][i] - (c-1+i) D[j][i])/z
     lead_c = complex(ci) if singular else cc
@@ -543,7 +617,6 @@ def _start_frame(m, c):
         D[0].append(math.factorial(i + 1) / (1.0 - _BASE) ** (i + 2))
         for j in range(1, m + 1):
             D[j].append((D[j - 1][i] - (lead_c - 1.0 + i) * D[j][i]) / _BASE)
-    S[:, 0] = [D[m][i] for i in range(n)]
     # log columns: b_n = z^{1-c}(log z)^n/n!, upper-edge values at -1,
     # with b_n' = ((1-c) b_n + b_{n-1})/z iterated the same way
     zpow = branched_power(_BASE, 1.0 - cc, "principal")
@@ -553,9 +626,8 @@ def _start_frame(m, c):
         for nn in range(m):
             low = B[nn - 1][i] if nn >= 1 else 0.0
             B[nn].append(((1.0 - cc - i) * B[nn][i] + low) / _BASE)
-    for col, j in enumerate(range(m - 1, -1, -1), start=1):
-        S[:, col] = [B[j][i] for i in range(n)]
-    return S
+    columns = [D[m]] + B[::-1]
+    return [list(row) for row in zip(*columns)]
 
 
 def _coeff_values(op, cc):
@@ -676,18 +748,22 @@ def numeric_transport(m, c, path, n_taylor=30, tol=1e-10):
     the two highest-order terms of the degree-`n_taylor` jet (the full
     jet minus the two-orders-lower one) stay below tol * max(1, |jet|),
     and halved otherwise.
+
+    The start frame S is refused when its 1-norm condition number
+    kappa_1 = |S|_1 |S^-1|_1 exceeds 1e12.  With n = m + 1 it lies within
+    a factor n of the 2-norm kappa_2 that numpy's ``cond`` gives:
+    kappa_2 / n <= kappa_1 <= n kappa_2.
     """
-    import numpy as np
     if m < 1:
         raise DomainError("transport wants m >= 1")
     path = [complex(p) for p in path]
     _check_path(path)
     ab = _coeff_values(weyl_expand(m), complex(c))
     S = _start_frame(m, c)
-    if np.linalg.cond(S) > 1e12:
+    fac = _lu(S)
+    if _cond1(S, fac) > 1e12:
         raise TransportError("degenerate start frame")
-    frame = S.T.tolist()  # one list of derivatives 0..m per basis entry
-    singular, _ = _singular_c(c)
+    frame = list(zip(*S))  # one jet, derivatives 0..m, per basis entry
     for a, b in zip(path, path[1:]):
         pos = a
         while abs(pos - b) > 1e-13:
@@ -706,6 +782,6 @@ def numeric_transport(m, c, path, n_taylor=30, tol=1e-10):
                 h *= 0.5
             else:
                 raise TransportError("step size underflow near %r" % (pos,))
-    X = np.linalg.solve(S, np.array(frame).T)
-    return MonodromyMatrix(X.T, "transport",
-                           "singular" if singular else "regular")
+    # row i of the result solves S x = (jet of basis entry i at the end)
+    return MonodromyMatrix(tuple(tuple(_lu_solve(fac, jet)) for jet in frame),
+                           "transport", _basis_kind(c))

@@ -434,3 +434,20 @@ def test_cli_import_leaves_numpy_out():
     assert json.loads(out) == ODE_M2_C45
     assert "lerchkit.deformed_polylog" in mods
     assert not [m for m in mods if m.split(".")[0] == "numpy"]
+
+
+def test_monodromy_matrices_leave_numpy_out():
+    # rho, rho_word, det and numeric_transport run on plain rows; only
+    # MonodromyMatrix.entries builds an array, on first read, and keeps it
+    out, mods = _fresh_modules(
+        "from lerchkit import deformed_polylog as dp; "
+        "t = dp.numeric_transport(2, 0.3, dp.z1_loop()); "
+        "w = dp.rho_word('Z0 Z1', 3, 0.3); w.det(); "
+        "dp.rho('Z0', 2, 0.3).rows; "
+        "before = 'numpy' in sys.modules; e = t.entries; "
+        "after = 'numpy' in sys.modules; import numpy as np; "
+        "print(before, after, e.dtype == complex, "
+        "np.array_equal(e, np.array(t.rows, dtype=complex)), "
+        "t.entries is e)")
+    assert out.split() == ["False", "True", "True", "True", "True"]
+    assert "numpy" in mods

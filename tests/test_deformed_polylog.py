@@ -17,6 +17,7 @@ import pytest
 
 from lerchkit import deformed_polylog
 from lerchkit.deformed_polylog import (MonodromyMatrix, _coeff_values,
+                                       _cond1, _lu, _lu_solve,
                                        _poly_w_coeffs, _recurrence,
                                        _taylor_extend, apply_operator,
                                        basis, basis_series, li_series,
@@ -400,3 +401,76 @@ def test_matrix_wrapper():
     assert isinstance(mm, MonodromyMatrix)
     assert mm.m == 2
     assert isinstance(mm.det(), complex)
+
+
+# ---------------------------------------------------------------------------
+# the pure-Python matrix kernel
+# ---------------------------------------------------------------------------
+
+def test_lu_solve_swaps_rows_for_a_zero_leading_pivot():
+    # hand-solved: x = (1, 2i, -1)
+    a = [[0j, 1j, 2], [1, 1, 0], [2, 0, 1]]
+    lu, perm, sign = fac = _lu(a)
+    assert perm[0] != 0 and sign == -1
+    x = _lu_solve(fac, [-4, 1 + 2j, 1])
+    assert max(abs(g - w) for g, w in zip(x, [1, 2j, -1])) < 1e-15
+
+
+def test_kernel_matches_numpy_on_random_matrices():
+    rng = random.Random(18)
+    for n in range(1, 6):
+        for _ in range(10):
+            a = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+                 for _ in range(n)]
+            b = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+            fac = _lu(a)
+            x = np.linalg.solve(np.array(a), np.array(b))
+            assert np.max(np.abs(_lu_solve(fac, b) - x)) <= 1e-12 * max(
+                1.0, np.max(np.abs(x)))
+            assert _cond1(a, fac) == pytest.approx(np.linalg.cond(a, 1),
+                                                   rel=1e-12)
+            det = MonodromyMatrix(a, "a", "regular").det()
+            assert det == pytest.approx(np.linalg.det(a), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_rho_determinants_in_closed_form(m):
+    for c in (0.3, 0.3 + 0.2j, Fraction(2, 7), 1e-6, 2):
+        want = cmath.exp(-TWO_PI_I * c * m)
+        assert abs(rho("Z0", m, c).det() - want) <= 1e-14 * abs(want)
+        assert abs(rho("Z1", m, c).det() - 1) <= 1e-14
+    for c in (0, -2):
+        assert abs(rho("Z0", m, c).det() - 1) <= 1e-14
+        assert abs(rho("Z1", m, c).det() - 1) <= 1e-14
+
+
+def test_rho_word_matches_numpy_products():
+    # Entries of a partial product can be far larger than those of the
+    # word (Z0^2 Z0^-2 passes through (4 pi)^m / m!), and both products
+    # round at that size; so the difference is measured against the
+    # largest entry any partial product reaches.
+    rng = random.Random(7)
+    letters = ("Z0", "Z1", "Z0^-1", "Z1^-1")
+    for _ in range(100):
+        m = rng.randint(1, 5)
+        c = rng.choice((0.3, 0.3 + 0.2j, Fraction(1, 4), Fraction(2, 7),
+                        0, -2, 1, 1e-6, 0.1114 + 0.4989j))
+        word = [rng.choice(letters) for _ in range(rng.randint(0, 8))]
+        want, scale = np.eye(m + 1, dtype=complex), 1.0
+        for letter in word:
+            g = rho(letter[:2], m, c, inverse=letter.endswith("^-1"))
+            want = want @ g.entries
+            scale = max(scale, np.max(np.abs(want)))
+        got = rho_word(" ".join(word), m, c).entries
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, (m, c, word)
+
+
+@pytest.mark.parametrize("frame", [
+    [[1.0 + 0j, 2.0 + 0j], [2.0 + 0j, 4.0 + 0j]],   # exactly singular
+    [[1.0 + 0j, 1.0 + 0j], [1.0 + 0j, 1.0 + 1e-13j]]])  # kappa_1 ~ 4e13
+def test_degenerate_start_frame_is_refused(monkeypatch, frame):
+    assert _cond1(frame, _lu(frame)) > 1e12
+    monkeypatch.setattr(deformed_polylog, "_start_frame", lambda m, c: frame)
+    with pytest.raises(TransportError, match="degenerate start frame"):
+        numeric_transport(1, Fraction(1, 2), z0_loop())
+
