@@ -12,6 +12,10 @@ first access, so ``import lerchkit`` (and every CLI command that needs
 neither) skips both.  ``monodromy`` stays eager: the package attribute
 ``lerchkit.monodromy`` is the function, and a lazy load of the
 submodule would rebind it to the module.
+
+The result types (``EvalResult``, ``BranchValue``, ``ResidualReport``
+and the rest) are named tuples, so the package never imports
+``dataclasses``; ``r._replace(value=...)`` makes a changed copy.
 """
 
 import importlib

@@ -13,7 +13,6 @@ a top-level ``"schema": "lerch-kit/1"``.
 """
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -88,6 +87,11 @@ def _cpair(v):
     return [v.real, v.imag]
 
 
+def _print_json(payload):
+    import json  # only the commands that print JSON pay for it
+    print(json.dumps(payload))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -100,7 +104,7 @@ def cmd_eval(args):
     stratum = classify_stratum(s, z, c).tag
     approx = not (se and ze and ce)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "schema": SCHEMA, "command": "eval",
             "s": args.s, "z": args.z, "c": args.c,
             "value": _cpair(res.value),
@@ -109,7 +113,7 @@ def cmd_eval(args):
             "error_estimate": res.error_estimate,
             "stratum": stratum,
             "approximate_input": approx,
-        }))
+        })
         return 0
     if res.exact is not None:
         print("value           = %s (exact rational)" % res.exact)
@@ -131,14 +135,14 @@ def cmd_monodromy(args):
     bv = branch_value(word, s, z, c, tol=args.tol)
     mono = bv.total - bv.base
     if args.json:
-        print(json.dumps({
+        _print_json({
             "schema": SCHEMA, "command": "monodromy", "word": args.word,
             "base": _cpair(bv.base),
             "contributions": [{"label": lab, "value": _cpair(v)}
                               for lab, v in bv.contributions],
             "monodromy": _cpair(mono),
             "value": _cpair(bv.total),
-        }))
+        })
         return 0
     print("base value      = %s" % _fmt_complex(bv.base))
     for lab, v in bv.contributions:
@@ -170,7 +174,7 @@ def cmd_special(args):
             payload["li_exact"] = False
             li_text = _fmt_complex(val)
     if args.json:
-        print(json.dumps(payload))
+        _print_json(payload)
         return 0
     print("r_%d       = %s" % (m, r))
     print("a_{%d,k}   = %s" % (m, laur))
@@ -197,7 +201,7 @@ def cmd_ode(args):
     if args.klass or want_all:
         payload["class"] = unipotency_class(args.m, c)
     if args.json:
-        print(json.dumps(payload))
+        _print_json(payload)
         return 0
     if "coeffs" in payload:
         print("operator z^k d^k coefficients (alpha_k z + beta_k) z^k,")
@@ -225,8 +229,8 @@ def cmd_verify(args):
                          % (args.suite, ", ".join(map(repr, SUITE_NAMES))))
     rep = run_suite(args.suite, tol=args.tol)
     if args.json:
-        print(json.dumps({"schema": SCHEMA, "command": "verify",
-                          **rep.to_dict()}))
+        _print_json({"schema": SCHEMA, "command": "verify",
+                     **rep.to_dict()})
         return 0 if rep.passed else 1
     for r in rep.reports:
         pt = ", ".join(str(p) for p in r.point)
@@ -366,6 +370,7 @@ def cmd_sweep(args):
 
     as_json = args.out is not None and args.out.endswith(".json")
     if as_json:
+        import json
         payload = {"schema": SCHEMA, "command": "sweep", "expr": args.expr,
                    "var": var, "columns": cols, "rows": rows}
         with open(args.out, "w") as fh:

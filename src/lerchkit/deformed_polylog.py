@@ -39,7 +39,7 @@ import cmath
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .branch_numerics import INT_TOL, as_int, branched_power, principal_log
@@ -78,10 +78,10 @@ _2PI_I = 2j * math.pi
 # exact integer polynomials in c
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CPolynomial:
+class CPolynomial(namedtuple("CPolynomial", "coeffs", defaults=((0,),))):
     """Polynomial in c with integer coefficients, ascending order."""
-    coeffs: tuple = (0,)
+
+    __slots__ = ()
 
     def eval(self, c):
         return poly_eval(self.coeffs, c)
@@ -106,10 +106,8 @@ def _stirling_rows(m_top):
     return rows
 
 
-@dataclass(frozen=True)
-class WeylOperator:
-    order: int
-    entries: tuple  # ((alpha_k, beta_k) CPolynomial pairs, k = 0..order)
+# entries: ((alpha_k, beta_k) CPolynomial pairs, k = 0..order)
+WeylOperator = namedtuple("WeylOperator", "order entries")
 
 
 def weyl_expand(m):
@@ -138,12 +136,19 @@ def weyl_expand(m):
 # truncated power-log series  sum_{n,j} coeff * z^{nu+n} (log z)^j / j!
 # ---------------------------------------------------------------------------
 
-@dataclass
 class PowerLogSeries:
-    nu: object               # exponent offset, exact (Fraction) when possible
-    c: object                # the deformation parameter the series belongs to
-    coeffs: dict             # n -> {j -> coefficient}
-    order: int               # coefficients trusted for n <= order
+    """nu: exponent offset, exact (Fraction) when possible; c: the
+    deformation parameter the series belongs to; coeffs: n -> {j ->
+    coefficient}; order: coefficients trusted for n <= order."""
+
+    __slots__ = ("nu", "c", "coeffs", "order")
+
+    def __init__(self, nu, c, coeffs, order):
+        self.nu, self.c, self.coeffs, self.order = nu, c, coeffs, order
+
+    def __repr__(self):
+        return ("PowerLogSeries(nu=%r, c=%r, coeffs=%r, order=%r)"
+                % (self.nu, self.c, self.coeffs, self.order))
 
     def coeff(self, n, j=0):
         return self.coeffs.get(n, {}).get(j, 0)
@@ -318,12 +323,9 @@ def _basis_kind(c):
     return "singular" if _singular_c(c)[0] else "regular"
 
 
-@dataclass(frozen=True)
-class FuchsianBasis:
-    m: int
-    c: object
-    kind: str       # "regular" | "singular"
-    entries: tuple  # human-readable descriptors, leading entry first
+# kind "regular" | "singular"; entries: human-readable descriptors,
+# leading entry first
+FuchsianBasis = namedtuple("FuchsianBasis", "m c kind entries")
 
 
 def basis(m, c):
@@ -422,24 +424,40 @@ def _matmul(a, b):
 # closed-form monodromy matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class MonodromyMatrix:
-    rows: tuple              # m+1 tuples of m+1 Python complex numbers
-    generator: str           # "Z0", "Z1", word text, or "transport"
-    kind: str                # basis kind the matrix acts on
+    """rows: m+1 tuples of m+1 Python complex numbers; generator: "Z0",
+    "Z1", word text, or "transport"; kind: basis kind the matrix acts on.
+    Immutable; equal only to itself."""
+
+    __slots__ = ("rows", "generator", "kind", "_entries")
+
+    def __init__(self, rows, generator, kind):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_entries", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MonodromyMatrix is immutable")
+
+    def __repr__(self):
+        return ("MonodromyMatrix(rows=%r, generator=%r, kind=%r)"
+                % (self.rows, self.generator, self.kind))
 
     @property
     def m(self):
         return len(self.rows) - 1
 
-    @functools.cached_property
+    @property
     def entries(self):
         """`rows` as a read-only (m+1) x (m+1) complex ndarray, built on
         first read and kept; the only numpy import in the package."""
-        import numpy as np
-        arr = np.array(self.rows, dtype=complex)
-        arr.flags.writeable = False
-        return arr
+        if self._entries is None:
+            import numpy as np
+            arr = np.array(self.rows, dtype=complex)
+            arr.flags.writeable = False
+            object.__setattr__(self, "_entries", arr)
+        return self._entries
 
     def det(self):
         lu, _, sign = _lu(self.rows)

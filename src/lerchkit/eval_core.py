@@ -47,7 +47,7 @@ estimate) and ``quad_semiaxis`` (the refusal rule) give the details.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -93,20 +93,16 @@ _2PI_I = 2j * math.pi
 SERIES_MAX_TERMS = 200_000
 
 
-@dataclass(frozen=True)
-class StratumClass:
-    tag: str
+class StratumClass(namedtuple("StratumClass", "tag")):
+    __slots__ = ()
 
     def __str__(self):
         return self.tag
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    value: complex
-    method: str
-    error_estimate: float
-    exact: object = None  # Fraction when the rational path applied
+# exact is the Fraction when the rational path applied, else None
+EvalResult = namedtuple("EvalResult", "value method error_estimate exact",
+                        defaults=(None,))
 
 
 def _cplx(x):

@@ -26,7 +26,7 @@ Y-monodromy vanishes at every integer s.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import wraps
 
 from .branch_numerics import (
@@ -60,19 +60,23 @@ __all__ = [
 _2PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class GeneratorLetter:
-    kind: str            # "Z0", "Z1", or "Y"
-    exp: int = 1         # +1 or -1
-    n: int = None        # puncture index, Y only
+class GeneratorLetter(namedtuple("GeneratorLetter", "kind exp n")):
+    """kind "Z0", "Z1" or "Y"; exp +1 or -1; n the puncture index, Y only."""
 
-    def __post_init__(self):
-        if self.kind not in ("Z0", "Z1", "Y"):
+    __slots__ = ()
+
+    def __new__(cls, kind, exp=1, n=None):
+        if kind not in ("Z0", "Z1", "Y"):
             raise ValueError("letter kind must be Z0, Z1 or Y")
-        if self.exp not in (1, -1):
+        if exp not in (1, -1):
             raise ValueError("letter exponent must be +1 or -1")
-        if (self.kind == "Y") != (self.n is not None):
+        if (kind == "Y") != (n is not None):
             raise ValueError("Y letters need an index n; Z letters must not")
+        return super().__new__(cls, kind, exp, n)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # so that _replace checks the new fields too
 
     def inverse(self):
         return GeneratorLetter(self.kind, -self.exp, self.n)
@@ -82,10 +86,12 @@ class GeneratorLetter:
         return base if self.exp == 1 else base + "^-1"
 
 
-@dataclass(frozen=True)
-class HomotopyWord:
-    z_part: tuple = ()
-    y_exponents: tuple = ()  # sorted ((n, k(n)), ...), zeros dropped
+class HomotopyWord(namedtuple("HomotopyWord", "z_part y_exponents",
+                              defaults=((), ()))):
+    """z_part a tuple of Z letters; y_exponents sorted ((n, k(n)), ...),
+    zeros dropped."""
+
+    __slots__ = ()
 
     def y_map(self):
         return dict(self.y_exponents)
@@ -99,20 +105,16 @@ class HomotopyWord:
         return " ".join(bits) if bits else "e"
 
 
-@dataclass(frozen=True)
-class ZProfile:
-    h: tuple = ()  # sorted ((k, h(k)), ...), zeros dropped
-    t: int = 0
+class ZProfile(namedtuple("ZProfile", "h t", defaults=((), 0))):
+    """h sorted ((k, h(k)), ...), zeros dropped; t an integer."""
+
+    __slots__ = ()
 
     def h_map(self):
         return dict(self.h)
 
 
-@dataclass(frozen=True)
-class BranchValue:
-    base: complex
-    contributions: tuple
-    total: complex
+BranchValue = namedtuple("BranchValue", "base contributions total")
 
 
 def parse_word(text):

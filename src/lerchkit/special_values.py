@@ -24,7 +24,7 @@ Polynomials are plain lists of ints, ascending degree.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -161,8 +161,8 @@ def laurent_coeffs(m):
 
 # --- the bivariate rational Li_{-m}(z, c) ----------------------------------
 
-@dataclass(frozen=True)
-class BivariateRational:
+class BivariateRational(namedtuple("BivariateRational",
+                                    "m c_polys pole_order")):
     """Li_{-m}(z,c) = numerator(z,c) / (1-z)^{pole_order}.
 
     ``c_polys[j]`` is the integer polynomial in z multiplying c^j, namely
@@ -171,9 +171,7 @@ class BivariateRational:
     order is reportable.
     """
 
-    m: int
-    c_polys: tuple
-    pole_order: int
+    __slots__ = ()
 
     @property
     def degree_c(self):

@@ -35,7 +35,7 @@ SuiteReport (the CLI serialises it to JSON).
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -54,15 +54,11 @@ _2PI_I = 2j * math.pi
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(namedtuple("ResidualReport",
+                                "name point left right tol")):
     """Two-sided evaluation of one identity at one point."""
 
-    name: str
-    point: tuple
-    left: complex
-    right: complex
-    tol: float
+    __slots__ = ()
 
     @property
     def signed_residual(self):
@@ -94,11 +90,9 @@ class ResidualReport:
         }
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    name: str
-    reports: tuple
-    warning: str = None
+class SuiteReport(namedtuple("SuiteReport", "name reports warning",
+                             defaults=(None,))):
+    __slots__ = ()
 
     @property
     def passed(self):

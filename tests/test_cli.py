@@ -408,22 +408,26 @@ def test_tol_flag_reaches_phi_and_env_is_ignored(capsys, monkeypatch):
     assert seen == [1e-6, 1e-12]
 
 
+_WATCHED = ("lerchkit", "numpy", "dataclasses", "inspect", "json")
+
+
 def _fresh_modules(statements):
-    """The lerchkit and numpy modules a fresh interpreter holds after
-    running `statements`."""
+    """The lerchkit, numpy, dataclasses, inspect and json modules a fresh
+    interpreter holds after running `statements`."""
     src = os.path.dirname(os.path.dirname(lerchkit.__file__))
     code = ("import sys; sys.path.insert(0, %r); %s; "
             "print(*sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('lerchkit', 'numpy')), file=sys.stderr)"
-            % (src, statements))
+            "if m.split('.')[0] in %r), file=sys.stderr)"
+            % (src, statements, _WATCHED))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, check=True)
     return proc.stdout, proc.stderr.split()
 
 
 def test_cli_import_leaves_numpy_out():
-    # the CLI loads the five core modules only; numpy is imported only
-    # when an array is built, so neither the import nor `ode` loads it
+    # the CLI loads the five core modules only, and none of dataclasses,
+    # inspect or json; numpy is imported only when an array is built, so
+    # neither the import nor `ode` loads it
     _, mods = _fresh_modules("import lerchkit.cli")
     assert mods == ["lerchkit"] + ["lerchkit." + m for m in (
         "branch_numerics", "cli", "errors", "eval_core", "monodromy",
@@ -434,6 +438,24 @@ def test_cli_import_leaves_numpy_out():
     assert json.loads(out) == ODE_M2_C45
     assert "lerchkit.deformed_polylog" in mods
     assert not [m for m in mods if m.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--s=2", "--z=1/2", "--c=1", "--json"],
+    ["monodromy", "--word=Z0 Z1 Z0^-1 Y2", "--s=1.5", "--z=0.3+0.4i",
+     "--c=0.4", "--json"],
+    ["special", "--m=12", "--z=3/7", "--c=5/3", "--json"],
+    ["ode", "--m=3", "--c=2/5", "--matrices", "--coeffs", "--class",
+     "--json"],
+    ["sweep", "--expr=phi", "--grid=z=-0.6:0.6:5", "--s=1.5", "--c=0.4"],
+    ["verify", "--suite=all"],
+], ids=lambda argv: argv[0])
+def test_commands_leave_dataclasses_out(argv):
+    # record types are named tuples, and json loads only for JSON output
+    _, mods = _fresh_modules("from lerchkit import cli; cli.main(%r)" % argv)
+    assert "lerchkit.cli" in mods
+    assert "dataclasses" not in mods and "inspect" not in mods
+    assert ("json" in mods) == ("--json" in argv)
 
 
 def test_monodromy_matrices_leave_numpy_out():

@@ -409,6 +409,13 @@ def test_letter_inverse_and_validation():
         L("Y", 1)        # Y needs an index
     with pytest.raises(ValueError):
         L("Z1", 1, 3)    # Z letters carry no index
+    with pytest.raises(ValueError):
+        L("Y")
+    with pytest.raises(ValueError):
+        L("Z0", exp=2)
+    with pytest.raises(ValueError):
+        L("Z0")._replace(exp=2)  # the copy is checked like a new letter
+    assert L("Z0")._replace(exp=-1) == L("Z0", -1)
 
 
 def test_homotopy_word_is_hashable_and_ordered():
@@ -416,3 +423,5 @@ def test_homotopy_word_is_hashable_and_ordered():
     w2 = reduce_word(parse_word("Y-2 Y0 Z1"))
     assert w1 == w2  # y exponents stored sorted
     assert hash(w1) == hash(w2)
+    w3 = reduce_word(parse_word("Z0 Z0^-1 Y-2 Y0 Y3 Z1 Y3^-1"))
+    assert len({w1, w2, w3, reduce_word([])}) == 2

@@ -45,3 +45,33 @@ def test_monodromy_attribute_stays_the_function(statements):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.strip() == "True"
+
+
+# ---------------------------------------------------------------------------
+# record types
+# ---------------------------------------------------------------------------
+
+def test_records_are_immutable():
+    for record, name in ((lerchkit.EvalResult(1j, "series", 1e-16), "value"),
+                         (lerchkit.GeneratorLetter("Z0"), "exp"),
+                         (lerchkit.negative_polylog(2), "pole_order"),
+                         (lerchkit.rho("Z0", 2, 0.3), "rows")):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        assert getattr(record, name) == before
+
+
+def test_record_repr_names_every_field():
+    r = lerchkit.EvalResult(0.5 + 1j, "series", 1e-16)
+    assert repr(r) == ("EvalResult(value=(0.5+1j), method='series', "
+                       "error_estimate=1e-16, exact=None)")
+    assert r._replace(exact=2).exact == 2 and r.exact is None
+
+
+def test_power_log_series_stays_mutable():
+    from lerchkit.deformed_polylog import log_power_series
+    s = log_power_series(0.5, 2)
+    s.order = 7
+    s.coeffs[1] = {0: 2.0}
+    assert (s.order, s.coeff(1)) == (7, 2.0)
