@@ -247,12 +247,12 @@ def reciprocal_gamma(s):
 # sigma >= 1/2, except ``phi_integral``, which goes down to sigma = 1/16
 # with its kernel's pole subtracted and books that tail itself.
 #
-# Every node is a dyadic rational u = _U_MIN + m h, so a level's new
-# nodes u = _U_MIN + (2i + 1) h have exact indices i.  Levels 1 to
-# _TABLE_DEPTH keep (t, weight) of all their new nodes across the window
-# in a table, built on first use: 21.5 * 2^level nodes of 16 bytes each,
-# about 175 KB for levels 1-8 together.  Deeper levels call ``_node``
-# for each node, as the base level and the window growth do.
+# Every node is a dyadic rational, the base level's u = _U_MIN + i/2 and
+# a finer level's new nodes u = _U_MIN + (2i + 1) h, with an exact index
+# i.  Levels 0 to _TABLE_DEPTH keep (t, weight) of all their nodes across
+# the window in a table, built on first use: 44 base nodes and 21.5 *
+# 2^level nodes of 16 bytes each above, about 175 KB for levels 0-8
+# together.  Deeper levels call ``_node`` for each node.
 _U_MIN = -9.0
 _U_MAX = 12.5
 T_FLOOR = 1e-290
@@ -275,8 +275,9 @@ def _node(u):
 
 
 def _level_nodes(level):
-    """(ts, ws) for 1 <= level <= _TABLE_DEPTH: t and weight at the new
-    nodes u = _U_MIN + (2i + 1) h of the whole window, h = 0.5 / 2**level."""
+    """(ts, ws) for 0 <= level <= _TABLE_DEPTH: t and weight at the nodes
+    the level adds across the whole window, u = _U_MIN + i/2 at level 0
+    and u = _U_MIN + (2i + 1) h above it, h = 0.5 / 2**level."""
     table = _tables.get(level)
     if table is None:
         # imported here, so that a process that never integrates (most
@@ -284,9 +285,10 @@ def _level_nodes(level):
         from array import array
 
         h = 0.5 / 2 ** level
+        ms = range(int((_U_MAX - _U_MIN) / h) + 1)  # u = _U_MIN + m h
         ts, ws = array("d"), array("d")
-        for i in range(int((_U_MAX - _U_MIN) / (2.0 * h))):
-            t, w = _node(_U_MIN + (2 * i + 1) * h)
+        for m in ms[1::2] if level else ms:
+            t, w = _node(_U_MIN + m * h)
             ts.append(t)
             ws.append(w)
         table = _tables[level] = (ts, ws)
@@ -297,24 +299,28 @@ def quad_semiaxis(f, tol=1e-12):
     """Integrate f over (0, infinity) by double-exponential trapezoid.
 
     Substitutes t = exp(u - exp(-u)) and applies the trapezoid rule in u
-    with successive mesh halving (h = 0.5 / 2**level), reusing previous
-    nodes; converged when two successive levels agree to ``tol`` in the
-    scale-aware sense |T_k - T_{k-1}| <= tol * (1 + |T_k|).  f takes
-    one float t.
+    with successive mesh halving (h = 0.5 / 2**level); converged when two
+    successive levels agree to ``tol`` in the scale-aware sense
+    |T_k - T_{k-1}| <= tol * (1 + |T_k|).  f takes one float t.
 
-    The nodes of levels 1 to ``_TABLE_DEPTH`` (8) come from per-level
-    tables of t and weight over the whole u-window, built on first use
-    and kept for the process, about 175 KB in all; deeper levels, the
-    base level and the window growth compute theirs one by one.  Either
-    way a node's t and weight are the same floats, and every sum runs in
-    the same order: a level's new nodes left to right, then the window's
-    growth to the right, then to the left.
+    The base level (h0 = 1/2) walks out from u = 0, right and then left,
+    until four successive terms lie below the cut 1e-3 min(tol, 1e-13)
+    (1 + scale), scale the largest |term| so far.  Finer levels add new
+    nodes only inside the live span, bounded by the base nodes just
+    outside the outermost terms above the final cut; the quiet base
+    nodes at and beyond its ends keep their place in the trapezoid sum.
+    This assumes that beyond the live span the integrand stays below
+    the cut, as the base walk does when it stops after four quiet nodes,
+    and books h0 * sum |term| over those nodes in the error.
+
+    Levels 0 to ``_TABLE_DEPTH`` read their nodes from the tables above
+    ``_U_MIN``, deeper ones from ``_node``: the same floats either way.
 
     Returns ``QuadResult(value, error)``; the error is the last level
-    difference plus the rounding floor F = EPS * h * mag defined below,
-    since the converged sum still carries its rounding.  The success
-    test uses the level difference alone.  Raises ``AccuracyError``,
-    with the best estimate attached, when
+    difference, plus the rounding floor F = EPS * h * mag defined below,
+    since the converged sum still carries its rounding, plus the tails
+    booked above.  The success test uses the level difference alone.
+    Raises ``AccuracyError``, with the best estimate attached, when
 
     * the integrand is not negligible at the edge of the u-window;
     * the rounding floor passes the target: with ``mag`` the sum of
@@ -332,49 +338,56 @@ def quad_semiaxis(f, tol=1e-12):
     # the requested tolerance so truncation never dominates
     cut = min(tol, 1e-13) * 1e-3
 
-    t, w = _node(0.0)
-    total = f(t) * w
-    scale = mag = abs(total)
-    jmin = jmax = 0
+    ts, ws = _level_nodes(0)
+    mid = int(-_U_MIN / h)  # the node u = 0
+    sizes = [0.0] * len(ts)  # |term| at each base node
+    total = f(ts[mid]) * ws[mid]
+    scale = mag = sizes[mid] = abs(total)
+    ends = []
     # extend to the right, then to the left, until several consecutive
     # terms are negligible relative to the running scale
-    for direction in (+1, -1):
-        j, quiet = direction, 0
-        while _U_MIN <= j * h <= _U_MAX and quiet < 4:
-            t, w = _node(j * h)
-            term = f(t) * w if t else 0j
+    for step in (1, -1):
+        i, quiet = mid + step, 0
+        while 0 <= i < len(ts) and quiet < 4:
+            t = ts[i]
+            term = f(t) * ws[i] if t else 0j
             total += term
-            size = abs(term)
+            size = sizes[i] = abs(term)
             mag += size
             scale = max(scale, size)
             if size <= cut * (1.0 + scale):
                 quiet += 1
             else:
                 quiet = 0
-            if direction > 0:
-                jmax = j
-            else:
-                jmin = j
-            j += direction
-        if quiet < 4 and abs(term) > tol * (1.0 + scale):
+            i += step
+        if quiet < 4 and size > tol * (1.0 + scale):
             raise AccuracyError(
                 "integrand not negligible at the quadrature window edge",
-                best=total * h, bound=abs(term),
+                best=total * h, bound=size,
             )
-    umin, umax = jmin * h, jmax * h
+        ends.append(i - step)
+    imax, imin = ends
     value = total * h
+
+    # the live span (lo, hi) between the base nodes just outside the
+    # outermost terms above the final cut (around u = 0 if none is); the
+    # finer levels leave the nodes at and beyond its ends, and book them
+    live = [i for i in range(imin, imax + 1)
+            if sizes[i] > cut * (1.0 + scale)] or [mid]
+    lo, hi = max(live[0] - 1, imin), min(live[-1] + 1, imax)
+    booked = h * sum(sizes[i] for i in range(imin, imax + 1)
+                     if not lo < i < hi)
 
     was_stalled = False
     for level in range(1, _MAX_LEVEL + 1):
         h *= 0.5
-        # the new nodes inside (umin, umax) are those with lo <= i < hi
-        lo = int((umin - _U_MIN) / (2.0 * h))
-        hi = int((umax - _U_MIN) / (2.0 * h))
+        # the new nodes inside the span are those with i0 <= i < i1
+        i0, i1 = lo << (level - 1), hi << (level - 1)
         if level <= _TABLE_DEPTH:
             ts, ws = _level_nodes(level)
-            nodes = zip(ts[lo:hi], ws[lo:hi])
+            nodes = zip(ts[i0:i1], ws[i0:i1])
         else:
-            nodes = (_node(_U_MIN + (2 * i + 1) * h) for i in range(lo, hi))
+            nodes = (_node(_U_MIN + (2 * i + 1) * h) for i in range(i0, i1))
         # nodes below T_FLOOR come first, while mids is still 0j, so
         # skipping them changes no bit of the sum
         mids = 0j
@@ -384,42 +397,24 @@ def quad_semiaxis(f, tol=1e-12):
                 mids += term
                 mag += abs(term)
         refined = 0.5 * value + h * mids
-        # at the finer mesh the window may need to grow a little
-        for direction, edge in ((+1, umax), (-1, umin)):
-            u, quiet = edge + direction * h, 0
-            while _U_MIN <= u <= _U_MAX and quiet < 4:
-                t, w = _node(u)
-                term = f(t) * w if t else 0j
-                refined += h * term
-                size = abs(term)
-                mag += size
-                if size <= cut * (1.0 + scale):
-                    quiet += 1
-                else:
-                    quiet = 0
-                u += direction * h
-            if direction > 0:
-                umax = max(umax, u - h)
-            else:
-                umin = min(umin, u + h)
         err = abs(refined - value)
         value = refined
         target = tol * (1.0 + abs(value))
         floor = EPS * h * mag
         if err <= target:
-            return QuadResult(value, err + floor)
+            return QuadResult(value, err + floor + booked)
         stalled = err <= _FLOOR_WINDOW * floor
         if target < floor and (floor > _FLOOR_WINDOW * target
                                or stalled and was_stalled):
             raise AccuracyError(
                 "quadrature reached its rounding floor %.3g at level %d, "
                 "above the tolerance %.3g" % (floor, level, target),
-                best=value, bound=err,
+                best=value, bound=err + booked,
             )
         was_stalled = stalled
     raise AccuracyError(
         "quadrature did not converge within %d levels" % _MAX_LEVEL,
-        best=value, bound=err,
+        best=value, bound=err + booked,
     )
 
 

@@ -522,12 +522,17 @@ def _unit_phase(c, inverse):
 
 
 def rho_word(word, m, c):
-    """Ordered product of generator matrices for a Y-free word; paths
-    read left to right and the matrices multiply in the same order
-    (validated against numeric transport of concatenated loops)."""
-    from .monodromy import parse_word
+    """Ordered product of generator matrices for a Y-free word (text, a
+    letter sequence or a reduced ``HomotopyWord``); paths read left to
+    right and the matrices multiply in the same order (validated against
+    numeric transport of concatenated loops)."""
+    from .monodromy import HomotopyWord, parse_word
     if isinstance(word, str):
         word = parse_word(word)
+    if isinstance(word, HomotopyWord):
+        if word.y_exponents:
+            raise DomainError("rho_word handles Z-letters only")
+        word = word.z_part
     letters = list(word)
     if m < 1:
         raise DomainError("rho wants m >= 1")

@@ -127,19 +127,19 @@ def test_quad_semiaxis_refuses_after_twelve_levels():
     with pytest.raises(AccuracyError, match="within 12 levels") as exc:
         quad_semiaxis(f)
     assert exc.value.best is not None
-    assert calls[0] == 114_636
+    assert calls[0] == 85_971
 
 
 def test_quad_semiaxis_refuses_at_rounding_floor():
     # int_0^oo e^-t cos(40 t) dt = 1/1601; its rounding floor is about
     # eps * int |e^-t cos 40t| ~ 1.4e-16, more than 16 times a 1e-18
-    # target, so level 1 refuses (all 12 levels take 114,636 calls), and
+    # target, so level 1 refuses (all 12 levels take 85,971 calls), and
     # the attached bound covers the level-1 value's error
     f, calls = _counted(lambda t: math.exp(-t) * math.cos(40.0 * t))
     with pytest.raises(AccuracyError, match="rounding floor .* level 1,") as exc:
         quad_semiaxis(f, tol=1e-18)
     assert abs(exc.value.best - 1.0 / 1601) <= exc.value.bound
-    assert calls[0] == 52
+    assert calls[0] == 39
     # a floor within 16 targets is waited out until two successive level
     # differences stall within 16 floors: levels 8 and 9 here
     f, calls = _counted(lambda t: math.exp(-t) * math.cos(40.0 * t))
@@ -151,12 +151,13 @@ def test_quad_semiaxis_refuses_at_rounding_floor():
     f, calls = _counted(lambda t: math.exp(-t) * math.cos(40.0 * t))
     got = quad_semiaxis(f, tol=1e-15)
     assert got.value == 0.0006246096189881585
-    assert calls[0] == 7161
+    assert calls[0] == 4103
 
 
-def _reference_quad(f, tol=1e-12):
-    """quad_semiaxis as it was before the node tables: each node's t and
-    weight computed in place.  The tables must not change a bit."""
+def _untrimmed_quad(f, tol=1e-12):
+    """quad_semiaxis before it refined only the live span: every level
+    refines the whole base window and then grows it by four quiet nodes
+    a side."""
     def term_at(u):
         emu = math.exp(-u)
         t = math.exp(u - emu)
@@ -241,15 +242,15 @@ def _kernel(t):
 
 QUAD_CASES = {
     # name: (integrand, tol, integrand calls, refusal message)
-    "level 1": (lambda t: math.exp(-t), 1e-6, 52, None),
-    "level 9": (lambda t: math.exp(-t) * math.cos(80.0 * t), 1e-12, 14_326,
+    "level 1": (lambda t: math.exp(-t), 1e-6, 39, None),
+    "level 9": (lambda t: math.exp(-t) * math.cos(80.0 * t), 1e-12, 8_199,
                 None),
     "mellin kernel": (_kernel, 1e-13, None, None),
     "floor at level 1": (lambda t: math.exp(-t) * math.cos(40.0 * t), 1e-18,
-                         52, "rounding floor .* level 1,"),
+                         39, "rounding floor .* level 1,"),
     "floor at level 9": (lambda t: math.exp(-t) * math.cos(40.0 * t), 2e-17,
                          None, "rounding floor .* level 9,"),
-    "12 levels": (lambda t: t ** -0.99 * math.exp(-t), 1e-12, 114_636,
+    "12 levels": (lambda t: t ** -0.99 * math.exp(-t), 1e-12, 85_971,
                   "within 12 levels"),
     "window edge": (lambda t: 1.0 / (1.0 + t), 1e-12, None,
                     "not negligible at the quadrature window edge"),
@@ -257,17 +258,65 @@ QUAD_CASES = {
 
 
 @pytest.mark.parametrize("name", QUAD_CASES)
-def test_node_tables_change_no_bit(name):
+def test_node_tables_change_no_bit(name, monkeypatch):
     # levels 1 to 8 take their nodes from the tables, level 9 on from
-    # _node; either way the sums are the reference's, bit for bit
+    # _node; with no table above the base level every level takes the
+    # per-node path, and the sums are the same bit for bit
     f, tol, calls, refusal = QUAD_CASES[name]
     got = _quad_outcome(quad_semiaxis, f, tol)
-    assert got == _quad_outcome(_reference_quad, f, tol)
+    monkeypatch.setattr(branch_numerics, "_TABLE_DEPTH", 0)
+    assert got == _quad_outcome(quad_semiaxis, f, tol)
     assert calls is None or got[1] == calls
     if refusal is None:
         assert got[0].startswith("QuadResult(")
     else:
         assert re.search(refusal, got[0])
+
+
+def test_base_level_reads_its_nodes_from_the_table():
+    # the base level walks u = 0, 1/2, 1, ... and then -1/2, -1, ...;
+    # its table holds the very floats _node gives at those u
+    seen = []
+    quad_semiaxis(lambda t: seen.append(t) or math.exp(-t), tol=1e-6)
+    for walk in (range(0, 26), range(-1, -19, -1)):
+        want = [branch_numerics._node(j / 2)[0] for j in walk]
+        n = next(k for k, (a, b) in enumerate(zip(seen, want)) if a != b)
+        assert n >= 5  # the walk stops after four quiet terms
+        del seen[:n]
+    ts, ws = branch_numerics._level_nodes(0)
+    assert list(zip(ts, ws)) == [branch_numerics._node(i / 2 - 9.0)
+                                 for i in range(44)]
+
+
+def _mellin_kernels(n, seed):
+    """n seeded Mellin kernels t^(s-1) e^(-ct) / (1 - z e^-t), |z| < 1."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        s = complex(rng.uniform(0.5, 4.0), rng.uniform(-8.0, 8.0))
+        c = complex(rng.uniform(0.2, 5.0), rng.uniform(-5.0, 5.0))
+        z = cmath.rect(rng.uniform(0.0, 0.95), rng.uniform(-math.pi, math.pi))
+        yield lambda t, s=s, c=c, z=z: (cmath.exp((s - 1) * math.log(t) - c * t)
+                                        / (1.0 - z * math.exp(-t)))
+
+
+def test_live_span_agrees_with_the_untrimmed_rule():
+    # refining only the live span moves a value by less than its new
+    # estimate, for about half the integrand calls
+    new_calls = old_calls = 0
+    for k, f in enumerate(_mellin_kernels(40, 20)):
+        tol = (1e-8, 1e-12, 1e-13)[k % 3]
+        g, calls = _counted(f)
+        new = quad_semiaxis(g, tol)
+        new_calls += calls[0]
+        g, calls = _counted(f)
+        old = _untrimmed_quad(g, tol)
+        old_calls += calls[0]
+        assert abs(new.value - old.value) <= new.error, k
+    assert new_calls < 0.75 * old_calls
+    # an integrand below the cut everywhere has no live term: the span
+    # stays around u = 0, and the booked tails cover what it leaves out
+    got = quad_semiaxis(lambda t: 1e-20 * math.exp(-t))
+    assert abs(got.value - 1e-20) <= got.error
 
 
 def test_node_cache_is_bounded():

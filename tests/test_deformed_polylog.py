@@ -243,6 +243,17 @@ def test_rho_word_orders_left_to_right():
     assert np.array_equal(rho_word("", 2, c).entries, np.eye(3))
 
 
+def test_rho_word_takes_a_reduced_word():
+    # the HomotopyWord that reduce_word returns, as monodromy takes it
+    from lerchkit.monodromy import parse_word, reduce_word
+    word = reduce_word(parse_word("Z0 Z1 Z1^-1 Z1"))
+    assert rho_word(word, 2, 0.3).rows == rho_word("Z0 Z1", 2, 0.3).rows
+    assert rho_word(reduce_word(parse_word("Y0 Y0^-1")), 2, 0.3).rows \
+        == rho_word("", 2, 0.3).rows
+    with pytest.raises(DomainError):
+        rho_word(reduce_word(parse_word("Z0 Y1")), 2, 0.3)
+
+
 def test_monodromy_jump_at_singular_stratum():
     # the (1,2) entry of rho(Z0) jumps by exactly 2 pi as c -> 0
     eps = 1e-6

@@ -4,7 +4,9 @@
 
 Calls ``eval_core.phi`` of this checkout's ``src`` at tol = 1e-12, in
 process, on ``bench/workloads.box_points``, and prints per route (or
-error type) the points, the inner ``phi`` calls and the integrand calls.
+error type) the points, the inner ``phi`` calls and the integrand calls,
+then a totals line: points returned and refused, integrand calls and
+wall seconds.
 --against surveys a second checkout's ``src`` as well and lists each point
 whose outcome differs: value, estimate and method, or error type,
 message, ``best`` and ``bound``.
@@ -12,6 +14,7 @@ message, ``best`` and ``bound``.
 import argparse
 import importlib
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,14 +63,21 @@ def main():
     args = ap.parse_args()
     seeds = [int(x) for x in args.seeds.split(",")]
     srcs = [ROOT / "src"] + ([args.against] if args.against else [])
-    runs = [survey(src, args.n, seeds) for src in srcs]
-    for src, rows in zip(srcs, runs):
+    runs, seconds = [], []
+    for src in srcs:
+        start = time.perf_counter()
+        runs.append(survey(src, args.n, seeds))
+        seconds.append(time.perf_counter() - start)
+    for src, rows, wall in zip(srcs, runs, seconds):
         print("%s: %d points" % (src, len(rows)))
         for route in sorted({row[2][0] for row in rows}):
             mine = [row for row in rows if row[2][0] == route]
             print("  %-14s %5d points %6d inner phi calls %9d integrand calls"
                   % (route, len(mine), sum(r[3] for r in mine),
                      sum(r[4] for r in mine)))
+        returned = sum(len(row[2]) == 3 for row in rows)
+        print("  total: %d returned, %d refused, %d integrand calls, %.2f s"
+              % (returned, len(rows) - returned, sum(r[4] for r in rows), wall))
     if args.against:
         diff = [(a, b) for a, b in zip(*runs) if a[2] != b[2]]
         print("%d points differ" % len(diff))
