@@ -30,6 +30,13 @@ that rounding bounds are built from.  Evaluation refuses to come within
 c in {0, -1, -2, ...} by ``dist_to_nonpos_int``.  The gamma-pole test
 below is a different rule: it asks for bit-exact non-positive integers,
 the exact zeros of 1/Gamma.
+
+Certified sums
+--------------
+``sum_with_tail_bound`` knows no series: its iterator yields each term
+t_n together with a bound b_n on the tail from n, which the caller works
+out next to the term, and the sum stops at the first b_n <= tol.  At
+most ``MAX_TERMS`` terms are drawn.
 """
 
 import cmath
@@ -44,6 +51,7 @@ from .errors import AccuracyError, DomainError, PoleError
 __all__ = [
     "EPS",
     "INT_TOL",
+    "MAX_TERMS",
     "NEAR",
     "as_int",
     "dist_to_nonpos_int",
@@ -66,6 +74,7 @@ SumResult = namedtuple("SumResult", "value tail_bound")
 EPS = sys.float_info.epsilon  # 2**-52, the base of every rounding bound
 INT_TOL = 1e-12  # integer detection for inexact inputs
 NEAR = 1e-8      # refusal radius around z = 1 and c in Z_{<=0}
+MAX_TERMS = 200_000  # sum_with_tail_bound gives up after this many terms
 
 
 def as_int(x):
@@ -422,43 +431,24 @@ def quad_semiaxis(f, tol=1e-12):
 # summation with a proven tail majorant
 # ---------------------------------------------------------------------------
 
-def sum_with_tail_bound(terms, bound, tol=1e-12, max_terms=100_000):
-    """Sum a series whose tail is controlled by an explicit majorant.
+def sum_with_tail_bound(terms, tol=1e-12):
+    """Sum a series whose terms carry their own tail bounds.
 
-    Parameters
-    ----------
-    terms : iterable of complex
-        The series terms t_0, t_1, ...
-    bound : callable
-        bound(n) must majorize |sum_{k >= n} t_k|; it may return
-        ``math.inf`` while n is below the regime where the majorant is
-        valid.  It must tend to 0.
-    tol : float
-        Stop as soon as bound(n) <= tol.
-    max_terms : int
-        Safety cap; exceeded means ``AccuracyError`` (with the partial
-        sum attached).
-
-    Returns
-    -------
-    SumResult(value, tail_bound)
-        Partial sum and the certified bound on the omitted tail.  An
-        iterator that simply runs out is treated as a finite sum with
-        tail 0.
+    ``terms`` yields pairs (t_n, b_n), where b_n bounds
+    |sum_{k >= n} t_k|, or is ``math.inf`` while no bound holds yet.
+    The sum stops at the first n with b_n <= tol and returns
+    ``SumResult(t_0 + ... + t_{n-1}, b_n)``; t_n is not added.  An
+    iterator that runs out is a finite sum with tail 0.  Past
+    ``MAX_TERMS`` pairs the call raises ``AccuracyError`` with the
+    partial sum as ``best`` and the last b_n as ``bound``.
     """
-    partial = 0j
-    n = 0
-    for term in islice(terms, max_terms):
-        b = bound(n)
+    partial, n = 0j, 0
+    for n, (t, b) in enumerate(islice(terms, MAX_TERMS), 1):
         if b <= tol:
             return SumResult(partial, b)
-        partial += term
-        n += 1
-    if n < max_terms:
+        partial += t
+    if n < MAX_TERMS:
         return SumResult(partial, 0.0)
-    b = bound(n)
-    if b <= tol:
-        return SumResult(partial, b)
     raise AccuracyError(
         "tail bound still %.3g after %d terms" % (b, n), best=partial, bound=b
     )

@@ -184,7 +184,7 @@ def cmd_special(args):
 
 
 def cmd_ode(args):
-    from .deformed_polylog import rho_rows, unipotency_class, weyl_expand
+    from .deformed_polylog import rho, unipotency_class, weyl_expand
     c, _ = parse_number(args.c)
     want_all = not (args.matrices or args.coeffs or args.klass)
     payload = {"schema": SCHEMA, "command": "ode", "m": args.m, "c": args.c}
@@ -195,9 +195,10 @@ def cmd_ode(args):
             for k, (a, b) in enumerate(op.entries)]
     if args.matrices or want_all:
         for gen in ("Z0", "Z1"):
-            rows, _, kind = rho_rows(gen, args.m, c)
-            payload["basis_kind"] = kind
-            payload["rho_" + gen] = [[_cpair(v) for v in row] for row in rows]
+            mat = rho(gen, args.m, c)
+            payload["basis_kind"] = mat.kind
+            payload["rho_" + gen] = [[_cpair(v) for v in row]
+                                     for row in mat.rows]
     if args.klass or want_all:
         payload["class"] = unipotency_class(args.m, c)
     if args.json:

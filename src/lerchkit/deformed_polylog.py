@@ -63,7 +63,6 @@ __all__ = [
     "basis",
     "basis_series",
     "rho",
-    "rho_rows",
     "rho_word",
     "numeric_transport",
     "z0_loop",
@@ -472,9 +471,15 @@ def _pascal_band(n, w):
             for i in range(n)]
 
 
-def rho_rows(generator, m, c, inverse=False):
-    """The matrix of ``rho`` as rows of Python complex numbers, with its
-    label and basis kind; builds no array."""
+def rho(generator, m, c, inverse=False):
+    """Closed-form monodromy matrix on the basis of D_{m+1}^c.
+
+    Row i holds the coordinates of the continued basis entry i.  For Z0
+    on the regular stratum the lead entry is single valued (first row
+    (1,0,...,0)) and the log block is the e^{-2 pi i c}-scaled Pascal
+    band of 2 pi i; on the singular stratum the band runs through the
+    first row as well.  Z1 is I - 2 pi i E_{12} on both strata.
+    """
     if m < 1:
         raise DomainError("rho wants m >= 1")
     n = m + 1
@@ -491,20 +496,8 @@ def rho_rows(generator, m, c, inverse=False):
         phase = _unit_phase(c, inverse)
         rows = [[1.0 + 0j] + [0j] * m]
         rows += [[0j] + [phase * v for v in row] for row in _pascal_band(m, w)]
-    return rows, generator + ("^-1" if inverse else ""), kind
-
-
-def rho(generator, m, c, inverse=False):
-    """Closed-form monodromy matrix on the basis of D_{m+1}^c.
-
-    Row i holds the coordinates of the continued basis entry i.  For Z0
-    on the regular stratum the lead entry is single valued (first row
-    (1,0,...,0)) and the log block is the e^{-2 pi i c}-scaled Pascal
-    band of 2 pi i; on the singular stratum the band runs through the
-    first row as well.  Z1 is I - 2 pi i E_{12} on both strata.
-    """
-    rows, label, kind = rho_rows(generator, m, c, inverse)
-    return MonodromyMatrix(tuple(map(tuple, rows)), label, kind)
+    return MonodromyMatrix(tuple(map(tuple, rows)),
+                           generator + ("^-1" if inverse else ""), kind)
 
 
 def _unit_phase(c, inverse):

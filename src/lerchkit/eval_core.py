@@ -89,8 +89,6 @@ __all__ = [
 
 _2PI = 2.0 * math.pi
 _2PI_I = 2j * math.pi
-# phi_series gives up on its tail bound after this many terms
-SERIES_MAX_TERMS = 200_000
 
 
 class StratumClass(namedtuple("StratumClass", "tag")):
@@ -167,8 +165,9 @@ def phi_series(s, z, c, tol=1e-12):
     through the principal branched power like all the others.
 
     The tail majorant is taken at the current n.  For k >= n >= |c| + 2,
-    Re(k+c) >= 2, so |Log(1 + 1/(k+c))| <= 2/(n - |c|) and
-    |t_{k+1}/t_k| <= rho(n) = |z| e^{2|s|/(n - |c|)}, which falls with n;
+    Re(k+c) >= 2, so u = 1/(k+c) has Re u >= 0, where
+    |Log(1 + u)| <= |u| <= 1/(n - |c|), and
+    |t_{k+1}/t_k| <= rho(n) = |z| e^{|s|/(n - |c|)}, which falls with n;
     once rho(n) < 1 the tail from n is at most |t_n| / (1 - rho(n)).
     The sum stops at the first such n where that bound is below half of
     tol, which leaves the other half for the rounding.  The estimate is
@@ -202,8 +201,8 @@ def _series_sum(sc, zc, cc, tol):
     lz = cmath.log(zc)
     ac = abs(cc)
     n_min = ac + 2.0
-    s2 = 2.0 * abs(sc)
-    q_max = -lz.real  # rho(n) < 1 exactly when q = 2|s|/(n - |c|) < -log|z|
+    sa = abs(sc)
+    q_max = -lz.real  # rho(n) < 1 exactly when q = |s|/(n - |c|) < -log|z|
     target = 0.5 * tol
     # principal_log only turns a -0.0 imaginary part into +0.0 and rejects
     # 0, which the c guard already excludes: with that sign set once
@@ -212,37 +211,32 @@ def _series_sum(sc, zc, cc, tol):
         cc = complex(cc.real, 0.0)
     log = cmath.log
 
-    # sum_with_tail_bound asks for bound(n) right after drawing term n,
-    # or at n = last_n + 1 once SERIES_MAX_TERMS are drawn, where
-    # |t_{n-1}| / (1 - rho(n-1)) bounds the tail as well: the bound
-    # reuses the last term's modulus
-    last_n, last_abs, rounding = -1, 0.0, 0.0
+    # rho = |z| e^q.  The factor books the rounding of log|z| and exp.
+    # That of q, a few EPS (1 + |c|/(n - |c|)) relative, lies inside the
+    # ratio bound's slack: |Log(1 + u)| <= |u| (1 - |u|^2/8) for Re u >= 0,
+    # |u| <= 1/2, and below MAX_TERMS, n - |c| and |c| stay under 2e5
+    round_up = 1.0 + 4.0 * EPS * (q_max + 2.0)
+    rounding = 0.0
 
     def terms():
-        nonlocal last_n, last_abs, rounding
+        # (t_n, bound on the tail from n): |t_n| / (1 - rho(n)) once
+        # n >= |c| + 2, |t_n| <= target and rho(n) < 1, else inf
+        nonlocal rounding
         for n in count():
             w = n * lz - sc * log(n + cc)
             t = cmath.exp(w)
-            last_n, last_abs = n, abs(t)
-            rounding += (abs(w) + 4.0) * last_abs  # _exp_rounding / EPS
-            yield t
+            at = abs(t)
+            rounding += (abs(w) + 4.0) * at  # _exp_rounding / EPS
+            b = math.inf
+            if n >= n_min and at <= target:
+                q = sa / (n - ac)
+                if q < q_max:  # else rho >= 1, and exp(q) might overflow
+                    rho = math.exp(q - q_max) * round_up
+                    if rho < 1.0:
+                        b = at / (1.0 - rho) * (1.0 + 4.0 * EPS)
+            yield t, b
 
-    def tail_bound(n):
-        if last_n < n_min or last_abs > target:
-            return math.inf
-        q = s2 / (last_n - ac)
-        if q >= q_max:  # rho >= 1, and exp(q) might overflow
-            return math.inf
-        # rho = |z| e^q.  The factor books the rounding of log|z| and exp;
-        # that of q is far inside the bound's slack, as |Log(1 + u)| <= |u|
-        # for Re u >= 0 gives the ratio bound with |s|, not 2|s|
-        rho = math.exp(q - q_max) * (1.0 + 4.0 * EPS * (q_max + 2.0))
-        if rho >= 1.0:
-            return math.inf
-        return last_abs / (1.0 - rho) * (1.0 + 4.0 * EPS)
-
-    res = sum_with_tail_bound(terms(), tail_bound, tol=target,
-                              max_terms=SERIES_MAX_TERMS)
+    res = sum_with_tail_bound(terms(), tol=target)
     return EvalResult(res.value, "series", res.tail_bound + EPS * rounding)
 
 
@@ -691,11 +685,12 @@ def hurwitz_zeta(s, c, tol=1e-12):
 def _euler_maclaurin(sc, zc, cx, tol):
     """zeta_H(s, c) for Re(c) >= 1/2 (zc = 1 is ``_shift_c``'s argument).
 
-    The correction sum uses exact Bernoulli numbers with the asymptotic
+    The head sum_{n<N} (n+c)^{-s} is ``_c_shift_head`` at z = 1.  The
+    correction sum uses exact Bernoulli numbers with the asymptotic
     term magnitude as the error proxy (N doubles until it is below tol).
-    The estimate adds the rounding of every exponential e^w of the sum
-    (``_exp_rounding``), so cancellation among large terms (Re s << 0)
-    shows in it.
+    The estimate adds the head's rounding and that of every exponential
+    e^w of the corrections (``_exp_rounding``), so cancellation among
+    large terms (Re s << 0) shows in it.
     """
     K = 12
     big_n = max(10, math.ceil(1.2 * abs(sc)) + 5)
@@ -712,12 +707,11 @@ def _euler_maclaurin(sc, zc, cx, tol):
     else:
         raise AccuracyError("Euler-Maclaurin tail would not drop below tol")
 
+    value, _, rounding = _c_shift_head(sc, zc, cx, big_n)
     # (w, term) pairs, each term a multiple of e^w
-    terms = [(w, cmath.exp(w))
-             for w in (-sc * principal_log(n + cx) for n in range(big_n))]
     lb = principal_log(big_n + cx)
     w = (1.0 - sc) * lb
-    terms.append((w, cmath.exp(w) / (sc - 1.0)))
+    terms = [(w, cmath.exp(w) / (sc - 1.0))]
     w = -sc * lb
     terms.append((w, 0.5 * cmath.exp(w)))
     poch = sc
@@ -726,8 +720,10 @@ def _euler_maclaurin(sc, zc, cx, tol):
         w = (-sc - 2 * k + 1) * lb
         terms.append((w, bk * poch * cmath.exp(w)))
         poch *= (sc + 2 * k - 1) * (sc + 2 * k)
-    return EvalResult(sum(t for _, t in terms), "euler_maclaurin",
-                      tail + sum(_exp_rounding(w, t) for w, t in terms))
+    for w, t in terms:
+        value += t
+        rounding += _exp_rounding(w, t)
+    return EvalResult(value, "euler_maclaurin", tail + rounding)
 
 
 def extended_polylog(s, z, c, tol=1e-12):

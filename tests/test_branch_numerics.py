@@ -345,7 +345,35 @@ def test_no_node_table_at_import():
 
 def test_sum_with_tail_bound_geometric():
     q = 0.5
-    res = sum_with_tail_bound((q ** n for n in range(10 ** 6)),
-                              lambda n: q ** n / (1 - q), tol=1e-13)
+    res = sum_with_tail_bound(((q ** n, q ** n / (1 - q))
+                               for n in range(10 ** 6)), tol=1e-13)
     assert res.value == pytest.approx(2.0, abs=1e-12)
     assert res.tail_bound <= 1e-13
+
+
+def test_sum_stops_before_the_term_whose_bound_reaches_tol():
+    pairs = [(1.0, math.inf), (2.0, 5.0), (4.0, 0.5), (8.0, 0.1)]
+    drawn = []
+
+    def terms():
+        for pair in pairs:
+            drawn.append(pair)
+            yield pair
+    res = sum_with_tail_bound(terms(), tol=0.5)
+    assert res == (3.0, 0.5)
+    assert drawn == pairs[:3]
+
+
+def test_sum_of_an_iterator_that_runs_out_has_tail_zero():
+    assert sum_with_tail_bound([(1.0, math.inf), (2j, 9.0)], tol=1e-3) \
+        == (1.0 + 2j, 0.0)
+    assert sum_with_tail_bound(iter(()), tol=1e-3) == (0.0, 0.0)
+
+
+def test_sum_past_max_terms_raises_with_the_partial_sum(monkeypatch):
+    monkeypatch.setattr(branch_numerics, "MAX_TERMS", 5)
+    bounds = iter([9.0, 8.0, 7.0, 6.0, 5.0, 0.0])
+    with pytest.raises(AccuracyError) as exc:
+        sum_with_tail_bound(((1.0, b) for b in bounds), tol=1e-3)
+    assert exc.value.best == 5.0 and exc.value.bound == 5.0
+    assert next(bounds) == 0.0  # the pair past the cap is never drawn

@@ -11,8 +11,9 @@ polynomial kernel and the certified series sum each have one home.
   (it sums no series of its own), and of the private names of
   ``eval_core`` it uses only ``_exact_rational_case``.
 * ``eval_core`` hand-rolls the c-shift identity
-  Phi(s,z,c) = sum_k z^k (c+k)^{-s} + z^N Phi(s,z,c+N) once: one function
-  holds a ``for`` loop over ``branched_power``.
+  Phi(s,z,c) = sum_k z^k (c+k)^{-s} + z^N Phi(s,z,c+N) once: only
+  ``_c_shift_head`` holds a loop or comprehension over ``branched_power``
+  or ``principal_log``, and Euler-Maclaurin takes its head from it.
 * ``eval_core`` has one Mellin integral: only ``_mellin`` calls
   ``quad_semiaxis``; ``phi_integral`` (past its z guards) and
   ``periodic_zeta`` (z Phi(s, z, 1)) both reach it.
@@ -122,12 +123,18 @@ def _calls(node, name):
 
 
 def test_one_c_shift_identity():
+    # a finite head sum_k z^k (c+k)^{-s} forms its powers in a loop or a
+    # comprehension, by branched_power or by e^w with w = -s Log(c+k)
     tree = ast.parse((SRC / "eval_core.py").read_text())
+    loops = (ast.For, ast.ListComp, ast.GeneratorExp, ast.SetComp,
+             ast.DictComp)
     homes = [fn.name for fn in ast.walk(tree)
              if isinstance(fn, ast.FunctionDef)
-             and any(isinstance(loop, ast.For) and _calls(loop, "branched_power")
+             and any(isinstance(loop, loops)
+                     and (_calls(loop, "branched_power")
+                          or _calls(loop, "principal_log"))
                      for loop in ast.walk(fn))]
-    assert len(homes) == 1, homes
+    assert homes == ["_c_shift_head"], homes
 
 
 def test_one_mellin_integral():
