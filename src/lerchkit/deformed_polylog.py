@@ -21,13 +21,15 @@ principal; the base point z = -1 sits on the cut and takes its
 upper-edge values (log(-1) = +i pi), matching the branch conventions
 used everywhere else in this package.
 
-The transport oracle steps the frame by Taylor expansions of degree
-n_taylor (30 by default).  At each expansion point the operator turns
-into one linear recurrence for the Taylor coefficients, built once and
-applied to all m+1 frame columns; its index pattern and factorials
-depend only on (n_taylor, m) and are cached.  A step is accepted when
-the two dropped Horner terms (the full jet minus the two-orders-lower
-one) are below the tolerance.
+The transport oracle follows the factorization: it carries each frame
+column as its chain v_k = (theta + c - 1)^{m-k} y, k = 0..m, which solves
+the first-order system (1-z) z v_0' = v_0, z v_k' = v_{k-1} - (c-1) v_k.
+The lead column's chain is (Li_{0,c}, ..., Li_{m,c}), and the chain of
+b_n = z^{1-c} (log z)^n / n! is (0, ..., 0, b_0, ..., b_n), so two
+chains, 2m+1 scalar series, carry the whole frame.  Each step expands
+them to degree n_taylor (30 by default) by two-term recurrences and
+sums them at the step; it is accepted when the two dropped terms of
+every series stay below tol * max(1, |value|), and halved otherwise.
 
 Matrices are tuples of rows of Python complex numbers, multiplied,
 factored and solved by one small LU kernel with partial pivoting.  Only
@@ -36,7 +38,6 @@ one place this package imports numpy.
 """
 
 import cmath
-import functools
 import math
 import operator
 from collections import namedtuple
@@ -619,151 +620,95 @@ def _lead_values(m, c, singular, ci):
     return vals
 
 
+def _chain_columns(lead, logs):
+    """Chain columns [lead, b_{m-1}, ..., b_0] from the lead chain
+    (v_0..v_m) and the chain of b_{m-1} without its zero head (v_1..v_m).
+
+    (theta + c - 1) b_n = b_{n-1} with b_{-1} = 0, so the chain of b_n is
+    (0, ..., 0, b_0, ..., b_n): that of b_{m-1} moved up by m-1-n places.
+    """
+    m = len(logs)
+    return [lead] + [[0j] * (m - n) + logs[:n + 1]
+                     for n in range(m - 1, -1, -1)]
+
+
 def _start_frame(m, c):
-    """Jet matrix S at z = -1, as rows: rows are derivative orders 0..m,
-    columns the basis entries [lead, b_{m-1}, ..., b_0]."""
-    cc = complex(c)
+    """Chain frame S at z = -1, as rows: row k holds the values of
+    v_k = (theta + c - 1)^{m-k} y, k = 0..m, for the basis entries
+    [lead, b_{m-1}, ..., b_0] in its columns.  The lead chain is
+    (Li_{0,c}, ..., Li_{m,c}), or Li* on the singular stratum, and
+    b_n = z^{1-c} (log z)^n / n! takes its upper-edge value at -1."""
     singular, ci = _singular_c(c)
-    # lead column via the ladder Li_j' = (Li_{j-1} - (c-1) Li_j)/z,
-    # iterated with Leibniz: D[j][i+1] = (D[j-1][i] - (c-1+i) D[j][i])/z
-    lead_c = complex(ci) if singular else cc
-    D = [[v] for v in _lead_values(m, c if not singular else ci,
-                                   singular, ci)]
-    for i in range(m):
-        D[0].append(math.factorial(i + 1) / (1.0 - _BASE) ** (i + 2))
-        for j in range(1, m + 1):
-            D[j].append((D[j - 1][i] - (lead_c - 1.0 + i) * D[j][i]) / _BASE)
-    # log columns: b_n = z^{1-c}(log z)^n/n!, upper-edge values at -1,
-    # with b_n' = ((1-c) b_n + b_{n-1})/z iterated the same way
-    zpow = branched_power(_BASE, 1.0 - cc, "principal")
-    B = [[zpow * (1j * math.pi) ** nn / math.factorial(nn)]
-         for nn in range(m)]
-    for i in range(m):
-        for nn in range(m):
-            low = B[nn - 1][i] if nn >= 1 else 0.0
-            B[nn].append(((1.0 - cc - i) * B[nn][i] + low) / _BASE)
-    columns = [D[m]] + B[::-1]
+    zpow = branched_power(_BASE, 1.0 - complex(c), "principal")
+    logs = [zpow * (1j * math.pi) ** n / math.factorial(n) for n in range(m)]
+    columns = _chain_columns(_lead_values(m, c, singular, ci), logs)
     return [list(row) for row in zip(*columns)]
 
 
-def _coeff_values(op, cc):
-    """The pairs (alpha_k(c), beta_k(c)) of the operator at c, k = 0..m+1;
-    they depend on c alone, so a transport evaluates them once."""
-    return [(complex(alpha.eval(cc)), complex(beta.eval(cc)))
-            for alpha, beta in op.entries]
+def _chain_taylor(lead, logs, z0, shift):
+    """Taylor coefficients A_0..A_n about z0, n = len(shift), of the 2m+1
+    chain entries whose values at z0 are lead = (v_0..v_m) and, for the
+    chain of b_{m-1}, logs = (v_1..v_m); that chain's v_0 is 0.
 
-
-def _poly_w_coeffs(ab, z0):
-    """Coefficients p[k][i] of P_k(w) = (alpha_k (z0+w) + beta_k)(z0+w)^k
-    expanded about w = 0, from the pairs ab of ``_coeff_values``."""
-    out = []
-    for k, (av, bv) in enumerate(ab):
-        base = av * z0 + bv
-        p = [0j] * (k + 2)
-        for i in range(k + 1):
-            binom = math.comb(k, i) * z0 ** (k - i)
-            p[i] += base * binom
-            p[i + 1] += av * binom
-        out.append(p)
+    v_0 solves (1 - z) z v_0' = v_0, whose coefficient recurrence
+    U_{q+1} = ((1 - (1 - 2 z0) q) U_q + (q - 1) U_{q-1}) / (z0 (1-z0) (q+1))
+    closes to U_1 = U_0 / (z0 (1 - z0)), U_{q+1} = U_q / (1 - z0): v_0 is a
+    multiple of z / (1 - z).  For k >= 1, z v_k' = v_{k-1} - (c - 1) v_k
+    gives V_{k,q+1} = (V_{k-1,q} - (q + c - 1) V_{k,q}) / (z0 (q + 1)),
+    with shift[q] = q + c - 1.
+    """
+    inv = [1.0 / (z0 * (q + 1)) for q in range(len(shift))]
+    damp = [s * i for s, i in zip(shift, inv)]
+    ratio = 1.0 / (1.0 - z0)
+    U = [lead[0]]
+    x = lead[0] * ratio / z0
+    for _ in shift:
+        U.append(x)
+        x *= ratio
+    out = [U]
+    for below, values in ((U, lead[1:]), ([0j] * len(shift), logs)):
+        for v in values:
+            V = [v]
+            for p, i, d in zip(below, inv, damp):
+                V.append(p * i - d * V[-1])
+            out.append(V)
+            below = V
     return out
 
 
-@functools.cache
-def _index_tables(n_top, m):
-    """The parts of the Taylor recurrence that depend only on (n_top, m).
-
-    Substituting y = sum_q A_q w^q into sum_k P_k(w) y^{(k)} = 0 and
-    reading off w^{q-m-1} gives A_q from A_lo..A_{q-1},
-    lo = max(0, q - m - 2).  At gap d = q - idx the coefficient of A_idx
-    is sum_k p[k][k+d-m-1] perm(idx, k) over k = max(0, m+1-d)..m+1,
-    divided by -p[m+1][0] perm(q, m+1).  Returns, for each q in
-    m+1..n_top, (lo, perm(q, m+1), per idx the pair (d, the perm(idx, k)
-    over that k range)), and the falling factorials perm(q, r) for
-    r = 0..m, q = 0..n_top that the jet evaluation uses.
-    """
-    pattern = []
-    for q in range(m + 1, n_top + 1):
-        lo = max(0, q - m - 2)
-        rows = []
-        for idx in range(lo, q):
-            d = q - idx
-            rows.append((d, tuple(math.perm(idx, k)
-                                  for k in range(max(0, m + 1 - d), m + 2))))
-        pattern.append((lo, math.perm(q, m + 1), tuple(rows)))
-    falling = tuple(tuple(math.perm(q, r) for q in range(n_top + 1))
-                    for r in range(m + 1))
-    return tuple(pattern), falling
-
-
-def _recurrence(pw, n_top, m):
-    """The Taylor recurrence at one expansion point, shared by every
-    solution: for q = m+1..n_top a pair (lo, coefs) with
-    A_q = sum_j coefs[j] A_{lo+j}."""
-    top = pw[m + 1][0]  # (1-z0) z0^{m+1}, nonzero off the singular set
-    by_gap = [None] + [[pw[k][k + d - m - 1]
-                        for k in range(max(0, m + 1 - d), m + 2)]
-                       for d in range(1, m + 3)]
-    rec = []
-    for lo, perm_q, rows in _index_tables(n_top, m)[0]:
-        scale = -1.0 / (top * perm_q)
-        rec.append((lo, [scale * sum(map(operator.mul, by_gap[d], f))
-                         for d, f in rows]))
-    return rec
-
-
-def _taylor_extend(rec, jet):
-    """Taylor coefficients A_0..A_{n_top} of the solution with the given
-    derivative jet at the expansion point of `rec`."""
-    A = [complex(d) / math.factorial(i) for i, d in enumerate(jet)]
-    for lo, coefs in rec:
-        A.append(sum(map(operator.mul, coefs, A[lo:])))
-    return A
-
-
-def _jet_at(A, h, m):
-    """Evaluate (y, y', ..., y^{(m)}) at offset h by Horner."""
-    falling = _index_tables(len(A) - 1, m)[1]
-    jet = []
-    for r in range(m + 1):
-        fr = falling[r]
+def _chain_step(series, h, tol):
+    """Every series of ``_chain_taylor`` summed at offset h, or None when
+    for some series its two dropped terms, |A_{n-1} h^{n-1}| + |A_n h^n|,
+    exceed tol * max(1, |value|)."""
+    r = abs(h)
+    rn = r ** (len(series[0]) - 2)
+    values = []
+    for A in series:
         acc = 0j
-        for q in range(len(A) - 1, r - 1, -1):
-            acc = acc * h + A[q] * fr[q]
-        jet.append(acc)
-    return jet
-
-
-def _tail_at(A, h, m):
-    """The last two Horner terms of _jet_at(A, h, m): the full jet minus
-    the jet of A without its top two coefficients."""
-    n = len(A) - 1
-    falling = _index_tables(n, m)[1]
-    return [(A[n - 1] * falling[r][n - 1] + A[n] * falling[r][n] * h)
-            * h ** (n - 1 - r) for r in range(m + 1)]
-
-
-def _advance(coeffs, step, m, tol):
-    """The frame's jets at offset `step` from the Taylor coefficients of
-    its columns, or None when a column fails the accept test."""
-    frame = []
-    for A in coeffs:
-        jet = _jet_at(A, step, m)
-        scale = max(1.0, max(abs(x) for x in jet))
-        if max(abs(x) for x in _tail_at(A, step, m)) > tol * scale:
+        for a in reversed(A):
+            acc = acc * h + a
+        if (abs(A[-2]) + abs(A[-1]) * r) * rn > tol * max(1.0, abs(acc)):
             return None
-        frame.append(jet)
-    return frame
+        values.append(acc)
+    return values
 
 
 def numeric_transport(m, c, path, n_taylor=30, tol=1e-10):
     """Continue the full solution frame of D_{m+1}^c along a polyline
     (start = end = -1), and express the continued basis in the original
-    one.  Step size stays below 0.4 times the distance to {0, 1}.  At
-    each expansion point the Taylor recurrence is built once and shared
-    by the m+1 frame columns; a step is accepted when, for every column,
-    the two highest-order terms of the degree-`n_taylor` jet (the full
-    jet minus the two-orders-lower one) stay below tol * max(1, |jet|),
-    and halved otherwise.
+    one.
+
+    The frame is carried in chain coordinates v_k = (theta + c - 1)^{m-k} y,
+    k = 0..m, in which the operator is the first-order system
+    (1 - z) z v_0' = v_0, z v_k' = v_{k-1} - (c - 1) v_k.  Two chains, 2m+1
+    scalar series, carry all m+1 columns: the lead column's and that of
+    b_{m-1}, whose shifts give every other log column (``_chain_columns``).
+    Each step expands them to degree `n_taylor` about the current point,
+    with step size at most 0.4 times the distance to {0, 1}; a step is
+    accepted when, for every series, its two dropped terms stay below
+    tol * max(1, |value|), and halved otherwise.  The result M = S^-1 F
+    is the same in chain and jet coordinates, since the start frame S and
+    the end frame F are both taken at z = -1.
 
     The start frame S is refused when its 1-norm condition number
     kappa_1 = |S|_1 |S^-1|_1 exceeds 1e12.  With n = m + 1 it lies within
@@ -774,30 +719,31 @@ def numeric_transport(m, c, path, n_taylor=30, tol=1e-10):
         raise DomainError("transport wants m >= 1")
     path = [complex(p) for p in path]
     _check_path(path)
-    ab = _coeff_values(weyl_expand(m), complex(c))
     S = _start_frame(m, c)
     fac = _lu(S)
     if _cond1(S, fac) > 1e12:
         raise TransportError("degenerate start frame")
-    frame = list(zip(*S))  # one jet, derivatives 0..m, per basis entry
+    shift = [q + complex(c) - 1.0 for q in range(n_taylor)]
+    values = [row[0] for row in S] + [row[1] for row in S[1:]]
     for a, b in zip(path, path[1:]):
         pos = a
         while abs(pos - b) > 1e-13:
             dist = min(abs(pos), abs(pos - 1.0))
             h = min(abs(b - pos), 0.4 * dist)
             direction = (b - pos) / abs(b - pos)
-            rec = _recurrence(_poly_w_coeffs(ab, pos), n_taylor, m)
-            coeffs = [_taylor_extend(rec, col) for col in frame]
+            series = _chain_taylor(values[:m + 1], values[m + 1:], pos, shift)
             for _ in range(40):
                 step = h * direction
-                new_frame = _advance(coeffs, step, m, tol)
-                if new_frame is not None:
-                    frame = new_frame
+                new_values = _chain_step(series, step, tol)
+                if new_values is not None:
+                    values = new_values
                     pos = pos + step
                     break
                 h *= 0.5
             else:
                 raise TransportError("step size underflow near %r" % (pos,))
-    # row i of the result solves S x = (jet of basis entry i at the end)
-    return MonodromyMatrix(tuple(tuple(_lu_solve(fac, jet)) for jet in frame),
-                           "transport", _basis_kind(c))
+    # row i of the result solves S x = (chain of basis entry i at the end)
+    return MonodromyMatrix(
+        tuple(tuple(_lu_solve(fac, col))
+              for col in _chain_columns(values[:m + 1], values[m + 1:])),
+        "transport", _basis_kind(c))

@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from lerchkit import deformed_polylog
-from lerchkit.deformed_polylog import (MonodromyMatrix, _coeff_values,
+from lerchkit.deformed_polylog import (MonodromyMatrix, _chain_taylor,
                                        _cond1, _lu, _lu_solve,
-                                       _poly_w_coeffs, _recurrence,
-                                       _taylor_extend, apply_operator,
+                                       apply_operator,
                                        basis, basis_series, li_series,
                                        li_star, li_star_series,
                                        log_power_series, numeric_transport,
@@ -319,77 +318,72 @@ def test_loops_are_valid_paths():
     (3, 0.3 + 0.2j), (3, Fraction(2, 7)), (3, 0), (3, 2),
     # a start frame whose lead value phi(3, -1, c) was refused when asked
     # for a tolerance below the quadrature's rounding floor
-    (3, 0.1114 + 0.4989j)])
+    (3, 0.1114 + 0.4989j),
+    # a negative singular c, and m = 4, c = 4, which stepping derivative
+    # jets of the expanded operator missed by 7.8e-8
+    (3, -1), (4, 4)])
 def test_transport_matches_closed_form(m, c):
-    # the m = 3 cases miss rho by at most 5.1e-9
-    bound = 1e-7 if m == 3 else 1e-6
     for gen, path in (("Z0", z0_loop()), ("Z1", z1_loop())):
         got = numeric_transport(m, c, path).entries
         want = rho(gen, m, c).entries
-        assert np.max(np.abs(got - want)) < bound
+        assert np.max(np.abs(got - want)) < 1e-8
 
 
-def _taylor_extend_reference(pw, jet, n_top, m):
-    """The Taylor recurrence written out per solution, term by term: the
-    reference for the shared recurrence of numeric_transport."""
-    A = [jet[i] / math.factorial(i) for i in range(m + 1)]
-    top = pw[m + 1][0]
-    for q in range(m + 1, n_top + 1):
-        N = q - m - 1
-        acc = 0j
-        for k in range(m + 2):
-            for i, p in enumerate(pw[k]):
-                if p == 0:
-                    continue
-                idx = N - i + k
-                if idx < 0 or idx >= q:
-                    continue
-                acc += p * A[idx] * math.perm(idx, k)
-        A.append(-acc / (top * math.perm(q, m + 1)))
-    return A
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("c", [0.3 + 0.2j, Fraction(2, 7), 0, 2])
+def test_out_and_back_path_returns_the_identity(m, c):
+    # a path that encloses nothing: no closed form enters the check
+    got = numeric_transport(m, c, [-1.0, -1.0 + 0.5j, -1.0]).entries
+    assert np.max(np.abs(got - np.eye(m + 1))) < 1e-10
+
+
+def _operator_residual(ab, z0, A, m):
+    """Coefficients of sum_k (alpha_k z + beta_k) z^k y^(k) about z0,
+    with y = sum_q A_q w^q, and per degree the sum of the magnitudes of
+    the products that make it, through degree len(A) - m - 3."""
+    top = len(A) - m - 3
+    res, scale = [0j] * (top + 1), [0.0] * (top + 1)
+    for k, (av, bv) in enumerate(ab):
+        # P_k(w) = (alpha_k (z0 + w) + beta_k) (z0 + w)^k
+        p = [0j] * (k + 2)
+        for i in range(k + 1):
+            binom = math.comb(k, i) * z0 ** (k - i)
+            p[i] += (av * z0 + bv) * binom
+            p[i + 1] += av * binom
+        for d in range(top + 1):
+            for i, pi in enumerate(p[:d + 1]):
+                term = pi * A[d - i + k] * math.perm(d - i + k, k)
+                res[d] += term
+                scale[d] += abs(term)
+    return res, scale
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("c", [0.3 + 0.2j, Fraction(2, 7), 0, 2])
 def test_shared_recurrence_matches_per_solution_loop(m, c):
-    # Coefficients are compared as the polynomial sum_q A_q w^q on the
-    # largest step disc |w| <= r: single A_q can cancel to far below the
-    # terms that make them, so the two summation orders agree only to
-    # about 1e-11 coefficient by coefficient.
+    # The chain recurrence, shared by every entry of both chains, against
+    # the expanded operator of weyl_expand applied to each solution it
+    # yields: the level-m series of the lead chain and of the log chain.
     rng = random.Random(m)
-    ab = _coeff_values(weyl_expand(m), complex(c))
+    ab = [(complex(alpha.eval(c)), complex(beta.eval(c)))
+          for alpha, beta in weyl_expand(m).entries]
+
+    def rand():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     for path in (z0_loop(), z1_loop()):
         for z0 in path[1:-1:3]:
-            pw = _poly_w_coeffs(ab, z0)
-            r = 0.4 * min(abs(z0), abs(z0 - 1.0))
-            for n_top in (30, 20):
-                rec = _recurrence(pw, n_top, m)
-                for _ in range(m + 1):
-                    jet = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                           for _ in range(m + 1)]
-                    got = _taylor_extend(rec, jet)
-                    want = _taylor_extend_reference(pw, jet, n_top, m)
-                    assert len(got) == len(want) == n_top + 1
-                    scale = max(abs(w) * r ** q for q, w in enumerate(want))
-                    diff = max(abs(g - w) * r ** q
-                               for q, (g, w) in enumerate(zip(got, want)))
-                    assert diff <= 1e-13 * scale
-
-
-def test_transport_evaluates_operator_coefficients_once(monkeypatch):
-    # alpha_k(c), beta_k(c) depend on c alone: one evaluation per
-    # polynomial per transport, not one per expansion point
-    calls = [0]
-    real_eval = deformed_polylog.CPolynomial.eval
-
-    def counted(self, c):
-        calls[0] += 1
-        return real_eval(self, c)
-
-    monkeypatch.setattr(deformed_polylog.CPolynomial, "eval", counted)
-    m = 2
-    numeric_transport(m, 0.3 + 0.2j, z1_loop())
-    assert calls[0] == 2 * (m + 2)
+            for n in (30, 20):
+                shift = [q + complex(c) - 1.0 for q in range(n)]
+                lead = [rand() for _ in range(m + 1)]
+                logs = [rand() for _ in range(m)]
+                series = _chain_taylor(lead, logs, z0, shift)
+                assert len(series) == 2 * m + 1
+                for A in (series[m], series[-1]):
+                    assert len(A) == n + 1
+                    res, scale = _operator_residual(ab, z0, A, m)
+                    assert len(res) == n - m - 1
+                    for r, sc in zip(res, scale):
+                        assert abs(r) <= 1e-13 * sc
 
 
 def test_transport_composes_like_the_word():

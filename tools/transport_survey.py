@@ -5,15 +5,19 @@ seeds.
 
 Runs ``deformed_polylog.numeric_transport`` of this checkout's ``src``, in
 process, on ``bench/workloads.transport_cases`` and prints, per m and
-stratum of c, the cases, the refusals and the worst ``bench/oracle``
-``rho_error`` against the closed-form ``rho`` of the same checkout.
---against surveys a second checkout's ``src`` as well and prints the worst
-entry difference between the two checkouts' matrices, over
-max(1, max |entry|) of this checkout's matrix.
+stratum of c, the cases, the refusals, the worst ``bench/oracle``
+``rho_error`` against the closed-form ``rho`` of the same checkout, and
+the seconds spent inside ``numeric_transport`` (wall clock, imports and
+``rho`` excluded).  --against surveys a second checkout's ``src`` as well
+and prints the worst entry difference between the two checkouts'
+matrices, over max(1, max |entry|) of this checkout's matrix, and per m
+and stratum the time ratio OTHER / this, so a value above 1 means this
+checkout is faster.
 """
 import argparse
 import importlib
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +37,7 @@ def stratum(c):
 
 
 def survey(src, n, seeds):
-    """[(case, matrix rows or error text, rho_error)] under src."""
+    """[(case, matrix rows or error text, rho_error, seconds)] under src."""
     for name in [m for m in sys.modules if m.split(".")[0] == "lerchkit"]:
         del sys.modules[name]
     sys.path.insert(0, str(Path(src).resolve()))
@@ -46,13 +50,17 @@ def survey(src, n, seeds):
         for _ in range(n):
             m, c, gen = case = next(cases)
             loop = dp.z0_loop() if gen == "Z0" else dp.z1_loop()
+            t0 = time.perf_counter()
             try:
-                got = dp.numeric_transport(m, c, loop).entries
+                got = dp.numeric_transport(m, c, loop)
             except errors.LerchError as e:
-                rows.append((case, "%s: %s" % (type(e).__name__, e), None))
+                rows.append((case, "%s: %s" % (type(e).__name__, e), None,
+                             time.perf_counter() - t0))
                 continue
+            seconds = time.perf_counter() - t0
+            got = got.entries
             err = rho_error(got, dp.rho(gen, m, c).entries)
-            rows.append((case, got.tolist(), err))
+            rows.append((case, got.tolist(), err, seconds))
     return rows
 
 
@@ -65,14 +73,20 @@ def main():
     seeds = [int(x) for x in args.seeds.split(",")]
     srcs = [ROOT / "src"] + ([args.against] if args.against else [])
     runs = [survey(src, args.n, seeds) for src in srcs]
+    keys = sorted({(r[0][0], stratum(r[0][1])) for r in runs[0]})
+    seconds = []
     for src, rows in zip(srcs, runs):
-        print("%s: %d cases" % (src, len(rows)))
-        for key in sorted({(r[0][0], stratum(r[0][1])) for r in rows}):
+        print("%s: %d cases, %.3f s" % (src, len(rows),
+                                       sum(r[3] for r in rows)))
+        per_key = {}
+        for key in keys:
             mine = [r for r in rows if (r[0][0], stratum(r[0][1])) == key]
             errs = [r[2] for r in mine if r[2] is not None]
+            per_key[key] = sum(r[3] for r in mine)
             print("  m=%d %-9s %4d cases %3d refused  worst rho_error %.3g"
-                  % (*key, len(mine), len(mine) - len(errs),
-                     max(errs, default=0)))
+                  "  %.3f s" % (*key, len(mine), len(mine) - len(errs),
+                                max(errs, default=0), per_key[key]))
+        seconds.append(per_key)
     if args.against:
         worst, where, differ = 0.0, None, 0
         for a, b in zip(*runs):
@@ -86,6 +100,11 @@ def main():
                 worst, where = diff, a[0]
         print("worst entry difference %.3g (m, c, loop = %r); "
               "%d refusals differ" % (worst, where, differ))
+        print("time ratio %s / %s:" % (srcs[1], srcs[0]))
+        for key in keys:
+            print("  m=%d %-9s %.2f" % (*key, seconds[1][key] / seconds[0][key]))
+        print("  all          %.2f" % (sum(seconds[1].values())
+                                       / sum(seconds[0].values())))
 
 
 if __name__ == "__main__":
