@@ -8,7 +8,17 @@ The operator in theta = z d/dz form is
     D_{m+1}^c = ((1-z) theta - 1) (theta + c - 1)^m,
 
 expanded exactly as sum_k (alpha_k(c) z + beta_k(c)) z^k d^k/dz^k with
-alpha, beta in Z[c] and top coefficient (1-z) z^{m+1}.  Solutions: the
+alpha, beta in Z[c] and top coefficient (1-z) z^{m+1}.  As
+z^k d^k/dz^k = theta (theta - 1) ... (theta - k + 1), the expansion reads
+z A(theta) + B(theta) with, exactly,
+
+    A = sum_k alpha_k theta (theta - 1) ... (theta - k + 1)
+      = -theta (theta + c - 1)^m,
+    B = sum_k beta_k theta (theta - 1) ... (theta - k + 1)
+      = (theta - 1) (theta + c - 1)^m.
+
+On y = sum a_n z^{n+1} this makes the coefficient of z^{n+1} in D y
+equal to B(n+1) a_n + A(n) a_{n-1}.  Solutions: the
 deformed polylog Li_{m,c}(z) = sum_{n>=0} z^{n+1}/(n+c)^m together with
 z^{1-c} (log z)^j / j! for j = m-1..0; on the singular stratum
 c = -k in Z_{<=0} the first entry is replaced by the regularized
@@ -27,9 +37,9 @@ the first-order system (1-z) z v_0' = v_0, z v_k' = v_{k-1} - (c-1) v_k.
 The lead column's chain is (Li_{0,c}, ..., Li_{m,c}), and the chain of
 b_n = z^{1-c} (log z)^n / n! is (0, ..., 0, b_0, ..., b_n), so two
 chains, 2m+1 scalar series, carry the whole frame.  Each step expands
-them to degree n_taylor (30 by default) by two-term recurrences and
-sums them at the step; it is accepted when the two dropped terms of
-every series stay below tol * max(1, |value|), and halved otherwise.
+them to degree 30 by two-term recurrences and sums them at the step; it
+is accepted when the two dropped terms of every series stay below
+1e-10 * max(1, |value|), and halved otherwise.
 
 Matrices are tuples of rows of Python complex numbers, multiplied,
 factored and solved by one small LU kernel with partial pivoting.  Only
@@ -53,16 +63,9 @@ __all__ = [
     "WeylOperator",
     "FuchsianBasis",
     "MonodromyMatrix",
-    "PowerLogSeries",
     "weyl_expand",
-    "apply_operator",
-    "theta_shift",
-    "li_series",
-    "li_star_series",
-    "log_power_series",
     "li_star",
     "basis",
-    "basis_series",
     "rho",
     "rho_word",
     "numeric_transport",
@@ -85,9 +88,6 @@ class CPolynomial(namedtuple("CPolynomial", "coeffs", defaults=((0,),))):
 
     def eval(self, c):
         return poly_eval(self.coeffs, c)
-
-    def is_zero(self):
-        return all(a == 0 for a in self.coeffs)
 
 
 def _stirling_rows(m_top):
@@ -116,7 +116,10 @@ def weyl_expand(m):
     With f^{(j)}_k the coefficients of (theta + c - 1)^j the entries are
     alpha_k = (c-1) f^{(m)}_k - f^{(m+1)}_k and
     beta_k = f^{(m+1)}_k - c f^{(m)}_k, so the top coefficient is
-    (1 - z) z^{m+1} exactly.
+    (1 - z) z^{m+1} exactly.  With z^k d^k = theta (theta-1) ... (theta-k+1)
+    the expansion is z A(theta) + B(theta), and the tests check, in
+    Z[c, theta], that A = -theta (theta+c-1)^m and
+    B = (theta-1)(theta+c-1)^m.
     """
     if m < 0:
         raise DomainError("operator order needs m >= 0")
@@ -130,155 +133,6 @@ def weyl_expand(m):
         beta = _padd(b, _pscale(_pmul(a, [0, 1]), -1))    # f_{m+1} - c f_m
         entries.append((CPolynomial(tuple(alpha)), CPolynomial(tuple(beta))))
     return WeylOperator(m + 1, tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# truncated power-log series  sum_{n,j} coeff * z^{nu+n} (log z)^j / j!
-# ---------------------------------------------------------------------------
-
-class PowerLogSeries:
-    """nu: exponent offset, exact (Fraction) when possible; c: the
-    deformation parameter the series belongs to; coeffs: n -> {j ->
-    coefficient}; order: coefficients trusted for n <= order."""
-
-    __slots__ = ("nu", "c", "coeffs", "order")
-
-    def __init__(self, nu, c, coeffs, order):
-        self.nu, self.c, self.coeffs, self.order = nu, c, coeffs, order
-
-    def __repr__(self):
-        return ("PowerLogSeries(nu=%r, c=%r, coeffs=%r, order=%r)"
-                % (self.nu, self.c, self.coeffs, self.order))
-
-    def coeff(self, n, j=0):
-        return self.coeffs.get(n, {}).get(j, 0)
-
-
-def _new_coeffs():
-    return {}
-
-
-def _bump(coeffs, n, j, v):
-    if v == 0:
-        return
-    row = coeffs.setdefault(n, {})
-    row[j] = row.get(j, 0) + v
-    if row[j] == 0:
-        del row[j]
-        if not row:
-            del coeffs[n]
-
-
-def _series_like(s, coeffs, order):
-    return PowerLogSeries(s.nu, s.c, coeffs, order)
-
-
-def _series_deriv(s):
-    """d/dz of the series; note d[z^{nu+n}(log z)^j/j!] picks up both the
-    power and the log term, each at n-1."""
-    out = _new_coeffs()
-    for n, row in s.coeffs.items():
-        for j, v in row.items():
-            _bump(out, n - 1, j, v * (s.nu + n))
-            if j >= 1:
-                _bump(out, n - 1, j - 1, v)
-    return _series_like(s, out, s.order - 1)
-
-
-def _series_shift(s, k):
-    """Multiply by z^k."""
-    out = {n + k: dict(row) for n, row in s.coeffs.items()}
-    return _series_like(s, out, s.order + k)
-
-
-def _series_axpy(acc, s, scale):
-    for n, row in s.coeffs.items():
-        for j, v in row.items():
-            _bump(acc, n, j, v * scale)
-
-
-def theta_shift(s, shift=None):
-    """(z d/dz + shift) applied to the series; shift defaults to c - 1."""
-    if shift is None:
-        shift = s.c - 1
-    out = _new_coeffs()
-    for n, row in s.coeffs.items():
-        for j, v in row.items():
-            _bump(out, n, j, v * (s.nu + n + shift))
-            if j >= 1:
-                _bump(out, n, j - 1, v)
-    return _series_like(s, out, s.order)
-
-
-def apply_operator(op, series):
-    """Apply a WeylOperator, exactly when the inputs are exact.
-
-    Coefficients of the result are trusted through z^{nu+n} for
-    n <= series.order (the z-multiplications only push information
-    upward, never pull missing high-order terms down).
-    """
-    c = series.c
-    acc = _new_coeffs()
-    d = series
-    for k, (alpha, beta) in enumerate(op.entries):
-        if k > 0:
-            d = _series_deriv(d)
-        if alpha.is_zero() and beta.is_zero():
-            continue
-        zk = _series_shift(d, k)
-        av, bv = alpha.eval(c), beta.eval(c)
-        if bv != 0:
-            _series_axpy(acc, zk, bv)
-        if av != 0:
-            _series_axpy(acc, _series_shift(zk, 1), av)
-    return PowerLogSeries(series.nu, c, acc, series.order)
-
-
-def li_series(m, c, order):
-    """Series of Li_{m,c}(z) = sum_{n>=0} z^{n+1}/(n+c)^m through z^order."""
-    coeffs = _new_coeffs()
-    for n in range(order):
-        base = n + c
-        if base == 0:
-            raise DomainError("Li_{m,c} series undefined at c = %r" % (c,))
-        _bump(coeffs, n + 1, 0, Fraction(1) / base ** m
-              if isinstance(base, (int, Fraction)) else 1.0 / base ** m)
-    nu = Fraction(0) if isinstance(c, (int, Fraction)) else 0.0
-    return PowerLogSeries(nu, c, coeffs, order)
-
-
-def li_star_series(m, k, order):
-    """Series of the regularized Li*_m(z,-k) through z^order (c = -k)."""
-    if k < 0:
-        raise DomainError("Li* wants k >= 0")
-    coeffs = _new_coeffs()
-    for n in range(order):
-        if n == k:
-            continue
-        _bump(coeffs, n + 1, 0, Fraction(1, (n - k) ** m) if m else Fraction(1))
-    if k + 1 <= order:
-        _bump(coeffs, k + 1, m, Fraction(1))
-    return PowerLogSeries(Fraction(0), -k, coeffs, order)
-
-
-def log_power_series(c, j, order=None):
-    """The basis entry z^{1-c} (log z)^j / j! as a one-term series; the
-    single term is exact, so `order` only caps downstream trust windows."""
-    nu = 1 - c if isinstance(c, (int, Fraction)) else 1.0 - c
-    coeffs = {0: {j: Fraction(1) if isinstance(c, (int, Fraction)) else 1.0}}
-    return PowerLogSeries(nu, c, coeffs, 10 ** 9 if order is None else order)
-
-
-def series_residual_norm(s, through=None):
-    """Largest coefficient magnitude up to the trusted order."""
-    top = s.order if through is None else min(through, s.order)
-    worst = 0.0
-    for n, row in s.coeffs.items():
-        if n > top:
-            continue
-        for v in row.values():
-            worst = max(worst, abs(complex(v)))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +194,6 @@ def basis(m, c):
         return FuchsianBasis(m, c, "singular", (lead,) + logs)
     lead = "Li_{%d,c}(z)" % m
     return FuchsianBasis(m, c, "regular", (lead,) + logs)
-
-
-def basis_series(fb, order):
-    """Exact truncated series for every basis entry (lead entry first)."""
-    singular, ci = _singular_c(fb.c)
-    out = []
-    if singular:
-        out.append(li_star_series(fb.m, -ci, order))
-    else:
-        out.append(li_series(fb.m, fb.c, order))
-    for j in range(fb.m - 1, -1, -1):
-        out.append(log_power_series(fb.c, j, order))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +387,8 @@ def unipotency_class(m, c, irrational=False):
     for integer c, quasi-unipotent for rational c, otherwise inside a
     Borel subgroup without being quasi-unipotent.  Pass irrational=True
     for exact irrationals handed over as floats."""
+    if m < 1:
+        raise DomainError("rho wants m >= 1")
     if irrational:
         return "borel"
     if as_int(c)[0]:
@@ -561,28 +404,32 @@ def unipotency_class(m, c, irrational=False):
 # ---------------------------------------------------------------------------
 
 _BASE = -1.0 + 0.0j
+_N_ARC = 16        # polyline vertices on each loop's circle
+_Z1_HEIGHT = 0.65  # radius of the Z1 circle and height of its corridor
+_N_TAYLOR = 30     # degree of every chain series at a transport step
+_STEP_TOL = 1e-10  # bound on a step's dropped terms, relative to max(1, |v|)
 
 
-def z0_loop(n_arc=16):
+def z0_loop():
     """Polyline from -1 once counterclockwise around 0 (radius 1/2),
     winding number 0 about 1."""
     pts = [_BASE, -0.5 + 0.0j]
-    for i in range(1, n_arc + 1):
-        pts.append(cmath.rect(0.5, math.pi + 2.0 * math.pi * i / n_arc))
+    for i in range(1, _N_ARC + 1):
+        pts.append(cmath.rect(0.5, math.pi + 2.0 * math.pi * i / _N_ARC))
     pts += [_BASE]
     return pts
 
 
-def z1_loop(n_arc=16, height=0.65):
-    """Polyline from -1 once counterclockwise around 1 (radius `height`),
-    via a corridor at Im z = height; winding number 0 about 0.  The ccw
+def z1_loop():
+    """Polyline from -1 once counterclockwise around 1 (radius 0.65), via
+    a corridor at Im z = 0.65; winding number 0 about 0.  The ccw
     orientation is the one matching rho(Z1): the continued lead entry
     gains -2 pi i times the top log entry (transport-validated)."""
-    pts = [_BASE, complex(-1.0, height), complex(1.0, height)]
-    for i in range(1, n_arc + 1):
-        pts.append(1.0 + cmath.rect(height,
-                                    math.pi / 2.0 + 2.0 * math.pi * i / n_arc))
-    pts += [complex(-1.0, height), _BASE]
+    pts = [_BASE, complex(-1.0, _Z1_HEIGHT), complex(1.0, _Z1_HEIGHT)]
+    for i in range(1, _N_ARC + 1):
+        pts.append(1.0 + cmath.rect(
+            _Z1_HEIGHT, math.pi / 2.0 + 2.0 * math.pi * i / _N_ARC))
+    pts += [complex(-1.0, _Z1_HEIGHT), _BASE]
     return pts
 
 
@@ -676,10 +523,10 @@ def _chain_taylor(lead, logs, z0, shift):
     return out
 
 
-def _chain_step(series, h, tol):
+def _chain_step(series, h):
     """Every series of ``_chain_taylor`` summed at offset h, or None when
     for some series its two dropped terms, |A_{n-1} h^{n-1}| + |A_n h^n|,
-    exceed tol * max(1, |value|)."""
+    exceed _STEP_TOL * max(1, |value|)."""
     r = abs(h)
     rn = r ** (len(series[0]) - 2)
     values = []
@@ -687,13 +534,14 @@ def _chain_step(series, h, tol):
         acc = 0j
         for a in reversed(A):
             acc = acc * h + a
-        if (abs(A[-2]) + abs(A[-1]) * r) * rn > tol * max(1.0, abs(acc)):
+        bound = _STEP_TOL * max(1.0, abs(acc))
+        if (abs(A[-2]) + abs(A[-1]) * r) * rn > bound:
             return None
         values.append(acc)
     return values
 
 
-def numeric_transport(m, c, path, n_taylor=30, tol=1e-10):
+def numeric_transport(m, c, path):
     """Continue the full solution frame of D_{m+1}^c along a polyline
     (start = end = -1), and express the continued basis in the original
     one.
@@ -703,10 +551,10 @@ def numeric_transport(m, c, path, n_taylor=30, tol=1e-10):
     (1 - z) z v_0' = v_0, z v_k' = v_{k-1} - (c - 1) v_k.  Two chains, 2m+1
     scalar series, carry all m+1 columns: the lead column's and that of
     b_{m-1}, whose shifts give every other log column (``_chain_columns``).
-    Each step expands them to degree `n_taylor` about the current point,
-    with step size at most 0.4 times the distance to {0, 1}; a step is
-    accepted when, for every series, its two dropped terms stay below
-    tol * max(1, |value|), and halved otherwise.  The result M = S^-1 F
+    Each step expands them to degree 30 about the current point, with step
+    size at most 0.4 times the distance to {0, 1}; a step is accepted
+    when, for every series, its two dropped terms stay below
+    1e-10 * max(1, |value|), and halved otherwise.  The result M = S^-1 F
     is the same in chain and jet coordinates, since the start frame S and
     the end frame F are both taken at z = -1.
 
@@ -723,7 +571,7 @@ def numeric_transport(m, c, path, n_taylor=30, tol=1e-10):
     fac = _lu(S)
     if _cond1(S, fac) > 1e12:
         raise TransportError("degenerate start frame")
-    shift = [q + complex(c) - 1.0 for q in range(n_taylor)]
+    shift = [q + complex(c) - 1.0 for q in range(_N_TAYLOR)]
     values = [row[0] for row in S] + [row[1] for row in S[1:]]
     for a, b in zip(path, path[1:]):
         pos = a
@@ -734,7 +582,7 @@ def numeric_transport(m, c, path, n_taylor=30, tol=1e-10):
             series = _chain_taylor(values[:m + 1], values[m + 1:], pos, shift)
             for _ in range(40):
                 step = h * direction
-                new_values = _chain_step(series, step, tol)
+                new_values = _chain_step(series, step)
                 if new_values is not None:
                     values = new_values
                     pos = pos + step

@@ -13,9 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lerchkit.deformed_polylog import (apply_operator, basis, basis_series,
-                                       numeric_transport, rho,
-                                       series_residual_norm, weyl_expand,
+from lerchkit.deformed_polylog import (numeric_transport, rho, weyl_expand,
                                        z0_loop, z1_loop)
 from lerchkit.eval_core import (periodic_zeta, phi, phi_c_shift,
                                 phi_integral, phi_series)
@@ -27,6 +25,8 @@ from lerchkit.verify import (_LADDER_GRID, check_four_term,
                              check_ladder_down, check_ladder_up,
                              check_lerch_three_term, check_pde,
                              check_rogers, check_spence)
+from test_deformed_polylog import (_basis_residuals, _factored_theta_form,
+                                   _theta_form)
 
 L = GeneratorLetter
 
@@ -237,15 +237,16 @@ def test_criterion_12_operator_exactness():
     for m in range(7):
         a, b = weyl_expand(m).entries[m + 1]
         ok = ok and a.coeffs == (-1,) and b.coeffs == (1,)
+    for m in range(8):
+        for c in range(-m - 2, m + 3):
+            ok = ok and _theta_form(m, c) == _factored_theta_form(m, c)
     for m in (1, 2, 3):
         for c in (1, Fraction(1, 2), 0, -1):
-            op = weyl_expand(m)
-            for s in basis_series(basis(m, c), 28):
-                res = series_residual_norm(apply_operator(op, s), through=25)
-                ok = ok and res == 0.0
+            ok = ok and all(r == 0 for r in _basis_residuals(m, c))
     _emit(12, ok, "top coefficient (1-z) z^{m+1} symbolically for m <= 6; "
-                  "operator annihilates every basis solution exactly "
-                  "through order 25")
+                  "z A(theta) + B(theta) is the factored operator in Z[c] "
+                  "for m <= 7; operator annihilation of every basis "
+                  "solution exact through order 25")
 
 
 def test_criterion_13_monodromy_jump():

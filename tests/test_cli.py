@@ -215,6 +215,15 @@ def test_ode_coeffs_and_class(capsys):
     assert rows[2]["alpha"] == [-1] and rows[2]["beta"] == [1]
 
 
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_ode_class_refuses_the_order_matrices_refuse(capsys, m):
+    # --class and --matrices both describe rho, which wants m >= 1
+    for flag in ("--class", "--matrices"):
+        code, out, err = run(capsys, "ode", "--m=" + m, "--c=1/2", flag)
+        assert (code, out) == (2, "")
+        assert "rho wants m >= 1" in err
+
+
 ODE_M2_C45 = {
     "schema": "lerch-kit/1", "command": "ode", "m": 2, "c": "4/5",
     "coeffs": [{"k": 0, "alpha": [0], "beta": [-1, 2, -1]},

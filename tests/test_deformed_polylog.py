@@ -1,10 +1,11 @@
 """Deformed polylogarithm ODE: Weyl form, Fuchsian bases, monodromy
 representation, and the numeric transport oracle.
 
-The annihilation tests run in exact rational arithmetic, so residuals
-are required to be identically zero, not merely small.  The transport
-checks tie the closed-form matrices to an independent Taylor-stepping
-continuation of the full solution frame.
+The Weyl expansion is checked in theta-form, z A(theta) + B(theta), as
+an identity in Z[c, theta], and the annihilation tests run in exact
+rational arithmetic, so residuals are required to be identically zero,
+not merely small.  The transport checks tie the closed-form matrices to
+an independent Taylor-stepping continuation of the full solution frame.
 """
 
 import cmath
@@ -17,15 +18,12 @@ import pytest
 
 from lerchkit import deformed_polylog
 from lerchkit.deformed_polylog import (MonodromyMatrix, _chain_taylor,
-                                       _cond1, _lu, _lu_solve,
-                                       apply_operator,
-                                       basis, basis_series, li_series,
-                                       li_star, li_star_series,
-                                       log_power_series, numeric_transport,
-                                       rho, rho_word, series_residual_norm,
-                                       theta_shift, unipotency_class,
+                                       _cond1, _lu, _lu_solve, basis,
+                                       li_star, numeric_transport, rho,
+                                       rho_word, unipotency_class,
                                        weyl_expand, z0_loop, z1_loop)
 from lerchkit.errors import BranchError, DomainError, TransportError
+from lerchkit.special_values import _padd, _pmul, _pscale, poly_eval
 
 TWO_PI_I = 2j * math.pi
 
@@ -38,7 +36,7 @@ def test_weyl_entries_order_zero():
     op = weyl_expand(0)
     assert op.order == 1
     (a0, b0), (a1, b1) = op.entries
-    assert a0.is_zero() and b0.coeffs == (-1,)
+    assert a0.coeffs == (0,) and b0.coeffs == (-1,)
     assert a1.coeffs == (-1,) and b1.coeffs == (1,)
 
 
@@ -63,37 +61,75 @@ def test_weyl_rejects_negative_order():
 
 
 # ---------------------------------------------------------------------------
-# exact annihilation of the basis solutions
+# theta-form and exact annihilation of the basis solutions
 # ---------------------------------------------------------------------------
+
+def _theta_form(m, c):
+    """A and B with weyl_expand(m) = z A(theta) + B(theta) at c, ascending
+    in theta, from z^k d^k = theta (theta - 1) ... (theta - k + 1)."""
+    A, B, falling = [0], [0], [1]
+    for k, (alpha, beta) in enumerate(weyl_expand(m).entries):
+        A = _padd(A, _pscale(falling, alpha.eval(c)))
+        B = _padd(B, _pscale(falling, beta.eval(c)))
+        falling = _pmul(falling, [-k, 1])
+    return A, B
+
+
+def _taylor(p, x):
+    """p^{(i)}(x) / i! for i = 0..len(p) - 1: p(x + t) in powers of t."""
+    out = [0]
+    for a in reversed(p):
+        out = _padd(_pmul(out, [x, 1]), [a])
+    return out + [0] * (len(p) - len(out))
+
+
+def _factored_theta_form(m, c):
+    """-theta (theta + c - 1)^m and (theta - 1)(theta + c - 1)^m."""
+    power = [1]
+    for _ in range(m):
+        power = _pmul(power, [c - 1, 1])
+    return _pmul([0, -1], power), _pmul([-1, 1], power)
+
+
+def _basis_residuals(m, c, top=25):
+    """Coefficients of D y, exact, for y each basis entry at c, through
+    z^top for the lead entry; all are 0 when weyl_expand is right.
+
+    P(theta) acts on z^e (log z)^j / j! as
+    z^e sum_i P^{(i)}(e)/i! (log z)^{j-i} / (j-i)!, and on
+    y = sum_n a_n z^{n+1} the z^{n+1}-coefficient of D y is
+    B(n+1) a_n + A(n) a_{n-1}.
+    """
+    A, B = _theta_form(m, c)
+    tA, tB = _taylor(A, 1 - c), _taylor(B, 1 - c)
+    # the log entries z^{1-c} (log z)^j / j!, j < m, and on the singular
+    # stratum the (log z)^{>=1} part of Li*'s z^{1-c} (log z)^m / m!
+    out = tA[:m] + tB[:m]
+    # a[n + 1] = a_n = 1/(n + c)^m, and a_{-1} = 0
+    a = [0] + [Fraction(1) / (n + c) ** m if n + c else 0
+               for n in range(top)]
+    lead = [poly_eval(B, n + 1) * a[n + 1] + poly_eval(A, n) * a[n]
+            for n in range(top)]
+    if c <= 0:
+        # Li*_m(z, -k) at k = -c: no a_k, and the log term's (log z)^0 part
+        lead[-c] += tB[m]
+        lead[1 - c] += tA[m]
+    return out + lead
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_weyl_expansion_is_the_factored_operator(m):
+    # ((1-z) theta - 1)(theta + c - 1)^m = z A + B.  Each theta-coefficient
+    # of A and B has c-degree at most m + 1, so agreement at the 2m + 5
+    # integers of [-m-2, m+2] proves the identity in Z[c].
+    for c in range(-m - 2, m + 3):
+        assert _theta_form(m, c) == _factored_theta_form(m, c), c
+
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("c", [1, Fraction(1, 2), 0, -1])
 def test_operator_annihilates_basis_exactly(m, c):
-    op = weyl_expand(m)
-    fb = basis(m, c)
-    for s in basis_series(fb, 28):
-        r = apply_operator(op, s)
-        assert series_residual_norm(r, through=25) == 0.0
-
-
-def test_li_star_ladder_lowers_order():
-    # (theta - k - 1) Li*_m(z,-k) = Li*_{m-1}(z,-k), coefficient by coefficient
-    for m in (2, 3):
-        for k in (0, 1, 2):
-            down = theta_shift(li_star_series(m, k, 20))
-            want = li_star_series(m - 1, k, 20)
-            for n in range(21):
-                row_d = down.coeffs.get(n, {})
-                row_w = want.coeffs.get(n, {})
-                for j in set(row_d) | set(row_w):
-                    assert row_d.get(j, 0) == row_w.get(j, 0)
-
-
-def test_li_series_rejects_nonpositive_integer_c():
-    with pytest.raises(DomainError):
-        li_series(2, 0, 10)
-    with pytest.raises(DomainError):
-        li_series(2, -3, 10)
+    assert _basis_residuals(m, c) == [0] * (2 * m + 25)
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +160,29 @@ def test_li_star_edges():
 
 
 def test_li_star_matches_its_series_in_the_disk():
-    z = 0.23 - 0.17j
-    s = li_star_series(2, 1, 60)
-    acc = 0j
-    lg = cmath.log(z)
-    for n, row in s.coeffs.items():
-        for j, v in row.items():
-            acc += complex(v) * z ** n * lg ** j / math.factorial(j)
-    assert li_star(2, 1, z) == pytest.approx(acc, abs=1e-13)
+    # the defining sum
+    # Li*_m(z,-k) = sum_{n != k} z^{n+1}/(n-k)^m + z^{k+1} (log z)^m / m!
+    for z in (0.23 - 0.17j, -0.31 + 0.05j):
+        for m in (1, 2, 3):
+            for k in (0, 1, 2):
+                want = sum(z ** (n + 1) / (n - k) ** m
+                           for n in range(80) if n != k)
+                want += z ** (k + 1) * cmath.log(z) ** m / math.factorial(m)
+                assert li_star(m, k, z) == pytest.approx(want, abs=1e-13)
+
+
+def test_li_star_ladder_lowers_order():
+    # (theta - k - 1) Li*_m(z,-k) = Li*_{m-1}(z,-k), with theta = z d/dz
+    # from the Cauchy integral on a circle of radius r about z
+    r, n = 0.1, 32
+    ring = [cmath.exp(2j * math.pi * i / n) for i in range(n)]
+    for z in (0.23 - 0.17j, -0.4 + 0.3j):
+        for m in (1, 2, 3):
+            for k in (0, 1, 2):
+                deriv = sum(li_star(m, k, z + r * u) / (r * u)
+                            for u in ring) / n
+                got = z * deriv - (k + 1) * li_star(m, k, z)
+                assert abs(got - li_star(m - 1, k, z)) < 1e-11, (z, m, k)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +324,14 @@ def test_unipotency_classes():
     assert unipotency_class(2, -1 + 1e-13) == "unipotent"
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_unipotency_class_wants_the_order_rho_wants(m):
+    # the class is that of rho(Z0), which has no matrix for m < 1
+    for c in (Fraction(1, 2), 1, 0.3 + 0.4j):
+        with pytest.raises(DomainError, match="m >= 1"):
+            unipotency_class(m, c)
+
+
 # ---------------------------------------------------------------------------
 # basis descriptors
 # ---------------------------------------------------------------------------
@@ -289,12 +348,6 @@ def test_basis_descriptors():
     assert fb.entries[0] == "Li*_1(z, -1)"
     with pytest.raises(DomainError):
         basis(0, 1)
-
-
-def test_log_power_series_is_single_term():
-    s = log_power_series(Fraction(1, 2), 2)
-    assert s.nu == Fraction(1, 2)
-    assert s.coeffs == {0: {2: Fraction(1)}}
 
 
 # ---------------------------------------------------------------------------
