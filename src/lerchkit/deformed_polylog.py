@@ -36,8 +36,10 @@ column as its chain v_k = (theta + c - 1)^{m-k} y, k = 0..m, which solves
 the first-order system (1-z) z v_0' = v_0, z v_k' = v_{k-1} - (c-1) v_k.
 The lead column's chain is (Li_{0,c}, ..., Li_{m,c}), and the chain of
 b_n = z^{1-c} (log z)^n / n! is (0, ..., 0, b_0, ..., b_n), so two
-chains, 2m+1 scalar series, carry the whole frame.  Each step expands
-them to degree 30 by two-term recurrences and sums them at the step; it
+chains, 2m+1 scalar series, carry the whole frame.  The start values
+Li_{j,c}(-1) = -Phi(j, -1, c) come from one accelerated alternating sum,
+with no quadrature.  Each step builds the series to degree 30 in the
+scaled coefficients A_q h^q by two-term recurrences and sums them; it
 is accepted when the two dropped terms of every series stay below
 1e-10 * max(1, |value|), and halved otherwise.
 
@@ -48,6 +50,7 @@ one place this package imports numpy.
 """
 
 import cmath
+import itertools
 import math
 import operator
 from collections import namedtuple
@@ -156,7 +159,11 @@ def li_star(m, k, z, tol=1e-12):
     # the same attachment convention used on every other cut here
     if m == 0:
         return z / (1.0 - z)
-    li_m = z * _phi(m, z, 1, tol=tol).value
+    return _li_star_from(m, k, z, z * _phi(m, z, 1, tol=tol).value)
+
+
+def _li_star_from(m, k, z, li_m):
+    """li_star's closed form at m >= 1, given li_m = Li_m(z)."""
     lg = principal_log(z)
     head = z ** (k + 1) * (li_m + lg ** m / math.factorial(m))
     tail = sum(z ** (j + 1) / (k - j) ** m for j in range(k))
@@ -168,7 +175,10 @@ def li_star(m, k, z, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 def _singular_c(c):
-    """(c is in Z_{<=0}, that integer) under the package integer test."""
+    """(c is in Z_{<=0}, that integer) under the package integer test;
+    DomainError, as phi gives, for an infinite or NaN c."""
+    if not isinstance(c, (int, Fraction)) and not cmath.isfinite(complex(c)):
+        raise DomainError("c must be finite, got c = %s" % (c,))
     is_int, n = as_int(c)
     return is_int and n <= 0, n
 
@@ -389,6 +399,7 @@ def unipotency_class(m, c, irrational=False):
     for exact irrationals handed over as floats."""
     if m < 1:
         raise DomainError("rho wants m >= 1")
+    _singular_c(c)  # refuses a non-finite c
     if irrational:
         return "borel"
     if as_int(c)[0]:
@@ -408,6 +419,11 @@ _N_ARC = 16        # polyline vertices on each loop's circle
 _Z1_HEIGHT = 0.65  # radius of the Z1 circle and height of its corridor
 _N_TAYLOR = 30     # degree of every chain series at a transport step
 _STEP_TOL = 1e-10  # bound on a step's dropped terms, relative to max(1, |v|)
+# Largest max/min of |z^{1-c}| on an accepted path.  A rounding error
+# (2^-53 relative) in the lead chain where |z^{1-c}| is least is a multiple
+# of z^{1-c}, unseen by the step test; it grows by up to that ratio before
+# M's lead row reads it, and beyond _STEP_TOL * 2^53 outgrows _STEP_TOL.
+_MAX_SWING = _STEP_TOL * 2.0 ** 53
 
 
 def z0_loop():
@@ -454,17 +470,35 @@ def _check_path(path):
             raise TransportError("path strays within 0.1 of a singular point")
 
 
-def _lead_values(m, c, singular, ci):
-    """Values Li_j(-1) (or Li*_j(-1,c)) for j = 0..m, at phi's default
-    tolerance: a tighter one sits below the quadrature's rounding floor
-    for some regular c (c near 0.1 + 0.5i, m = 3), which phi refuses."""
-    vals = [_BASE / (1.0 - _BASE)]  # z/(1-z) at z = -1
-    for j in range(1, m + 1):
-        if singular:
-            vals.append(li_star(j, -ci, _BASE.real))
-        else:
-            vals.append(_BASE * _phi(j, _BASE.real, c).value)
-    return vals
+def _alternating_phi(m, c):
+    """[Phi(j, -1, c) = sum_k (-1)^k (k + c)^-j for j = 1..m], c off
+    Z_{<=0}, with one 1/(k + c) per k for every j.  The exact shift
+    Phi(j, -1, c) = sum_{k<N} (-1)^k (k + c)^-j + (-1)^N Phi(j, -1, c + N)
+    takes Re c above 1/2; the tail then takes the weights of Cohen,
+    Rodriguez Villegas and Zagier (Experimental Math. 9 (2000), Algorithm
+    1).  Its terms (k + c)^-j = int_0^1 x^k dmu are moments of a measure of
+    total variation (Re c)^-j, so n weighted terms miss it by at most
+    2 (Re c)^-j / (3 + sqrt 8)^n, and n is the least that makes this 2^-53
+    or less for every j <= m."""
+    n_shift = max(0, math.floor(0.5 - complex(c).real) + 1)
+    re = complex(c + n_shift).real
+    rate = 3.0 + math.sqrt(8.0)
+    n = math.ceil(math.log(2.0 ** 54 * max(1.0 / re, re ** -m), rate))
+    d = (rate ** n + rate ** -n) / 2.0
+    b, e, scale = -1.0, -d, (-1.0) ** n_shift / d
+    tail = []
+    for k in range(n):
+        e = b - e
+        tail.append(scale * e)
+        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1))
+    sums = [0j] * m
+    for k, w in enumerate(itertools.chain(
+            ((-1.0) ** k for k in range(n_shift)), tail)):
+        r = 1.0 / complex(c + k)
+        for j in range(m):
+            w *= r
+            sums[j] += w
+    return sums
 
 
 def _chain_columns(lead, logs):
@@ -484,61 +518,48 @@ def _start_frame(m, c):
     v_k = (theta + c - 1)^{m-k} y, k = 0..m, for the basis entries
     [lead, b_{m-1}, ..., b_0] in its columns.  The lead chain is
     (Li_{0,c}, ..., Li_{m,c}), or Li* on the singular stratum, and
-    b_n = z^{1-c} (log z)^n / n! takes its upper-edge value at -1."""
+    b_n = z^{1-c} (log z)^n / n! takes its upper-edge value at -1.  With
+    Li_{j,c}(-1) = -Phi(j, -1, c), Li* is li_star's closed form fed
+    Li_j(-1) = -Phi(j, -1, 1)."""
     singular, ci = _singular_c(c)
+    lead = [_BASE / (1.0 - _BASE)]  # z/(1-z) at z = -1
+    for j, p in enumerate(_alternating_phi(m, 1 if singular else c), 1):
+        lead.append(_li_star_from(j, -ci, _BASE, -p) if singular else -p)
     zpow = branched_power(_BASE, 1.0 - complex(c), "principal")
     logs = [zpow * (1j * math.pi) ** n / math.factorial(n) for n in range(m)]
-    columns = _chain_columns(_lead_values(m, c, singular, ci), logs)
+    columns = _chain_columns(lead, logs)
     return [list(row) for row in zip(*columns)]
 
 
-def _chain_taylor(lead, logs, z0, shift):
-    """Taylor coefficients A_0..A_n about z0, n = len(shift), of the 2m+1
-    chain entries whose values at z0 are lead = (v_0..v_m) and, for the
-    chain of b_{m-1}, logs = (v_1..v_m); that chain's v_0 is 0.
+def _chain_taylor(lead, logs, z0, shift, h):
+    """Scaled Taylor coefficients W_q = A_q h^q about z0, q = 0..n with
+    n = len(shift), of the 2m+1 chain entries whose values at z0 are
+    lead = (v_0..v_m) and, for the chain of b_{m-1}, logs = (v_1..v_m);
+    that chain's v_0 is 0.  Their sum is the value at z0 + h.
 
     v_0 solves (1 - z) z v_0' = v_0, whose coefficient recurrence
     U_{q+1} = ((1 - (1 - 2 z0) q) U_q + (q - 1) U_{q-1}) / (z0 (1-z0) (q+1))
     closes to U_1 = U_0 / (z0 (1 - z0)), U_{q+1} = U_q / (1 - z0): v_0 is a
     multiple of z / (1 - z).  For k >= 1, z v_k' = v_{k-1} - (c - 1) v_k
     gives V_{k,q+1} = (V_{k-1,q} - (q + c - 1) V_{k,q}) / (z0 (q + 1)),
-    with shift[q] = q + c - 1.
+    with shift[q] = q + c - 1; in W each recurrence step adds a factor h.
     """
-    inv = [1.0 / (z0 * (q + 1)) for q in range(len(shift))]
+    hz, ratio, x, v = h / z0, h / (1.0 - z0), lead[0] / z0, logs[0]
+    inv = [hz / (q + 1) for q in range(len(shift))]
     damp = [s * i for s, i in zip(shift, inv)]
-    ratio = 1.0 / (1.0 - z0)
-    U = [lead[0]]
-    x = lead[0] * ratio / z0
-    for _ in shift:
-        U.append(x)
-        x *= ratio
-    out = [U]
-    for below, values in ((U, lead[1:]), ([0j] * len(shift), logs)):
+    U = [lead[0]] + [x := x * ratio for _ in shift]
+    B = [v] + [v := -d * v for d in damp]  # the log chain's v_0 is 0
+    out = []
+    for below, values in ((U, lead[1:]), (B, logs[1:])):
+        out.append(below)
         for v in values:
             V = [v]
             for p, i, d in zip(below, inv, damp):
-                V.append(p * i - d * V[-1])
+                v = p * i - d * v
+                V.append(v)
             out.append(V)
             below = V
     return out
-
-
-def _chain_step(series, h):
-    """Every series of ``_chain_taylor`` summed at offset h, or None when
-    for some series its two dropped terms, |A_{n-1} h^{n-1}| + |A_n h^n|,
-    exceed _STEP_TOL * max(1, |value|)."""
-    r = abs(h)
-    rn = r ** (len(series[0]) - 2)
-    values = []
-    for A in series:
-        acc = 0j
-        for a in reversed(A):
-            acc = acc * h + a
-        bound = _STEP_TOL * max(1.0, abs(acc))
-        if (abs(A[-2]) + abs(A[-1]) * r) * rn > bound:
-            return None
-        values.append(acc)
-    return values
 
 
 def numeric_transport(m, c, path):
@@ -551,17 +572,18 @@ def numeric_transport(m, c, path):
     (1 - z) z v_0' = v_0, z v_k' = v_{k-1} - (c - 1) v_k.  Two chains, 2m+1
     scalar series, carry all m+1 columns: the lead column's and that of
     b_{m-1}, whose shifts give every other log column (``_chain_columns``).
-    Each step expands them to degree 30 about the current point, with step
-    size at most 0.4 times the distance to {0, 1}; a step is accepted
-    when, for every series, its two dropped terms stay below
-    1e-10 * max(1, |value|), and halved otherwise.  The result M = S^-1 F
-    is the same in chain and jet coordinates, since the start frame S and
-    the end frame F are both taken at z = -1.
+    Each step h, at most 0.4 times the distance to {0, 1}, builds the
+    series to degree 30 about the current point as A_q h^q, whose sums are
+    the values at the step; it is accepted when, for every series, its
+    two dropped terms stay below 1e-10 * max(1, |value|), and halved
+    otherwise.  M = S^-1 F is the same in chain and jet coordinates, since
+    the start frame S and the end frame F are both taken at z = -1.
 
-    The start frame S is refused when its 1-norm condition number
-    kappa_1 = |S|_1 |S^-1|_1 exceeds 1e12.  With n = m + 1 it lies within
-    a factor n of the 2-norm kappa_2 that numpy's ``cond`` gives:
-    kappa_2 / n <= kappa_1 <= n kappa_2.
+    S is refused when its 1-norm condition number kappa_1 = |S|_1 |S^-1|_1
+    exceeds 1e12.  With n = m + 1 it lies within a factor n of the 2-norm
+    kappa_2 that numpy's ``cond`` gives: kappa_2 / n <= kappa_1 <= n kappa_2.
+    The path is refused when max/min |z^{1-c}| along it exceeds about 9e5
+    (``_MAX_SWING``), a factor by which the lead row of M loses accuracy.
     """
     if m < 1:
         raise DomainError("transport wants m >= 1")
@@ -573,23 +595,30 @@ def numeric_transport(m, c, path):
         raise TransportError("degenerate start frame")
     shift = [q + complex(c) - 1.0 for q in range(_N_TAYLOR)]
     values = [row[0] for row in S] + [row[1] for row in S[1:]]
+    swing = [abs(values[m + 1])]  # |b_0| = |z^{1-c}| along the path
     for a, b in zip(path, path[1:]):
         pos = a
         while abs(pos - b) > 1e-13:
             dist = min(abs(pos), abs(pos - 1.0))
             h = min(abs(b - pos), 0.4 * dist)
             direction = (b - pos) / abs(b - pos)
-            series = _chain_taylor(values[:m + 1], values[m + 1:], pos, shift)
             for _ in range(40):
                 step = h * direction
-                new_values = _chain_step(series, step)
-                if new_values is not None:
-                    values = new_values
+                series = _chain_taylor(values[:m + 1], values[m + 1:], pos,
+                                       shift, step)
+                sums = [sum(W) for W in series]
+                if all(abs(W[-2]) + abs(W[-1]) <= _STEP_TOL * max(1.0, abs(v))
+                       for W, v in zip(series, sums)):
+                    values = sums
                     pos = pos + step
+                    swing.append(abs(values[m + 1]))
                     break
                 h *= 0.5
             else:
                 raise TransportError("step size underflow near %r" % (pos,))
+    if max(swing) > _MAX_SWING * min(swing):
+        raise TransportError("|z^(1-c)| swings by more than %.3g along "
+                             "the path" % _MAX_SWING)
     # row i of the result solves S x = (chain of basis entry i at the end)
     return MonodromyMatrix(
         tuple(tuple(_lu_solve(fac, col))

@@ -224,6 +224,15 @@ def test_ode_class_refuses_the_order_matrices_refuse(capsys, m):
         assert "rho wants m >= 1" in err
 
 
+@pytest.mark.parametrize("c", ["inf", "-inf", "nan"])
+def test_ode_refuses_a_non_finite_c(capsys, c):
+    # one line naming c, as eval gives for phi, in place of a traceback
+    for flag in ("--matrices", "--class"):
+        code, out, err = run(capsys, "ode", "--m=2", "--c=" + c, flag)
+        assert (code, out) == (2, "")
+        assert err == "lerch-kit: error: c must be finite, got c = %s\n" % c
+
+
 ODE_M2_C45 = {
     "schema": "lerch-kit/1", "command": "ode", "m": 2, "c": "4/5",
     "coeffs": [{"k": 0, "alpha": [0], "beta": [-1, 2, -1]},

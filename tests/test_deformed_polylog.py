@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 
 from lerchkit import deformed_polylog
-from lerchkit.deformed_polylog import (MonodromyMatrix, _chain_taylor,
-                                       _cond1, _lu, _lu_solve, basis,
-                                       li_star, numeric_transport, rho,
-                                       rho_word, unipotency_class,
-                                       weyl_expand, z0_loop, z1_loop)
+from lerchkit.deformed_polylog import (MonodromyMatrix, _alternating_phi,
+                                       _chain_taylor, _cond1, _lu,
+                                       _lu_solve, basis, li_star,
+                                       numeric_transport, rho, rho_word,
+                                       unipotency_class, weyl_expand,
+                                       z0_loop, z1_loop)
 from lerchkit.errors import BranchError, DomainError, TransportError
+from lerchkit.eval_core import phi
 from lerchkit.special_values import _padd, _pmul, _pscale, poly_eval
 
 TWO_PI_I = 2j * math.pi
@@ -324,6 +326,18 @@ def test_unipotency_classes():
     assert unipotency_class(2, -1 + 1e-13) == "unipotent"
 
 
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan,
+                               complex(0.5, math.inf)])
+def test_non_finite_c_is_a_domain_error(c):
+    # as in phi: every entry point taking c names it
+    for call in (lambda: rho("Z0", 2, c), lambda: rho_word("Z0 Z1", 2, c),
+                 lambda: basis(2, c), lambda: unipotency_class(2, c),
+                 lambda: unipotency_class(2, c, irrational=True),
+                 lambda: numeric_transport(2, c, z0_loop())):
+        with pytest.raises(DomainError, match="c must be finite, got c = "):
+            call()
+
+
 @pytest.mark.parametrize("m", [0, -3])
 def test_unipotency_class_wants_the_order_rho_wants(m):
     # the class is that of rho(Z0), which has no matrix for m < 1
@@ -374,12 +388,62 @@ def test_loops_are_valid_paths():
     (3, 0.1114 + 0.4989j),
     # a negative singular c, and m = 4, c = 4, which stepping derivative
     # jets of the expanded operator missed by 7.8e-8
-    (3, -1), (4, 4)])
+    (3, -1), (4, 4),
+    # start frames shifted up from Re c < 0, from 0 < Re c <= 1/2 and not
+    # shifted at all
+    (3, Fraction(-3, 2)), (3, 0.5 - 0.4j), (3, Fraction(7, 3)),
+    # |z^(1-c)| swings by 1.8e2 on the Z0 loop and 1.1e5 on the Z1 loop
+    (1, Fraction(-13, 2))])
 def test_transport_matches_closed_form(m, c):
     for gen, path in (("Z0", z0_loop()), ("Z1", z1_loop())):
         got = numeric_transport(m, c, path).entries
         want = rho(gen, m, c).entries
         assert np.max(np.abs(got - want)) < 1e-8
+
+
+@pytest.mark.parametrize("m,c,loops", [
+    # rho_error 2.6 on Z0 and 10.7 on Z1 without the swing check
+    (1, Fraction(-81, 2), (z0_loop(), z1_loop())),
+    # rho_error 6.5e-5 without the swing check and a quadrature start
+    # frame; kappa_1 of its start frame is below the 1e12 refused
+    (2, 0.5 - 8j, (z0_loop(),))])
+def test_transport_refuses_a_wide_swing_of_the_log_solution(m, c, loops):
+    for path in loops:
+        with pytest.raises(TransportError, match=r"\|z\^\(1-c\)\| swings"):
+            numeric_transport(m, c, path)
+
+
+def test_start_frame_sum_meets_exact_constants():
+    # each within its bound 2^-53 plus a few ulps
+    catalan = 0.91596559417721901505
+    zeta3 = 1.2020569031595942854
+    for c, want in ((1, (math.log(2), math.pi ** 2 / 12, 3 * zeta3 / 4)),
+                    (Fraction(1, 2), (math.pi / 2, 4 * catalan))):
+        got = _alternating_phi(len(want), c)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 2.0 ** -53 + 4 * math.ulp(w), (c, g, w)
+
+
+@pytest.mark.parametrize("c", [0.3 + 0.2j, Fraction(2, 7), 3, Fraction(-3, 2),
+                               0.5 - 0.4j, 0.1114 + 0.4989j, Fraction(7, 3),
+                               Fraction(-1, 3)])
+def test_start_frame_sum_matches_phi(c):
+    # within the sum of the two estimates: phi's, and the sum's bound
+    # 2^-53 plus a few ulps of rounding
+    for j, got in enumerate(_alternating_phi(3, c), 1):
+        want = phi(j, -1, c)
+        bound = want.error_estimate + 2.0 ** -53 + 8 * math.ulp(abs(got))
+        assert abs(got - want.value) <= bound, (j, got, want)
+
+
+def test_transport_makes_no_phi_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("phi called")
+    monkeypatch.setattr(deformed_polylog, "_phi", refuse)
+    for m, c in ((2, 0.3 + 0.2j), (2, Fraction(1, 2)), (2, 0), (3, -1)):
+        for gen, path in (("Z0", z0_loop()), ("Z1", z1_loop())):
+            got = numeric_transport(m, c, path).entries
+            assert np.max(np.abs(got - rho(gen, m, c).entries)) < 1e-8
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -429,7 +493,7 @@ def test_shared_recurrence_matches_per_solution_loop(m, c):
                 shift = [q + complex(c) - 1.0 for q in range(n)]
                 lead = [rand() for _ in range(m + 1)]
                 logs = [rand() for _ in range(m)]
-                series = _chain_taylor(lead, logs, z0, shift)
+                series = _chain_taylor(lead, logs, z0, shift, 1.0)
                 assert len(series) == 2 * m + 1
                 for A in (series[m], series[-1]):
                     assert len(A) == n + 1

@@ -8,14 +8,18 @@ process, on ``bench/workloads.transport_cases`` and prints, per m and
 stratum of c, the cases, the refusals, the worst ``bench/oracle``
 ``rho_error`` against the closed-form ``rho`` of the same checkout, and
 the seconds spent inside ``numeric_transport`` (wall clock, imports and
-``rho`` excluded).  --against surveys a second checkout's ``src`` as well
-and prints the worst entry difference between the two checkouts'
-matrices, over max(1, max |entry|) of this checkout's matrix, and per m
-and stratum the time ratio OTHER / this, so a value above 1 means this
-checkout is faster.
+``rho`` excluded), the median of 5 passes.  --against surveys a second
+checkout's ``src`` as well, 5 passes each, alternating which checkout
+goes first, and prints the worst entry difference between the two
+checkouts' matrices, over max(1, max |entry|) of this checkout's matrix,
+and per m and stratum the time ratio OTHER / this: the median of the 5
+per-pass ratios, with their least and greatest.  A value above 1 means
+this checkout is faster.
 """
 import argparse
 import importlib
+import itertools
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -27,6 +31,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 from oracle import rho_error  # noqa: E402
 from workloads import transport_cases  # noqa: E402
 
+PASSES = 5  # timed passes per checkout
+
 
 def stratum(c):
     if isinstance(c, complex):
@@ -36,31 +42,37 @@ def stratum(c):
     return "singular" if c == 0 else "removable"
 
 
-def survey(src, n, seeds):
-    """[(case, matrix rows or error text, rho_error, seconds)] under src."""
+def load(src):
+    """(deformed_polylog, errors) of the lerchkit under src.  Modules
+    loaded earlier from another src stay usable through their own
+    references."""
     for name in [m for m in sys.modules if m.split(".")[0] == "lerchkit"]:
         del sys.modules[name]
     sys.path.insert(0, str(Path(src).resolve()))
-    dp, errors = (importlib.import_module("lerchkit." + m)
-                  for m in ("deformed_polylog", "errors"))
+    mods = [importlib.import_module("lerchkit." + m)
+            for m in ("deformed_polylog", "errors")]
     del sys.path[0]
+    return mods
+
+
+def survey(mods, cases):
+    """[(case, matrix rows or error text, rho_error, seconds)]."""
+    dp, errors = mods
     rows = []
-    for seed in seeds:
-        cases = transport_cases(seed)
-        for _ in range(n):
-            m, c, gen = case = next(cases)
-            loop = dp.z0_loop() if gen == "Z0" else dp.z1_loop()
-            t0 = time.perf_counter()
-            try:
-                got = dp.numeric_transport(m, c, loop)
-            except errors.LerchError as e:
-                rows.append((case, "%s: %s" % (type(e).__name__, e), None,
-                             time.perf_counter() - t0))
-                continue
-            seconds = time.perf_counter() - t0
-            got = got.entries
-            err = rho_error(got, dp.rho(gen, m, c).entries)
-            rows.append((case, got.tolist(), err, seconds))
+    for case in cases:
+        m, c, gen = case
+        loop = dp.z0_loop() if gen == "Z0" else dp.z1_loop()
+        t0 = time.perf_counter()
+        try:
+            got = dp.numeric_transport(m, c, loop)
+        except errors.LerchError as e:
+            rows.append((case, "%s: %s" % (type(e).__name__, e), None,
+                         time.perf_counter() - t0))
+            continue
+        seconds = time.perf_counter() - t0
+        got = got.entries
+        err = rho_error(got, dp.rho(gen, m, c).entries)
+        rows.append((case, got.tolist(), err, seconds))
     return rows
 
 
@@ -70,26 +82,40 @@ def main():
     ap.add_argument("--seeds", default="1,2,3")
     ap.add_argument("--against")
     args = ap.parse_args()
-    seeds = [int(x) for x in args.seeds.split(",")]
+    cases = [case for seed in args.seeds.split(",")
+             for case in itertools.islice(transport_cases(int(seed)), args.n)]
     srcs = [ROOT / "src"] + ([args.against] if args.against else [])
-    runs = [survey(src, args.n, seeds) for src in srcs]
-    keys = sorted({(r[0][0], stratum(r[0][1])) for r in runs[0]})
-    seconds = []
-    for src, rows in zip(srcs, runs):
-        print("%s: %d cases, %.3f s" % (src, len(rows),
-                                       sum(r[3] for r in rows)))
-        per_key = {}
+    mods = [load(src) for src in srcs]
+    passes = [[] for _ in srcs]
+    for i in range(PASSES):
+        for j in (range(len(srcs)) if i % 2 == 0
+                  else reversed(range(len(srcs)))):
+            passes[j].append(survey(mods[j], cases))
+    keys = sorted({(case[0], stratum(case[1])) for case in cases})
+
+    def seconds(rows):
+        per_key = dict.fromkeys(keys, 0.0)
+        for r in rows:
+            per_key[r[0][0], stratum(r[0][1])] += r[3]
+        return per_key
+    # per checkout, per pass: seconds per key
+    secs = [[seconds(rows) for rows in runs] for runs in passes]
+    for src, runs, per_pass in zip(srcs, passes, secs):
+        rows = runs[0]
+        print("%s: %d cases, %.3f s (median of %d passes)"
+              % (src, len(rows),
+                 statistics.median(sum(p.values()) for p in per_pass),
+                 PASSES))
         for key in keys:
             mine = [r for r in rows if (r[0][0], stratum(r[0][1])) == key]
             errs = [r[2] for r in mine if r[2] is not None]
-            per_key[key] = sum(r[3] for r in mine)
             print("  m=%d %-9s %4d cases %3d refused  worst rho_error %.3g"
                   "  %.3f s" % (*key, len(mine), len(mine) - len(errs),
-                                max(errs, default=0), per_key[key]))
-        seconds.append(per_key)
+                                max(errs, default=0),
+                                statistics.median(p[key] for p in per_pass)))
     if args.against:
         worst, where, differ = 0.0, None, 0
-        for a, b in zip(*runs):
+        for a, b in zip(passes[0][0], passes[1][0]):
             if isinstance(a[1], str) or isinstance(b[1], str):
                 differ += a[1] != b[1]
                 continue
@@ -100,11 +126,18 @@ def main():
                 worst, where = diff, a[0]
         print("worst entry difference %.3g (m, c, loop = %r); "
               "%d refusals differ" % (worst, where, differ))
-        print("time ratio %s / %s:" % (srcs[1], srcs[0]))
+        print("time ratio %s / %s, median [least, greatest] of %d "
+              "alternating passes:" % (srcs[1], srcs[0], PASSES))
+
+        def show(label, ratios):
+            print("  %-13s %.2f [%.2f, %.2f]"
+                  % (label, statistics.median(ratios), min(ratios),
+                     max(ratios)))
         for key in keys:
-            print("  m=%d %-9s %.2f" % (*key, seconds[1][key] / seconds[0][key]))
-        print("  all          %.2f" % (sum(seconds[1].values())
-                                       / sum(seconds[0].values())))
+            show("m=%d %s" % key,
+                 [o[key] / t[key] for t, o in zip(*secs)])
+        show("all", [sum(o.values()) / sum(t.values())
+                     for t, o in zip(*secs)])
 
 
 if __name__ == "__main__":
