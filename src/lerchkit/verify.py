@@ -17,35 +17,32 @@ d^2F/dz dc: 33 evaluations of F per point.  For a holomorphic g the
 N-point trapezoid rule converges like (r/R)^N (R the distance to the
 nearest singularity), so with r = 0.05 R the quadrature error is
 negligible and the only cost is the roundoff amplification eps/r.  Both
-sides come from ``phi`` at every point, in its series region too, so a
-wrong ``phi`` shows in the residual (``ladder_up`` at integer s < 0
-with rational z, c alone is exact arithmetic on the exact input).  The ladder and PDE
-checks refuse z = 0 with the StratumError that ``phi`` raises there.
+sides come from ``phi`` at every point, exact inputs and the series
+region included, so a wrong ``phi`` shows in the residual.  The ladder
+and PDE checks refuse z = 0 with the StratumError that ``phi`` raises
+there.
 
 Default tolerances on the relative residual: 1e-9 for every ladder and
 PDE check on ``phi``, 1e-8 for the monodromy-term PDE and the
 functional equations, 1e-10 for the dilogarithm identities, and 0 (an
 exact zero) for the commutator and monodromy vanishing.
 
-A suite runs every one of its checks at every point of a fixed
-deterministic grid; ``run_suite`` returns a machine-readable
+The suites are fixed tables: each runs every one of its checks at every
+point of its own table.  ``run_suite`` returns a machine-readable
 SuiteReport (the CLI serialises it to JSON).
 """
 
 import cmath
 import math
-import warnings
 from collections import namedtuple
-from fractions import Fraction
 from functools import partial
 from itertools import product
 
 from .branch_numerics import complex_gamma, dist_to_nonpos_int
 from .errors import DomainError, StratumError
-from .eval_core import (_exact_rational_case, c_coeff, extended_polylog,
-                        lerch_zeta, phi)
+from .eval_core import c_coeff, extended_polylog, lerch_zeta, phi
 from .monodromy import monodromy, monodromy_Z_conj, parse_word
-from .special_values import negative_polylog
+from .special_values import _padd, _pderiv, _pmul, _pscale
 
 _2PI_I = 2j * math.pi
 
@@ -90,8 +87,7 @@ class ResidualReport(namedtuple("ResidualReport",
         }
 
 
-class SuiteReport(namedtuple("SuiteReport", "name reports warning",
-                             defaults=(None,))):
+class SuiteReport(namedtuple("SuiteReport", "name reports")):
     __slots__ = ()
 
     @property
@@ -102,7 +98,6 @@ class SuiteReport(namedtuple("SuiteReport", "name reports warning",
         return {
             "suite": self.name,
             "passed": self.passed,
-            "warning": self.warning,
             "checks": [r.to_dict() for r in self.reports],
         }
 
@@ -162,31 +157,12 @@ def check_ladder_down(s, z, c, tol=1e-9):
 
 
 def check_ladder_up(s, z, c, tol=1e-9):
-    """d/dc Phi(s, z, c) = -s Phi(s+1, z, c).
-
-    At integer s < 0 with rational z, c the derivative of the rational
-    continuation is exact and the residual is an exact zero.
-    """
+    """d/dc Phi(s, z, c) = -s Phi(s+1, z, c)."""
     sc, zc, cc = _point(s, z, c)
-    exact = _ladder_up_exact(s, z, c)
-    if exact is not None:
-        left, right = exact
-        return ResidualReport("ladder_up", (s, z, c),
-                              complex(left), complex(right), tol)
     r = 0.05 * dist_to_nonpos_int(cc)
     a1, _ = _taylor12(lambda t: _phi_value(s, z, cc + t * r))
     right = -sc * _phi_value(s + 1, z, c)
     return ResidualReport("ladder_up", (s, z, c), a1 / r, right, tol)
-
-
-def _ladder_up_exact(s, z, c):
-    """Exact Fractions for integer s < 0, rational z, c; else None."""
-    up = _exact_rational_case(s + 1, z, c)
-    if up is None:
-        return None
-    zf, cf = Fraction(z), Fraction(c)
-    left = negative_polylog(-int(s)).c_derivative().eval(zf, cf) / zf
-    return left, -Fraction(s) * up.exact
 
 
 def check_pde(s, z, c, tol=None, target="phi"):
@@ -226,40 +202,23 @@ def check_pde(s, z, c, tol=None, target="phi"):
 # ladder commutator, exact on monomials
 # ---------------------------------------------------------------------------
 
-def _op_down(p):
-    """(z d/dz + c) on a {(j, k): coeff} polynomial in z, c."""
-    out = {}
-    for (j, k), a in p.items():
-        if j:
-            out[(j, k)] = out.get((j, k), 0) + a * j
-        out[(j, k + 1)] = out.get((j, k + 1), 0) + a
-    return {key: v for key, v in out.items() if v}
-
-
-def _op_up(p):
-    """d/dc on a {(j, k): coeff} polynomial."""
-    out = {}
-    for (j, k), a in p.items():
-        if k:
-            out[(j, k - 1)] = out.get((j, k - 1), 0) + a * k
-    return {key: v for key, v in out.items() if v}
-
-
 def check_commutator(max_degree=6, tol=0.0):
-    """[d/dc, z d/dz + c] = id, verified exactly on monomials z^j c^k."""
-    worst = Fraction(0)
+    """[d/dc, z d/dz + c] = id, verified exactly on monomials z^j c^k.
+
+    On z^j p(c) both operators act on the c-polynomial p alone:
+    z d/dz + c as j p + c p and d/dc as p'.
+    """
+    worst = 0
     for j in range(max_degree + 1):
+        def down(p):
+            return _padd(_pscale(p, j), _pmul([0, 1], p))
         for k in range(max_degree + 1):
-            p = {(j, k): Fraction(1)}
-            comm = _op_up(_op_down(p))
-            for key, v in _op_down(_op_up(p)).items():
-                comm[key] = comm.get(key, 0) - v
-            comm[(j, k)] = comm.get((j, k), 0) - 1
-            dev = max((abs(v) for v in comm.values()), default=Fraction(0))
-            worst = max(worst, dev)
+            p = [0] * k + [1]
+            comm = _padd(_pderiv(down(p)),
+                         _pscale(_padd(down(_pderiv(p)), p), -1))
+            worst = max(worst, *map(abs, comm))
     point = ("monomials z^j c^k, j,k <= %d" % max_degree,)
-    return ResidualReport("commutator", point,
-                          complex(float(worst)), 0j, tol)
+    return ResidualReport("commutator", point, complex(worst), 0j, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -434,20 +393,14 @@ _FOUR_TERM_GRID = (
 _DILOG_GRID = tuple(product((0.05, 0.16, 0.27, 0.38, 0.49), repeat=2))
 
 
-def _every(checks, default_grid, extra=()):
-    """Suite runner (grid, tol): every check at every grid point, a point
-    being an argument tuple or one bare argument.  ``grid=None`` runs the
-    default grid plus the ``(check, point)`` pairs in ``extra``;
+def _every(checks, points, extra=()):
+    """Suite runner (tol): every check at every argument tuple in
+    ``points``, then the ``(check, point)`` pairs in ``extra``;
     ``tol=None`` keeps each check's own default tolerance."""
-    def run(grid, tol):
-        pairs = [(check, point)
-                 for point in (default_grid if grid is None else grid)
-                 for check in checks]
-        if grid is None:
-            pairs += extra
+    def run(tol):
+        pairs = [(check, point) for point in points for check in checks]
         kw = {} if tol is None else {"tol": tol}
-        return [check(*(p if isinstance(p, (tuple, list)) else (p,)), **kw)
-                for check, p in pairs]
+        return [check(*point, **kw) for check, point in pairs + [*extra]]
     return run
 
 
@@ -458,7 +411,7 @@ _SUITES = {
     "pde": _every((check_pde,), _LADDER_GRID, extra=(
         (_pde_monodromy, (0.5, -0.5, 0.5)),
         (_pde_monodromy, (0.3 + 0.2j, -1.1 + 0.4j, 0.8)))),
-    "commutator": _every((check_commutator,), (6,)),
+    "commutator": _every((check_commutator,), ((6,),)),
     "three_term": _every((check_lerch_three_term,), _THREE_TERM_GRID),
     "four_term": _every((partial(check_four_term, parity=1),
                          partial(check_four_term, parity=-1)),
@@ -466,30 +419,21 @@ _SUITES = {
     "spence": _every((check_spence,), _DILOG_GRID),
     "rogers": _every((check_rogers,), _DILOG_GRID),
     "monodromy_vanishing": _every((check_monodromy_vanishing,),
-                                  (0, -1, -2, -3, 2)),
+                                  ((0,), (-1,), (-2,), (-3,), (2,))),
 }
 
 SUITE_NAMES = (*_SUITES, "all")
 
 
-def run_suite(name, grid=None, tol=None):
-    """Run one named suite (or "all") over its deterministic default grid.
-
-    An explicitly empty grid passes vacuously; the report carries a
-    warning so the caller can tell silence from success.
-    """
+def run_suite(name, tol=None):
+    """Run one named suite, or every suite in order for "all", over its
+    fixed table of points; ``tol`` replaces each check's default."""
     if name == "all":
-        if grid is not None:
-            raise ValueError("the combined suite takes no grid")
         reports = []
         for suite in _SUITES.values():
-            reports.extend(suite(None, tol))
+            reports.extend(suite(tol))
         return SuiteReport("all", tuple(reports))
     if name not in _SUITES:
         raise ValueError("unknown suite %r; choose from %s"
                          % (name, ", ".join(SUITE_NAMES)))
-    if grid is not None and len(grid) == 0:
-        msg = "suite %r ran on an empty grid: vacuous pass" % name
-        warnings.warn(msg)
-        return SuiteReport(name, (), warning=msg)
-    return SuiteReport(name, tuple(_SUITES[name](grid, tol)))
+    return SuiteReport(name, tuple(_SUITES[name](tol)))

@@ -368,6 +368,26 @@ def test_sweep_csv_file(tmp_path, capsys):
     assert len(rows) == 5 and rows[0]["m"] == "2"
 
 
+@pytest.mark.parametrize("expr,point", [
+    ("li_star", ("--m", "2", "--k", "1", "--tol", "1e-20")),
+    ("monodromy-term", ("--s", "0.5", "--c", "0.7")),
+])
+def test_sweep_reports_no_estimate_for_closed_forms(tmp_path, capsys, expr,
+                                                     point):
+    # neither closed form computes an error bound: li_star at z = 0.6 is
+    # off by about 1e-16, so echoing --tol 1e-20 would be a false bound
+    argv = ("sweep", "--expr", expr, "--grid", "z=0.3:0.6:2") + point
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["error_estimate"] for r in rows] == ["", ""]
+    assert all(r["error"] == "" and r["value_re"] for r in rows)
+    target = tmp_path / "rows.json"
+    assert run(capsys, *argv, "--out", str(target))[0] == 0
+    doc = json.loads(target.read_text())
+    assert [r["error_estimate"] for r in doc["rows"]] == [None, None]
+
+
 def test_sweep_checks_grid_variable(capsys):
     code, _, err = run(capsys, "sweep", "--expr", "phi",
                        "--grid", "a=0:1:3", "--s", "2", "--c", "1")

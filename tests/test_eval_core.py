@@ -126,6 +126,32 @@ def test_singular_strata_raise():
         phi(0.5, 1.5, 0.5)      # on the cut [1, oo)
 
 
+def test_c_next_to_a_pole_is_singular_although_classified_regular():
+    # classify_stratum tests integers to within 1e-12; phi's own guard is
+    # the wider 1e-8
+    assert classify_stratum(2, 0.5, -1 + 1e-10).tag == "regular"
+    with pytest.raises(StratumError) as exc:
+        phi(2, 0.5, -1 + 1e-10)
+    assert exc.value.stratum == "singular_c"
+    with pytest.raises(StratumError):
+        hurwitz_zeta(2, -1 + 1e-10)
+
+
+def test_routes_refuse_points_outside_their_domain():
+    with pytest.raises(DomainError):
+        phi_integral(2, 2 + 1j, -0.5)       # needs Re c > 0
+    with pytest.raises(DomainError):
+        phi_c_shift(2, 0.5j, 0.3, -1)       # negative shift count
+    with pytest.raises(DomainError):
+        periodic_zeta(1.2, 2)               # needs 0 < Re a < 1
+    with pytest.raises(DomainError):
+        phi_series(2, 1.2, 0.5)             # needs |z| < 1
+
+
+def test_series_at_z_zero_is_the_first_term():
+    assert phi_series(2, 0, 0.5).value == 4  # c^-s
+
+
 def test_non_finite_input_is_refused_up_front(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("non-finite input reached a route")

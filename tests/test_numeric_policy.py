@@ -5,11 +5,12 @@ polynomial kernel and the certified series sum each have one home.
   literals 1e-8 or 1e-12, or bind them to a module-level name, and only
   it reads ``sys.float_info.epsilon`` (every other module uses ``EPS``).
 * Only ``special_values`` may define ``_trim``/``_padd``/``_pmul``-style
-  polynomial helpers.
+  polynomial helpers, or operator helpers named ``_op_...`` (a
+  dict-keyed second kernel once hid under those names).
 * ``verify`` takes every value from ``phi``: the old uncertified
   ``1e-17`` stopping rule must not come back, it has no ``while`` loop
-  (it sums no series of its own), and of the private names of
-  ``eval_core`` it uses only ``_exact_rational_case``.
+  (it sums no series of its own), and it uses no private name of
+  ``eval_core``.
 * ``eval_core`` hand-rolls the c-shift identity
   Phi(s,z,c) = sum_k z^k (c+k)^{-s} + z^N Phi(s,z,c+N) once: only
   ``_c_shift_head`` holds a loop or comprehension over ``branched_power``
@@ -37,7 +38,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "lerchkit"
 POLICY_HOME = "branch_numerics.py"
 KERNEL_HOME = "special_values.py"
 POLICY_LITERALS = (1e-8, 1e-12)
-KERNEL_NAME = re.compile(r"^_(p?trim|p(add|sub|mul|scale|deriv|shift))")
+KERNEL_NAME = re.compile(r"^_(p?trim|p(add|sub|mul|scale|deriv|shift)|op_)")
 
 
 def _modules():
@@ -112,8 +113,7 @@ def test_verify_uses_no_eval_core_internals():
              if isinstance(node, ast.Attribute)
              and isinstance(node.value, ast.Name)
              and node.value.id == "eval_core"]
-    private = [name for name in used
-               if name.startswith("_") and name != "_exact_rational_case"]
+    private = [name for name in used if name.startswith("_")]
     assert not private, private
 
 

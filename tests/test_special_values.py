@@ -109,6 +109,13 @@ def test_negative_polylog_matches_series():
         assert abs(float(exact - approx)) < 1e-55  # 4^-200 tail
 
 
+def test_negative_polylog_eval_at_a_complex_point():
+    # the float path of BivariateRational.eval
+    z, c = 0.3 + 0.2j, 0.7
+    approx = sum((n + c) ** 3 * z ** (n + 1) for n in range(400))
+    assert abs(negative_polylog(3).eval(z, c) - approx) < 1e-14
+
+
 def test_negative_polylog_degrees_and_pole_order():
     for m in range(6):
         biv = negative_polylog(m)

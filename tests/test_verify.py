@@ -2,6 +2,7 @@
 dilogarithm identities, and monodromy vanishing."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -131,6 +132,14 @@ def test_ladder_up_exact_at_s_zero(monkeypatch):
     assert len(calls) == 17 and (1, 0.5, 0.75) in calls
 
 
+@pytest.mark.parametrize("s,z,c", [(-2, Fraction(1, 3), Fraction(1, 2)),
+                                   (-1, Fraction(2, 5), Fraction(3, 4))])
+def test_ladder_up_at_exact_input(s, z, c):
+    # integer s < 0 with rational z, c takes the same circle on phi
+    r = check_ladder_up(s, z, c)
+    assert r.tol == 1e-9 and r.passed, r.to_dict()
+
+
 @pytest.mark.parametrize("s,z,c", LADDER_POINTS)
 def test_pde(s, z, c):
     r = check_pde(s, z, c)
@@ -144,8 +153,10 @@ def test_pde_on_monodromy_term():
 
 
 def test_commutator_is_exact():
-    r = check_commutator(max_degree=6)
-    assert r.passed and r.abs_residual == 0.0
+    for degree in (2, 4, 6):
+        r = check_commutator(max_degree=degree)
+        assert r.point == ("monomials z^j c^k, j,k <= %d" % degree,)
+        assert r.passed and r.abs_residual == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +177,7 @@ def test_three_term_equation(s, a, c):
 def test_four_term_equation(parity):
     r = check_four_term(0.4, 0.3, 0.7, parity=parity)
     assert r.name == ("four_term_plus" if parity == 1 else "four_term_minus")
+    assert r.point == (0.4, 0.3, 0.7, parity)
     assert r.passed, r.to_dict()
 
 
@@ -185,6 +197,8 @@ def test_spence_five_term():
         for y in (0.0, 0.2, 0.4):
             r = check_spence(x, y)
             assert r.passed, r.to_dict()
+    r = check_spence(0.1, 0.2, tol=1e-9)
+    assert (r.point, r.tol) == ((0.1, 0.2), 1e-9) and r.passed
     with pytest.raises(DomainError):
         check_spence(0.6, 0.1)
 
@@ -219,8 +233,9 @@ def test_rogers_five_term():
 
 def test_vanishing_at_integer_s():
     # tolerance 0: the zeros must be exact
-    for s in (0, -1, -2, 1, 2):
+    for s in (0, -1, -2, -4, 1, 2):
         r = check_monodromy_vanishing(s)
+        assert r.point[0] == s
         assert r.passed and r.abs_residual == 0.0
 
 
@@ -274,33 +289,9 @@ def _combined_checks():
     return want
 
 
-def test_custom_grids_keep_their_shapes():
-    rep = run_suite("commutator", grid=(2, 4))
-    assert [r.point for r in rep.reports] == [
-        ("monomials z^j c^k, j,k <= 2",), ("monomials z^j c^k, j,k <= 4",)]
-    rep = run_suite("monodromy_vanishing", grid=(1, -4))
-    assert [r.point[0] for r in rep.reports] == [1, -4] and rep.passed
-    rep = run_suite("spence", grid=[(0.1, 0.2)], tol=1e-9)
-    assert [(r.point, r.tol) for r in rep.reports] == [((0.1, 0.2), 1e-9)]
-    rep = run_suite("four_term", grid=[(0.4, 0.3, 0.7)])
-    assert [r.name for r in rep.reports] == ["four_term_plus",
-                                             "four_term_minus"]
-    # custom pde grids do not add the two monodromy-term checks
-    assert len(run_suite("pde", grid=[(2, 0.5, 0.5)]).reports) == 1
-
-
-def test_empty_grid_is_a_vacuous_pass():
-    with pytest.warns(UserWarning):
-        rep = run_suite("ladders", grid=())
-    assert rep.passed and rep.warning is not None
-    assert rep.reports == ()
-
-
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suite("no-such-suite")
-    with pytest.raises(ValueError):
-        run_suite("all", grid=((2, 0.5, 0.5),))
 
 
 def test_tolerance_monotone():
