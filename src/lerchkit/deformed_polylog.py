@@ -36,11 +36,18 @@ column as its chain v_k = (theta + c - 1)^{m-k} y, k = 0..m, which solves
 the first-order system (1-z) z v_0' = v_0, z v_k' = v_{k-1} - (c-1) v_k.
 The lead column's chain is (Li_{0,c}, ..., Li_{m,c}), and the chain of
 b_n = z^{1-c} (log z)^n / n! is (0, ..., 0, b_0, ..., b_n), so two
-chains, 2m+1 scalar series, carry the whole frame.  The start values
+chains carry the whole frame.  The start values
 Li_{j,c}(-1) = -Phi(j, -1, c) come from one accelerated alternating sum,
-with no quadrature.  Each step builds the series to degree 30 in the
-scaled coefficients A_q h^q by two-term recurrences and sums them; it
-is accepted when the two dropped terms of every series stay below
+with no quadrature.  Once v_0 is fixed the system is unipotent in log z:
+from z0 to z0 + h, with L = Log(1 + h/z0) and E = e^{(1-c) L},
+
+    v_k(z0 + h) = E sum_{j=1..k} v_j(z0) L^{k-j} / (k-j)! + F_k,
+
+where F_k is zero at z0 and driven by v_0 = K z/(1-z).  The chain of
+b_{m-1} has v_0 = 0 and moves in closed form; only the lead chain's m
+forced parts F_k and v_0's geometric series are summed, to degree 30 in
+the scaled coefficients A_q h^q.  A step is accepted when the two
+dropped terms of each of these m+1 series stay below
 1e-10 * max(1, |value|), and halved otherwise.
 
 Matrices are tuples of rows of Python complex numbers, multiplied,
@@ -481,7 +488,8 @@ def _alternating_phi(m, c):
     2 (Re c)^-j / (3 + sqrt 8)^n, and n is the least that makes this 2^-53
     or less for every j <= m."""
     n_shift = max(0, math.floor(0.5 - complex(c).real) + 1)
-    re = complex(c + n_shift).real
+    shifted = complex(c + n_shift)
+    re = shifted.real
     rate = 3.0 + math.sqrt(8.0)
     n = math.ceil(math.log(2.0 ** 54 * max(1.0 / re, re ** -m), rate))
     d = (rate ** n + rate ** -n) / 2.0
@@ -491,10 +499,15 @@ def _alternating_phi(m, c):
         e = b - e
         tail.append(scale * e)
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1))
+    # c + k exactly (a Fraction stays one) in the head, where it can lie
+    # near 0; the tail's bases lie in Re > 1/2, so c + N is rounded once
+    # and each base c + N + k then rounds to within 2 ulp
+    bases = itertools.chain((complex(c + k) for k in range(n_shift)),
+                            (shifted + k for k in range(n)))
     sums = [0j] * m
-    for k, w in enumerate(itertools.chain(
+    for base, w in zip(bases, itertools.chain(
             ((-1.0) ** k for k in range(n_shift)), tail)):
-        r = 1.0 / complex(c + k)
+        r = 1.0 / base
         for j in range(m):
             w *= r
             sums[j] += w
@@ -531,34 +544,38 @@ def _start_frame(m, c):
     return [list(row) for row in zip(*columns)]
 
 
-def _chain_taylor(lead, logs, z0, shift, h):
-    """Scaled Taylor coefficients W_q = A_q h^q about z0, q = 0..n with
-    n = len(shift), of the 2m+1 chain entries whose values at z0 are
-    lead = (v_0..v_m) and, for the chain of b_{m-1}, logs = (v_1..v_m);
-    that chain's v_0 is 0.  Their sum is the value at z0 + h.
+def _taylor_weights(c, n):
+    """The chain recurrence's lists [1/(q+1)] and [q+c-1], q < n, built
+    once per transport."""
+    cc = complex(c)
+    return [1.0 / (q + 1) for q in range(n)], [q + cc - 1.0 for q in range(n)]
 
-    v_0 solves (1 - z) z v_0' = v_0, whose coefficient recurrence
-    U_{q+1} = ((1 - (1 - 2 z0) q) U_q + (q - 1) U_{q-1}) / (z0 (1-z0) (q+1))
-    closes to U_1 = U_0 / (z0 (1 - z0)), U_{q+1} = U_q / (1 - z0): v_0 is a
-    multiple of z / (1 - z).  For k >= 1, z v_k' = v_{k-1} - (c - 1) v_k
-    gives V_{k,q+1} = (V_{k-1,q} - (q + c - 1) V_{k,q}) / (z0 (q + 1)),
-    with shift[q] = q + c - 1; in W each recurrence step adds a factor h.
+
+def _forced_taylor(v0, z0, h, m, weights):
+    """Scaled Taylor coefficients W_q = A_q h^q about z0, q = 0..n with
+    n = len(weights[0]), of v_0 and of the forced parts F_1..F_m of the
+    lead chain, from weights = _taylor_weights(c, n) and v0 = v_0(z0).
+    Their sums are the values at z0 + h.
+
+    v_0 solves (1 - z) z v_0' = v_0, so it is a multiple of z / (1 - z):
+    W_{0,q} = v0 / z0 * (h / (1 - z0))^q for q >= 1.  F_k solves
+    z F_k' = F_{k-1} - (c - 1) F_k with F_0 = v_0 and F_k(z0) = 0, so
+    W_{k,0} = 0 and
+    W_{k,q+1} = (W_{k-1,q} - (q + c - 1) W_{k,q}) h / (z0 (q + 1)).
     """
-    hz, ratio, x, v = h / z0, h / (1.0 - z0), lead[0] / z0, logs[0]
-    inv = [hz / (q + 1) for q in range(len(shift))]
-    damp = [s * i for s, i in zip(shift, inv)]
-    U = [lead[0]] + [x := x * ratio for _ in shift]
-    B = [v] + [v := -d * v for d in damp]  # the log chain's v_0 is 0
-    out = []
-    for below, values in ((U, lead[1:]), (B, logs[1:])):
+    inv, shift = weights
+    # rate[q] = h / (z0 (q + 1))
+    rate = list(map(operator.mul, itertools.repeat(h / z0), inv))
+    below = list(itertools.accumulate(
+        itertools.repeat(h / (1.0 - z0), len(inv)), operator.mul,
+        initial=v0 / z0))
+    below[0] = v0
+    out = [below]
+    for _ in range(m):
+        v = 0j
+        below = [v] + [v := (p - s * v) * r
+                       for p, s, r in zip(below, shift, rate)]
         out.append(below)
-        for v in values:
-            V = [v]
-            for p, i, d in zip(below, inv, damp):
-                v = p * i - d * v
-                V.append(v)
-            out.append(V)
-            below = V
     return out
 
 
@@ -569,15 +586,22 @@ def numeric_transport(m, c, path):
 
     The frame is carried in chain coordinates v_k = (theta + c - 1)^{m-k} y,
     k = 0..m, in which the operator is the first-order system
-    (1 - z) z v_0' = v_0, z v_k' = v_{k-1} - (c - 1) v_k.  Two chains, 2m+1
-    scalar series, carry all m+1 columns: the lead column's and that of
-    b_{m-1}, whose shifts give every other log column (``_chain_columns``).
-    Each step h, at most 0.4 times the distance to {0, 1}, builds the
-    series to degree 30 about the current point as A_q h^q, whose sums are
-    the values at the step; it is accepted when, for every series, its
-    two dropped terms stay below 1e-10 * max(1, |value|), and halved
-    otherwise.  M = S^-1 F is the same in chain and jet coordinates, since
-    the start frame S and the end frame F are both taken at z = -1.
+    (1 - z) z v_0' = v_0, z v_k' = v_{k-1} - (c - 1) v_k.  Two chains
+    carry all m+1 columns: the lead column's and that of b_{m-1}, whose
+    shifts give every other log column (``_chain_columns``).  A step h from
+    z0, at most 0.4 times the distance to {0, 1}, takes L = Log(1 + h/z0)
+    and E = e^{(1-c) L}.  With v_0 fixed the system is unipotent in log z:
+    in t = log z it reads dv_k/dt = v_{k-1} - (c - 1) v_k, so e^{(c-1) t} v_k
+    is a polynomial in t, and each v_k, k >= 1, moves to
+    E sum_{j=1..k} v_j L^{k-j} / (k-j)! plus a forced part F_k, zero at z0
+    and driven by v_0.  The chain of b_{m-1} has v_0 = 0 and takes that
+    closed form alone, with no truncation.  The lead chain adds its
+    F_1..F_m, summed with v_0's geometric series from the scaled
+    coefficients A_q h^q to degree 30 (``_forced_taylor``).  The step is
+    accepted when, for each of these m+1 series, the two dropped terms
+    stay below 1e-10 * max(1, |new chain value|), and halved otherwise.
+    M = S^-1 F is the same in chain and jet coordinates, since the start
+    frame S and the end frame F are both taken at z = -1.
 
     S is refused when its 1-norm condition number kappa_1 = |S|_1 |S^-1|_1
     exceeds 1e12.  With n = m + 1 it lies within a factor n of the 2-norm
@@ -593,9 +617,11 @@ def numeric_transport(m, c, path):
     fac = _lu(S)
     if _cond1(S, fac) > 1e12:
         raise TransportError("degenerate start frame")
-    shift = [q + complex(c) - 1.0 for q in range(_N_TAYLOR)]
-    values = [row[0] for row in S] + [row[1] for row in S[1:]]
-    swing = [abs(values[m + 1])]  # |b_0| = |z^{1-c}| along the path
+    weights = _taylor_weights(c, _N_TAYLOR)
+    one_c = 1.0 - complex(c)
+    lead = [row[0] for row in S]
+    logs = [row[1] for row in S[1:]]
+    swing = [abs(logs[0])]  # |b_0| = |z^{1-c}| along the path
     for a, b in zip(path, path[1:]):
         pos = a
         while abs(pos - b) > 1e-13:
@@ -604,14 +630,23 @@ def numeric_transport(m, c, path):
             direction = (b - pos) / abs(b - pos)
             for _ in range(40):
                 step = h * direction
-                series = _chain_taylor(values[:m + 1], values[m + 1:], pos,
-                                       shift, step)
-                sums = [sum(W) for W in series]
+                series = _forced_taylor(lead[0], pos, step, m, weights)
+                # with v_0 fixed, v_1..v_k move by E times a Pascal matrix
+                # in L: new v_k = sum_{j<=k} flow[k-j] v_j + F_k
+                L = cmath.log(1.0 + step / pos)
+                flow = [cmath.exp(one_c * L)]  # [E L^d / d!]
+                for d in range(1, m):
+                    flow.append(flow[-1] * L / d)
+                new = [sum(W) for W in series]
+                for k in range(1, m + 1):
+                    new[k] += sum(map(operator.mul, lead[k:0:-1], flow))
                 if all(abs(W[-2]) + abs(W[-1]) <= _STEP_TOL * max(1.0, abs(v))
-                       for W, v in zip(series, sums)):
-                    values = sums
+                       for W, v in zip(series, new)):
+                    lead = new
+                    logs = [sum(map(operator.mul, logs[k::-1], flow))
+                            for k in range(m)]
                     pos = pos + step
-                    swing.append(abs(values[m + 1]))
+                    swing.append(abs(logs[0]))
                     break
                 h *= 0.5
             else:
@@ -622,5 +657,5 @@ def numeric_transport(m, c, path):
     # row i of the result solves S x = (chain of basis entry i at the end)
     return MonodromyMatrix(
         tuple(tuple(_lu_solve(fac, col))
-              for col in _chain_columns(values[:m + 1], values[m + 1:])),
+              for col in _chain_columns(lead, logs)),
         "transport", _basis_kind(c))

@@ -173,7 +173,10 @@ def phi_series(s, z, c, tol=1e-12):
     tol, which leaves the other half for the rounding.  The estimate is
     the tail bound plus the rounding of each drawn term e^w,
     w = n Log z - s Log(n+c) (``_exp_rounding``).  A term beyond double
-    range raises ``AccuracyError``.
+    range raises ``AccuracyError``.  For Re s > 0 the whole sum is at most
+    M = e^{pi |Im s|} (min_n |n + c|)^{-Re s} / (1 - |z|); where M lies
+    below the least positive double the value is 0, with that double as
+    its estimate, and no term is drawn.
     """
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
     if dist_to_nonpos_int(c) < NEAR:
@@ -196,8 +199,31 @@ def phi_series(s, z, c, tol=1e-12):
                             bound=math.inf) from None
 
 
+_TINY = 5e-324  # the least positive double
+_LOG_TINY = math.log(_TINY)
+
+
+def _log_sum_bound(sc, zc, cc):
+    """log M, raised by its own rounding, for Re s > 0 and
+    M = e^{pi |Im s|} (min_n |n + c|)^{-Re s} / (1 - |z|), which bounds
+    sum_n |z^n (n + c)^{-s}|: |(n + c)^{-s}| <= |n + c|^{-Re s} e^{pi |Im s|}.
+    The least |n + c| over n >= 0 sits at the floor or the ceiling of
+    max(0, -Re c)."""
+    k = max(0.0, -cc.real)
+    least = min(abs(cc + math.floor(k)), abs(cc + math.ceil(k)))
+    parts = (math.pi * abs(sc.imag), -sc.real * math.log(least),
+             -math.log1p(-abs(zc)))
+    return sum(parts) + 8.0 * EPS * (sum(map(abs, parts)) + sc.real)
+
+
 def _series_sum(sc, zc, cc, tol):
     """``phi_series`` past its guards, for 0 < |z| < 1."""
+    # log M >= -Re s log|c| >= Re s (1 - |c|), as n = 0 is one of the n
+    # and log x <= x - 1, so only Re s (|c| - 1) > -log 5e-324 needs log M
+    if (sc.real > 0.0 and sc.real * (abs(cc) - 1.0) > -_LOG_TINY
+            and _log_sum_bound(sc, zc, cc) < _LOG_TINY):
+        # the whole sum lies below the least positive double
+        return EvalResult(0j, "series", _TINY)
     lz = cmath.log(zc)
     ac = abs(cc)
     n_min = ac + 2.0

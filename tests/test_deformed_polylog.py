@@ -11,15 +11,20 @@ an independent Taylor-stepping continuation of the full solution frame.
 import cmath
 import math
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lerchkit import deformed_polylog
 from lerchkit.deformed_polylog import (MonodromyMatrix, _alternating_phi,
-                                       _chain_taylor, _cond1, _lu,
-                                       _lu_solve, basis, li_star,
+                                       _cond1, _forced_taylor, _lu,
+                                       _lu_solve, _taylor_weights, basis,
+                                       li_star,
                                        numeric_transport, rho, rho_word,
                                        unipotency_class, weyl_expand,
                                        z0_loop, z1_loop)
@@ -478,9 +483,10 @@ def _operator_residual(ab, z0, A, m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("c", [0.3 + 0.2j, Fraction(2, 7), 0, 2])
 def test_shared_recurrence_matches_per_solution_loop(m, c):
-    # The chain recurrence, shared by every entry of both chains, against
-    # the expanded operator of weyl_expand applied to each solution it
-    # yields: the level-m series of the lead chain and of the log chain.
+    # The forced-series recurrence, shared by every level of the lead
+    # chain, against the expanded operator of weyl_expand applied to the
+    # solution it yields: the level-m forced series, driven by
+    # v_0 = K z / (1 - z) and zero at z0 with all its lower levels.
     rng = random.Random(m)
     ab = [(complex(alpha.eval(c)), complex(beta.eval(c)))
           for alpha, beta in weyl_expand(m).entries]
@@ -490,17 +496,45 @@ def test_shared_recurrence_matches_per_solution_loop(m, c):
     for path in (z0_loop(), z1_loop()):
         for z0 in path[1:-1:3]:
             for n in (30, 20):
-                shift = [q + complex(c) - 1.0 for q in range(n)]
-                lead = [rand() for _ in range(m + 1)]
-                logs = [rand() for _ in range(m)]
-                series = _chain_taylor(lead, logs, z0, shift, 1.0)
-                assert len(series) == 2 * m + 1
-                for A in (series[m], series[-1]):
-                    assert len(A) == n + 1
-                    res, scale = _operator_residual(ab, z0, A, m)
-                    assert len(res) == n - m - 1
-                    for r, sc in zip(res, scale):
-                        assert abs(r) <= 1e-13 * sc
+                series = _forced_taylor(rand(), z0, 1.0, m,
+                                        _taylor_weights(c, n))
+                assert len(series) == m + 1
+                A = series[-1]
+                assert len(A) == n + 1 and A[0] == 0
+                res, scale = _operator_residual(ab, z0, A, m)
+                assert len(res) == n - m - 1
+                for r, sc in zip(res, scale):
+                    assert abs(r) <= 1e-13 * sc
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", [0.3 + 0.2j, Fraction(2, 7), 0, 2, 3])
+def test_log_rows_of_transport_meet_rho_to_rounding(m, c):
+    # The log solutions z^{1-c} (log z)^j / j! are continued in closed
+    # form, so rows 1..m carry no truncation error.  Stepping them as
+    # series left (2, 3) on the Z0 loop 1.13e-10 off.
+    for gen, path in (("Z0", z0_loop()), ("Z1", z1_loop())):
+        got = numeric_transport(m, c, path).rows
+        want = rho(gen, m, c).rows
+        scale = max(1.0, max(abs(x) for row in want for x in row))
+        err = max(abs(a - b) for ra, rb in zip(got[1:], want[1:])
+                  for a, b in zip(ra, rb))
+        assert err <= 1e-13 * scale, (gen, err / scale)
+
+
+def test_transport_survey_runs(tmp_path):
+    # the survey tool end to end, in its own interpreter, on 4 cases; its
+    # last line holds the worst lead-row and log-row rho_error
+    tool = Path(__file__).resolve().parents[1] / "tools/transport_survey.py"
+    proc = subprocess.run([sys.executable, str(tool), "--n", "4",
+                           "--seeds", "1"], capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    found = re.fullmatch(r"  worst rho_error over 4 cases, 0 refused: "
+                         r"lead row (\S+), log rows (\S+)", last)
+    assert found, last
+    assert float(found[1]) < 1e-8 and float(found[2]) <= 1e-13
 
 
 def test_transport_composes_like_the_word():

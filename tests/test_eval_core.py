@@ -227,13 +227,32 @@ def test_series_tail_test_runs_at_the_current_n(monkeypatch):
 
 
 def test_series_with_big_s_stays_finite():
-    # rho(n) is formed only once 2|s|/(n - |c|) < -log|z|, so e^q cannot
-    # overflow; every term of the first point underflows to 0
+    # rho(n) is formed only once |s|/(n - |c|) < -log|z|, so e^q cannot
+    # overflow; the whole sum of the first point lies below 5e-324
     res = phi(1e4, 0.5, 1.5)
     assert res.method == "series" and res.value == 0j
-    res = phi(800, 0.5, 1.5)  # 1.5^-800 (1 + 2^-1 (5/3)^-800 + ...)
-    want = 1.5 ** -800
-    assert abs(res.value - want) <= res.error_estimate + EPS * want
+    # 1.5^-800 (1 + 2^-1 (5/3)^-800 + ...), and 1.01^-10000 (1 + ...),
+    # whose later terms underflow until q = 10^4 / (n - 1.01) < log 2
+    for s, c in ((800, 1.5), (1e4, 1.01)):
+        res = phi(s, 0.5, c)
+        want = c ** -s
+        assert abs(res.value - want) <= res.error_estimate + EPS * want
+
+
+def test_series_below_the_least_double_draws_no_term(monkeypatch):
+    # sum |t_n| <= e^{pi |Im s|} (min |n + c|)^{-Re s} / (1 - |z|): here
+    # 1.5^-10000 / 0.5, so the sum is 0 to within 5e-324 with no term
+    # drawn, where the ratio bound waited for 14,430 underflowed terms
+    drawn = _count_drawn_terms(monkeypatch)
+    for s, z, c in ((1e4, 0.5, 1.5), (1e4 + 30j, 0.5j, 1.5 - 0.2j),
+                    (1e4, -0.5, -0.5 + 3j)):
+        res = phi_series(s, z, c)
+        assert (res.value, res.error_estimate) == (0j, 5e-324), (s, z, c)
+    assert drawn[0] == 0
+    # here log M is about -80 (1.5^-200 / 0.5), above log 5e-324: the
+    # ratio bound still decides
+    assert phi_series(200, 0.5, 1.5).value != 0
+    assert drawn[0] > 0
 
 
 def test_overflowing_series_term_is_an_accuracy_error():

@@ -6,9 +6,13 @@ seeds.
 Runs ``deformed_polylog.numeric_transport`` of this checkout's ``src``, in
 process, on ``bench/workloads.transport_cases`` and prints, per m and
 stratum of c, the cases, the refusals, the worst ``bench/oracle``
-``rho_error`` against the closed-form ``rho`` of the same checkout, and
-the seconds spent inside ``numeric_transport`` (wall clock, imports and
-``rho`` excluded), the median of 5 passes.  --against surveys a second
+``rho_error`` against the closed-form ``rho`` of the same checkout, split
+into the lead row (row 0, the continued lead solution) and the log rows
+(rows 1..m, the continued z^{1-c} (log z)^j / j!), each over
+max(1, max |rho|) as ``rho_error`` takes it, and the seconds spent inside
+``numeric_transport`` (wall clock, imports and ``rho`` excluded), the
+median of 5 passes.  The last line of a survey without --against gives
+the worst of each row split over all cases.  --against surveys a second
 checkout's ``src`` as well, 5 passes each, alternating which checkout
 goes first, and prints the worst entry difference between the two
 checkouts' matrices, over max(1, max |entry|) of this checkout's matrix,
@@ -28,7 +32,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # leave no cache files beside bench/
 sys.path.insert(0, str(ROOT / "bench"))
-from oracle import rho_error  # noqa: E402
 from workloads import transport_cases  # noqa: E402
 
 PASSES = 5  # timed passes per checkout
@@ -55,8 +58,20 @@ def load(src):
     return mods
 
 
+def row_errors(got, want):
+    """(lead row, log rows) parts of ``bench/oracle.rho_error``: the
+    largest entry distance in row 0 and in rows 1..m, each over
+    max(1, max |want|)."""
+    scale = max(1.0, max(abs(x) for x in want.flat))
+    lead, logs = (max(abs(a - b) for ra, rb in zip(got[rows], want[rows])
+                      for a, b in zip(ra, rb)) / scale
+                  for rows in (slice(0, 1), slice(1, None)))
+    return lead, logs
+
+
 def survey(mods, cases):
-    """[(case, matrix rows or error text, rho_error, seconds)]."""
+    """[(case, matrix rows or error text, (lead, log) rho_error parts or
+    None, seconds)]."""
     dp, errors = mods
     rows = []
     for case in cases:
@@ -71,7 +86,7 @@ def survey(mods, cases):
             continue
         seconds = time.perf_counter() - t0
         got = got.entries
-        err = rho_error(got, dp.rho(gen, m, c).entries)
+        err = row_errors(got, dp.rho(gen, m, c).entries)
         rows.append((case, got.tolist(), err, seconds))
     return rows
 
@@ -93,6 +108,10 @@ def main():
             passes[j].append(survey(mods[j], cases))
     keys = sorted({(case[0], stratum(case[1])) for case in cases})
 
+    def worst_rows(errs):
+        return (max((e[0] for e in errs), default=0.0),
+                max((e[1] for e in errs), default=0.0))
+
     def seconds(rows):
         per_key = dict.fromkeys(keys, 0.0)
         for r in rows:
@@ -109,10 +128,15 @@ def main():
         for key in keys:
             mine = [r for r in rows if (r[0][0], stratum(r[0][1])) == key]
             errs = [r[2] for r in mine if r[2] is not None]
-            print("  m=%d %-9s %4d cases %3d refused  worst rho_error %.3g"
-                  "  %.3f s" % (*key, len(mine), len(mine) - len(errs),
-                                max(errs, default=0),
-                                statistics.median(p[key] for p in per_pass)))
+            print("  m=%d %-9s %4d cases %3d refused  worst rho_error "
+                  "lead %.3g logs %.3g  %.3f s"
+                  % (*key, len(mine), len(mine) - len(errs),
+                     *worst_rows(errs),
+                     statistics.median(p[key] for p in per_pass)))
+        errs = [r[2] for r in rows if r[2] is not None]
+        print("  worst rho_error over %d cases, %d refused: lead row %.3g, "
+              "log rows %.3g" % (len(rows), len(rows) - len(errs),
+                                 *worst_rows(errs)))
     if args.against:
         worst, where, differ = 0.0, None, 0
         for a, b in zip(passes[0][0], passes[1][0]):
