@@ -25,11 +25,10 @@ Numeric policy
 Every decision "is this parameter an integer?" in the package goes
 through ``as_int``: exact for int and Fraction, within ``INT_TOL``
 (1e-12) for float and complex.  ``EPS`` is the one machine epsilon
-that rounding bounds are built from.  Evaluation refuses to come within
-``NEAR`` (1e-8) of a singular point, measured for the stratum
-c in {0, -1, -2, ...} by ``dist_to_nonpos_int``.  The gamma-pole test
-below is a different rule: it asks for bit-exact non-positive integers,
-the exact zeros of 1/Gamma.
+that rounding bounds are built from.  ``eval_core._stratum`` is the one
+stratum test: singular within ``NEAR`` (1e-8) of z = 1 and of
+c in {0, -1, -2, ...}.  The gamma-pole test below is a different rule:
+it asks for bit-exact non-positive integers, the exact zeros of 1/Gamma.
 
 Certified sums
 --------------

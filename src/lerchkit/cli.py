@@ -5,11 +5,11 @@ homotopy word), special (exact rational tables and values), ode
 (deformed-polylog operator data and monodromy matrices), verify
 (identity suites), sweep (grid evaluation to CSV/JSON).
 
-Numbers are parsed rational-first: `p/q` and integers stay exact so the
-stratum classification is exact; decimals and `re+im i` complex forms
-are accepted and flagged as approximate input.  Exit codes: 0 ok,
-1 usage, 2 domain/stratum, 3 accuracy, 4 branch.  JSON output carries
-a top-level ``"schema": "lerch-kit/1"``.
+Numbers are parsed rational-first: `p/q` and integers stay exact, for
+the exact rational path and an exact integer test of c; decimals and
+`re+im i` complex forms are accepted and flagged as approximate input.
+Exit codes: 0 ok, 1 usage, 2 domain/stratum, 3 accuracy, 4 branch.
+JSON output carries a top-level ``"schema": "lerch-kit/1"``.
 """
 
 import argparse

@@ -200,6 +200,9 @@ FuchsianBasis = namedtuple("FuchsianBasis", "m c kind entries")
 
 
 def basis(m, c):
+    """Fuchsian basis, lead entry first: "singular" (lead Li*_m(z, n))
+    where ``as_int`` takes c for an n in Z<=0, else "regular", also for
+    INT_TOL < dist(c, Z<=0) < NEAR, where ``numeric_transport`` refuses."""
     if m < 1:
         raise DomainError("basis wants m >= 1")
     singular, ci = _singular_c(c)
@@ -606,6 +609,8 @@ def numeric_transport(m, c, path):
     S is refused when its 1-norm condition number kappa_1 = |S|_1 |S^-1|_1
     exceeds 1e12.  With n = m + 1 it lies within a factor n of the 2-norm
     kappa_2 that numpy's ``cond`` gives: kappa_2 / n <= kappa_1 <= n kappa_2.
+    For INT_TOL < dist(c, Z<=0) < NEAR the basis is regular and S nearly
+    degenerate: refused there for m <= 3 on both loops; ``rho`` returns.
     The path is refused when max/min |z^{1-c}| along it exceeds about 9e5
     (``_MAX_SWING``), a factor by which the lead row of M loses accuracy.
     """

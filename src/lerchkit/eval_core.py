@@ -7,11 +7,11 @@ in this order:
 
 series      |z| <= 0.75, Re(c) > 0 (certified tail bound from the ratio
             majorant at the current n, asked for 0.5 tol)
-reflection  Re(s) <= 0, |z| > 0.75, Re(c) 1e-8 or more from any integer:
-            a signed c-shift into 0 < Re(c') < 1 and the three-term
-            formula in Lerch-zeta coordinates (a = Log z / 2 pi i,
-            semi-principal Log), prefactors c_0(s), c_1(s) of
-            ``c_coeff``; its Phi terms live at Re(1 - s) > 1/2
+reflection  Re(s) <= 0, |z| > 0.75, |z - 1| >= 4 pi 1e-8, Re(c) 1e-8 or
+            more from any integer: a signed c-shift into 0 < Re(c') < 1
+            and the three-term formula in Lerch-zeta coordinates
+            (a = Log z / 2 pi i, semi-principal Log), prefactors c_0(s),
+            c_1(s) of ``c_coeff``; its Phi terms live at Re(1 - s) > 1/2
 c_shift     other Re(c) < 1/16: Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} +
             z^N Phi(s,z,c+N), N = ceil(1 - Re c), pushes Re(c) to 1 or
             above, then re-dispatches (for Re(c) > 0 the integral takes
@@ -26,14 +26,13 @@ bivariate rational from special_values, returned exactly, for
 m = -s <= EXACT_M_BUDGET (above it, or beyond double range, the call
 raises AccuracyError).
 
-Tolerances follow the numeric policy of branch_numerics: a float or
-complex parameter within 1e-12 of an integer counts as that integer
-(stratum tags), and evaluation refuses within 1e-8 of the singular
-strata z = 1 and c in {0, -1, -2, ...} rather than returning garbage;
-z on (or within 1e-8 of) [1, infinity) is a branch error (the principal
-value is ambiguous there).  Every term formed as e^w books
-EPS (|w| + 4) |e^w| of rounding in its route's estimate
-(``_exp_rounding``).
+Tolerances follow the numeric policy of branch_numerics.  One test,
+``_stratum``, decides the stratum (radii in its docstring);
+``classify_stratum`` reports its tag, and every evaluator refuses a
+singular point with that tag rather than return garbage.  z on (or
+within 1e-8 of) [1, infinity) is a branch error (the principal value is
+ambiguous there).  Every term formed as e^w books EPS (|w| + 4) |e^w|
+of rounding in its route's estimate (``_exp_rounding``).
 
 The integral route (``periodic_zeta`` is z Phi(s, z, 1) on it) asks
 ``quad_semiaxis`` for 0.1 * tol on the integral it returns, 1/Gamma
@@ -60,7 +59,6 @@ from .branch_numerics import (
     as_int,
     branched_power,
     complex_gamma,
-    dist_to_nonpos_int,
     exp_2pi_i,
     gamma_rel_error,
     principal_log,
@@ -109,28 +107,41 @@ def _cplx(x):
     return complex(x)
 
 
-def classify_stratum(s, z, c):
-    """Stratum tag of a parameter point (s, z, c).
+def _stratum(z, c):
+    """(tag, n), the package's one stratum test: singular_z1 within NEAR
+    (1e-8) of z = 1, singular_c within NEAR of n in {0, -1, ...},
+    removable_c at a positive integer n under ``as_int`` (INT_TOL,
+    1e-12), singular_z0 and singular_zinf at z = 0 and oo, multiple for
+    two at once, else regular; n is None off the c strata.  z = None
+    tests c alone."""
+    cc = _cplx(c)
+    n = min(0, round(cc.real))
+    if abs(cc - n) >= NEAR:
+        n = as_int(c)[1]  # positive or None: n <= 0 was caught above
+    flags = [] if n is None else ["singular_c" if n <= 0 else "removable_c"]
+    if z is not None:
+        zc = _cplx(z)
+        if cmath.isinf(zc):
+            flags.append("singular_zinf")
+        elif zc == 0:
+            flags.append("singular_z0")
+        elif abs(zc - 1.0) < NEAR:
+            flags.append("singular_z1")
+    return "multiple" if len(flags) > 1 else (flags or ["regular"])[0], n
 
-    regular / removable_c (c a positive integer) / singular_z0 /
-    singular_z1 / singular_zinf / singular_c (c a non-positive integer) /
-    multiple (more than one of the above degenerations at once).  The
-    stratum depends on (z, c) only.
-    """
-    zc = _cplx(z)
-    flags = []
-    if cmath.isinf(zc):
-        flags.append("singular_zinf")
-    elif zc == 0:
-        flags.append("singular_z0")
-    elif zc == 1 or abs(zc - 1) <= INT_TOL:
-        flags.append("singular_z1")
-    is_int, n = as_int(c)
-    if is_int:
-        flags.append("singular_c" if n <= 0 else "removable_c")
-    if not flags:
-        return StratumClass("regular")
-    return StratumClass(flags[0] if len(flags) == 1 else "multiple")
+
+def _refuse_singular(z, c):
+    """StratumError with ``_stratum``'s tag where that tag is singular."""
+    tag = _stratum(z, c)[0]
+    if tag not in ("regular", "removable_c"):
+        raise StratumError("point lies on singular stratum: " + tag,
+                           stratum=tag)
+
+
+def classify_stratum(s, z, c):
+    """Stratum tag of (s, z, c), that of ``_stratum`` (radii there):
+    ``phi`` raises StratumError with it at every singular point."""
+    return StratumClass(_stratum(z, c)[0])
 
 
 def _guard_cut(z):
@@ -174,19 +185,16 @@ def phi_series(s, z, c, tol=1e-12):
     the tail bound plus the rounding of each drawn term e^w,
     w = n Log z - s Log(n+c) (``_exp_rounding``).  A term beyond double
     range raises ``AccuracyError``.  For Re s > 0 the whole sum is at most
-    M = e^{pi |Im s|} (min_n |n + c|)^{-Re s} / (1 - |z|); where M lies
-    below the least positive double the value is 0, with that double as
-    its estimate, and no term is drawn.
+    M = e^{theta |Im s|} (min_n |n + c|)^{-Re s} / (1 - |z|)
+    (``_log_sum_bound``); where M lies below the least positive double
+    the value is 0, with that double as its estimate, and no term is
+    drawn.
     """
     sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
-    if dist_to_nonpos_int(c) < NEAR:
-        raise StratumError("c is (nearly) a non-positive integer",
-                           stratum="singular_c")
+    _refuse_singular(z if zc else None, c)  # at z = 0 only c: Phi = c^-s
     az = abs(zc)
     if az >= 1.0:
         raise DomainError("series strategy needs |z| < 1, got |z| = %g" % az)
-    if abs(zc - 1) < NEAR:
-        raise StratumError("z within 1e-8 of z = 1", stratum="singular_z1")
     try:
         if zc == 0:
             w = -sc * principal_log(cc)
@@ -205,19 +213,20 @@ _LOG_TINY = math.log(_TINY)
 
 def _log_sum_bound(sc, zc, cc):
     """log M, raised by its own rounding, for Re s > 0 and
-    M = e^{pi |Im s|} (min_n |n + c|)^{-Re s} / (1 - |z|), which bounds
-    sum_n |z^n (n + c)^{-s}|: |(n + c)^{-s}| <= |n + c|^{-Re s} e^{pi |Im s|}.
-    The least |n + c| over n >= 0 sits at the floor or the ceiling of
-    max(0, -Re c)."""
+    M = e^{theta |Im s|} (min_n |n + c|)^{-Re s} / (1 - |z|), which bounds
+    sum_n |z^n (n + c)^{-s}|, as |Arg(n + c)| <= theta: |Arg c| for
+    Re c >= 0, pi otherwise.  The least |n + c| over n >= 0 sits at the
+    floor or the ceiling of max(0, -Re c)."""
     k = max(0.0, -cc.real)
     least = min(abs(cc + math.floor(k)), abs(cc + math.ceil(k)))
-    parts = (math.pi * abs(sc.imag), -sc.real * math.log(least),
+    theta = abs(cmath.phase(cc)) if cc.real >= 0.0 else math.pi
+    parts = (theta * abs(sc.imag), -sc.real * math.log(least),
              -math.log1p(-abs(zc)))
     return sum(parts) + 8.0 * EPS * (sum(map(abs, parts)) + sc.real)
 
 
 def _series_sum(sc, zc, cc, tol):
-    """``phi_series`` past its guards, for 0 < |z| < 1."""
+    """``phi_series`` past its guards, for 0 < |z| < 1 (``phi``'s route)."""
     # log M >= -Re s log|c| >= Re s (1 - |c|), as n = 0 is one of the n
     # and log x <= x - 1, so only Re s (|c| - 1) > -log 5e-324 needs log M
     if (sc.real > 0.0 and sc.real * (abs(cc) - 1.0) > -_LOG_TINY
@@ -439,15 +448,13 @@ def _c_shift_head(sc, zc, cc, n):
     N < 0.  The head terms use the principal branched power (some c+k
     may have non-positive real part) e^w, w = -s Log(c+k); each books
     ``_exp_rounding`` and 2 EPS per product, sum or division (at most
-    2|N| + 3) that carries it into the head.
+    2|N| + 3) that carries it into the head.  No c+k is within NEAR of 0:
+    callers refuse a singular c, or keep Re c off the integers (reflection).
     """
     lo = min(n, 0)
     head, zpow, rounding, mag = 0j, 1.0 + 0j, 0.0, 0.0
     for k in range(abs(n)):
         ck = cc + lo + k
-        if abs(ck) < NEAR:
-            raise StratumError("c + %d vanishes (singular stratum)" % (k + lo),
-                               stratum="singular_c")
         term = zpow * branched_power(ck, -sc)
         head += term
         rounding += _exp_rounding(sc * principal_log(ck), term)
@@ -476,6 +483,7 @@ def phi_c_shift(s, z, c, n_shift, tol=1e-12):
     """Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} + z^N Phi(s,z,c+N), N >= 0."""
     if n_shift < 0:
         raise DomainError("shift count must be >= 0")
+    _refuse_singular(z, c)
     value, err = _shift_c(_cplx(s), _cplx(z), _cplx(c), n_shift, tol, phi)
     return EvalResult(value, "c_shift", err)
 
@@ -570,53 +578,36 @@ EXACT_M_BUDGET = 200
 
 
 def _exact_rational_case(s, z, c):
-    if not isinstance(s, (int, Fraction)):
+    """Exact Phi(-m, z, c) for integer s = -m <= 0 and rational z, c,
+    past ``phi``'s stratum test; None for other input."""
+    exact = (int, Fraction)
+    if not (isinstance(s, exact) and isinstance(z, exact)
+            and isinstance(c, exact) and s == int(s) <= 0):
         return None
-    if isinstance(s, Fraction) and s.denominator != 1:
-        return None
-    if int(s) > 0:
-        return None
-    if not isinstance(z, (int, Fraction)) or not isinstance(c, (int, Fraction)):
-        return None
-    m = -int(s)
-    zf, cf = Fraction(z), Fraction(c)
-    if zf in (0, 1) or (cf.denominator == 1 and cf <= 0):
-        return None  # singular stratum; let the guards report it
-    try:
-        if _overflows_double(m, zf, cf):
-            raise OverflowError
-        if m > EXACT_M_BUDGET:
-            raise AccuracyError(
-                "Phi(%d, %s, %s) is exact, but m = %d is above the exact "
-                "path's budget m <= %d" % (-m, zf, cf, m, EXACT_M_BUDGET),
-                bound=math.inf)
-        # Phi(-m, z, c) = Li_{-m}(z,c) / z, both exact rationals
-        val = negative_polylog(m).eval(zf, cf) / zf
-        value = _cplx(val)
-    except OverflowError:
-        raise AccuracyError("Phi(%d, %s, %s) is exact but overflows double "
-                            "precision" % (-m, zf, cf), bound=math.inf) from None
-    return EvalResult(value, "rational", 0.0, exact=val)
+    m, zf, cf = -int(s), Fraction(z), Fraction(c)
+    if _overflows_double(m, zf, cf):
+        raise OverflowError  # which phi refuses
+    if m > EXACT_M_BUDGET:
+        raise AccuracyError(
+            "Phi(%d, %s, %s) is exact, but m = %d is above the exact "
+            "path's budget m <= %d" % (-m, zf, cf, m, EXACT_M_BUDGET),
+            bound=math.inf)
+    # Phi(-m, z, c) = Li_{-m}(z,c) / z, both exact rationals
+    val = negative_polylog(m).eval(zf, cf) / zf
+    return EvalResult(_cplx(val), "rational", 0.0, exact=val)
 
 
 def phi(s, z, c, tol=1e-12):
     """Evaluate Phi(s, z, c) on the principal branch, auto-dispatched.
 
-    Route order: exact rational short-circuit (integer s <= 0, rational
-    z and c); series for |z| <= 0.75 with Re(c) > 0; reflection for
-    Re(s) <= 0, |z| > 0.75 and Re(c) 1e-8 or more from any integer (one
-    signed shift of c into 0 < Re(c) < 1 and the three-term formula);
-    c_shift by N = ceil(1 - Re c) for the other Re(c) < 1/16, so a small
-    positive Re(c), whose slowly decaying e^{-ct} often made the integral
-    refuse, takes one shift up (and the integral only if that shift
-    refuses); integral for the rest.  Non-finite s or c and NaN z raise
-    DomainError before any route runs (z = oo is the singular_zinf
-    stratum), singular strata raise StratumError, the cut [1, oo) raises
-    BranchError.
+    Routes in the order of the module docstring: exact rational, series,
+    reflection, c_shift (the integral takes what a shift with
+    0 < Re c < 1/16 refuses), integral.  Non-finite s or c and NaN z
+    raise DomainError before any route runs, a point that
+    ``classify_stratum`` calls singular raises StratumError with its tag
+    (z = oo is singular_zinf), the cut [1, oo) raises BranchError, and an
+    overflow, or a value or estimate that is not finite, AccuracyError.
     """
-    exact = _exact_rational_case(s, z, c)
-    if exact is not None:
-        return exact
     try:
         sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
     except OverflowError:  # an int or Fraction beyond double range
@@ -624,21 +615,26 @@ def phi(s, z, c, tol=1e-12):
     if not (cmath.isfinite(sc) and cmath.isfinite(cc)) or cmath.isnan(zc):
         raise DomainError("phi needs finite s and c and a z that is not NaN, "
                           "got s = %s, z = %s, c = %s" % (s, z, c))
-    stratum = classify_stratum(s, z, c)
-    if stratum.tag not in ("regular", "removable_c"):
-        raise StratumError("point lies on singular stratum: %s" % stratum.tag,
-                           stratum=stratum.tag)
-    if abs(zc - 1) < NEAR:
-        raise StratumError("z within 1e-8 of the singular point z = 1",
-                           stratum="singular_z1")
-    if dist_to_nonpos_int(c) < NEAR:
-        raise StratumError(
-            "c within 1e-8 of a non-positive integer (singular stratum)",
-            stratum="singular_c")
+    _refuse_singular(z, c)
+    try:
+        res = _exact_rational_case(s, z, c) or _dispatch(sc, zc, cc, tol)
+        if not (cmath.isfinite(res.value)
+                and math.isfinite(res.error_estimate)):
+            raise OverflowError  # a NaN or oo from a term past double range
+    except OverflowError:
+        raise AccuracyError("Phi(%s, %s, %s) overflows double precision"
+                            % (s, z, c), bound=math.inf) from None
+    return res
+
+
+def _dispatch(sc, zc, cc, tol):
+    """``phi``'s numeric routes, for a point off the singular strata."""
     if _series_region(zc, cc):
-        return phi_series(sc, zc, cc, tol=tol)
-    # next to an integer Re c the reflection meets c + k = 0 or an inner z = 1
-    if sc.real <= 0 and abs(zc) > 0.75 and NEAR <= cc.real % 1.0 <= 1.0 - NEAR:
+        return _series_sum(sc, zc, cc, tol)
+    # next to an integer Re c the reflection meets c + k = 0 or an inner z = 1,
+    # within 2 pi NEAR of z = 1 an inner c = a or 1 - a, |a| ~ |z - 1| / 2 pi
+    if (sc.real <= 0 and abs(zc) > 0.75 and NEAR <= cc.real % 1.0 <= 1.0 - NEAR
+            and abs(zc - 1.0) >= 2.0 * _2PI * NEAR):
         _guard_cut(zc)  # raises BranchError on [1, oo)
         return _reflect_with_c_normalization(sc, zc, cc, tol)
     if cc.real < 0.0625:
@@ -700,9 +696,7 @@ def hurwitz_zeta(s, c, tol=1e-12):
     sc, cc = _cplx(s), _cplx(c)
     if abs(sc - 1.0) < INT_TOL:
         raise PoleError("Hurwitz zeta has its pole at s = 1", location=1)
-    if dist_to_nonpos_int(c) < NEAR:
-        raise StratumError("c is (nearly) a non-positive integer",
-                           stratum="singular_c")
+    _refuse_singular(None, c)  # its z = 1 defines it; only c is tested
     n = max(0, math.ceil(0.5 - cc.real))
     value, err = _shift_c(sc, 1.0 + 0j, cc, n, tol, _euler_maclaurin)
     return EvalResult(value, "euler_maclaurin", err)

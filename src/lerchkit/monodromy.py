@@ -30,14 +30,13 @@ from collections import namedtuple
 from functools import wraps
 
 from .branch_numerics import (
-    NEAR,
     as_int,
     branched_power,
     reciprocal_gamma,
     semi_principal_log,
 )
 from .errors import AccuracyError, DomainError, StratumError
-from .eval_core import c_coeff
+from .eval_core import _stratum, c_coeff
 from .eval_core import phi as _phi
 
 __all__ = [
@@ -276,10 +275,11 @@ def monodromy_Y(n, k, s, z, c):
     """
     if k == 0 or n >= 1:
         return 0j
+    tag, puncture = _stratum(None, c)
+    if puncture == n:
+        raise StratumError("c = %s sits on the puncture of Y_%d" % (c, n),
+                           stratum=tag)
     s, z, c = complex(s), complex(z), complex(c)
-    if abs(c - n) < NEAR:
-        raise StratumError("c = %d sits on the puncture of Y_%d" % (n, n),
-                           stratum="singular_c")
     factor = _expm1_2pi_i(-k, s)
     if factor == 0:
         return 0j

@@ -19,8 +19,8 @@ nearest singularity), so with r = 0.05 R the quadrature error is
 negligible and the only cost is the roundoff amplification eps/r.  Both
 sides come from ``phi`` at every point, exact inputs and the series
 region included, so a wrong ``phi`` shows in the residual.  The ladder
-and PDE checks refuse z = 0 with the StratumError that ``phi`` raises
-there.
+and PDE checks refuse a point on a singular stratum, z = 0 included,
+with the StratumError that ``phi`` raises there.
 
 Default tolerances on the relative residual: 1e-9 for every ladder and
 PDE check on ``phi``, 1e-8 for the monodromy-term PDE and the
@@ -40,7 +40,8 @@ from itertools import product
 
 from .branch_numerics import complex_gamma, dist_to_nonpos_int
 from .errors import DomainError, StratumError
-from .eval_core import c_coeff, extended_polylog, lerch_zeta, phi
+from .eval_core import (c_coeff, classify_stratum, extended_polylog,
+                        lerch_zeta, phi)
 from .monodromy import monodromy, monodromy_Z_conj, parse_word
 from .special_values import _padd, _pderiv, _pmul, _pscale
 
@@ -134,12 +135,12 @@ def _phi_value(s, z, c):
 
 
 def _point(s, z, c):
-    """(s, z, c) as complex numbers; z = 0 is refused, as phi refuses it."""
-    sc, zc, cc = complex(s), complex(z), complex(c)
-    if zc == 0:
-        raise StratumError("z = 0 is a singular stratum point",
-                           stratum="singular_z0")
-    return sc, zc, cc
+    """(s, z, c) as complex numbers, refused on a singular stratum."""
+    tag = classify_stratum(s, z, c).tag
+    if tag not in ("regular", "removable_c"):
+        raise StratumError("point lies on singular stratum: " + tag,
+                           stratum=tag)
+    return complex(s), complex(z), complex(c)
 
 
 # ---------------------------------------------------------------------------

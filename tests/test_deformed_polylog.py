@@ -29,7 +29,7 @@ from lerchkit.deformed_polylog import (MonodromyMatrix, _alternating_phi,
                                        unipotency_class, weyl_expand,
                                        z0_loop, z1_loop)
 from lerchkit.errors import BranchError, DomainError, TransportError
-from lerchkit.eval_core import phi
+from lerchkit.eval_core import classify_stratum, phi
 from lerchkit.special_values import _padd, _pmul, _pscale, poly_eval
 
 TWO_PI_I = 2j * math.pi
@@ -627,4 +627,24 @@ def test_degenerate_start_frame_is_refused(monkeypatch, frame):
     monkeypatch.setattr(deformed_polylog, "_start_frame", lambda m, c: frame)
     with pytest.raises(TransportError, match="degenerate start frame"):
         numeric_transport(1, Fraction(1, 2), z0_loop())
+
+
+def test_c_between_the_integer_and_the_refusal_radius():
+    # INT_TOL (1e-12) < dist(c, Z<=0) < NEAR (1e-8): phi and the classifier
+    # call c singular, the ODE tools take the regular basis (as_int chooses
+    # it), rho gives its closed form and the transport refuses the start
+    # frame; within INT_TOL the basis is the singular one
+    for n in (0, -1, -3):
+        for d in (5e-12, 1e-10, 9e-9):
+            c = n + d
+            assert classify_stratum(2, 0.5, c).tag == "singular_c"
+            for m in (1, 2, 3):
+                assert basis(m, c).kind == "regular"
+                for generator, loop in (("Z0", z0_loop()), ("Z1", z1_loop())):
+                    assert rho(generator, m, c).kind == "regular"
+                    with pytest.raises(TransportError,
+                                       match="degenerate start frame"):
+                        numeric_transport(m, c, loop)
+        for m in (1, 2, 3):
+            assert basis(m, n + 5e-13).kind == "singular"
 

@@ -126,15 +126,80 @@ def test_singular_strata_raise():
         phi(0.5, 1.5, 0.5)      # on the cut [1, oo)
 
 
-def test_c_next_to_a_pole_is_singular_although_classified_regular():
-    # classify_stratum tests integers to within 1e-12; phi's own guard is
-    # the wider 1e-8
-    assert classify_stratum(2, 0.5, -1 + 1e-10).tag == "regular"
+def test_c_next_to_a_pole_is_classified_singular():
+    # one radius, 1e-8, for the classifier and for phi's refusal
+    assert classify_stratum(2, 0.5, -1 + 1e-10).tag == "singular_c"
     with pytest.raises(StratumError) as exc:
         phi(2, 0.5, -1 + 1e-10)
     assert exc.value.stratum == "singular_c"
     with pytest.raises(StratumError):
         hurwitz_zeta(2, -1 + 1e-10)
+
+
+class _RouteReached(Exception):
+    pass
+
+
+def _refused_stratum(fn, *args):
+    """The stratum of the StratumError that fn(*args) raises, else None."""
+    try:
+        fn(*args)
+    except StratumError as exc:
+        return exc.stratum
+    except (_RouteReached, AccuracyError, BranchError, DomainError):
+        pass
+    return None
+
+
+def test_evaluators_refuse_exactly_what_the_classifier_calls_singular(
+        monkeypatch):
+    # around z = 1 and c in {0, -1, -5}, off the real axis, both inside
+    # and outside the 1e-8 radius: each evaluator raises StratumError with
+    # classify_stratum's tag where that tag is singular, and nowhere else.
+    # A point past the guards stops at its first sum or integral.
+    def reached(*args, **kwargs):
+        raise _RouteReached
+
+    monkeypatch.setattr(eval_core, "quad_semiaxis", reached)
+    monkeypatch.setattr(eval_core, "sum_with_tail_bound", reached)
+    radii = (1e-13, 1e-11, 5e-9, 2e-8, 1e-6)
+    zs = [1 + r * cmath.exp(1j * t) for r in radii
+          for t in (math.pi / 3, 0.75 * math.pi, -2 * math.pi / 3)]
+    cs = [n + r * cmath.exp(1j * t) for n in (0, -1, -5) for r in radii
+          for t in (math.pi / 3, -0.75 * math.pi)]
+    points = ([(z, 0.5) for z in zs] + [(z, c) for z in (0.5, -3 + 1j)
+                                        for c in cs] + list(zip(zs, cs)))
+    singular = 0
+    for s in (2.0, -1.5):
+        for z, c in points:
+            tag = classify_stratum(s, z, c).tag
+            want = None if tag in ("regular", "removable_c") else tag
+            singular += want is not None
+            assert _refused_stratum(phi, s, z, c) == want, (s, z, c)
+            assert _refused_stratum(phi_c_shift, s, z, c, 2) == want, (s, z, c)
+            if abs(z) < 1:
+                assert _refused_stratum(phi_series, s, z, c) == want, (s, z, c)
+            # zeta_H(s, c) = Phi(s, 1, c): z is fixed, only c is tested
+            tag = classify_stratum(s, 0.5, c).tag
+            want = None if tag in ("regular", "removable_c") else tag
+            assert _refused_stratum(hurwitz_zeta, s, c) == want, (s, c)
+    assert 0 < singular < 2 * len(points)
+
+
+def test_results_beyond_double_range_are_refused():
+    # the c-shift head sum z^k (c+k)^{-s} passes double range: by c_shift
+    # (first two) and by the reflection (third) these made nan+nanj with
+    # estimate nan; Gamma(172) on the integral route and (0.3+0.1i)^-1000
+    # in the head raised a bare OverflowError
+    for s, z, c in ((2.5, 2 + 1j, -2000.7), (2.5, 3j, -800.7),
+                    (-1.5, 2 + 1j, -99999.7)):
+        with pytest.raises(AccuracyError, match="overflows double") as exc:
+            phi(s, z, c)
+        assert str(c) in str(exc.value)
+    for s, z, c in ((172, 0.9, 1.5), (1000, 0.5, -2.7 + 0.1j)):
+        with pytest.raises(AccuracyError, match="overflows double precision"):
+            phi(s, z, c)
+    assert math.isfinite(phi(171, 0.9, 1.5).value.real)
 
 
 def test_routes_refuse_points_outside_their_domain():
@@ -240,12 +305,14 @@ def test_series_with_big_s_stays_finite():
 
 
 def test_series_below_the_least_double_draws_no_term(monkeypatch):
-    # sum |t_n| <= e^{pi |Im s|} (min |n + c|)^{-Re s} / (1 - |z|): here
-    # 1.5^-10000 / 0.5, so the sum is 0 to within 5e-324 with no term
-    # drawn, where the ratio bound waited for 14,430 underflowed terms
+    # sum |t_n| <= e^{theta |Im s|} (min |n + c|)^{-Re s} / (1 - |z|),
+    # theta = |Arg c| for Re c >= 0, else pi: here 1.5^-10000 / 0.5, so the
+    # sum is 0 to within 5e-324 with no term drawn, where the ratio bound
+    # waited for 14,430 underflowed terms (15,065 at Im s = 3000, for
+    # which theta = pi left log M far above log 5e-324)
     drawn = _count_drawn_terms(monkeypatch)
     for s, z, c in ((1e4, 0.5, 1.5), (1e4 + 30j, 0.5j, 1.5 - 0.2j),
-                    (1e4, -0.5, -0.5 + 3j)):
+                    (1e4, -0.5, -0.5 + 3j), (1e4 + 3000j, 0.5, 1.5)):
         res = phi_series(s, z, c)
         assert (res.value, res.error_estimate) == (0j, 5e-324), (s, z, c)
     assert drawn[0] == 0

@@ -4,6 +4,10 @@ polynomial kernel and the certified series sum each have one home.
 * Only ``branch_numerics`` (the numeric policy) may compare against the
   literals 1e-8 or 1e-12, or bind them to a module-level name, and only
   it reads ``sys.float_info.epsilon`` (every other module uses ``EPS``).
+* One stratum test: ``NEAR``, the refusal radius around z = 1 and
+  c in {0, -1, ...}, is read by ``eval_core._stratum`` and otherwise only
+  by the cut guard ``_guard_cut`` and the dispatcher's route test
+  (``_dispatch``); every other refusal takes the stratum's tag.
 * Only ``special_values`` may define ``_trim``/``_padd``/``_pmul``-style
   polynomial helpers, or operator helpers named ``_op_...`` (a
   dict-keyed second kernel once hid under those names).
@@ -65,6 +69,23 @@ def test_policy_tolerances_live_in_branch_numerics():
             if isinstance(node, ast.Assign) and _is_policy_literal(node.value):
                 offenders.append("%s:%d" % (name, node.lineno))
     assert not offenders, offenders
+
+
+NEAR_READERS = ["eval_core.py:_dispatch", "eval_core.py:_guard_cut",
+                "eval_core.py:_stratum"]
+
+
+def _reads_near(node):
+    return (isinstance(node, ast.Name) and node.id == "NEAR"
+            and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == "NEAR")
+
+
+def test_one_stratum_test():
+    readers = sorted({"%s:%s" % (name, getattr(top, "name", "<module>"))
+                      for name, tree in _modules() for top in tree.body
+                      if any(_reads_near(node) for node in ast.walk(top))})
+    assert readers == NEAR_READERS, readers
 
 
 def _reads_epsilon(node):
