@@ -127,7 +127,7 @@ def weyl_expand(m):
     alpha_k = (c-1) f^{(m)}_k - f^{(m+1)}_k and
     beta_k = f^{(m+1)}_k - c f^{(m)}_k, so the top coefficient is
     (1 - z) z^{m+1} exactly.  With z^k d^k = theta (theta-1) ... (theta-k+1)
-    the expansion is z A(theta) + B(theta), and the tests check, in
+    the expansion is z A(theta) + B(theta), and ``verify`` checks, in
     Z[c, theta], that A = -theta (theta+c-1)^m and
     B = (theta-1)(theta+c-1)^m.
     """

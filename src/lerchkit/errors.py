@@ -54,9 +54,3 @@ class TransportError(LerchError):
     """Numerical ODE transport failed (path too close to a singular point,
     step control exhausted, or frame matrix became ill-conditioned)."""
 
-
-class IdentityViolation(LerchError):
-    """An identity that holds exactly in rational arithmetic failed.
-
-    Distinct from AccuracyError: nothing here is a numerical miss, the
-    violated relation had no rounding in it."""

@@ -32,7 +32,9 @@ Tolerances follow the numeric policy of branch_numerics.  One test,
 singular point with that tag rather than return garbage.  z on (or
 within 1e-8 of) [1, infinity) is a branch error (the principal value is
 ambiguous there).  Every term formed as e^w books EPS (|w| + 4) |e^w|
-of rounding in its route's estimate (``_exp_rounding``).
+of rounding in its route's estimate (``_exp_rounding``).  Every public
+evaluator ends in one finiteness exit, ``_finite``: an overflow, or a
+value or estimate that is not finite, raises AccuracyError.
 
 The integral route (``periodic_zeta`` is z Phi(s, z, 1) on it) asks
 ``quad_semiaxis`` for 0.1 * tol on the integral it returns, 1/Gamma
@@ -159,6 +161,21 @@ def _exp_rounding(w, term):
     return EPS * (abs(w) + 4.0) * abs(term)
 
 
+def _finite(name, args, route):
+    """route(), an ``EvalResult``, past the finiteness exit of every public
+    evaluator: an OverflowError, or a value or estimate that is not
+    finite, is AccuracyError("name(args) overflows double precision")."""
+    try:
+        res = route()
+        # a NaN or oo comes from a term past double range
+        if cmath.isfinite(res.value) and math.isfinite(res.error_estimate):
+            return res
+    except OverflowError:
+        pass
+    raise AccuracyError("%s(%s) overflows double precision"
+                        % (name, ", ".join(map(str, args))), bound=math.inf)
+
+
 # ---------------------------------------------------------------------------
 # strategy: direct series
 # ---------------------------------------------------------------------------
@@ -195,16 +212,14 @@ def phi_series(s, z, c, tol=1e-12):
     az = abs(zc)
     if az >= 1.0:
         raise DomainError("series strategy needs |z| < 1, got |z| = %g" % az)
-    try:
+
+    def route():
         if zc == 0:
             w = -sc * principal_log(cc)
             value = cmath.exp(w)
             return EvalResult(value, "series", _exp_rounding(w, value))
         return _series_sum(sc, zc, cc, tol)
-    except OverflowError:
-        raise AccuracyError("a term z^n (n+c)^(-s) of Phi(%s, %s, %s) "
-                            "overflows double precision" % (sc, zc, cc),
-                            bound=math.inf) from None
+    return _finite("Phi", (s, z, c), route)
 
 
 _TINY = 5e-324  # the least positive double
@@ -332,7 +347,7 @@ def phi_integral(s, z, c, tol=1e-12):
     if cc.real <= 0:
         raise DomainError("integral strategy needs Re(c) > 0")
     _guard_cut(z)  # which holds z = 1 and its 1e-8 neighbourhood
-    return _mellin(sc, zc, cc, tol)
+    return _finite("Phi", (s, z, c), lambda: _mellin(sc, zc, cc, tol))
 
 
 def _mellin(sc, zc, cc, tol):
@@ -418,8 +433,9 @@ def _pole_term(sc, zc, cc, rg):
 # identities that re-enter Phi: c_shift and reflection
 # ---------------------------------------------------------------------------
 
-def _compose(calls, factors, share, tol, combine):
-    """(value, error) = combine(results) of an identity that re-enters Phi.
+def _compose(method, calls, factors, share, tol, combine):
+    """EvalResult(value, method, error) with (value, error) =
+    combine(results) of an identity that re-enters Phi.
 
     Each call maps a tolerance to an ``EvalResult``, whose value enters
     the identity times its factor; each is asked for share * tol.  If
@@ -436,7 +452,7 @@ def _compose(calls, factors, share, tol, combine):
         rs = [call(budget * mag / scale) if mag < scale else r
               for call, r, scale in zip(calls, rs, scales)]
         value, err = combine(rs)
-    return value, err
+    return EvalResult(value, method, err)
 
 
 def _c_shift_head(sc, zc, cc, n):
@@ -468,13 +484,13 @@ def _c_shift_head(sc, zc, cc, n):
     return head, zpow, rounding
 
 
-def _shift_c(sc, zc, cc, n, tol, inner_route):
-    """(value, error) of Phi(s,z,c) = head + z^N inner_route(s, z, c+N)
-    (``_c_shift_head``): one ``_compose`` step, asking the inner route
-    for half of tol (all of it for N = 0)."""
+def _shift_c(sc, zc, cc, n, tol, inner_route, method):
+    """Phi(s,z,c) = head + z^N inner_route(s, z, c+N) (``_c_shift_head``)
+    as an ``EvalResult`` of ``method``: one ``_compose`` step, asking the
+    inner route for half of tol (all of it for N = 0)."""
     head, zpow, rounding = _c_shift_head(sc, zc, cc, n)
-    return _compose([lambda t: inner_route(sc, zc, cc + n, tol=t)], [zpow],
-                    0.5 if n else 1.0, tol,
+    return _compose(method, [lambda t: inner_route(sc, zc, cc + n, tol=t)],
+                    [zpow], 0.5 if n else 1.0, tol,
                     lambda rs: (head + zpow * rs[0].value,
                                 abs(zpow) * rs[0].error_estimate + rounding))
 
@@ -484,8 +500,8 @@ def phi_c_shift(s, z, c, n_shift, tol=1e-12):
     if n_shift < 0:
         raise DomainError("shift count must be >= 0")
     _refuse_singular(z, c)
-    value, err = _shift_c(_cplx(s), _cplx(z), _cplx(c), n_shift, tol, phi)
-    return EvalResult(value, "c_shift", err)
+    return _finite("Phi", (s, z, c), lambda: _shift_c(
+        _cplx(s), _cplx(z), _cplx(c), n_shift, tol, phi, "c_shift"))
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +560,8 @@ def _reflect_with_c_normalization(s, z, c, tol):
         return head + zpow * inner, abs(zpow) * err + head_rounding
 
     calls = [lambda t, arg=arg: phi(*arg, tol=t) for arg in args]
-    value, err = _compose(calls, [zpow * p1, zpow * p2],
-                          0.125 if n else 0.25, tol, combine)
-    return EvalResult(value, "reflection", err)
+    return _compose("reflection", calls, [zpow * p1, zpow * p2],
+                    0.125 if n else 0.25, tol, combine)
 
 
 # ---------------------------------------------------------------------------
@@ -616,15 +631,8 @@ def phi(s, z, c, tol=1e-12):
         raise DomainError("phi needs finite s and c and a z that is not NaN, "
                           "got s = %s, z = %s, c = %s" % (s, z, c))
     _refuse_singular(z, c)
-    try:
-        res = _exact_rational_case(s, z, c) or _dispatch(sc, zc, cc, tol)
-        if not (cmath.isfinite(res.value)
-                and math.isfinite(res.error_estimate)):
-            raise OverflowError  # a NaN or oo from a term past double range
-    except OverflowError:
-        raise AccuracyError("Phi(%s, %s, %s) overflows double precision"
-                            % (s, z, c), bound=math.inf) from None
-    return res
+    return _finite("Phi", (s, z, c), lambda: _exact_rational_case(s, z, c)
+                   or _dispatch(sc, zc, cc, tol))
 
 
 def _dispatch(sc, zc, cc, tol):
@@ -669,7 +677,7 @@ def periodic_zeta(a, s, tol=1e-12):
     if not 0.0 < ac.real < 1.0:
         raise DomainError("periodic_zeta needs 0 < Re(a) < 1")
     z = exp_2pi_i(ac)
-    res = _mellin(_cplx(s), z, 1.0 + 0j, tol)
+    res = _finite("F", (a, s), lambda: _mellin(_cplx(s), z, 1.0 + 0j, tol))
     return EvalResult(z * res.value, "integral", abs(z) * res.error_estimate)
 
 
@@ -698,8 +706,8 @@ def hurwitz_zeta(s, c, tol=1e-12):
         raise PoleError("Hurwitz zeta has its pole at s = 1", location=1)
     _refuse_singular(None, c)  # its z = 1 defines it; only c is tested
     n = max(0, math.ceil(0.5 - cc.real))
-    value, err = _shift_c(sc, 1.0 + 0j, cc, n, tol, _euler_maclaurin)
-    return EvalResult(value, "euler_maclaurin", err)
+    return _finite("zeta_H", (s, c), lambda: _shift_c(
+        sc, 1.0 + 0j, cc, n, tol, _euler_maclaurin, "euler_maclaurin"))
 
 
 def _euler_maclaurin(sc, zc, cx, tol):

@@ -7,7 +7,7 @@ m >= 1, q_m = sum_{n>=1} n^m z^n.  Each q_m is the rational function
 r_m(z)/(1-z)^{m+1} where r_m is a monic degree-m integer polynomial
 with r_m(0) = 0 for m >= 1 and r_m(1) = m!.  (The r_m coincide with the
 classical Eulerian polynomials times z; the code relies only on the
-recurrence and the identities checked below.)
+recurrence, and ``verify``'s exact suite checks the identities.)
 
 The two-variable special value is the bivariate rational
 
@@ -28,8 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .branch_numerics import exp_2pi_i
-from .errors import IdentityViolation, PoleError
+from .errors import PoleError
 
 __all__ = [
     "r_poly",
@@ -37,9 +36,6 @@ __all__ = [
     "laurent_coeffs",
     "negative_polylog",
     "BivariateRational",
-    "egf_check",
-    "identity_suite",
-    "periodic_zeta_special",
     "poly_eval",
     "poly_eval_homogeneous",
 ]
@@ -96,11 +92,8 @@ def poly_eval_homogeneous(p, num, den, deg):
 
 
 def _one_minus_z_pow(j):
-    # (1-z)^j as an integer polynomial
-    out = [1]
-    for _ in range(j):
-        out = _pmul(out, [1, -1])
-    return out
+    # (1-z)^j as an integer polynomial, by the binomial theorem
+    return [(-1) ** i * math.comb(j, i) for i in range(j + 1)]
 
 
 # --- r_m, q_m, Laurent coefficients ----------------------------------------
@@ -139,8 +132,7 @@ def q_ratio(m, w):
     if w == 1:
         raise PoleError("q_%d has a pole of order %d at z = 1" % (m, m + 1),
                         location=1)
-    num = poly_eval(r_poly(m), w)
-    return num / (1 - w) ** (m + 1)
+    return poly_eval(r_poly(m), w) / (1 - w) ** (m + 1)
 
 
 def laurent_coeffs(m):
@@ -150,13 +142,9 @@ def laurent_coeffs(m):
 
     a_{m,k} = (-1)^m sum_{l<k} (-1)^l C(k-1,l) (l+1)^m, and a_{m,0} = 0.
     """
-    sign = (-1) ** m
-    out = [0]
-    for k in range(1, m + 2):
-        s = sum((-1) ** l * math.comb(k - 1, l) * (l + 1) ** m
-                for l in range(k))
-        out.append(sign * s)
-    return out
+    return [0] + [(-1) ** m * sum((-1) ** l * math.comb(k - 1, l)
+                                  * (l + 1) ** m for l in range(k))
+                  for k in range(1, m + 2)]
 
 
 # --- the bivariate rational Li_{-m}(z, c) ----------------------------------
@@ -213,11 +201,9 @@ class BivariateRational(namedtuple("BivariateRational",
 
     def c_derivative(self):
         """d/dc as another exact object (degree in c drops by one)."""
-        if self.m == 0:
-            return BivariateRational(0, (tuple([0]),), self.pole_order)
         polys = tuple(tuple(_pscale(list(p), j))
                       for j, p in enumerate(self.c_polys) if j >= 1)
-        return BivariateRational(self.m, polys, self.pole_order)
+        return BivariateRational(self.m, polys or ((0,),), self.pole_order)
 
 
 @lru_cache(maxsize=64)
@@ -227,92 +213,7 @@ def negative_polylog(m):
     Cached per m (the object is frozen, so callers share it)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    polys = []
-    for j in range(m + 1):
-        p = _pscale(_pmul([0, 1], _pmul(list(_r_cached(m - j)),
-                                        _one_minus_z_pow(j))),
-                    math.comb(m, j))
-        polys.append(tuple(p))
-    return BivariateRational(m, tuple(polys), m + 1)
-
-
-# --- exponential generating function check ---------------------------------
-
-def egf_check(z0, c0, order):
-    """Divide z0*exp(c0*u) by (1 - z0*exp(u)) as exact power series in u
-    and compare coefficient of u^m with Li_{-m}(z0, c0)/m! for m <= order.
-
-    Returns (ok, report) where report lists (m, coefficient, expected).
-    """
-    z0 = Fraction(z0)
-    c0 = Fraction(c0)
-    if z0 == 1:
-        raise PoleError("generating function undefined at z = 1", location=1)
-    # numerator and denominator Taylor coefficients
-    num = [z0 * c0 ** m / math.factorial(m) for m in range(order + 1)]
-    den = [-z0 / math.factorial(m) for m in range(order + 1)]
-    den[0] += 1
-    g = []
-    for m in range(order + 1):
-        acc = num[m]
-        for j in range(1, m + 1):
-            acc -= den[j] * g[m - j]
-        g.append(acc / den[0])
-    ok = True
-    report = []
-    for m in range(order + 1):
-        expected = (negative_polylog(m).eval(z0, c0) / math.factorial(m)
-                    if z0 != 0 else Fraction(0))
-        report.append((m, g[m], expected))
-        ok = ok and g[m] == expected
-    return ok, report
-
-
-# --- identity suite --------------------------------------------------------
-
-def identity_suite(m_max):
-    """Exact verification, for 1 <= m <= m_max, of
-
-    * reflection:  z^{m+1} r_m(1/z) = r_m(z)  (coefficient palindrome
-      around the z^1..z^m window), and
-    * recursion:   r_m = z * sum_{j=1}^m C(m,j) r_{m-j} (1-z)^{j-1}.
-
-    Raises IdentityViolation naming m and the identity on any failure;
-    returns a summary dict otherwise.
-    """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    for m in range(1, m_max + 1):
-        r = r_poly(m)
-        # z^{m+1} r_m(1/z): coefficient of z^k is the old coefficient of
-        # z^{m+1-k}, i.e. shift-then-reverse
-        reflected = [0] + list(reversed(r))
-        if _trim(reflected) != r:
-            raise IdentityViolation("reflection identity fails at m = %d" % m)
-        acc = [0]
-        for j in range(1, m + 1):
-            term = _pscale(_pmul(list(_r_cached(m - j)),
-                                 _one_minus_z_pow(j - 1)),
-                           math.comb(m, j))
-            acc = _padd(acc, term)
-        if _pmul([0, 1], acc) != r:
-            raise IdentityViolation("binomial recursion fails at m = %d" % m)
-    return {"m_max": m_max, "reflection": "ok", "recursion": "ok"}
-
-
-# --- periodic zeta at non-positive integers --------------------------------
-
-def periodic_zeta_special(a, m):
-    """q_m(e^{2 pi i a}) for rational a in (0,1): equals F(a, -m) for
-    m >= 1.  (At m = 0 the q-sum starts at n = 0 while F starts at
-    n = 1, so F(a, 0) = q_0(e^{2 pi i a}) - 1.)
-
-    The unit-circle point e^{2 pi i a} is never 1, so the rational
-    expression is regular; the value is exact in the field Q(e^{2 pi i a})
-    but returned as a complex double.
-    """
-    a = Fraction(a)
-    if not 0 < a < 1:
-        raise PoleError("periodic zeta special value needs 0 < a < 1 "
-                        "(a = 0, 1 hits the pole of q_m)", location=a)
-    return q_ratio(m, exp_2pi_i(a))
+    polys = tuple(tuple(_pscale(_pmul((0, *_r_cached(m - j)),
+                                      _one_minus_z_pow(j)), math.comb(m, j)))
+                  for j in range(m + 1))
+    return BivariateRational(m, polys, m + 1)

@@ -1,4 +1,4 @@
-"""Residual checks for the differential and reflection identities.
+"""Residual and exact checks of the identities the package relies on.
 
 Each check evaluates both sides of one identity with the package's own
 functions and reports the signed residual ``left - right``: ``phi`` for
@@ -22,10 +22,14 @@ region included, so a wrong ``phi`` shows in the residual.  The ladder
 and PDE checks refuse a point on a singular stratum, z = 0 included,
 with the StratumError that ``phi`` raises there.
 
+The exact suite checks ``special_values`` and ``weyl_expand`` in
+integers and Fractions; each residual counts the failed comparisons.
+
 Default tolerances on the relative residual: 1e-9 for every ladder and
 PDE check on ``phi``, 1e-8 for the monodromy-term PDE and the
-functional equations, 1e-10 for the dilogarithm identities, and 0 (an
-exact zero) for the commutator and monodromy vanishing.
+functional equations, 1e-10 for the dilogarithm identities and
+``periodic_zeta`` against the exact q_m, and 0 (an exact zero) for the
+commutator, monodromy vanishing and the exact checks.
 
 The suites are fixed tables: each runs every one of its checks at every
 point of its own table.  ``run_suite`` returns a machine-readable
@@ -35,15 +39,19 @@ SuiteReport (the CLI serialises it to JSON).
 import cmath
 import math
 from collections import namedtuple
-from functools import partial
+from fractions import Fraction
+from functools import partial, reduce
 from itertools import product
 
-from .branch_numerics import complex_gamma, dist_to_nonpos_int
+from .branch_numerics import complex_gamma, dist_to_nonpos_int, exp_2pi_i
+from .deformed_polylog import weyl_expand
 from .errors import DomainError, StratumError
 from .eval_core import (c_coeff, classify_stratum, extended_polylog,
-                        lerch_zeta, phi)
+                        lerch_zeta, periodic_zeta, phi)
 from .monodromy import monodromy, monodromy_Z_conj, parse_word
-from .special_values import _padd, _pderiv, _pmul, _pscale
+from .special_values import (_one_minus_z_pow, _padd, _pderiv, _pmul,
+                             _pscale, _trim, laurent_coeffs,
+                             negative_polylog, q_ratio, r_poly)
 
 _2PI_I = 2j * math.pi
 
@@ -101,6 +109,13 @@ class SuiteReport(namedtuple("SuiteReport", "name reports")):
             "passed": self.passed,
             "checks": [r.to_dict() for r in self.reports],
         }
+
+
+def _exact_report(name, point, residual, tol):
+    """Report of an exact check.  Its residual is an integer (a count of
+    failed comparisons, so a Fraction miss cannot round to 0) or an exact
+    zero of floats."""
+    return ResidualReport(name, point, complex(residual), 0j, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +234,7 @@ def check_commutator(max_degree=6, tol=0.0):
                          _pscale(_padd(down(_pderiv(p)), p), -1))
             worst = max(worst, *map(abs, comm))
     point = ("monomials z^j c^k, j,k <= %d" % max_degree,)
-    return ResidualReport("commutator", point, complex(worst), 0j, tol)
+    return _exact_report("commutator", point, worst, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +369,83 @@ def check_monodromy_vanishing(s, words=None, tol=0.0):
         total, _ = monodromy(parse_word(text), s, z0, c0)
         worst = max(worst, abs(total))
     point = (s,) + tuple(words)
-    return ResidualReport("monodromy_vanishing", point,
-                          complex(worst), 0j, tol)
+    return _exact_report("monodromy_vanishing", point, worst, tol)
+
+
+# ---------------------------------------------------------------------------
+# exact special values and the operator
+# ---------------------------------------------------------------------------
+
+def check_r_reflection(m_max, tol=0.0):
+    """z^{m+1} r_m(1/z) = r_m(z) for 1 <= m <= m_max."""
+    misses = sum(_trim([0, *reversed(r)]) != r
+                 for r in map(r_poly, range(1, m_max + 1)))
+    return _exact_report("r_reflection", ("m <= %d" % m_max,), misses, tol)
+
+
+def check_r_recursion(m_max, tol=0.0):
+    """r_m = z sum_{j=1}^m C(m,j) r_{m-j} (1-z)^{j-1} for 1 <= m <= m_max."""
+    misses = 0
+    for m in range(1, m_max + 1):
+        terms = [_pscale(_pmul(r_poly(m - j), _one_minus_z_pow(j - 1)),
+                         math.comb(m, j)) for j in range(1, m + 1)]
+        misses += _pmul([0, 1], reduce(_padd, terms)) != r_poly(m)
+    return _exact_report("r_recursion", ("m <= %d" % m_max,), misses, tol)
+
+
+def check_laurent(m_max, tol=0.0):
+    """r_m(z) = sum_k a_{m,k} (1-z)^{m+1-k} for m <= m_max, with the
+    a_{m,k} of ``laurent_coeffs``."""
+    misses = sum(reduce(_padd, [_pscale(_one_minus_z_pow(m + 1 - k), a)
+                                for k, a in enumerate(laurent_coeffs(m))])
+                 != r_poly(m) for m in range(m_max + 1))
+    return _exact_report("laurent", ("m <= %d" % m_max,), misses, tol)
+
+
+def check_egf(z0, c0, order, tol=0.0):
+    """z0 e^{c0 u} / (1 - z0 e^u) = sum_m Li_{-m}(z0, c0) u^m / m!: the
+    exact power-series division against ``negative_polylog``, m <= order."""
+    z0, c0 = Fraction(z0), Fraction(c0)
+    got, misses = [], 0
+    for m in range(order + 1):
+        want = negative_polylog(m).eval(z0, c0) / math.factorial(m)
+        # the u^m coefficient of (1 - z0 e^u) g(u) = z0 e^{c0 u}
+        acc = c0 ** m / math.factorial(m) + sum(
+            g / math.factorial(m - i) for i, g in enumerate(got))
+        got.append(z0 * acc / (1 - z0))
+        misses += got[m] != want
+    return _exact_report("egf", (z0, c0, order), misses, tol)
+
+
+def check_periodic_zeta(a, m, tol=1e-10):
+    """``periodic_zeta``'s F(a, -m) against the exact rational
+    q_m(e^{2 pi i a}) of ``q_ratio``, less its n = 0 term 1 at m = 0."""
+    right = q_ratio(m, exp_2pi_i(a)) - (m == 0)
+    return ResidualReport("periodic_zeta", (a, m),
+                          periodic_zeta(a, -m).value, right, tol)
+
+
+def _theta_form(op, c):
+    """(A, B), ascending in theta, with op = z A(theta) + B(theta) at c for
+    a ``weyl_expand`` operator, by z^k d^k = theta (theta-1)...(theta-k+1)."""
+    A, B, falling = [0], [0], [1]
+    for k, (alpha, beta) in enumerate(op.entries):
+        A = _padd(A, _pscale(falling, alpha.eval(c)))
+        B = _padd(B, _pscale(falling, beta.eval(c)))
+        falling = _pmul(falling, [-k, 1])
+    return A, B
+
+
+def check_theta_form(m, tol=0.0):
+    """``weyl_expand(m)`` = z A(theta) + B(theta), A = -theta (theta+c-1)^m,
+    B = (theta-1)(theta+c-1)^m: A and B have c-degree <= m + 1, so
+    agreement at the 2m + 5 integers of [-m-2, m+2] proves it in Z[c]."""
+    op, misses = weyl_expand(m), 0
+    for c in range(-m - 2, m + 3):
+        power = [math.comb(m, i) * (c - 1) ** (m - i) for i in range(m + 1)]
+        want = _pmul([0, -1], power), _pmul([-1, 1], power)
+        misses += _theta_form(op, c) != want
+    return _exact_report("theta_form", (m,), misses, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +509,12 @@ _SUITES = {
                         _FOUR_TERM_GRID),
     "spence": _every((check_spence,), _DILOG_GRID),
     "rogers": _every((check_rogers,), _DILOG_GRID),
+    "exact": _every((check_r_reflection, check_r_recursion, check_laurent),
+                    ((20,),), extra=(
+        (check_egf, (Fraction(1, 3), Fraction(2, 5), 12)),
+        *((check_periodic_zeta, p) for p in product(
+            (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)), range(5))),
+        *((check_theta_form, (m,)) for m in range(8)))),
     "monodromy_vanishing": _every((check_monodromy_vanishing,),
                                   ((0,), (-1,), (-2,), (-3,), (2,))),
 }
@@ -430,10 +526,8 @@ def run_suite(name, tol=None):
     """Run one named suite, or every suite in order for "all", over its
     fixed table of points; ``tol`` replaces each check's default."""
     if name == "all":
-        reports = []
-        for suite in _SUITES.values():
-            reports.extend(suite(tol))
-        return SuiteReport("all", tuple(reports))
+        return SuiteReport("all", tuple(r for suite in _SUITES.values()
+                                        for r in suite(tol)))
     if name not in _SUITES:
         raise ValueError("unknown suite %r; choose from %s"
                          % (name, ", ".join(SUITE_NAMES)))

@@ -15,18 +15,16 @@ import numpy as np
 
 from lerchkit.deformed_polylog import (numeric_transport, rho, weyl_expand,
                                        z0_loop, z1_loop)
-from lerchkit.eval_core import (periodic_zeta, phi, phi_c_shift,
-                                phi_integral, phi_series)
+from lerchkit.eval_core import phi, phi_c_shift, phi_integral, phi_series
 from lerchkit.monodromy import GeneratorLetter, monodromy, parse_word
-from lerchkit.special_values import (egf_check, identity_suite,
-                                     laurent_coeffs, periodic_zeta_special,
-                                     r_poly)
-from lerchkit.verify import (_LADDER_GRID, check_four_term,
+from lerchkit.special_values import r_poly
+from lerchkit.verify import (_LADDER_GRID, check_egf, check_four_term,
                              check_ladder_down, check_ladder_up,
-                             check_lerch_three_term, check_pde,
-                             check_rogers, check_spence)
-from test_deformed_polylog import (_basis_residuals, _factored_theta_form,
-                                   _theta_form)
+                             check_laurent, check_lerch_three_term,
+                             check_pde, check_periodic_zeta,
+                             check_r_recursion, check_r_reflection,
+                             check_rogers, check_spence, check_theta_form)
+from test_deformed_polylog import _basis_residuals
 
 L = GeneratorLetter
 
@@ -46,41 +44,28 @@ def test_criterion_01_r_table():
 
 
 def test_criterion_02_reflection_recursion_laurent():
-    ok = True
-    try:
-        identity_suite(20)
-    except Exception:
-        ok = False
-    for m in range(21):
-        a = laurent_coeffs(m)
-        z = Fraction(3, 7)
-        recon = sum(a[k] * (1 - z) ** (m + 1 - k) for k in range(m + 2))
-        direct = sum(co * z ** i for i, co in enumerate(r_poly(m)))
-        ok = ok and recon == direct
+    reports = [check(20) for check in (check_r_reflection, check_r_recursion,
+                                       check_laurent)]
+    ok = all(r.passed and r.abs_residual == 0.0 for r in reports)
     _emit(2, ok, "reflection, recursion and Laurent expansion exact "
                  "for m <= 20")
 
 
 def test_criterion_03_generating_function():
-    ok, report = egf_check(Fraction(1, 3), Fraction(2, 5), 12)
-    ok = ok and len(report) == 13
+    r = check_egf(Fraction(1, 3), Fraction(2, 5), 12)
+    ok = r.passed and r.abs_residual == 0.0
     _emit(3, ok, "exp-series division reproduces Li_{-m}(1/3, 2/5)/m! "
                  "for m <= 12 exactly")
 
 
-def test_criterion_04_periodic_zeta_special_values():
-    worst = 0.0
-    for a in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)):
-        for m in (1, 2, 3, 4):
-            num = periodic_zeta(float(a), -m).value
-            exact = periodic_zeta_special(a, m)
-            worst = max(worst, abs(num - complex(exact)))
-        num0 = periodic_zeta(float(a), 0).value
-        worst = max(worst, abs(num0 - (complex(periodic_zeta_special(a, 0))
-                                       - 1.0)))
-    ok = worst < 1e-8
+def test_criterion_04_periodic_zeta_at_negative_integers():
+    reports = [check_periodic_zeta(a, m)
+               for a in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2))
+               for m in range(5)]
+    worst = max(r.rel_residual for r in reports)
+    ok = all(r.passed for r in reports)
     _emit(4, ok, "continued F(a, -m) matches the exact rational values "
-                 "to %.1e (tol 1e-8)" % worst)
+                 "to %.1e (tol 1e-10)" % worst)
 
 
 def test_criterion_05_ladders_and_pde():
@@ -238,8 +223,7 @@ def test_criterion_12_operator_exactness():
         a, b = weyl_expand(m).entries[m + 1]
         ok = ok and a.coeffs == (-1,) and b.coeffs == (1,)
     for m in range(8):
-        for c in range(-m - 2, m + 3):
-            ok = ok and _theta_form(m, c) == _factored_theta_form(m, c)
+        ok = ok and check_theta_form(m).passed
     for m in (1, 2, 3):
         for c in (1, Fraction(1, 2), 0, -1):
             ok = ok and all(r == 0 for r in _basis_residuals(m, c))

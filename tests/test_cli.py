@@ -489,10 +489,13 @@ def test_cli_import_leaves_numpy_out():
     ["verify", "--suite=all"],
 ], ids=lambda argv: argv[0])
 def test_commands_leave_dataclasses_out(argv):
-    # record types are named tuples, and json loads only for JSON output
+    # record types are named tuples, json loads only for JSON output, and
+    # numpy only when an array is built, which no command does (verify
+    # loads deformed_polylog for the theta-form check)
     _, mods = _fresh_modules("from lerchkit import cli; cli.main(%r)" % argv)
     assert "lerchkit.cli" in mods
     assert "dataclasses" not in mods and "inspect" not in mods
+    assert "numpy" not in mods
     assert ("json" in mods) == ("--json" in argv)
 
 

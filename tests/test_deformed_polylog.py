@@ -2,10 +2,11 @@
 representation, and the numeric transport oracle.
 
 The Weyl expansion is checked in theta-form, z A(theta) + B(theta), as
-an identity in Z[c, theta], and the annihilation tests run in exact
-rational arithmetic, so residuals are required to be identically zero,
-not merely small.  The transport checks tie the closed-form matrices to
-an independent Taylor-stepping continuation of the full solution frame.
+an identity in Z[c, theta] by ``verify``'s exact suite.  The annihilation
+tests take A and B from it and run in exact rational arithmetic, so
+residuals are required to be identically zero, not merely small.  The
+transport checks tie the closed-form matrices to an independent
+Taylor-stepping continuation of the full solution frame.
 """
 
 import cmath
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lerchkit import deformed_polylog
+from lerchkit import deformed_polylog, verify
 from lerchkit.deformed_polylog import (MonodromyMatrix, _alternating_phi,
                                        _cond1, _forced_taylor, _lu,
                                        _lu_solve, _taylor_weights, basis,
@@ -30,7 +31,7 @@ from lerchkit.deformed_polylog import (MonodromyMatrix, _alternating_phi,
                                        z0_loop, z1_loop)
 from lerchkit.errors import BranchError, DomainError, TransportError
 from lerchkit.eval_core import classify_stratum, phi
-from lerchkit.special_values import _padd, _pmul, _pscale, poly_eval
+from lerchkit.special_values import _padd, _pmul, poly_eval
 
 TWO_PI_I = 2j * math.pi
 
@@ -71,31 +72,12 @@ def test_weyl_rejects_negative_order():
 # theta-form and exact annihilation of the basis solutions
 # ---------------------------------------------------------------------------
 
-def _theta_form(m, c):
-    """A and B with weyl_expand(m) = z A(theta) + B(theta) at c, ascending
-    in theta, from z^k d^k = theta (theta - 1) ... (theta - k + 1)."""
-    A, B, falling = [0], [0], [1]
-    for k, (alpha, beta) in enumerate(weyl_expand(m).entries):
-        A = _padd(A, _pscale(falling, alpha.eval(c)))
-        B = _padd(B, _pscale(falling, beta.eval(c)))
-        falling = _pmul(falling, [-k, 1])
-    return A, B
-
-
 def _taylor(p, x):
     """p^{(i)}(x) / i! for i = 0..len(p) - 1: p(x + t) in powers of t."""
     out = [0]
     for a in reversed(p):
         out = _padd(_pmul(out, [x, 1]), [a])
     return out + [0] * (len(p) - len(out))
-
-
-def _factored_theta_form(m, c):
-    """-theta (theta + c - 1)^m and (theta - 1)(theta + c - 1)^m."""
-    power = [1]
-    for _ in range(m):
-        power = _pmul(power, [c - 1, 1])
-    return _pmul([0, -1], power), _pmul([-1, 1], power)
 
 
 def _basis_residuals(m, c, top=25):
@@ -107,7 +89,7 @@ def _basis_residuals(m, c, top=25):
     y = sum_n a_n z^{n+1} the z^{n+1}-coefficient of D y is
     B(n+1) a_n + A(n) a_{n-1}.
     """
-    A, B = _theta_form(m, c)
+    A, B = verify._theta_form(weyl_expand(m), c)
     tA, tB = _taylor(A, 1 - c), _taylor(B, 1 - c)
     # the log entries z^{1-c} (log z)^j / j!, j < m, and on the singular
     # stratum the (log z)^{>=1} part of Li*'s z^{1-c} (log z)^m / m!
@@ -126,11 +108,10 @@ def _basis_residuals(m, c, top=25):
 
 @pytest.mark.parametrize("m", range(8))
 def test_weyl_expansion_is_the_factored_operator(m):
-    # ((1-z) theta - 1)(theta + c - 1)^m = z A + B.  Each theta-coefficient
-    # of A and B has c-degree at most m + 1, so agreement at the 2m + 5
-    # integers of [-m-2, m+2] proves the identity in Z[c].
-    for c in range(-m - 2, m + 3):
-        assert _theta_form(m, c) == _factored_theta_form(m, c), c
+    # ((1-z) theta - 1)(theta + c - 1)^m = z A + B in Z[c], checked by the
+    # exact suite at the 2m + 5 integers of [-m-2, m+2]
+    r = verify.check_theta_form(m)
+    assert r.passed and r.abs_residual == 0.0, r.to_dict()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

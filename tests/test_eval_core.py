@@ -202,6 +202,22 @@ def test_results_beyond_double_range_are_refused():
     assert math.isfinite(phi(171, 0.9, 1.5).value.real)
 
 
+def test_public_routes_share_phis_finiteness_exit():
+    # the first returned nan+nanj with estimate nan; the c-shift head of
+    # hurwitz_zeta, the ladder numerator and 1/Gamma(300) of the integral
+    # under periodic_zeta raised a bare OverflowError
+    calls = (("Phi(2.5, (2+1j), -2000.7)",
+              lambda: phi_c_shift(2.5, 2 + 1j, -2000.7, 2002)),
+             ("zeta_H(-200, -2000.7)", lambda: hurwitz_zeta(-200, -2000.7)),
+             ("F(0.3, -200)", lambda: periodic_zeta(0.3, -200)),
+             ("F(0.3, 300)", lambda: periodic_zeta(0.3, 300)))
+    for name, call in calls:
+        with pytest.raises(AccuracyError) as exc:
+            call()
+        assert str(exc.value) == name + " overflows double precision"
+        assert exc.value.bound == math.inf
+
+
 def test_routes_refuse_points_outside_their_domain():
     with pytest.raises(DomainError):
         phi_integral(2, 2 + 1j, -0.5)       # needs Re c > 0

@@ -11,6 +11,8 @@ polynomial kernel and the certified series sum each have one home.
 * Only ``special_values`` may define ``_trim``/``_padd``/``_pmul``-style
   polynomial helpers, or operator helpers named ``_op_...`` (a
   dict-keyed second kernel once hid under those names).
+* ``verify`` owns every identity check: no other module defines a
+  function named ``check_*``, ``*_check`` or ``*_suite``.
 * ``verify`` takes every value from ``phi``: the old uncertified
   ``1e-17`` stopping rule must not come back, it has no ``while`` loop
   (it sums no series of its own), and it uses no private name of
@@ -110,6 +112,18 @@ def test_one_polynomial_kernel():
                  for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef)
                  and KERNEL_NAME.match(node.name)]
+    assert not offenders, offenders
+
+
+CHECK_NAME = re.compile(r"^check_|_check$|_suite$")
+
+
+def test_verify_owns_every_identity_check():
+    offenders = ["%s:%s" % (name, node.name)
+                 for name, tree in _modules() if name != "verify.py"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and CHECK_NAME.search(node.name)]
     assert not offenders, offenders
 
 

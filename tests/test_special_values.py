@@ -1,4 +1,7 @@
-"""Exact rational layer: r_m, Laurent data, Li_{-m}(z,c), EGF division."""
+"""Exact rational layer: r_m, Laurent data, Li_{-m}(z,c).  Their identities
+(reflection, recursion, Laurent expansion, exp-series division, q_m on the
+unit circle) are checked by ``verify``'s exact suite (tests/test_verify.py).
+"""
 
 import inspect
 import math
@@ -8,11 +11,10 @@ from fractions import Fraction
 import pytest
 
 from lerchkit import special_values
-from lerchkit.errors import IdentityViolation, PoleError
-from lerchkit.special_values import (BivariateRational, egf_check,
-                                     identity_suite, laurent_coeffs,
-                                     negative_polylog, periodic_zeta_special,
-                                     poly_eval_homogeneous, q_ratio, r_poly)
+from lerchkit.errors import PoleError
+from lerchkit.special_values import (BivariateRational, laurent_coeffs,
+                                     negative_polylog, poly_eval_homogeneous,
+                                     q_ratio, r_poly)
 
 # ascending coefficients of r_m for m = 0..5
 R_TABLE = {
@@ -181,29 +183,3 @@ def test_c_derivative_is_exact_partial():
         fd = (biv.eval(z, c + h) - biv.eval(z, c - h)) / (2 * h)
         assert abs(float(der - fd)) < 1e-12
 
-
-def test_egf_check_exact():
-    ok, report = egf_check(Fraction(1, 3), Fraction(2, 5), 12)
-    assert ok
-    assert len(report) == 13
-    for m, coeff, expected in report:
-        assert coeff == expected  # exact Fractions
-        assert expected == (negative_polylog(m).eval(Fraction(1, 3),
-                                                     Fraction(2, 5))
-                            / math.factorial(m))
-
-
-def test_identity_suite_clean():
-    summary = identity_suite(20)
-    assert isinstance(summary, dict)
-
-
-def test_periodic_zeta_special_values():
-    # q_m(-1): equals the Abel-summed alternating series F(1/2, -m) for
-    # m >= 1; the m = 0 value carries the extra n = 0 term (q_0 = F + 1)
-    assert periodic_zeta_special(Fraction(1, 2), 0) == pytest.approx(0.5)
-    assert periodic_zeta_special(Fraction(1, 2), 1) == pytest.approx(-0.25)
-    assert periodic_zeta_special(Fraction(1, 2), 2) == pytest.approx(0.0,
-                                                                     abs=1e-15)
-    with pytest.raises(PoleError):
-        periodic_zeta_special(0, 2)

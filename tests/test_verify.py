@@ -1,5 +1,7 @@
 """Cross-identity residual checks: ladders, PDE, functional equations,
-dilogarithm identities, and monodromy vanishing."""
+dilogarithm identities, monodromy vanishing, and the exact suite (r_m,
+Laurent data, the exp-series division, q_m on the unit circle and the
+theta-form of the operator)."""
 
 import json
 from fractions import Fraction
@@ -9,10 +11,13 @@ import pytest
 from lerchkit import eval_core, verify
 from lerchkit.errors import DomainError, StratumError
 from lerchkit.verify import (ResidualReport, SUITE_NAMES, check_commutator,
-                             check_four_term, check_ladder_down,
-                             check_ladder_up, check_lerch_three_term,
+                             check_egf, check_four_term, check_ladder_down,
+                             check_ladder_up, check_laurent,
+                             check_lerch_three_term,
                              check_monodromy_vanishing, check_pde,
-                             check_rogers, check_spence, run_suite)
+                             check_periodic_zeta, check_r_recursion,
+                             check_r_reflection, check_rogers, check_spence,
+                             run_suite)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +250,84 @@ def test_vanishing_needs_integer_s():
 
 
 # ---------------------------------------------------------------------------
+# exact special values and the operator
+# ---------------------------------------------------------------------------
+
+def test_r_identities_hold_exactly():
+    # reflection and binomial recursion of r_m for 1 <= m <= 20, and the
+    # Laurent expansion r_m = sum a_{m,k} (1-z)^{m+1-k} for m <= 20, as
+    # identities of integer polynomials
+    for check, name in ((check_r_reflection, "r_reflection"),
+                        (check_r_recursion, "r_recursion"),
+                        (check_laurent, "laurent")):
+        r = check(20)
+        assert (r.name, r.point, r.tol) == (name, ("m <= 20",), 0.0)
+        assert r.passed and r.abs_residual == 0.0
+
+
+def test_egf_division_is_exact():
+    # all 13 coefficients of the exp-series division at (1/3, 2/5) equal
+    # the exact Fractions Li_{-m}(1/3, 2/5) / m!, m <= 12
+    r = check_egf(Fraction(1, 3), Fraction(2, 5), 12)
+    assert r.point == (Fraction(1, 3), Fraction(2, 5), 12)
+    assert r.passed and r.abs_residual == 0.0 and r.tol == 0.0
+
+
+def test_periodic_zeta_check():
+    # F(1/2, -m) is the Abel sum of the alternating series: the exact side
+    # is q_0(-1) - 1 at m = 0 (q_0 carries the n = 0 term), then q_m(-1)
+    exact = []
+    for m in range(3):
+        r = check_periodic_zeta(Fraction(1, 2), m)
+        assert r.passed and r.tol == 1e-10, r.to_dict()
+        exact.append(r.right + (m == 0))
+    assert exact == pytest.approx([0.5, -0.25, 0.0], abs=1e-15)
+    with pytest.raises(DomainError):
+        check_periodic_zeta(0, 2)  # q_m has its pole at e^{2 pi i 0} = 1
+
+
+def test_exact_checks_catch_a_wrong_entry(monkeypatch):
+    # one Laurent coefficient off by one, one coefficient of Li_{-12}'s
+    # numerator off by one (a relative change of 2.8e-17 in the egf
+    # coefficient, which leaves its double unchanged) and one Weyl entry
+    # off by one
+    real_laurent = verify.laurent_coeffs
+    real_li = verify.negative_polylog
+    real_weyl = verify.weyl_expand
+
+    def laurent(m):
+        a = real_laurent(m)
+        a[-1] += m == 13
+        return a
+
+    def li(m):
+        biv = real_li(m)
+        if m < 12:
+            return biv
+        *polys, top = biv.c_polys
+        return biv._replace(c_polys=(*polys, top[:-1] + (top[-1] + 1,)))
+
+    def weyl(m):
+        op = real_weyl(m)
+        if m != 5:
+            return op
+        (alpha, beta), *rest = op.entries
+        alpha = alpha._replace(coeffs=(alpha.coeffs[0] + 1,)
+                               + alpha.coeffs[1:])
+        return op._replace(entries=((alpha, beta), *rest))
+
+    assert run_suite("exact").passed
+    monkeypatch.setattr(verify, "laurent_coeffs", laurent)
+    monkeypatch.setattr(verify, "negative_polylog", li)
+    monkeypatch.setattr(verify, "weyl_expand", weyl)
+    failed = [(r.name, r.point, r.left) for r in run_suite("exact").reports
+              if not r.passed]
+    assert failed == [("laurent", ("m <= 20",), 1),
+                      ("egf", (Fraction(1, 3), Fraction(2, 5), 12), 1),
+                      ("theta_form", (5,), 2 * 5 + 5)]
+
+
+# ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
@@ -259,7 +342,7 @@ def test_every_suite_passes():
 
 
 def _combined_checks():
-    """The 103 (name, point, tol) triples of run_suite("all"), in order."""
+    """The 130 (name, point, tol) triples of run_suite("all"), in order."""
     ladder = [(2, 0.5, 0.5), (1.5, 0.3 + 0.2j, 0.7), (0.5 + 0.5j, -0.4, 1.2),
               (2.5, 0.6j, 0.8 - 0.1j), (3, -0.7, 2.0), (0, 0.5, 0.75),
               (-1.5, 0.55, 0.9), (2, 0.85, 0.6), (1.2, -1.3, 0.8),
@@ -282,10 +365,16 @@ def _combined_checks():
                  ("four_term_minus", p + (-1,), 1e-8)]
     for name in ("spence", "rogers"):
         want += [(name, (x, y), 1e-10) for x in axis for y in axis]
+    want += [(name, ("m <= 20",), 0.0)
+             for name in ("r_reflection", "r_recursion", "laurent")]
+    want.append(("egf", (Fraction(1, 3), Fraction(2, 5), 12), 0.0))
+    want += [("periodic_zeta", (Fraction(a, b), m), 1e-10)
+             for a, b in ((1, 3), (2, 5), (1, 2)) for m in range(5)]
+    want += [("theta_form", (m,), 0.0) for m in range(8)]
     for s in (0, -1, -2, -3, 2):
         words = verify._VANISH_WORDS if s <= 0 else verify._VANISH_Y_WORDS
         want.append(("monodromy_vanishing", (s,) + words, 0.0))
-    assert len(want) == 103
+    assert len(want) == 130
     return want
 
 
