@@ -257,35 +257,38 @@ def reciprocal_gamma(s):
 #
 # Every node is a dyadic rational, the base level's u = _U_MIN + i/2 and
 # a finer level's new nodes u = _U_MIN + (2i + 1) h, with an exact index
-# i.  Levels 0 to _TABLE_DEPTH keep (t, weight) of all their nodes across
-# the window in a table, built on first use: 44 base nodes and 21.5 *
-# 2^level nodes of 16 bytes each above, about 175 KB for levels 0-8
-# together.  Deeper levels call ``_node`` for each node.
+# i.  Levels 0 to _TABLE_DEPTH keep t, log t, e^-t and the weight of all
+# their nodes across the window in four arrays, built on first use: 44
+# base nodes and 21.5 * 2^level nodes of 32 bytes each above, 176 KB of
+# floats for levels 0-7 together (188 KB as the arrays allocate them).
+# Deeper levels call ``_node`` for each node.
 _U_MIN = -9.0
 _U_MAX = 12.5
 T_FLOOR = 1e-290
 _MAX_LEVEL = 12     # mesh halvings before the quadrature gives up
 _FLOOR_WINDOW = 16  # a floor this many targets high is out of reach, and
                     # a level difference within this many floors stalled
-_TABLE_DEPTH = 8    # deepest level whose nodes are kept
-_tables = {}        # level -> (ts, ws), see ``_level_nodes``
+_TABLE_DEPTH = 7    # deepest level whose nodes are kept
+_tables = {}        # level -> (ts, logs, exps, ws), see ``_level_nodes``
 
 
 def _node(u):
-    """(t, weight) at the node u: t = exp(u - exp(-u)) and the weight
-    dt/du = t (1 + exp(-u)); t = 0 below T_FLOOR, a node that adds no
-    term."""
+    """(node, weight) at u: the node (t, log t, e^-t) with
+    t = exp(u - exp(-u)), and the weight dt/du = t (1 + exp(-u)).  Below
+    T_FLOOR t = 0, with node (0, -inf, 1) and weight 0: a node that adds
+    no term."""
     emu = math.exp(-u)
     t = math.exp(u - emu)
     if t < T_FLOOR:
-        return 0.0, 0.0
-    return t, t * (1.0 + emu)
+        return (0.0, -math.inf, 1.0), 0.0
+    return (t, math.log(t), math.exp(-t)), t * (1.0 + emu)
 
 
 def _level_nodes(level):
-    """(ts, ws) for 0 <= level <= _TABLE_DEPTH: t and weight at the nodes
-    the level adds across the whole window, u = _U_MIN + i/2 at level 0
-    and u = _U_MIN + (2i + 1) h above it, h = 0.5 / 2**level."""
+    """(ts, logs, exps, ws) for 0 <= level <= _TABLE_DEPTH: t, log t,
+    e^-t and the weight at the nodes the level adds across the whole
+    window, u = _U_MIN + i/2 at level 0 and u = _U_MIN + (2i + 1) h above
+    it, h = 0.5 / 2**level."""
     table = _tables.get(level)
     if table is None:
         # imported here, so that a process that never integrates (most
@@ -294,12 +297,12 @@ def _level_nodes(level):
 
         h = 0.5 / 2 ** level
         ms = range(int((_U_MAX - _U_MIN) / h) + 1)  # u = _U_MIN + m h
-        ts, ws = array("d"), array("d")
+        table = tuple(array("d") for _ in range(4))
         for m in ms[1::2] if level else ms:
-            t, w = _node(_U_MIN + m * h)
-            ts.append(t)
-            ws.append(w)
-        table = _tables[level] = (ts, ws)
+            node, w = _node(_U_MIN + m * h)
+            for column, x in zip(table, (*node, w)):
+                column.append(x)
+        _tables[level] = table
     return table
 
 
@@ -309,7 +312,9 @@ def quad_semiaxis(f, tol=1e-12):
     Substitutes t = exp(u - exp(-u)) and applies the trapezoid rule in u
     with successive mesh halving (h = 0.5 / 2**level); converged when two
     successive levels agree to ``tol`` in the scale-aware sense
-    |T_k - T_{k-1}| <= tol * (1 + |T_k|).  f takes one float t.
+    |T_k - T_{k-1}| <= tol * (1 + |T_k|).  f takes one argument, the
+    node (t, log t, e^-t) as a tuple of floats, so an integrand reads
+    log t and e^-t from the node tables instead of computing them.
 
     The base level (h0 = 1/2) walks out from u = 0, right and then left,
     until four successive terms lie below the cut 1e-3 min(tol, 1e-13)
@@ -322,7 +327,8 @@ def quad_semiaxis(f, tol=1e-12):
     and books h0 * sum |term| over those nodes in the error.
 
     Levels 0 to ``_TABLE_DEPTH`` read their nodes from the tables above
-    ``_U_MIN``, deeper ones from ``_node``: the same floats either way.
+    ``_U_MIN``, deeper ones from ``_node``: the same floats either way,
+    and each the one ``math.log`` or ``math.exp`` gives at that t.
 
     Returns ``QuadResult(value, error)``; the error is the last level
     difference, plus the rounding floor F = EPS * h * mag defined below,
@@ -346,10 +352,10 @@ def quad_semiaxis(f, tol=1e-12):
     # the requested tolerance so truncation never dominates
     cut = min(tol, 1e-13) * 1e-3
 
-    ts, ws = _level_nodes(0)
+    ts, logs, exps, ws = _level_nodes(0)
     mid = int(-_U_MIN / h)  # the node u = 0
     sizes = [0.0] * len(ts)  # |term| at each base node
-    total = f(ts[mid]) * ws[mid]
+    total = f((ts[mid], logs[mid], exps[mid])) * ws[mid]
     scale = mag = sizes[mid] = abs(total)
     ends = []
     # extend to the right, then to the left, until several consecutive
@@ -358,7 +364,7 @@ def quad_semiaxis(f, tol=1e-12):
         i, quiet = mid + step, 0
         while 0 <= i < len(ts) and quiet < 4:
             t = ts[i]
-            term = f(t) * ws[i] if t else 0j
+            term = f((t, logs[i], exps[i])) * ws[i] if t else 0j
             total += term
             size = sizes[i] = abs(term)
             mag += size
@@ -392,16 +398,16 @@ def quad_semiaxis(f, tol=1e-12):
         # the new nodes inside the span are those with i0 <= i < i1
         i0, i1 = lo << (level - 1), hi << (level - 1)
         if level <= _TABLE_DEPTH:
-            ts, ws = _level_nodes(level)
-            nodes = zip(ts[i0:i1], ws[i0:i1])
+            ts, logs, exps, ws = _level_nodes(level)
+            nodes = zip(zip(ts[i0:i1], logs[i0:i1], exps[i0:i1]), ws[i0:i1])
         else:
             nodes = (_node(_U_MIN + (2 * i + 1) * h) for i in range(i0, i1))
-        # nodes below T_FLOOR come first, while mids is still 0j, so
-        # skipping them changes no bit of the sum
+        # nodes below T_FLOOR, the only ones of weight 0, come first,
+        # while mids is still 0j, so skipping them changes no bit of the sum
         mids = 0j
-        for t, w in nodes:
-            if t:
-                term = f(t) * w
+        for node, w in nodes:
+            if w:
+                term = f(node) * w
                 mids += term
                 mag += abs(term)
         refined = 0.5 * value + h * mids

@@ -202,7 +202,7 @@ def phi_series(s, z, c, tol=1e-12):
     the tail bound plus the rounding of each drawn term e^w,
     w = n Log z - s Log(n+c) (``_exp_rounding``).  A term beyond double
     range raises ``AccuracyError``.  For Re s > 0 the whole sum is at most
-    M = e^{theta |Im s|} (min_n |n + c|)^{-Re s} / (1 - |z|)
+    M = e^{theta |Im s|} (min_n |n + c|)^{-Re s} / (1 - |z|), theta = |Arg c|
     (``_log_sum_bound``); where M lies below the least positive double
     the value is 0, with that double as its estimate, and no term is
     drawn.
@@ -224,17 +224,19 @@ def phi_series(s, z, c, tol=1e-12):
 
 _TINY = 5e-324  # the least positive double
 _LOG_TINY = math.log(_TINY)
+_LOG_HUGE = 1024 * math.log(2.0)  # log 2^1024, past the largest double
 
 
 def _log_sum_bound(sc, zc, cc):
     """log M, raised by its own rounding, for Re s > 0 and
     M = e^{theta |Im s|} (min_n |n + c|)^{-Re s} / (1 - |z|), which bounds
-    sum_n |z^n (n + c)^{-s}|, as |Arg(n + c)| <= theta: |Arg c| for
-    Re c >= 0, pi otherwise.  The least |n + c| over n >= 0 sits at the
-    floor or the ceiling of max(0, -Re c)."""
+    sum_n |z^n (n + c)^{-s}|, as |Arg(n + c)| <= theta = |Arg c|: n + c
+    moves right along the horizontal line through c, where |Arg| never
+    grows (for real c < 0 it drops from pi to 0).  The least |n + c| over
+    n >= 0 sits at the floor or the ceiling of max(0, -Re c)."""
     k = max(0.0, -cc.real)
     least = min(abs(cc + math.floor(k)), abs(cc + math.ceil(k)))
-    theta = abs(cmath.phase(cc)) if cc.real >= 0.0 else math.pi
+    theta = abs(cmath.phase(cc))
     parts = (theta * abs(sc.imag), -sc.real * math.log(least),
              -math.log1p(-abs(zc)))
     return sum(parts) + 8.0 * EPS * (sum(map(abs, parts)) + sc.real)
@@ -369,22 +371,25 @@ def _mellin(sc, zc, cc, tol):
         p = _ladder_numerator(j, cc)
         tail = 0.0
 
-        def integrand(t):
-            w = zc * math.exp(-t)
-            return (rg * cmath.exp(sm1 * math.log(t) - cc * t)
+        def integrand(node):
+            t, log_t, exp_t = node
+            w = zc * exp_t
+            return (rg * cmath.exp(sm1 * log_t - cc * t)
                     * poly_eval(p, w) / (1.0 - w) ** (j + 1))
     else:
         tail = 2.0 * abs(rg) * T_FLOOR ** sc.real / (sc.real * abs(1.0 - zc))
 
         if g0:
-            def integrand(t):
-                w = zc * math.exp(-t)
-                return ((rg * cmath.exp(sm1 * math.log(t) - cc * t) - g0 * w)
+            def integrand(node):
+                t, log_t, exp_t = node
+                w = zc * exp_t
+                return ((rg * cmath.exp(sm1 * log_t - cc * t) - g0 * w)
                         / (1.0 - w))
         else:
-            def integrand(t):
-                return (rg * cmath.exp(sm1 * math.log(t) - cc * t)
-                        / (1.0 - zc * math.exp(-t)))
+            def integrand(node):
+                t, log_t, exp_t = node
+                return (rg * cmath.exp(sm1 * log_t - cc * t)
+                        / (1.0 - zc * exp_t))
 
     value, err = quad_semiaxis(integrand, tol=0.1 * tol)
     value += closed
@@ -466,7 +471,13 @@ def _c_shift_head(sc, zc, cc, n):
     ``_exp_rounding`` and 2 EPS per product, sum or division (at most
     2|N| + 3) that carries it into the head.  No c+k is within NEAR of 0:
     callers refuse a singular c, or keep Re c off the integers (reflection).
+
+    For N > 0 with N log|z| above log 2^1024 + 1, z^N passes double range
+    whatever the rounding of its N products, and the call raises
+    OverflowError before it builds a term.
     """
+    if n > 0 and zc and n * math.log(abs(zc)) > _LOG_HUGE + 1.0:
+        raise OverflowError("z^%d passes double range" % n)
     lo = min(n, 0)
     head, zpow, rounding, mag = 0j, 1.0 + 0j, 0.0, 0.0
     for k in range(abs(n)):
@@ -584,7 +595,7 @@ def _overflows_double(m, zf, cf):
     except (OverflowError, ValueError, ZeroDivisionError):
         return False
     return max(a + b - 1e-9 * (abs(a) + abs(b))
-               for a, b in parts) > 1024 * math.log(2.0)
+               for a, b in parts) > _LOG_HUGE
 
 
 # the largest m the exact path builds: the first negative_polylog(200)

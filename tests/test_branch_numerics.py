@@ -95,10 +95,16 @@ def test_reciprocal_gamma_exact_zeros():
     assert reciprocal_gamma(3) == pytest.approx(0.5)
 
 
+def _at_t(f):
+    """The integrand f(t) as quad_semiaxis takes it: a function of the
+    node (t, log t, e^-t)."""
+    return lambda node: f(node[0])
+
+
 def test_quad_semiaxis_gamma_integral():
     # int_0^inf t^{s-1} e^{-t} dt = Gamma(s)
     for s in (1.5, 2.0, 3.7):
-        got = quad_semiaxis(lambda t, s=s: t ** (s - 1) * math.exp(-t))
+        got = quad_semiaxis(_at_t(lambda t, s=s: t ** (s - 1) * math.exp(-t)))
         assert isinstance(got, QuadResult)
         assert got.value == pytest.approx(complex_gamma(s).real, rel=1e-11)
         assert got.error < 1e-9
@@ -107,7 +113,7 @@ def test_quad_semiaxis_gamma_integral():
 def test_quad_semiaxis_reports_failure():
     # a non-integrable integrand cannot satisfy the tolerance
     with pytest.raises(AccuracyError) as exc:
-        quad_semiaxis(lambda t: cmath.exp(1j * t * t), tol=1e-12)
+        quad_semiaxis(_at_t(lambda t: cmath.exp(1j * t * t)), tol=1e-12)
     assert exc.value.best is not None
 
 
@@ -123,7 +129,7 @@ def _counted(f):
 def test_quad_semiaxis_refuses_after_twelve_levels():
     # t^-0.99 is cut off at the window's left end, so the levels creep
     # towards each other far above the rounding floor
-    f, calls = _counted(lambda t: t ** -0.99 * math.exp(-t))
+    f, calls = _counted(_at_t(lambda t: t ** -0.99 * math.exp(-t)))
     with pytest.raises(AccuracyError, match="within 12 levels") as exc:
         quad_semiaxis(f)
     assert exc.value.best is not None
@@ -135,20 +141,20 @@ def test_quad_semiaxis_refuses_at_rounding_floor():
     # eps * int |e^-t cos 40t| ~ 1.4e-16, more than 16 times a 1e-18
     # target, so level 1 refuses (all 12 levels take 85,971 calls), and
     # the attached bound covers the level-1 value's error
-    f, calls = _counted(lambda t: math.exp(-t) * math.cos(40.0 * t))
+    f, calls = _counted(_at_t(lambda t: math.exp(-t) * math.cos(40.0 * t)))
     with pytest.raises(AccuracyError, match="rounding floor .* level 1,") as exc:
         quad_semiaxis(f, tol=1e-18)
     assert abs(exc.value.best - 1.0 / 1601) <= exc.value.bound
     assert calls[0] == 39
     # a floor within 16 targets is waited out until two successive level
     # differences stall within 16 floors: levels 8 and 9 here
-    f, calls = _counted(lambda t: math.exp(-t) * math.cos(40.0 * t))
+    f, calls = _counted(_at_t(lambda t: math.exp(-t) * math.cos(40.0 * t)))
     with pytest.raises(AccuracyError, match="rounding floor .* level 9,") as exc:
         quad_semiaxis(f, tol=2e-17)
     assert abs(exc.value.best - 1.0 / 1601) <= 1e-15
     assert calls[0] <= 15_000
     # a target above the floor converges as before
-    f, calls = _counted(lambda t: math.exp(-t) * math.cos(40.0 * t))
+    f, calls = _counted(_at_t(lambda t: math.exp(-t) * math.cos(40.0 * t)))
     got = quad_semiaxis(f, tol=1e-15)
     assert got.value == 0.0006246096189881585
     assert calls[0] == 4103
@@ -161,7 +167,9 @@ def _untrimmed_quad(f, tol=1e-12):
     def term_at(u):
         emu = math.exp(-u)
         t = math.exp(u - emu)
-        return 0j if t < 1e-290 else f(t) * (t * (1.0 + emu))
+        if t < 1e-290:
+            return 0j
+        return f((t, math.log(t), math.exp(-t))) * (t * (1.0 + emu))
 
     h, cut = 0.5, min(tol, 1e-13) * 1e-3
     total = term_at(0.0)
@@ -234,32 +242,33 @@ def _quad_outcome(quad, f, tol):
     return repr(got), calls[0]
 
 
-def _kernel(t):
+def _kernel(node):
     # a Mellin kernel of the integral route: t^(s-1) e^(-ct) / (1 - z e^-t)
-    return (cmath.exp((-0.5 + 3j) * math.log(t) - (0.5 + 2j) * t)
-            / (1.0 - (0.9 + 0.3j) * math.exp(-t)))
+    t, log_t, exp_t = node
+    return (cmath.exp((-0.5 + 3j) * log_t - (0.5 + 2j) * t)
+            / (1.0 - (0.9 + 0.3j) * exp_t))
 
 
 QUAD_CASES = {
     # name: (integrand, tol, integrand calls, refusal message)
-    "level 1": (lambda t: math.exp(-t), 1e-6, 39, None),
-    "level 9": (lambda t: math.exp(-t) * math.cos(80.0 * t), 1e-12, 8_199,
-                None),
+    "level 1": (_at_t(lambda t: math.exp(-t)), 1e-6, 39, None),
+    "level 9": (_at_t(lambda t: math.exp(-t) * math.cos(80.0 * t)), 1e-12,
+                8_199, None),
     "mellin kernel": (_kernel, 1e-13, None, None),
-    "floor at level 1": (lambda t: math.exp(-t) * math.cos(40.0 * t), 1e-18,
-                         39, "rounding floor .* level 1,"),
-    "floor at level 9": (lambda t: math.exp(-t) * math.cos(40.0 * t), 2e-17,
-                         None, "rounding floor .* level 9,"),
-    "12 levels": (lambda t: t ** -0.99 * math.exp(-t), 1e-12, 85_971,
+    "floor at level 1": (_at_t(lambda t: math.exp(-t) * math.cos(40.0 * t)),
+                         1e-18, 39, "rounding floor .* level 1,"),
+    "floor at level 9": (_at_t(lambda t: math.exp(-t) * math.cos(40.0 * t)),
+                         2e-17, None, "rounding floor .* level 9,"),
+    "12 levels": (_at_t(lambda t: t ** -0.99 * math.exp(-t)), 1e-12, 85_971,
                   "within 12 levels"),
-    "window edge": (lambda t: 1.0 / (1.0 + t), 1e-12, None,
+    "window edge": (_at_t(lambda t: 1.0 / (1.0 + t)), 1e-12, None,
                     "not negligible at the quadrature window edge"),
 }
 
 
 @pytest.mark.parametrize("name", QUAD_CASES)
 def test_node_tables_change_no_bit(name, monkeypatch):
-    # levels 1 to 8 take their nodes from the tables, level 9 on from
+    # levels 1 to 7 take their nodes from the tables, level 8 on from
     # _node; with no table above the base level every level takes the
     # per-node path, and the sums are the same bit for bit
     f, tol, calls, refusal = QUAD_CASES[name]
@@ -277,15 +286,35 @@ def test_base_level_reads_its_nodes_from_the_table():
     # the base level walks u = 0, 1/2, 1, ... and then -1/2, -1, ...;
     # its table holds the very floats _node gives at those u
     seen = []
-    quad_semiaxis(lambda t: seen.append(t) or math.exp(-t), tol=1e-6)
+    quad_semiaxis(lambda node: seen.append(node) or node[2], tol=1e-6)
     for walk in (range(0, 26), range(-1, -19, -1)):
         want = [branch_numerics._node(j / 2)[0] for j in walk]
         n = next(k for k, (a, b) in enumerate(zip(seen, want)) if a != b)
         assert n >= 5  # the walk stops after four quiet terms
         del seen[:n]
-    ts, ws = branch_numerics._level_nodes(0)
-    assert list(zip(ts, ws)) == [branch_numerics._node(i / 2 - 9.0)
-                                 for i in range(44)]
+    ts, logs, exps, ws = branch_numerics._level_nodes(0)
+    assert (list(zip(zip(ts, logs, exps), ws))
+            == [branch_numerics._node(i / 2 - 9.0) for i in range(44)])
+
+
+@pytest.mark.parametrize("depth", [branch_numerics._TABLE_DEPTH, 0])
+def test_every_node_is_t_log_t_and_exp_minus_t(depth, monkeypatch):
+    # with the tables (levels 1 to 7 from them, 8 and 9 from _node) and
+    # without (every level above the base from _node), each node handed
+    # to the integrand is (t, log t, e^-t) of the floats math computes
+    monkeypatch.setattr(branch_numerics, "_TABLE_DEPTH", depth)
+    seen = []
+
+    def f(node):
+        seen.append(node)
+        return math.exp(-node[0]) * math.cos(80.0 * node[0])
+
+    quad_semiaxis(f)  # converges at level 9
+    assert len(seen) == 8_199
+    for node in seen:
+        t = node[0]
+        assert type(node) is tuple and t > 0.0
+        assert node == (t, math.log(t), math.exp(-t)), node
 
 
 def _mellin_kernels(n, seed):
@@ -295,8 +324,8 @@ def _mellin_kernels(n, seed):
         s = complex(rng.uniform(0.5, 4.0), rng.uniform(-8.0, 8.0))
         c = complex(rng.uniform(0.2, 5.0), rng.uniform(-5.0, 5.0))
         z = cmath.rect(rng.uniform(0.0, 0.95), rng.uniform(-math.pi, math.pi))
-        yield lambda t, s=s, c=c, z=z: (cmath.exp((s - 1) * math.log(t) - c * t)
-                                        / (1.0 - z * math.exp(-t)))
+        yield lambda node, s=s, c=c, z=z: (
+            cmath.exp((s - 1) * node[1] - c * node[0]) / (1.0 - z * node[2]))
 
 
 def test_live_span_agrees_with_the_untrimmed_rule():
@@ -315,7 +344,7 @@ def test_live_span_agrees_with_the_untrimmed_rule():
     assert new_calls < 0.75 * old_calls
     # an integrand below the cut everywhere has no live term: the span
     # stays around u = 0, and the booked tails cover what it leaves out
-    got = quad_semiaxis(lambda t: 1e-20 * math.exp(-t))
+    got = quad_semiaxis(_at_t(lambda t: 1e-20 * math.exp(-t)))
     assert abs(got.value - 1e-20) <= got.error
 
 
@@ -323,11 +352,11 @@ def test_node_cache_is_bounded():
     # the 12-level refusal walks every level; only the shallow ones keep
     # their nodes
     with pytest.raises(AccuracyError, match="within 12 levels"):
-        quad_semiaxis(lambda t: t ** -0.99 * math.exp(-t))
+        quad_semiaxis(_at_t(lambda t: t ** -0.99 * math.exp(-t)))
     tables = branch_numerics._tables
     assert max(tables) == branch_numerics._TABLE_DEPTH < 12
-    size = sum(sys.getsizeof(ts) + sys.getsizeof(ws)
-               for ts, ws in tables.values())
+    size = sum(sys.getsizeof(column) for table in tables.values()
+               for column in table)
     assert size <= 256 * 1024
 
 

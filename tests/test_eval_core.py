@@ -8,6 +8,9 @@ import cmath
 import importlib.util
 import math
 import random
+import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -218,6 +221,33 @@ def test_public_routes_share_phis_finiteness_exit():
         assert exc.value.bound == math.inf
 
 
+def test_certain_c_shift_overflow_refuses_before_the_head(monkeypatch):
+    # N log|z| passes log 2^1024: z^N overflows, so no head term is built;
+    # the first built 100,000 head terms (about 0.3 s) to refuse alike
+    powers = [0]
+    real_power = eval_core.branched_power
+
+    def counted_power(*args):
+        powers[0] += 1
+        return real_power(*args)
+
+    monkeypatch.setattr(eval_core, "branched_power", counted_power)
+    calls = (("Phi(-1.5, (2+1j), -99999.7)",
+              lambda: phi(-1.5, 2 + 1j, -99999.7)),
+             ("Phi(2.5, (2+1j), -2000.7)",
+              lambda: phi_c_shift(2.5, 2 + 1j, -2000.7, 2002)),
+             ("Phi((2.5+0j), 3j, (-800.7+0j))", lambda: phi(2.5, 3j, -800.7)))
+    for name, call in calls:
+        with pytest.raises(AccuracyError) as exc:
+            call()
+        assert str(exc.value) == name + " overflows double precision"
+    assert powers[0] == 0
+    # below the threshold the head is built and the values stay finite
+    assert phi(-1.5, 1.3 + 0.2j, -2000.7).method == "reflection"
+    assert phi(2.5, 1.02 + 0.3j, -3000.3).method == "c_shift"
+    assert powers[0] > 0
+
+
 def test_routes_refuse_points_outside_their_domain():
     with pytest.raises(DomainError):
         phi_integral(2, 2 + 1j, -0.5)       # needs Re c > 0
@@ -322,13 +352,15 @@ def test_series_with_big_s_stays_finite():
 
 def test_series_below_the_least_double_draws_no_term(monkeypatch):
     # sum |t_n| <= e^{theta |Im s|} (min |n + c|)^{-Re s} / (1 - |z|),
-    # theta = |Arg c| for Re c >= 0, else pi: here 1.5^-10000 / 0.5, so the
+    # theta = |Arg c|, also for Re c < 0: here 1.5^-10000 / 0.5, so the
     # sum is 0 to within 5e-324 with no term drawn, where the ratio bound
     # waited for 14,430 underflowed terms (15,065 at Im s = 3000, for
-    # which theta = pi left log M far above log 5e-324)
+    # which theta = pi left log M far above log 5e-324, and 16,134 at
+    # Im s = 5000, c = -0.5 + 3i, while Re c < 0 took theta = pi)
     drawn = _count_drawn_terms(monkeypatch)
     for s, z, c in ((1e4, 0.5, 1.5), (1e4 + 30j, 0.5j, 1.5 - 0.2j),
-                    (1e4, -0.5, -0.5 + 3j), (1e4 + 3000j, 0.5, 1.5)):
+                    (1e4, -0.5, -0.5 + 3j), (1e4 + 3000j, 0.5, 1.5),
+                    (1e4 + 5000j, 0.5, -0.5 + 3j)):
         res = phi_series(s, z, c)
         assert (res.value, res.error_estimate) == (0j, 5e-324), (s, z, c)
     assert drawn[0] == 0
@@ -509,7 +541,7 @@ def test_pole_far_from_the_axis_is_not_subtracted():
 
 
 def test_quadrature_error_counts_its_rounding():
-    assert quad_semiaxis(lambda t: math.exp(-t)).error >= EPS
+    assert quad_semiaxis(lambda node: math.exp(-node[0])).error >= EPS
 
 
 # Re s <= 0, |z| > 0.75 with Re c outside (0, 1): one signed c-shift into
@@ -616,7 +648,8 @@ def _box_points(seed, n):
 
 def test_counting_wrapper_changes_nothing(monkeypatch):
     # the benchmark's trace counts integrand calls by wrapping each
-    # integrand as g(t) = f(t), so quad_semiaxis must hand it one float t.
+    # integrand as g(t) = f(t), so quad_semiaxis must hand it one
+    # argument, the node (t, log t, e^-t) as one tuple.
     # Through the wrapper phi gives the same values and refusals on 48
     # `box` points, and makes 32,076 integrand calls (58,022 while every
     # level refined the whole window)
@@ -1000,3 +1033,20 @@ def test_flat_reflection_retries_once(monkeypatch):
     assert res.value == 624818.108768018 + 1026180.1758244503j
     assert res.error_estimate == 3.1610682264493347e-06
     assert calls[0] <= 3
+
+
+def test_box_survey_runs():
+    # the survey tool end to end, in its own interpreter, on 8 points of
+    # this checkout against itself: no outcome differs, and the two sides
+    # are timed interleaved
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "tools/box_survey.py"),
+                           "--n", "8", "--seeds", "1", "--against", "src"],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "0 points differ" in lines
+    assert re.fullmatch(r"interleaved timing over 8 points: time ratio "
+                        r"\d+\.\d{3} \(this checkout over the other\), "
+                        r"blocks of 64 won [01] to [01]", lines[-1]), lines[-1]

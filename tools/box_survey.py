@@ -11,28 +11,35 @@ points returned and refused, integrand calls, series terms and wall
 seconds.
 --against surveys a second checkout's ``src`` as well and lists each point
 whose outcome differs: value, estimate and method, or error type,
-message, ``best`` and ``bound``.  A last line counts the changed
-outcomes (route or error type), the moved values, with the largest move
-|v - v'| as a share of the sum of the two estimates, the values whose
-estimate alone moved, and the refusals that differ only in message,
-``best`` or ``bound``.
+message, ``best`` and ``bound``.  A line counts the changed outcomes
+(route or error type), the moved values, with the largest move |v - v'|
+as a share of the sum of the two estimates, the values whose estimate
+alone moved, and the refusals that differ only in message, ``best`` or
+``bound``.  Then both checkouts' ``phi``, without the counting wrappers,
+are timed on alternating blocks of 64 points, the side that goes first
+flipping from block to block, so that drift in the machine's speed
+falls on both alike; a last line gives the ratio of the total times
+(this checkout over the other) and the blocks each side won.
 """
 import argparse
 import importlib
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOL = 1e-12
+BLOCK = 64  # points per timed block of --against
 sys.dont_write_bytecode = True  # leave no cache files beside bench/
 sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 
 def survey(src, points_of, n, seeds):
-    """[(seed, i, outcome, inner phi calls, integrand calls, series terms)]
-    under src."""
+    """([(seed, i, outcome, inner phi calls, integrand calls, series
+    terms)], phi, LerchError) under src: the rows, then the unwrapped
+    ``phi`` and the error base class of that checkout."""
     for name in [m for m in sys.modules if m.split(".")[0] == "lerchkit"]:
         del sys.modules[name]
     sys.path.insert(0, str(Path(src).resolve()))
@@ -54,7 +61,8 @@ def survey(src, points_of, n, seeds):
                 calls[2] += 1
                 yield term
         return summed(drawn(), *a, **kw)
-    ec.phi = counted(ec.phi, 0)
+    phi = ec.phi
+    ec.phi = counted(phi, 0)
     ec.quad_semiaxis = lambda f, *a, **kw: quad(counted(f, 1), *a, **kw)
     ec.sum_with_tail_bound = counted_sum
     for seed in seeds:
@@ -68,7 +76,29 @@ def survey(src, points_of, n, seeds):
                 out = (type(e).__name__, str(e), repr(getattr(e, "best", None)),
                        repr(getattr(e, "bound", None)))
             rows.append((seed, i, out, *calls))
-    return rows
+    ec.phi, ec.quad_semiaxis, ec.sum_with_tail_bound = phi, quad, summed
+    return rows, phi, errors.LerchError
+
+
+def race(sides, points):
+    """(seconds of each side over points, blocks each side won) for
+    sides [(phi, LerchError)], timed on alternating blocks of points,
+    the first side first on even blocks and second on odd ones."""
+    seconds, won = [0.0, 0.0], [0, 0]
+    for b in range(0, len(points), BLOCK):
+        spent = [0.0, 0.0]
+        for k in ((0, 1) if b // BLOCK % 2 == 0 else (1, 0)):
+            phi, error = sides[k]
+            start = time.perf_counter()
+            for point in points[b:b + BLOCK]:
+                try:
+                    phi(*point, tol=TOL)
+                except error:
+                    pass
+            spent[k] = time.perf_counter() - start
+        seconds = [a + x for a, x in zip(seconds, spent)]
+        won[spent[1] < spent[0]] += 1
+    return seconds, won
 
 
 def main():
@@ -81,11 +111,13 @@ def main():
     points_of = getattr(workloads, args.workload + "_points")
     seeds = [int(x) for x in args.seeds.split(",")]
     srcs = [ROOT / "src"] + ([args.against] if args.against else [])
-    runs, seconds = [], []
+    runs, seconds, sides = [], [], []
     for src in srcs:
         start = time.perf_counter()
-        runs.append(survey(src, points_of, args.n, seeds))
+        rows, *side = survey(src, points_of, args.n, seeds)
         seconds.append(time.perf_counter() - start)
+        runs.append(rows)
+        sides.append(side)
     for src, rows, wall in zip(srcs, runs, seconds):
         print("%s: %d points" % (src, len(rows)))
         for route in sorted({row[2][0] for row in rows}):
@@ -116,6 +148,12 @@ def main():
               % (changed, len(shares), max(shares, default=0.0),
                  len(returned) - len(shares),
                  len(diff) - changed - len(returned)))
+        points = [p[:3] for seed in seeds
+                  for p in islice(points_of(seed), args.n)]
+        (mine, theirs), won = race(sides, points)
+        print("interleaved timing over %d points: time ratio %.3f (this "
+              "checkout over the other), blocks of %d won %d to %d"
+              % (len(points), mine / theirs, BLOCK, *won))
 
 def _share(move, estimates):
     return move / estimates if estimates else float("inf")
