@@ -29,6 +29,8 @@ that rounding bounds are built from.  ``eval_core._stratum`` is the one
 stratum test: singular within ``NEAR`` (1e-8) of z = 1 and of
 c in {0, -1, -2, ...}.  The gamma-pole test below is a different rule:
 it asks for bit-exact non-positive integers, the exact zeros of 1/Gamma.
+Every public evaluator refuses input it cannot use in ``finite_entry``
+and a result past double range in ``finite_exit``.
 
 Certified sums
 --------------
@@ -55,6 +57,8 @@ __all__ = [
     "as_int",
     "dist_to_nonpos_int",
     "exp_2pi_i",
+    "finite_entry",
+    "finite_exit",
     "principal_log",
     "semi_principal_log",
     "branched_power",
@@ -143,20 +147,51 @@ def semi_principal_log(z):
     return w
 
 
-def branched_power(base, exponent, branch="principal"):
-    """base**exponent via exp(exponent * log) on an explicit branch.
+def branched_power(base, exponent):
+    """base**exponent as exp(exponent * principal_log(base)), e.g.
+    (-1j)**0.5 = (1-1j)/sqrt(2)."""
+    return cmath.exp(complex(exponent) * principal_log(base))
 
-    branch is "principal" or "semi" (the [0, 2*pi) logarithm).  Example:
-    (-1j)**0.5 is (1-1j)/sqrt(2) on the principal branch but
-    (-1+1j)/sqrt(2) on the semi-principal one.
-    """
-    if branch == "principal":
-        lg = principal_log(base)
-    elif branch == "semi":
-        lg = semi_principal_log(base)
-    else:
-        raise ValueError("branch must be 'principal' or 'semi'")
-    return cmath.exp(complex(exponent) * lg)
+
+def finite_entry(names, values, tol=0.0):
+    """complex(x) for the values of a public evaluator, named by ``names``,
+    or DomainError("<name> must be finite, got <name> = <x>") for a NaN,
+    an int or Fraction past double range, an infinite value but z (oo is
+    the stratum singular_zinf), or a tol that is NaN, oo or negative."""
+    out = []
+    for name, x in zip(names.split(), values):
+        try:
+            w = complex(x)
+        except OverflowError:  # an int or Fraction beyond double range
+            w = complex(math.nan)
+        if not cmath.isfinite(w) and (name != "z" or cmath.isnan(w)):
+            raise DomainError("%s must be finite, got %s = %s" % (name, name, x))
+        out.append(w)
+    if not 0.0 <= tol < math.inf:
+        raise DomainError("tol must be finite and >= 0, got tol = %s" % tol)
+    return out
+
+
+def finite_exit(name, args, route):
+    """route(), a complex, a matrix as rows or an ``EvalResult`` (value
+    and estimate), past every public evaluator's exit: an OverflowError,
+    or a number there that is not finite, raises
+    AccuracyError("name(args) overflows double precision", bound=inf)."""
+    try:
+        res = route()
+        if isinstance(res, complex):
+            numbers = (res,)
+        elif isinstance(res[0], tuple):
+            numbers = [x for row in res for x in row]
+        else:
+            numbers = (res.value, res.error_estimate)
+        # a NaN or oo comes from a term past double range
+        if all(map(cmath.isfinite, numbers)):
+            return res
+    except OverflowError:
+        pass
+    raise AccuracyError("%s(%s) overflows double precision"
+                        % (name, ", ".join(map(str, args))), bound=math.inf)
 
 
 # ---------------------------------------------------------------------------

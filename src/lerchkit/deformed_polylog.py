@@ -63,7 +63,8 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .branch_numerics import INT_TOL, as_int, branched_power, principal_log
+from .branch_numerics import (INT_TOL, as_int, branched_power, finite_entry,
+                              finite_exit, principal_log)
 from .errors import BranchError, DomainError, TransportError
 from .eval_core import phi as _phi
 from .special_values import _padd, _pmul, _pscale, poly_eval
@@ -155,18 +156,21 @@ def li_star(m, k, z, tol=1e-12):
         z^{k+1} [ Li_m(z) + (log z)^m / m! ]
         + (-1)^m sum_{j<k} z^{j+1} / (k-j)^m.
     """
+    zc = finite_entry("z", (z,), tol)[0]
     if k < 0 or m < 0:
         raise DomainError("Li* wants m >= 0, k >= 0")
-    z = complex(z)
-    if z == 0:
+    if zc == 0:
         return 0j  # every term carries z^{>=1}, and z (log z)^m -> 0
-    if z.imag == 0 and z.real >= 1:
+    if zc.imag == 0 and zc.real >= 1:
         raise BranchError("Li* hits the polylog cut [1, inf)")
-    # negative reals take their upper-edge values (log(-x) = log x + i pi),
-    # the same attachment convention used on every other cut here
-    if m == 0:
-        return z / (1.0 - z)
-    return _li_star_from(m, k, z, z * _phi(m, z, 1, tol=tol).value)
+
+    def route():
+        # negative reals take their upper-edge values (log(-x) = log x +
+        # i pi), the same attachment convention used on every other cut
+        if m == 0:
+            return zc / (1.0 - zc)
+        return _li_star_from(m, k, zc, zc * _phi(m, zc, 1, tol=tol).value)
+    return finite_exit("li_star", (m, k, z), route)
 
 
 def _li_star_from(m, k, z, li_m):
@@ -182,10 +186,9 @@ def _li_star_from(m, k, z, li_m):
 # ---------------------------------------------------------------------------
 
 def _singular_c(c):
-    """(c is in Z_{<=0}, that integer) under the package integer test;
-    DomainError, as phi gives, for an infinite or NaN c."""
-    if not isinstance(c, (int, Fraction)) and not cmath.isfinite(complex(c)):
-        raise DomainError("c must be finite, got c = %s" % (c,))
+    """(c is in Z_{<=0}, that integer) under the package integer test,
+    for a c that passes ``finite_entry``, as in phi."""
+    finite_entry("c", (c,))
     is_int, n = as_int(c)
     return is_int and n <= 0, n
 
@@ -347,18 +350,21 @@ def rho(generator, m, c, inverse=False):
     n = m + 1
     w = -_2PI_I if inverse else _2PI_I
     kind = _basis_kind(c)
-    if generator == "Z1":
-        rows = [[complex(i == j) for j in range(n)] for i in range(n)]
-        rows[0][1] = -w
-    elif generator != "Z0":
-        raise DomainError("generator must be Z0 or Z1")
-    elif kind == "singular":
-        rows = _pascal_band(n, w)
-    else:
-        phase = _unit_phase(c, inverse)
-        rows = [[1.0 + 0j] + [0j] * m]
-        rows += [[0j] + [phase * v for v in row] for row in _pascal_band(m, w)]
-    return MonodromyMatrix(tuple(map(tuple, rows)),
+
+    def route():
+        if generator == "Z1":
+            rows = [[complex(i == j) for j in range(n)] for i in range(n)]
+            rows[0][1] = -w
+        elif generator != "Z0":
+            raise DomainError("generator must be Z0 or Z1")
+        elif kind == "singular":
+            rows = _pascal_band(n, w)
+        else:
+            phase = _unit_phase(c, inverse)
+            rows = [[1.0 + 0j] + [0j] * m]
+            rows += [[0j] + [phase * v for v in r] for r in _pascal_band(m, w)]
+        return tuple(map(tuple, rows))
+    return MonodromyMatrix(finite_exit("rho", (generator, m, c), route),
                            generator + ("^-1" if inverse else ""), kind)
 
 
@@ -399,7 +405,9 @@ def rho_word(word, m, c):
         g = rho(letter.kind, m, c, inverse=(letter.exp == -1))
         mat = _matmul(mat, g.rows)
     text = " ".join(str(x) for x in letters) if letters else "e"
-    return MonodromyMatrix(mat, text, _basis_kind(c))
+    # complex products pass double range as oo or NaN, never by raising
+    return MonodromyMatrix(finite_exit("rho_word", (text, m, c), lambda: mat),
+                           text, _basis_kind(c))
 
 
 def unipotency_class(m, c, irrational=False):
@@ -541,7 +549,7 @@ def _start_frame(m, c):
     lead = [_BASE / (1.0 - _BASE)]  # z/(1-z) at z = -1
     for j, p in enumerate(_alternating_phi(m, 1 if singular else c), 1):
         lead.append(_li_star_from(j, -ci, _BASE, -p) if singular else -p)
-    zpow = branched_power(_BASE, 1.0 - complex(c), "principal")
+    zpow = branched_power(_BASE, 1.0 - complex(c))
     logs = [zpow * (1j * math.pi) ** n / math.factorial(n) for n in range(m)]
     columns = _chain_columns(lead, logs)
     return [list(row) for row in zip(*columns)]

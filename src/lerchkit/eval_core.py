@@ -26,15 +26,15 @@ bivariate rational from special_values, returned exactly, for
 m = -s <= EXACT_M_BUDGET (above it, or beyond double range, the call
 raises AccuracyError).
 
-Tolerances follow the numeric policy of branch_numerics.  One test,
-``_stratum``, decides the stratum (radii in its docstring);
-``classify_stratum`` reports its tag, and every evaluator refuses a
-singular point with that tag rather than return garbage.  z on (or
-within 1e-8 of) [1, infinity) is a branch error (the principal value is
-ambiguous there).  Every term formed as e^w books EPS (|w| + 4) |e^w|
-of rounding in its route's estimate (``_exp_rounding``).  Every public
-evaluator ends in one finiteness exit, ``_finite``: an overflow, or a
-value or estimate that is not finite, raises AccuracyError.
+Tolerances, and the entry and exit that every public evaluator passes
+(``finite_entry``, ``finite_exit``), follow the numeric policy of
+branch_numerics.  One test, ``_stratum``, decides the stratum (radii in
+its docstring); ``classify_stratum`` reports its tag, and every
+evaluator refuses a singular point with that tag rather than return
+garbage.  z on (or within 1e-8 of) [1, infinity) is a branch error (the
+principal value is ambiguous there).  Every term formed as e^w books
+EPS (|w| + 4) |e^w| of rounding in its route's estimate
+(``_exp_rounding``).
 
 The integral route (``periodic_zeta`` is z Phi(s, z, 1) on it) asks
 ``quad_semiaxis`` for 0.1 * tol on the integral it returns, 1/Gamma
@@ -62,6 +62,8 @@ from .branch_numerics import (
     branched_power,
     complex_gamma,
     exp_2pi_i,
+    finite_entry,
+    finite_exit,
     gamma_rel_error,
     principal_log,
     quad_semiaxis,
@@ -103,12 +105,6 @@ EvalResult = namedtuple("EvalResult", "value method error_estimate exact",
                         defaults=(None,))
 
 
-def _cplx(x):
-    if isinstance(x, Fraction):
-        return complex(float(x))
-    return complex(x)
-
-
 def _stratum(z, c):
     """(tag, n), the package's one stratum test: singular_z1 within NEAR
     (1e-8) of z = 1, singular_c within NEAR of n in {0, -1, ...},
@@ -116,13 +112,13 @@ def _stratum(z, c):
     1e-12), singular_z0 and singular_zinf at z = 0 and oo, multiple for
     two at once, else regular; n is None off the c strata.  z = None
     tests c alone."""
-    cc = _cplx(c)
+    cc = complex(c)
     n = min(0, round(cc.real))
     if abs(cc - n) >= NEAR:
         n = as_int(c)[1]  # positive or None: n <= 0 was caught above
     flags = [] if n is None else ["singular_c" if n <= 0 else "removable_c"]
     if z is not None:
-        zc = _cplx(z)
+        zc = complex(z)
         if cmath.isinf(zc):
             flags.append("singular_zinf")
         elif zc == 0:
@@ -146,9 +142,8 @@ def classify_stratum(s, z, c):
     return StratumClass(_stratum(z, c)[0])
 
 
-def _guard_cut(z):
-    """The principal branch is ambiguous on [1, inf)."""
-    zc = _cplx(z)
+def _guard_cut(zc):
+    """The principal branch is ambiguous on [1, inf) (complex zc)."""
     if abs(zc.imag) < NEAR and zc.real >= 1.0 - NEAR:
         raise BranchError(
             "z = %s lies on (or within 1e-8 of) the cut [1, oo); the "
@@ -159,21 +154,6 @@ def _exp_rounding(w, term):
     """EPS (|w| + 4) |term| for a term formed as e^w: the rounding of w,
     of exp and of the product or sum the term enters."""
     return EPS * (abs(w) + 4.0) * abs(term)
-
-
-def _finite(name, args, route):
-    """route(), an ``EvalResult``, past the finiteness exit of every public
-    evaluator: an OverflowError, or a value or estimate that is not
-    finite, is AccuracyError("name(args) overflows double precision")."""
-    try:
-        res = route()
-        # a NaN or oo comes from a term past double range
-        if cmath.isfinite(res.value) and math.isfinite(res.error_estimate):
-            return res
-    except OverflowError:
-        pass
-    raise AccuracyError("%s(%s) overflows double precision"
-                        % (name, ", ".join(map(str, args))), bound=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +187,7 @@ def phi_series(s, z, c, tol=1e-12):
     the value is 0, with that double as its estimate, and no term is
     drawn.
     """
-    sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
+    sc, zc, cc = finite_entry("s z c", (s, z, c), tol)
     _refuse_singular(z if zc else None, c)  # at z = 0 only c: Phi = c^-s
     az = abs(zc)
     if az >= 1.0:
@@ -219,7 +199,7 @@ def phi_series(s, z, c, tol=1e-12):
             value = cmath.exp(w)
             return EvalResult(value, "series", _exp_rounding(w, value))
         return _series_sum(sc, zc, cc, tol)
-    return _finite("Phi", (s, z, c), route)
+    return finite_exit("Phi", (s, z, c), route)
 
 
 _TINY = 5e-324  # the least positive double
@@ -345,11 +325,11 @@ def phi_integral(s, z, c, tol=1e-12):
     4 eps |closed|, and the cancellation in g - g0 w, at most
     2 eps |g0| L with L = int_0^inf |w/(1 - w)| dt in closed form.
     """
-    sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
+    sc, zc, cc = finite_entry("s z c", (s, z, c), tol)
     if cc.real <= 0:
         raise DomainError("integral strategy needs Re(c) > 0")
-    _guard_cut(z)  # which holds z = 1 and its 1e-8 neighbourhood
-    return _finite("Phi", (s, z, c), lambda: _mellin(sc, zc, cc, tol))
+    _guard_cut(zc)  # which holds z = 1 and its 1e-8 neighbourhood
+    return finite_exit("Phi", (s, z, c), lambda: _mellin(sc, zc, cc, tol))
 
 
 def _mellin(sc, zc, cc, tol):
@@ -472,11 +452,11 @@ def _c_shift_head(sc, zc, cc, n):
     2|N| + 3) that carries it into the head.  No c+k is within NEAR of 0:
     callers refuse a singular c, or keep Re c off the integers (reflection).
 
-    For N > 0 with N log|z| above log 2^1024 + 1, z^N passes double range
-    whatever the rounding of its N products, and the call raises
-    OverflowError before it builds a term.
+    Where N log|z| = log|z^N|, for N of either sign, passes log 2^1024 + 1,
+    z^N leaves double range whatever the rounding of its |N| products,
+    and the call raises OverflowError before it builds a term.
     """
-    if n > 0 and zc and n * math.log(abs(zc)) > _LOG_HUGE + 1.0:
+    if zc and n * math.log(abs(zc)) > _LOG_HUGE + 1.0:
         raise OverflowError("z^%d passes double range" % n)
     lo = min(n, 0)
     head, zpow, rounding, mag = 0j, 1.0 + 0j, 0.0, 0.0
@@ -508,11 +488,12 @@ def _shift_c(sc, zc, cc, n, tol, inner_route, method):
 
 def phi_c_shift(s, z, c, n_shift, tol=1e-12):
     """Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} + z^N Phi(s,z,c+N), N >= 0."""
+    sc, zc, cc = finite_entry("s z c", (s, z, c), tol)
     if n_shift < 0:
         raise DomainError("shift count must be >= 0")
     _refuse_singular(z, c)
-    return _finite("Phi", (s, z, c), lambda: _shift_c(
-        _cplx(s), _cplx(z), _cplx(c), n_shift, tol, phi, "c_shift"))
+    return finite_exit("Phi", (s, z, c), lambda: _shift_c(
+        sc, zc, cc, n_shift, tol, phi, "c_shift"))
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +504,17 @@ def c_coeff(n, s):
     """Fourier-side coefficient c_n(s) = (2 pi)^{s-1} Gamma(1-s)
     e^{-+ i pi (1-s)/2}, the sign negative for n >= 1 and positive for
     n <= 0.  Simple poles at s in {1, 2, 3, ...}."""
-    s = complex(s)
-    if s.imag == 0 and s.real == round(s.real) and s.real >= 1:
-        raise PoleError("c_n(s) has a simple pole at s = %d" % round(s.real),
-                        location=s)
+    sc = finite_entry("s", (s,))[0]
+    if sc.imag == 0 and sc.real == round(sc.real) and sc.real >= 1:
+        raise PoleError("c_n(s) has a simple pole at s = %d" % round(sc.real),
+                        location=sc)
     sign = -1.0 if n >= 1 else 1.0
-    return cmath.exp((s - 1.0) * math.log(_2PI)) * complex_gamma(1.0 - s) \
-        * cmath.exp(sign * 1j * math.pi * (1.0 - s) / 2.0)
+    return finite_exit("c_coeff", (n, s), lambda: cmath.exp(
+        (sc - 1.0) * math.log(_2PI)) * complex_gamma(1.0 - sc)
+        * cmath.exp(sign * 1j * math.pi * (1.0 - sc) / 2.0))
 
 
-def _reflect_with_c_normalization(s, z, c, tol):
+def _reflect_with_c_normalization(sc, zc, cc, tol):
     """Phi(s, z, c) = head + z^N Phi(s, z, c') (``_c_shift_head``), where
     N = -floor(Re c) puts c' = c + N in 0 < Re(c') < 1, and the
     three-term formula in Lerch-zeta coordinates z = e^{2 pi i a} (a from
@@ -547,7 +529,6 @@ def _reflect_with_c_normalization(s, z, c, tol):
     counts the error of Gamma(1-s) (``gamma_rel_error``) and the
     rounding of the head, the two products and their sum (below).
     """
-    sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
     n = -math.floor(cc.real)
     head, zpow, head_rounding = _c_shift_head(sc, zc, cc, n)
     cn, sp = cc + n, 1.0 - sc
@@ -620,7 +601,7 @@ def _exact_rational_case(s, z, c):
             bound=math.inf)
     # Phi(-m, z, c) = Li_{-m}(z,c) / z, both exact rationals
     val = negative_polylog(m).eval(zf, cf) / zf
-    return EvalResult(_cplx(val), "rational", 0.0, exact=val)
+    return EvalResult(complex(val), "rational", 0.0, exact=val)
 
 
 def phi(s, z, c, tol=1e-12):
@@ -628,22 +609,16 @@ def phi(s, z, c, tol=1e-12):
 
     Routes in the order of the module docstring: exact rational, series,
     reflection, c_shift (the integral takes what a shift with
-    0 < Re c < 1/16 refuses), integral.  Non-finite s or c and NaN z
-    raise DomainError before any route runs, a point that
+    0 < Re c < 1/16 refuses), integral.  Input that ``finite_entry``
+    refuses raises DomainError before any route runs, a point that
     ``classify_stratum`` calls singular raises StratumError with its tag
     (z = oo is singular_zinf), the cut [1, oo) raises BranchError, and an
     overflow, or a value or estimate that is not finite, AccuracyError.
     """
-    try:
-        sc, zc, cc = _cplx(s), _cplx(z), _cplx(c)
-    except OverflowError:  # an int or Fraction beyond double range
-        raise DomainError("phi needs s, z and c within double range") from None
-    if not (cmath.isfinite(sc) and cmath.isfinite(cc)) or cmath.isnan(zc):
-        raise DomainError("phi needs finite s and c and a z that is not NaN, "
-                          "got s = %s, z = %s, c = %s" % (s, z, c))
+    sc, zc, cc = finite_entry("s z c", (s, z, c), tol)
     _refuse_singular(z, c)
-    return _finite("Phi", (s, z, c), lambda: _exact_rational_case(s, z, c)
-                   or _dispatch(sc, zc, cc, tol))
+    return finite_exit("Phi", (s, z, c), lambda: _exact_rational_case(
+        s, z, c) or _dispatch(sc, zc, cc, tol))
 
 
 def _dispatch(sc, zc, cc, tol):
@@ -674,22 +649,27 @@ def _dispatch(sc, zc, cc, tol):
 
 def lerch_zeta(s, a, c, tol=1e-12):
     """zeta(s, a, c) = Phi(s, e^{2 pi i a}, c) for 0 < Re(a) < 1."""
-    ac = _cplx(a)
+    ac = finite_entry("s a c", (s, a, c), tol)[1]
     if not 0.0 < ac.real < 1.0:
         raise DomainError("lerch_zeta needs 0 < Re(a) < 1")
-    return phi(s, exp_2pi_i(ac), c, tol=tol)
+    return finite_exit("zeta", (s, a, c),
+                       lambda: phi(s, exp_2pi_i(ac), c, tol=tol))
 
 
 def periodic_zeta(a, s, tol=1e-12):
     """F(a, s) = sum_{n>=1} e^{2 pi i n a} n^{-s} = z Phi(s, z, 1), entire
     in s: the integral of ``phi_integral`` at z = e^{2 pi i a}, without
     its z guards (see ``_mellin``), with its estimate scaled by |z|."""
-    ac = _cplx(a)
+    ac, sc = finite_entry("a s", (a, s), tol)
     if not 0.0 < ac.real < 1.0:
         raise DomainError("periodic_zeta needs 0 < Re(a) < 1")
-    z = exp_2pi_i(ac)
-    res = _finite("F", (a, s), lambda: _mellin(_cplx(s), z, 1.0 + 0j, tol))
-    return EvalResult(z * res.value, "integral", abs(z) * res.error_estimate)
+
+    def route():
+        z = exp_2pi_i(ac)
+        res = _mellin(sc, z, 1.0 + 0j, tol)
+        return EvalResult(z * res.value, "integral",
+                          abs(z) * res.error_estimate)
+    return finite_exit("F", (a, s), route)
 
 
 @lru_cache(maxsize=None)
@@ -712,12 +692,12 @@ def hurwitz_zeta(s, c, tol=1e-12):
     Head terms push Re(c) above 1/2 first: the c-shift identity of
     ``_shift_c`` at z = 1, with ``_euler_maclaurin`` as the inner route.
     """
-    sc, cc = _cplx(s), _cplx(c)
+    sc, cc = finite_entry("s c", (s, c), tol)
     if abs(sc - 1.0) < INT_TOL:
         raise PoleError("Hurwitz zeta has its pole at s = 1", location=1)
     _refuse_singular(None, c)  # its z = 1 defines it; only c is tested
     n = max(0, math.ceil(0.5 - cc.real))
-    return _finite("zeta_H", (s, c), lambda: _shift_c(
+    return finite_exit("zeta_H", (s, c), lambda: _shift_c(
         sc, 1.0 + 0j, cc, n, tol, _euler_maclaurin, "euler_maclaurin"))
 
 
@@ -767,12 +747,13 @@ def _euler_maclaurin(sc, zc, cx, tol):
 
 def extended_polylog(s, z, c, tol=1e-12):
     """Li_s(z, c) = z * Phi(s, z, c); Li_s(z, 1) is the classical polylog."""
-    if _cplx(z) == 0:
+    zc = finite_entry("s z c", (s, z, c), tol)[1]
+    if zc == 0:
         return EvalResult(0j, "series", 0.0)
     inner = phi(s, z, c, tol=tol)
-    zc = _cplx(z)
     exact = None
     if inner.exact is not None and isinstance(z, (int, Fraction)):
         exact = inner.exact * Fraction(z)
-    return EvalResult(zc * inner.value, inner.method,
-                      abs(zc) * inner.error_estimate, exact=exact)
+    return finite_exit("Li", (s, z, c), lambda: EvalResult(
+        zc * inner.value, inner.method, abs(zc) * inner.error_estimate,
+        exact=exact))

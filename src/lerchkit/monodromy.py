@@ -21,21 +21,24 @@ with a = Log z / 2 pi i on the semi-principal branch, z^{-c} through the
 same Log, and the inner power principal.  Y_n contributes only for
 n <= 0.  Everything vanishes *identically* at s in {0, -1, -2, ...}
 (the reciprocal gamma factor and the unit phase factors), and all
-Y-monodromy vanishes at every integer s.
+Y-monodromy vanishes at every integer s.  The closed forms pass the
+``finite_entry`` and ``finite_exit`` of ``phi``; the exit refuses one
+past double range, e.g. once |k Im s| > ~113 in e^{2 pi i k s}.
 """
 
 import cmath
 import math
 from collections import namedtuple
-from functools import wraps
 
 from .branch_numerics import (
     as_int,
     branched_power,
+    finite_entry,
+    finite_exit,
     reciprocal_gamma,
     semi_principal_log,
 )
-from .errors import AccuracyError, DomainError, StratumError
+from .errors import DomainError, StratumError
 from .eval_core import _stratum, c_coeff
 from .eval_core import phi as _phi
 
@@ -191,24 +194,26 @@ def f_elementary(n, s, z, c):
     real z takes its upper-edge limit value per the attachment rule,
     only z = 0 is an error.
     """
-    s, c = complex(s), complex(c)
-    if z == 0:
+    sc, zc, cc = finite_entry("s z c", (s, z, c))
+    if zc == 0:
         raise DomainError("f_n is undefined at z = 0")
-    lg = semi_principal_log(z)
-    a = lg / (2j * math.pi)
-    zmc = cmath.exp(-c * lg)
-    phase = cmath.exp(2j * math.pi * n * c)
-    if n >= 1:
-        return cmath.exp(1j * math.pi * (s - 1.0)) * phase * zmc \
-            * branched_power(n - a, s - 1.0, "principal")
-    return phase * zmc * branched_power(a - n, s - 1.0, "principal")
+
+    def route():
+        lg = semi_principal_log(zc)
+        a = lg / (2j * math.pi)
+        zmc = cmath.exp(-cc * lg)
+        phase = cmath.exp(2j * math.pi * n * cc)
+        if n >= 1:
+            return cmath.exp(1j * math.pi * (sc - 1.0)) * phase * zmc \
+                * branched_power(n - a, sc - 1.0)
+        return phase * zmc * branched_power(a - n, sc - 1.0)
+    return finite_exit("f_elementary", (n, s, z, c), route)
 
 
 def _expm1_2pi_i(k, s):
     """e^{2 pi i k s} - 1 for integer k, free of cancellation near
     integer s: it is evaluated at d = s - round(Re s), which is exact,
     and is an exact zero only when d or k is."""
-    s = complex(s)
     d = complex(s.real - round(s.real), s.imag)
     x, y = -_2PI * k * d.imag, _2PI * k * d.real
     em1 = math.expm1(x)
@@ -225,26 +230,6 @@ def _geom_ratio(s, j):
     return _expm1_2pi_i(j, s) / den
 
 
-def _refuse_overflow(closed_form):
-    """Raise AccuracyError, naming the overflow, where a closed form
-    leaves double precision (a bare OverflowError or an infinite value),
-    e.g. once |k Im s| passes ~113 in e^{2 pi i k s}."""
-    @wraps(closed_form)
-    def guarded(*args, **kwargs):
-        try:
-            value = closed_form(*args, **kwargs)
-        except OverflowError:
-            value = complex(math.inf)
-        if cmath.isinf(value):
-            raise AccuracyError(
-                "%s%s overflows double precision"
-                % (closed_form.__name__, args + tuple(kwargs.values())),
-                bound=math.inf)
-        return value
-    return guarded
-
-
-@_refuse_overflow
 def monodromy_Z_conj(k, j, s, z, c):
     """Monodromy of the branch along ([Z0]^k [Z1] [Z0]^{-k})^j.
 
@@ -253,18 +238,18 @@ def monodromy_Z_conj(k, j, s, z, c):
     reciprocal gamma factor kills everything identically at
     s in {0, -1, -2, ...} (exact complex zero, not rounding-level).
     """
-    if j == 0:
-        return 0j
-    s = complex(s)
-    rg = reciprocal_gamma(s)
-    if rg == 0:
-        return 0j
-    base = -cmath.exp(s * math.log(_2PI) + 1j * math.pi * s / 2.0) * rg \
-        * f_elementary(k, s, z, c)
-    return _geom_ratio(s, j) * base
+    sc, zc, cc = finite_entry("s z c", (s, z, c))
+
+    def route():
+        rg = 0j if j == 0 else reciprocal_gamma(sc)
+        if rg == 0:
+            return 0j
+        base = -cmath.exp(sc * math.log(_2PI) + 1j * math.pi * sc / 2.0) \
+            * rg * f_elementary(k, s, z, c)
+        return _geom_ratio(sc, j) * base
+    return finite_exit("monodromy_Z_conj", (k, j, s, z, c), route)
 
 
-@_refuse_overflow
 def monodromy_Y(n, k, s, z, c):
     """Monodromy of the branch along [Y_n]^k.
 
@@ -273,17 +258,20 @@ def monodromy_Y(n, k, s, z, c):
     z^{-n} (c-n)^{-s}, which folds the one-turn value and the geometric
     power scaling into a single factor (exact for negative k too).
     """
+    sc, zc, cc = finite_entry("s z c", (s, z, c))
     if k == 0 or n >= 1:
         return 0j
     tag, puncture = _stratum(None, c)
     if puncture == n:
         raise StratumError("c = %s sits on the puncture of Y_%d" % (c, n),
                            stratum=tag)
-    s, z, c = complex(s), complex(z), complex(c)
-    factor = _expm1_2pi_i(-k, s)
-    if factor == 0:
-        return 0j
-    return factor * z ** (-n) * branched_power(c - n, -s, "principal")
+
+    def route():
+        factor = _expm1_2pi_i(-k, sc)
+        if factor == 0:
+            return 0j
+        return factor * zc ** (-n) * branched_power(cc - n, -sc)
+    return finite_exit("monodromy_Y", (n, k, s, z, c), route)
 
 
 def monodromy(word, s, z, c):

@@ -162,11 +162,15 @@ def test_monodromy_empty_word(capsys):
 
 
 def test_monodromy_overflow_exits_three(capsys):
-    code, out, err = run(capsys, "monodromy", "--word", "Y-1^3",
-                         "--s", "0.5+100i", "--z", "0.5+0.3i", "--c", "0.62")
-    assert code == 3 and out == ""
-    assert err.startswith("lerch-kit: error: ")
-    assert "overflows double precision" in err and err.count("\n") == 1
+    # the ledger's Y term, and the phase e^{-2 pi i c} of rho(Z0), which
+    # ended in a traceback
+    for argv in (("monodromy", "--word", "Y-1^3", "--s", "0.5+100i",
+                  "--z", "0.5+0.3i", "--c", "0.62"),
+                 ("ode", "--m=1", "--c=0.5+200i", "--matrices")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("lerch-kit: error: ")
+        assert "overflows double precision" in err and err.count("\n") == 1
 
 
 def test_monodromy_bad_word(capsys):
@@ -336,6 +340,19 @@ def test_sweep_all_rows_failing_returns_domain_code(capsys):
     code, out, _ = run(capsys, "sweep", "--expr", "phi",
                        "--grid", "z=2:3:2", "--s", "1/2", "--c", "1")
     assert code == 4  # both rows sit on the branch cut
+    # z^3001 passes double range (it ended in a traceback); c = inf and
+    # s = nan are refused up front (they printed nan rows and exited 0,
+    # and ended in a bare ValueError, exit 1)
+    for argv, want in (
+            (("--expr=li_star", "--m=2", "--k=3000",
+              "--grid=z=2+2i:2+3i:2"), 3),
+            (("--expr=monodromy-term", "--s=2", "--c=inf",
+              "--grid=z=0.5:0.6:2"), 2),
+            (("--expr=periodic_zeta", "--s=nan", "--grid=a=0.2:0.3:2"), 2)):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert (code, err) == (want, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2 and all(r["error"] for r in rows)
 
 
 def test_sweep_empty_grid_warns(capsys):

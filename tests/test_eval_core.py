@@ -5,6 +5,7 @@ implementation and frozen here at 17 significant digits.
 """
 
 import cmath
+import functools
 import importlib.util
 import math
 import random
@@ -17,15 +18,18 @@ from pathlib import Path
 
 import pytest
 
-from lerchkit import eval_core
+from lerchkit import deformed_polylog, eval_core
 from lerchkit.branch_numerics import (EPS, principal_log, quad_semiaxis,
                                       semi_principal_log)
 from lerchkit.errors import (AccuracyError, BranchError, DomainError,
                              StratumError)
-from lerchkit.eval_core import (classify_stratum, extended_polylog,
+from lerchkit.eval_core import (c_coeff, classify_stratum, extended_polylog,
                                 hurwitz_zeta, lerch_zeta, periodic_zeta, phi,
                                 phi_c_shift, phi_integral, phi_series)
 from lerchkit.special_values import negative_polylog, q_ratio
+
+# by module path: the package namespace binds `monodromy` to a function
+monodromy = importlib.import_module("lerchkit.monodromy")
 
 # (s, z, c) -> (value, expected route)
 PHI_REFERENCE = [
@@ -222,8 +226,10 @@ def test_public_routes_share_phis_finiteness_exit():
 
 
 def test_certain_c_shift_overflow_refuses_before_the_head(monkeypatch):
-    # N log|z| passes log 2^1024: z^N overflows, so no head term is built;
-    # the first built 100,000 head terms (about 0.3 s) to refuse alike
+    # N log|z| = log|z^N| passes log 2^1024, for N of either sign (the
+    # reflection's N < 0 takes z^N = 1 / z^|N|, past range for |z| < 1):
+    # z^N overflows, so no head term is built; these built up to 100,000
+    # head terms (0.1 to 0.3 s each) to refuse alike
     powers = [0]
     real_power = eval_core.branched_power
 
@@ -236,7 +242,10 @@ def test_certain_c_shift_overflow_refuses_before_the_head(monkeypatch):
               lambda: phi(-1.5, 2 + 1j, -99999.7)),
              ("Phi(2.5, (2+1j), -2000.7)",
               lambda: phi_c_shift(2.5, 2 + 1j, -2000.7, 2002)),
-             ("Phi((2.5+0j), 3j, (-800.7+0j))", lambda: phi(2.5, 3j, -800.7)))
+             ("Phi((2.5+0j), 3j, (-800.7+0j))", lambda: phi(2.5, 3j, -800.7)),
+             ("Phi(-1.5, 0.9j, 99999.7)", lambda: phi(-1.5, 0.9j, 99999.7)),
+             ("Phi(-1.5, (0.8+0.1j), 30000.3)",
+              lambda: phi(-1.5, 0.8 + 0.1j, 30000.3)))
     for name, call in calls:
         with pytest.raises(AccuracyError) as exc:
             call()
@@ -245,6 +254,7 @@ def test_certain_c_shift_overflow_refuses_before_the_head(monkeypatch):
     # below the threshold the head is built and the values stay finite
     assert phi(-1.5, 1.3 + 0.2j, -2000.7).method == "reflection"
     assert phi(2.5, 1.02 + 0.3j, -3000.3).method == "c_shift"
+    assert phi(-0.5, 0.999j, 3000.3).method == "reflection"  # N = -3000
     assert powers[0] > 0
 
 
@@ -267,19 +277,47 @@ def test_non_finite_input_is_refused_up_front(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("non-finite input reached a route")
 
-    monkeypatch.setattr(eval_core, "quad_semiaxis", no_work)
-    monkeypatch.setattr(eval_core, "sum_with_tail_bound", no_work)
+    for module, names in (
+            (eval_core, ("quad_semiaxis", "sum_with_tail_bound",
+                         "complex_gamma", "_c_shift_head", "exp_2pi_i")),
+            (monodromy, ("semi_principal_log", "reciprocal_gamma",
+                         "_expm1_2pi_i", "_stratum")),
+            (deformed_polylog, ("_phi", "_unit_phase", "_pascal_band"))):
+        for name in names:
+            monkeypatch.setattr(module, name, no_work)
     nan, inf = math.nan, math.inf
-    for s, z, c in ((1.5, 0.5, nan), (1.5, 0.5, inf), (inf, 0.5, 0.5),
-                    (nan, 0.5, 0.5), (1.5, nan, 0.5), (1.5, 0.5, 1j * inf),
-                    (1.5, complex(0.5, nan), 0.5), (10**400, 0.5, 0.5),
-                    (1.5, 0.5, Fraction(10**400, 3))):
-        with pytest.raises(DomainError) as exc:
-            phi(s, z, c)
-        assert type(exc.value) is DomainError, (s, z, c)
+    calls = [(phi, point) for point in (
+        (1.5, 0.5, nan), (1.5, 0.5, inf), (inf, 0.5, 0.5), (nan, 0.5, 0.5),
+        (1.5, nan, 0.5), (1.5, 0.5, 1j * inf), (1.5, complex(0.5, nan), 0.5),
+        (10**400, 0.5, 0.5), (1.5, 0.5, Fraction(10**400, 3)))]
+    # these ran 200,000 series terms or 12 quadrature levels, returned 0
+    # or nan+nanj, or raised a bare ValueError or OverflowError
+    calls += [(phi_series, (nan, 0.5, 1)), (phi_integral, (1.5, nan, 1)),
+              (phi_integral, (1.5, 0.5, inf)),
+              (phi_c_shift, (2, 0.5, nan, 1)), (lerch_zeta, (2, nan, 1)),
+              (lerch_zeta, (inf, 0.5, 1)), (periodic_zeta, (0.3, nan)),
+              (hurwitz_zeta, (2, nan)), (hurwitz_zeta, (2, inf)),
+              (extended_polylog, (2, 0.5, nan)), (c_coeff, (0, nan)),
+              (monodromy.f_elementary, (0, nan, 0.5, 0.5)),
+              (monodromy.monodromy_Z_conj, (0, 1, 2, 0.5, inf)),
+              (monodromy.monodromy_Z_conj, (0, 1, 2, nan, 0.5)),
+              (monodromy.monodromy_Y, (-1, 1, nan, 0.5, 0.5)),
+              (deformed_polylog.li_star, (2, 1, nan)),
+              (deformed_polylog.rho, ("Z0", 2, nan)),
+              (deformed_polylog.rho_word, ("Z0 Z1", 2, inf))]
+    # a tol that is NaN, infinite or negative (these drew 200,000 terms)
+    calls += [(functools.partial(fn, tol=tol), p)
+              for tol in (nan, inf, -1.0)
+              for fn, p in ((phi, (2, 0.5, 1)), (phi_series, (2, 0.5, 1)),
+                            (deformed_polylog.li_star, (2, 1, 0.5)))]
+    for fn, point in calls:
+        with pytest.raises(DomainError, match="must be finite") as exc:
+            fn(*point)
+        assert type(exc.value) is DomainError, (fn, point)
     with pytest.raises(StratumError) as exc:
         phi(1.5, inf, 0.5)
     assert exc.value.stratum == "singular_zinf"
+    assert phi(-1, Fraction(1, 2), 1, tol=0).exact == 4  # tol = 0 still runs
 
 
 def test_series_evaluates_each_term_once(monkeypatch):

@@ -18,7 +18,7 @@ from lerchkit.branch_numerics import (branched_power, principal_log,
                                       reciprocal_gamma, semi_principal_log)
 from lerchkit.errors import (AccuracyError, DomainError, PoleError,
                              StratumError)
-from lerchkit.deformed_polylog import rho_word
+from lerchkit.deformed_polylog import li_star, rho, rho_word
 from lerchkit.eval_core import phi
 from lerchkit.monodromy import (GeneratorLetter, HomotopyWord, branch_value,
                                 c_coeff, f_elementary, monodromy,
@@ -105,7 +105,7 @@ def test_z1_correction_at_s_one_is_elementary():
     for z in (-1.0 + 0j, -0.6 + 0.3j, 1.8 + 0.9j):
         c = 0.7 - 0.2j
         got = z * monodromy_Z_conj(0, 1, 1, z, c)
-        want = -2j * math.pi * branched_power(z, 1 - c, "semi")
+        want = -2j * math.pi * cmath.exp((1 - c) * semi_principal_log(z))
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -152,6 +152,13 @@ def test_integer_s_vanishing_is_exact():
 @pytest.mark.parametrize("fn,args", [
     (monodromy_Y, (-1, 3, 0.5 + 100j, 0.5 + 0.3j, 0.62)),
     (monodromy_Z_conj, (0, 1, 0.5 - 250j, 0.5 + 0.3j, 0.62)),
+    # these raised a bare OverflowError, or returned oo or NaN entries
+    (f_elementary, (1, 0.5, 0.5 + 0.3j, 0.62 - 200j)),
+    (c_coeff, (0, 200.5)),
+    (li_star, (2, 3000, 2 + 2j)),
+    (rho, ("Z0", 1, 0.5 + 200j)),
+    (rho, ("Z0", 2, 0.5 + 112.9j)),
+    (rho_word, ("Z0 Z0 Z0 Z0", 1, 0.5 + 60j)),
 ])
 def test_closed_form_overflow_is_an_accuracy_error(fn, args):
     with pytest.raises(AccuracyError, match="overflows double precision"):
@@ -221,8 +228,7 @@ def _mono_by_composition(letters, s, z, c):
             tot += v * f_elementary(k, s, z, c)
     for n, v in y.items():
         if v != 0 and n <= 0:
-            tot += v * complex(z) ** (-n) * branched_power(
-                complex(c) - n, -s, "principal")
+            tot += v * complex(z) ** (-n) * branched_power(complex(c) - n, -s)
     return tot
 
 

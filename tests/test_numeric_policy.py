@@ -34,6 +34,11 @@ polynomial kernel and the certified series sum each have one home.
 * The double-exponential map t = exp(u - exp(-u)) has one home:
   ``branch_numerics._node``, which the quadrature and its node tables
   share.
+* One entry and one exit for every public evaluator: only
+  ``branch_numerics.finite_entry`` raises "must be finite", only
+  ``branch_numerics.finite_exit`` raises "overflows double precision",
+  only those two and ``eval_core._overflows_double`` catch
+  OverflowError, and no module wraps a function with ``functools.wraps``.
 """
 
 import ast
@@ -261,3 +266,50 @@ def test_one_double_exponential_map():
              for fn in ast.walk(tree)
              if isinstance(fn, ast.FunctionDef) and _writes_de_map(fn)]
     assert homes == ["branch_numerics.py:_node"], homes
+
+
+def _top_level_homes(found):
+    """Sorted "module:function" of each top-level definition in which
+    found(node) holds for some node."""
+    return sorted({"%s:%s" % (name, getattr(top, "name", "<module>"))
+                   for name, tree in _modules() for top in tree.body
+                   if any(found(node) for node in ast.walk(top))})
+
+
+def _raises_text(text):
+    def found(node):
+        return isinstance(node, ast.Raise) and any(
+            isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and text in n.value for n in ast.walk(node))
+    return found
+
+
+def test_one_entry_check():
+    assert _top_level_homes(_raises_text("must be finite")) == [
+        "branch_numerics.py:finite_entry"]
+
+
+def test_one_exit_check():
+    assert _top_level_homes(_raises_text("overflows double precision")) == [
+        "branch_numerics.py:finite_exit"]
+
+
+def _catches_overflow(node):
+    if not isinstance(node, ast.ExceptHandler) or node.type is None:
+        return False
+    return any(isinstance(n, ast.Name) and n.id == "OverflowError"
+               for n in ast.walk(node.type))
+
+
+def test_overflow_is_caught_at_the_exit_only():
+    assert _top_level_homes(_catches_overflow) == [
+        "branch_numerics.py:finite_entry", "branch_numerics.py:finite_exit",
+        "eval_core.py:_overflows_double"]
+
+
+def test_no_wrapped_functions():
+    def found(node):
+        return (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                and any(alias.name == "wraps" for alias in node.names)
+                or isinstance(node, ast.Attribute) and node.attr == "wraps")
+    assert _top_level_homes(found) == []
