@@ -52,7 +52,7 @@ dropped terms of each of these m+1 series stay below
 
 Matrices are tuples of rows of Python complex numbers, multiplied,
 factored and solved by one small LU kernel with partial pivoting.  Only
-``MonodromyMatrix.entries`` builds an array, on first read, and it is the
+``MonodromyMatrix.entries`` builds an array, on each read, and it is the
 one place this package imports numpy.
 """
 
@@ -288,25 +288,11 @@ def _matmul(a, b):
 # closed-form monodromy matrices
 # ---------------------------------------------------------------------------
 
-class MonodromyMatrix:
+class MonodromyMatrix(namedtuple("MonodromyMatrix", "rows generator kind")):
     """rows: m+1 tuples of m+1 Python complex numbers; generator: "Z0",
-    "Z1", word text, or "transport"; kind: basis kind the matrix acts on.
-    Immutable; equal only to itself."""
+    "Z1", word text, or "transport"; kind: basis kind the matrix acts on."""
 
-    __slots__ = ("rows", "generator", "kind", "_entries")
-
-    def __init__(self, rows, generator, kind):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_entries", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonodromyMatrix is immutable")
-
-    def __repr__(self):
-        return ("MonodromyMatrix(rows=%r, generator=%r, kind=%r)"
-                % (self.rows, self.generator, self.kind))
+    __slots__ = ()
 
     @property
     def m(self):
@@ -315,13 +301,11 @@ class MonodromyMatrix:
     @property
     def entries(self):
         """`rows` as a read-only (m+1) x (m+1) complex ndarray, built on
-        first read and kept; the only numpy import in the package."""
-        if self._entries is None:
-            import numpy as np
-            arr = np.array(self.rows, dtype=complex)
-            arr.flags.writeable = False
-            object.__setattr__(self, "_entries", arr)
-        return self._entries
+        each read; the only numpy import in the package."""
+        import numpy as np
+        arr = np.array(self.rows, dtype=complex)
+        arr.flags.writeable = False
+        return arr
 
     def det(self):
         lu, _, sign = _lu(self.rows)

@@ -56,6 +56,7 @@ from itertools import count
 from .branch_numerics import (
     EPS,
     INT_TOL,
+    MAX_TERMS,
     NEAR,
     T_FLOOR,
     as_int,
@@ -111,10 +112,10 @@ def _stratum(z, c):
     removable_c at a positive integer n under ``as_int`` (INT_TOL,
     1e-12), singular_z0 and singular_zinf at z = 0 and oo, multiple for
     two at once, else regular; n is None off the c strata.  z = None
-    tests c alone."""
-    cc = complex(c)
-    n = min(0, round(cc.real))
-    if abs(cc - n) >= NEAR:
+    tests c alone, c = None z alone."""
+    cc = None if c is None else complex(c)
+    n = None if c is None else min(0, round(cc.real))
+    if n is not None and abs(cc - n) >= NEAR:
         n = as_int(c)[1]  # positive or None: n <= 0 was caught above
     flags = [] if n is None else ["singular_c" if n <= 0 else "removable_c"]
     if z is not None:
@@ -454,10 +455,15 @@ def _c_shift_head(sc, zc, cc, n):
 
     Where N log|z| = log|z^N|, for N of either sign, passes log 2^1024 + 1,
     z^N leaves double range whatever the rounding of its |N| products,
-    and the call raises OverflowError before it builds a term.
+    and the call raises OverflowError before it builds a term; past that
+    test, |N| above the budget MAX_TERMS (200,000) raises AccuracyError.
     """
     if zc and n * math.log(abs(zc)) > _LOG_HUGE + 1.0:
         raise OverflowError("z^%d passes double range" % n)
+    if abs(n) > MAX_TERMS:
+        raise AccuracyError("c-shift head of N = %.3g terms passes the budget"
+                            " |N| <= MAX_TERMS = %d" % (n, MAX_TERMS),
+                            bound=math.inf)
     lo = min(n, 0)
     head, zpow, rounding, mag = 0j, 1.0 + 0j, 0.0, 0.0
     for k in range(abs(n)):

@@ -12,18 +12,14 @@ h(k) and the word's net Z0 power t.  The word is Z0^t times the
 conjugates with j = k - t, since every later Z0 loop moves an
 accumulated term f_j to f_{j-1}; the pure power Z0^t on its own
 contributes nothing.  Each conjugate power contributes a closed form
-built from the elementary functions
-
-    f_n(s,z,c) = e^{i pi (s-1)} e^{2 pi i n c} z^{-c} (n-a)^{s-1}   (n >= 1)
-    f_n(s,z,c) =                e^{2 pi i n c} z^{-c} (a-n)^{s-1}   (n <= 0)
-
-with a = Log z / 2 pi i on the semi-principal branch, z^{-c} through the
-same Log, and the inner power principal.  Y_n contributes only for
-n <= 0.  Everything vanishes *identically* at s in {0, -1, -2, ...}
-(the reciprocal gamma factor and the unit phase factors), and all
-Y-monodromy vanishes at every integer s.  The closed forms pass the
-``finite_entry`` and ``finite_exit`` of ``phi``; the exit refuses one
-past double range, e.g. once |k Im s| > ~113 in e^{2 pi i k s}.
+built from the elementary functions f_n of ``f_elementary``, each a
+residue of the Mellin kernel that ``phi_integral`` integrates.  Y_n
+contributes only for n <= 0.  Everything vanishes *identically* at
+s in {0, -1, -2, ...} (the reciprocal gamma factor and the unit phase
+factors), and all Y-monodromy vanishes at every integer s.  The closed
+forms pass ``phi``'s ``finite_entry``, its stratum test on z (z = 0,
+within 1e-8 of 1, oo: its StratumError) and a ``finite_exit`` that
+refuses one past double range, e.g. |k Im s| > ~113 in e^{2 pi i k s}.
 """
 
 import cmath
@@ -35,11 +31,12 @@ from .branch_numerics import (
     branched_power,
     finite_entry,
     finite_exit,
+    principal_log,
     reciprocal_gamma,
     semi_principal_log,
 )
-from .errors import DomainError, StratumError
-from .eval_core import _stratum, c_coeff
+from .errors import StratumError
+from .eval_core import _refuse_singular, _stratum, c_coeff
 from .eval_core import phi as _phi
 
 __all__ = [
@@ -60,6 +57,7 @@ __all__ = [
 ]
 
 _2PI = 2.0 * math.pi
+_2PI_I = 2j * math.pi
 
 
 class GeneratorLetter(namedtuple("GeneratorLetter", "kind exp n")):
@@ -187,27 +185,29 @@ def z_profile(z_part):
 # closed forms
 # ---------------------------------------------------------------------------
 
+def _residue(n, sc, zc, cc):
+    """t_n^{s-1} e^{-c t_n}: the residue of t^{s-1} e^{-ct} / (1 - z e^{-t})
+    at its pole t_n = Log z - 2 pi i n, where (1 - z e^{-t})' = 1; Log and
+    the power semi-principal, arg t in [0, 2 pi)."""
+    lg = principal_log(zc)  # + 2 pi i when Im < 0: the semi-principal Log
+    t = lg + _2PI_I * ((lg.imag < 0.0) - n)  # with no cancellation in Im t
+    return cmath.exp((sc - 1.0) * semi_principal_log(t) - cc * t)
+
+
 def f_elementary(n, s, z, c):
-    """The elementary monodromy function f_n(s, z, c) on the cut domain.
+    """The elementary monodromy function on the cut domain,
 
-    a = Log z / 2 pi i (semi-principal, so 0 <= Re(a) < 1); positive
-    real z takes its upper-edge limit value per the attachment rule,
-    only z = 0 is an error.
-    """
+        f_n(s,z,c) = e^{i pi (s-1)} e^{2 pi i n c} z^{-c} (n-a)^{s-1}  (n >= 1)
+        f_n(s,z,c) =                e^{2 pi i n c} z^{-c} (a-n)^{s-1}  (n <= 0)
+
+    a = Log z / 2 pi i and z^{-c} semi-principal (0 <= Re(a) < 1), the
+    inner power principal, positive real z its upper-edge value.  Both are
+    (2 pi i)^{1-s} ``_residue``, whose arg t_n in (pi, 2 pi) for n >= 1
+    carries the phase e^{i pi (s-1)}."""
     sc, zc, cc = finite_entry("s z c", (s, z, c))
-    if zc == 0:
-        raise DomainError("f_n is undefined at z = 0")
-
-    def route():
-        lg = semi_principal_log(zc)
-        a = lg / (2j * math.pi)
-        zmc = cmath.exp(-cc * lg)
-        phase = cmath.exp(2j * math.pi * n * cc)
-        if n >= 1:
-            return cmath.exp(1j * math.pi * (sc - 1.0)) * phase * zmc \
-                * branched_power(n - a, sc - 1.0)
-        return phase * zmc * branched_power(a - n, sc - 1.0)
-    return finite_exit("f_elementary", (n, s, z, c), route)
+    _refuse_singular(z, None)
+    return finite_exit("f_elementary", (n, s, z, c), lambda: branched_power(
+        _2PI_I, 1.0 - sc) * _residue(n, sc, zc, cc))
 
 
 def _expm1_2pi_i(k, s):
@@ -233,20 +233,19 @@ def _geom_ratio(s, j):
 def monodromy_Z_conj(k, j, s, z, c):
     """Monodromy of the branch along ([Z0]^k [Z1] [Z0]^{-k})^j.
 
-    The single-turn value is -(2 pi)^s e^{i pi s/2} Gamma(s)^{-1} f_k;
+    The single-turn value is -2 pi i Gamma(s)^{-1} ``_residue`` at t_k;
     further turns scale geometrically with ratio e^{2 pi i s}, and the
     reciprocal gamma factor kills everything identically at
     s in {0, -1, -2, ...} (exact complex zero, not rounding-level).
     """
     sc, zc, cc = finite_entry("s z c", (s, z, c))
+    _refuse_singular(z, None)
 
     def route():
         rg = 0j if j == 0 else reciprocal_gamma(sc)
         if rg == 0:
             return 0j
-        base = -cmath.exp(sc * math.log(_2PI) + 1j * math.pi * sc / 2.0) \
-            * rg * f_elementary(k, s, z, c)
-        return _geom_ratio(sc, j) * base
+        return -_2PI_I * rg * _residue(k, sc, zc, cc) * _geom_ratio(sc, j)
     return finite_exit("monodromy_Z_conj", (k, j, s, z, c), route)
 
 
@@ -259,6 +258,7 @@ def monodromy_Y(n, k, s, z, c):
     power scaling into a single factor (exact for negative k too).
     """
     sc, zc, cc = finite_entry("s z c", (s, z, c))
+    _refuse_singular(z, None)
     if k == 0 or n >= 1:
         return 0j
     tag, puncture = _stratum(None, c)
@@ -274,9 +274,16 @@ def monodromy_Y(n, k, s, z, c):
     return finite_exit("monodromy_Y", (n, k, s, z, c), route)
 
 
+def _reduced(word):
+    """``word`` as a HomotopyWord: text parsed, then letters reduced."""
+    if isinstance(word, str):
+        word = parse_word(word)
+    return word if isinstance(word, HomotopyWord) else reduce_word(word)
+
+
 def monodromy(word, s, z, c):
-    """Total monodromy of the branch along a reduced word, with an
-    itemized ledger.
+    """Total monodromy of the branch along a word (text, letters or a
+    ``HomotopyWord``), with an itemized ledger.
 
     Returns (total, ledger) where ledger lists ("<term>", value) pairs:
     the Y-part summed over net exponents, the Z-part over the conjugate
@@ -285,8 +292,7 @@ def monodromy(word, s, z, c):
     Exact zeros stay exact, so the total is the exact complex 0 at
     s in Z_{<=0}.
     """
-    if not isinstance(word, HomotopyWord):
-        word = reduce_word(word)
+    word = _reduced(word)
     ledger = []
     total = 0j
     for n, k in word.y_exponents:
@@ -305,8 +311,7 @@ def monodromy(word, s, z, c):
 def branch_value(word, s, z, c, tol=1e-12):
     """Value of the branch reached by continuing along `word`, as
     principal value plus itemized monodromy contributions."""
-    if not isinstance(word, HomotopyWord):
-        word = reduce_word(word)
+    word = _reduced(word)
     base = _phi(s, z, c, tol=tol).value
     total, ledger = monodromy(word, s, z, c)
     return BranchValue(base, tuple(ledger), base + total)

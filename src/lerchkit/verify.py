@@ -45,9 +45,9 @@ from itertools import product
 
 from .branch_numerics import complex_gamma, dist_to_nonpos_int, exp_2pi_i
 from .deformed_polylog import weyl_expand
-from .errors import DomainError, StratumError
-from .eval_core import (c_coeff, classify_stratum, extended_polylog,
-                        lerch_zeta, periodic_zeta, phi)
+from .errors import DomainError
+from .eval_core import (c_coeff, extended_polylog, lerch_zeta, periodic_zeta,
+                        phi)
 from .monodromy import monodromy, monodromy_Z_conj, parse_word
 from .special_values import (_one_minus_z_pow, _padd, _pderiv, _pmul,
                              _pscale, _trim, laurent_coeffs,
@@ -149,35 +149,27 @@ def _phi_value(s, z, c):
     return phi(s, z, c).value
 
 
-def _point(s, z, c):
-    """(s, z, c) as complex numbers, refused on a singular stratum."""
-    tag = classify_stratum(s, z, c).tag
-    if tag not in ("regular", "removable_c"):
-        raise StratumError("point lies on singular stratum: " + tag,
-                           stratum=tag)
-    return complex(s), complex(z), complex(c)
-
-
 # ---------------------------------------------------------------------------
 # ladder and PDE checks
 # ---------------------------------------------------------------------------
 
 def check_ladder_down(s, z, c, tol=1e-9):
     """(z d/dz + c) Phi(s, z, c) = Phi(s-1, z, c)."""
-    sc, zc, cc = _point(s, z, c)
+    centre = _phi_value(s, z, c)  # phi refuses a singular stratum first
+    zc, cc = complex(z), complex(c)
     r = 0.05 * _dist_to_ray(zc, 1.0)
     a1, _ = _taylor12(lambda t: _phi_value(s, zc + t * r, c))
-    left = zc * a1 / r + cc * _phi_value(s, z, c)
+    left = zc * a1 / r + cc * centre
     right = _phi_value(s - 1, z, c)
     return ResidualReport("ladder_down", (s, z, c), left, right, tol)
 
 
 def check_ladder_up(s, z, c, tol=1e-9):
     """d/dc Phi(s, z, c) = -s Phi(s+1, z, c)."""
-    sc, zc, cc = _point(s, z, c)
+    right = -complex(s) * _phi_value(s + 1, z, c)  # phi refuses first
+    cc = complex(c)
     r = 0.05 * dist_to_nonpos_int(cc)
     a1, _ = _taylor12(lambda t: _phi_value(s, z, cc + t * r))
-    right = -sc * _phi_value(s + 1, z, c)
     return ResidualReport("ladder_up", (s, z, c), a1 / r, right, tol)
 
 
@@ -186,22 +178,22 @@ def check_pde(s, z, c, tol=None, target="phi"):
 
     ``target="phi"`` checks the main function; ``target="monodromy"``
     applies the same operator to the one-loop branch correction
-    -(2 pi)^s e^{i pi s / 2} Gamma(s)^{-1} f_0(s, z, c), whose closed
-    form satisfies the same equation.
+    ``monodromy_Z_conj(0, 1, s, z, c)``, -2 pi i Gamma(s)^{-1} times the
+    residue t_0^{s-1} e^{-c t_0} at t_0 = Log z, whose closed form
+    satisfies the same equation and is entire in c.
     """
-    sc, zc, cc = _point(s, z, c)
     if target == "phi":
-        name, default = "pde", 1e-9
+        name, default, ray = "pde", 1e-9, 1.0
         fun = lambda w, x: _phi_value(s, w, x)
-        r_z = 0.05 * _dist_to_ray(zc, 1.0)
-        r_c = 0.05 * dist_to_nonpos_int(cc)
     elif target == "monodromy":
-        name, default = "pde_monodromy_term", 1e-8
+        name, default, ray = "pde_monodromy_term", 1e-8, 0.0
         fun = lambda w, x: monodromy_Z_conj(0, 1, s, w, x)
-        r_z = 0.05 * _dist_to_ray(zc, 0.0)
-        r_c = 0.2
     else:
         raise ValueError("target must be 'phi' or 'monodromy'")
+    right = -complex(s) * fun(z, c)  # F refuses a singular stratum first
+    zc, cc = complex(z), complex(c)
+    r_z = 0.05 * _dist_to_ray(zc, ray)
+    r_c = 0.05 * dist_to_nonpos_int(cc) if target == "phi" else 0.2
     # on the diagonal circles g(t) = F(z + t r_z, c +- t r_c) the t- and
     # t^2-coefficients differ by 2 r_c F_c and 2 r_z r_c F_zc
     p1, p2 = _taylor12(lambda t: fun(zc + t * r_z, cc + t * r_c))
@@ -209,7 +201,6 @@ def check_pde(s, z, c, tol=None, target="phi"):
     dc = (p1 - m1) / (2 * r_c)
     dzdc = (p2 - m2) / (2 * r_z * r_c)
     left = zc * dzdc + cc * dc
-    right = -sc * fun(z, c)
     return ResidualReport(name, (s, z, c), left, right,
                           default if tol is None else tol)
 

@@ -518,7 +518,7 @@ def test_commands_leave_dataclasses_out(argv):
 
 def test_monodromy_matrices_leave_numpy_out():
     # rho, rho_word, det and numeric_transport run on plain rows; only
-    # MonodromyMatrix.entries builds an array, on first read, and keeps it
+    # MonodromyMatrix.entries builds an array, afresh on each read
     out, mods = _fresh_modules(
         "from lerchkit import deformed_polylog as dp; "
         "t = dp.numeric_transport(2, 0.3, dp.z1_loop()); "
@@ -528,6 +528,6 @@ def test_monodromy_matrices_leave_numpy_out():
         "after = 'numpy' in sys.modules; import numpy as np; "
         "print(before, after, e.dtype == complex, "
         "np.array_equal(e, np.array(t.rows, dtype=complex)), "
-        "t.entries is e)")
+        "np.array_equal(t.entries, e))")
     assert out.split() == ["False", "True", "True", "True", "True"]
     assert "numpy" in mods

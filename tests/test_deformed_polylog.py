@@ -536,6 +536,7 @@ def test_matrix_wrapper():
     assert isinstance(mm, MonodromyMatrix)
     assert mm.m == 2
     assert isinstance(mm.det(), complex)
+    assert mm == rho("Z0", 2, 0) and hash(mm) == hash(rho("Z0", 2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,14 @@ def test_certain_c_shift_overflow_refuses_before_the_head(monkeypatch):
         with pytest.raises(AccuracyError) as exc:
             call()
         assert str(exc.value) == name + " overflows double precision"
+    # past that test a head longer than MAX_TERMS refuses, named, unbuilt:
+    # the first ran without end, the others took 0.7 s each to return
+    for call in (lambda: hurwitz_zeta(2, complex(-1e300, 0.5)),
+                 lambda: hurwitz_zeta(2, -3e5 - 0.5),
+                 lambda: phi(2.5, 0.5, -300000.7)):
+        with pytest.raises(AccuracyError, match=r"N = -?[0-9.e+]+ terms "
+                           r"passes the budget \|N\| <= MAX_TERMS = 200000"):
+            call()
     assert powers[0] == 0
     # below the threshold the head is built and the values stay finite
     assert phi(-1.5, 1.3 + 0.2j, -2000.7).method == "reflection"
@@ -956,6 +964,9 @@ def test_extended_polylog():
     assert extended_polylog(1.5, 0.4 + 0.3j, 0.9).value == pytest.approx(
         0.47585713476472391 + 0.46952688382619379j, abs=1e-10)
     assert extended_polylog(2, 0, 1).value == 0j
+    # the exact path: Li_{-2}(1/3, 1/2) = (1/3) Phi(-2, 1/3, 1/2)
+    assert extended_polylog(-2, Fraction(1, 3), Fraction(1, 2)).exact \
+        == Fraction(7, 8)
 
 
 def test_error_estimates_are_honest():

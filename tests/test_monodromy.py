@@ -8,6 +8,7 @@ tracked continuation around z = 0.
 """
 
 import cmath
+import itertools
 import math
 import random
 
@@ -84,8 +85,16 @@ def test_f0_at_minus_one():
 
 
 def test_f_elementary_rejects_origin():
-    with pytest.raises(DomainError):
-        f_elementary(0, 0.5, 0, 0.5)
+    # every closed form refuses z = 0, 1 and oo as phi does, not only f_n
+    forms = ((f_elementary, (1, 0.5)), (monodromy_Z_conj, (1, 1, 0.5)),
+             (monodromy_Y, (-1, 1, 0.5)))
+    strata = ((0, "singular_z0"), (1 + 1e-9, "singular_z1"),
+              (math.inf, "singular_zinf"),
+              (complex(0, math.inf), "singular_zinf"))
+    for (form, head), (z, tag) in itertools.product(forms, strata):
+        with pytest.raises(StratumError) as exc:
+            form(*head, z, 0.5)
+        assert exc.value.stratum == tag and isinstance(exc.value, DomainError)
 
 
 def test_c_coeff_value_and_poles():
@@ -128,6 +137,10 @@ def test_word_ledger_composite():
     labels = [lab for lab, _ in ledger]
     assert any("Y0" in lab for lab in labels)
     assert any("Z1" in lab for lab in labels)
+    # text is parsed and reduced first, as rho_word takes it
+    assert monodromy("Z1 Y0", 0.5, -1, 0.5) == (total, ledger)
+    assert branch_value("Z0 Z1 Z0^-1", 1.5, 0.3 + 0.2j, 0.4) == branch_value(
+        parse_word("Z0 Z1 Z0^-1"), 1.5, 0.3 + 0.2j, 0.4)
 
 
 def test_branch_value_totals():

@@ -7,7 +7,9 @@ polynomial kernel and the certified series sum each have one home.
 * One stratum test: ``NEAR``, the refusal radius around z = 1 and
   c in {0, -1, ...}, is read by ``eval_core._stratum`` and otherwise only
   by the cut guard ``_guard_cut`` and the dispatcher's route test
-  (``_dispatch``); every other refusal takes the stratum's tag.
+  (``_dispatch``); every other refusal takes the stratum's tag, and
+  only ``eval_core._refuse_singular`` raises "point lies on singular
+  stratum".
 * Only ``special_values`` may define ``_trim``/``_padd``/``_pmul``-style
   polynomial helpers, or operator helpers named ``_op_...`` (a
   dict-keyed second kernel once hid under those names).
@@ -282,6 +284,11 @@ def _raises_text(text):
             isinstance(n, ast.Constant) and isinstance(n.value, str)
             and text in n.value for n in ast.walk(node))
     return found
+
+
+def test_one_stratum_refusal():
+    assert _top_level_homes(_raises_text("point lies on singular stratum")) \
+        == ["eval_core.py:_refuse_singular"]
 
 
 def test_one_entry_check():
