@@ -37,7 +37,7 @@ Certified sums
 ``sum_with_tail_bound`` knows no series: its iterator yields each term
 t_n together with a bound b_n on the tail from n, which the caller works
 out next to the term, and the sum stops at the first b_n <= tol.  At
-most ``MAX_TERMS`` terms are drawn.
+most ``MAX_TERMS`` terms are drawn, by it or by any finite head sum.
 """
 
 import cmath
@@ -67,6 +67,7 @@ __all__ = [
     "reciprocal_gamma",
     "quad_semiaxis",
     "sum_with_tail_bound",
+    "refuse_past_budget",
     "QuadResult",
     "SumResult",
 ]
@@ -77,7 +78,7 @@ SumResult = namedtuple("SumResult", "value tail_bound")
 EPS = sys.float_info.epsilon  # 2**-52, the base of every rounding bound
 INT_TOL = 1e-12  # integer detection for inexact inputs
 NEAR = 1e-8      # refusal radius around z = 1 and c in Z_{<=0}
-MAX_TERMS = 200_000  # sum_with_tail_bound gives up after this many terms
+MAX_TERMS = 200_000  # the most terms any one sum draws
 
 
 def as_int(x):
@@ -492,3 +493,12 @@ def sum_with_tail_bound(terms, tol=1e-12):
     raise AccuracyError(
         "tail bound still %.3g after %d terms" % (b, n), best=partial, bound=b
     )
+
+
+def refuse_past_budget(what, n):
+    """AccuracyError naming the budget, before the first term, for a sum
+    of |n| > MAX_TERMS terms."""
+    if abs(n) > MAX_TERMS:
+        raise AccuracyError("%s of N = %.3g terms passes the budget |N| <= "
+                            "MAX_TERMS = %d" % (what, n, MAX_TERMS),
+                            bound=math.inf)

@@ -64,7 +64,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .branch_numerics import (INT_TOL, as_int, branched_power, finite_entry,
-                              finite_exit, principal_log)
+                              finite_exit, principal_log, refuse_past_budget)
 from .errors import BranchError, DomainError, TransportError
 from .eval_core import phi as _phi
 from .special_values import _padd, _pmul, _pscale, poly_eval
@@ -154,7 +154,8 @@ def li_star(m, k, z, tol=1e-12):
     """Li*_m(z,-k) on C minus ((-inf,0] u [1,inf)), by the closed form
 
         z^{k+1} [ Li_m(z) + (log z)^m / m! ]
-        + (-1)^m sum_{j<k} z^{j+1} / (k-j)^m.
+        + (-1)^m sum_{j<k} z^{j+1} / (k-j)^m,
+    with AccuracyError, naming the budget, for k > MAX_TERMS tail terms.
     """
     zc = finite_entry("z", (z,), tol)[0]
     if k < 0 or m < 0:
@@ -175,6 +176,7 @@ def li_star(m, k, z, tol=1e-12):
 
 def _li_star_from(m, k, z, li_m):
     """li_star's closed form at m >= 1, given li_m = Li_m(z)."""
+    refuse_past_budget("li_star tail", k)
     lg = principal_log(z)
     head = z ** (k + 1) * (li_m + lg ** m / math.factorial(m))
     tail = sum(z ** (j + 1) / (k - j) ** m for j in range(k))
@@ -481,8 +483,9 @@ def _alternating_phi(m, c):
     1).  Its terms (k + c)^-j = int_0^1 x^k dmu are moments of a measure of
     total variation (Re c)^-j, so n weighted terms miss it by at most
     2 (Re c)^-j / (3 + sqrt 8)^n, and n is the least that makes this 2^-53
-    or less for every j <= m."""
+    or less for every j <= m.  A head longer than MAX_TERMS refuses."""
     n_shift = max(0, math.floor(0.5 - complex(c).real) + 1)
+    refuse_past_budget("alternating-sum head", n_shift)
     shifted = complex(c + n_shift)
     re = shifted.real
     rate = 3.0 + math.sqrt(8.0)

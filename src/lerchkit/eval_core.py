@@ -44,6 +44,8 @@ each: a plain share of tol per inner call, and one retry sized by the
 magnitudes if the estimate misses tol (1 + |value|).  The docstrings of
 ``phi_integral`` (the ladder, the pole subtraction for |z| > 1, the
 estimate) and ``quad_semiaxis`` (the refusal rule) give the details.
+``hurwitz_zeta`` is one Euler-Maclaurin sum: one c-shift head at z = 1,
+corrections at c + N, Bernoulli numbers from special_values' q_{2k-1}(-1).
 """
 
 import cmath
@@ -56,7 +58,6 @@ from itertools import count
 from .branch_numerics import (
     EPS,
     INT_TOL,
-    MAX_TERMS,
     NEAR,
     T_FLOOR,
     as_int,
@@ -69,11 +70,12 @@ from .branch_numerics import (
     principal_log,
     quad_semiaxis,
     reciprocal_gamma,
+    refuse_past_budget,
     semi_principal_log,
     sum_with_tail_bound,
 )
 from .errors import AccuracyError, BranchError, DomainError, PoleError, StratumError
-from .special_values import negative_polylog, poly_eval
+from .special_values import negative_polylog, poly_eval, q_ratio
 
 __all__ = [
     "StratumClass",
@@ -208,18 +210,14 @@ _LOG_TINY = math.log(_TINY)
 _LOG_HUGE = 1024 * math.log(2.0)  # log 2^1024, past the largest double
 
 
-def _log_sum_bound(sc, zc, cc):
+def _log_sum_bound(sc, cc, least, rest):
     """log M, raised by its own rounding, for Re s > 0 and
-    M = e^{theta |Im s|} (min_n |n + c|)^{-Re s} / (1 - |z|), which bounds
-    sum_n |z^n (n + c)^{-s}|, as |Arg(n + c)| <= theta = |Arg c|: n + c
-    moves right along the horizontal line through c, where |Arg| never
-    grows (for real c < 0 it drops from pi to 0).  The least |n + c| over
-    n >= 0 sits at the floor or the ceiling of max(0, -Re c)."""
-    k = max(0.0, -cc.real)
-    least = min(abs(cc + math.floor(k)), abs(cc + math.ceil(k)))
-    theta = abs(cmath.phase(cc))
-    parts = (theta * abs(sc.imag), -sc.real * math.log(least),
-             -math.log1p(-abs(zc)))
+    M = e^{theta |Im s|} least^{-Re s} e^rest, theta = |Arg c|, where
+    e^rest bounds sum_n |z|^n (|n + c| / least)^{-Re s}: M bounds
+    sum_n |z^n (n + c)^{-s}|, as |Arg(n + c)| <= theta (n + c moves right
+    along the line through c, where |Arg| never grows)."""
+    parts = (abs(cmath.phase(cc)) * abs(sc.imag), -sc.real * math.log(least),
+             rest)
     return sum(parts) + 8.0 * EPS * (sum(map(abs, parts)) + sc.real)
 
 
@@ -227,10 +225,13 @@ def _series_sum(sc, zc, cc, tol):
     """``phi_series`` past its guards, for 0 < |z| < 1 (``phi``'s route)."""
     # log M >= -Re s log|c| >= Re s (1 - |c|), as n = 0 is one of the n
     # and log x <= x - 1, so only Re s (|c| - 1) > -log 5e-324 needs log M
-    if (sc.real > 0.0 and sc.real * (abs(cc) - 1.0) > -_LOG_TINY
-            and _log_sum_bound(sc, zc, cc) < _LOG_TINY):
-        # the whole sum lies below the least positive double
-        return EvalResult(0j, "series", _TINY)
+    if sc.real > 0.0 and sc.real * (abs(cc) - 1.0) > -_LOG_TINY:
+        # min_n |n + c| sits at the floor or the ceiling of max(0, -Re c)
+        k = max(0.0, -cc.real)
+        least = min(abs(cc + math.floor(k)), abs(cc + math.ceil(k)))
+        if _log_sum_bound(sc, cc, least, -math.log1p(-abs(zc))) < _LOG_TINY:
+            # the whole sum lies below the least positive double
+            return EvalResult(0j, "series", _TINY)
     lz = cmath.log(zc)
     ac = abs(cc)
     n_min = ac + 2.0
@@ -460,10 +461,7 @@ def _c_shift_head(sc, zc, cc, n):
     """
     if zc and n * math.log(abs(zc)) > _LOG_HUGE + 1.0:
         raise OverflowError("z^%d passes double range" % n)
-    if abs(n) > MAX_TERMS:
-        raise AccuracyError("c-shift head of N = %.3g terms passes the budget"
-                            " |N| <= MAX_TERMS = %d" % (n, MAX_TERMS),
-                            bound=math.inf)
+    refuse_past_budget("c-shift head", n)
     lo = min(n, 0)
     head, zpow, rounding, mag = 0j, 1.0 + 0j, 0.0, 0.0
     for k in range(abs(n)):
@@ -481,25 +479,22 @@ def _c_shift_head(sc, zc, cc, n):
     return head, zpow, rounding
 
 
-def _shift_c(sc, zc, cc, n, tol, inner_route, method):
-    """Phi(s,z,c) = head + z^N inner_route(s, z, c+N) (``_c_shift_head``)
-    as an ``EvalResult`` of ``method``: one ``_compose`` step, asking the
-    inner route for half of tol (all of it for N = 0)."""
-    head, zpow, rounding = _c_shift_head(sc, zc, cc, n)
-    return _compose(method, [lambda t: inner_route(sc, zc, cc + n, tol=t)],
-                    [zpow], 0.5 if n else 1.0, tol,
-                    lambda rs: (head + zpow * rs[0].value,
-                                abs(zpow) * rs[0].error_estimate + rounding))
-
-
 def phi_c_shift(s, z, c, n_shift, tol=1e-12):
-    """Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} + z^N Phi(s,z,c+N), N >= 0."""
+    """Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} + z^N Phi(s,z,c+N), N >= 0:
+    one ``_compose`` step asking ``phi`` for tol/2 (tol for N = 0)."""
     sc, zc, cc = finite_entry("s z c", (s, z, c), tol)
     if n_shift < 0:
         raise DomainError("shift count must be >= 0")
     _refuse_singular(z, c)
-    return finite_exit("Phi", (s, z, c), lambda: _shift_c(
-        sc, zc, cc, n_shift, tol, phi, "c_shift"))
+
+    def route():
+        head, zpow, rounding = _c_shift_head(sc, zc, cc, n_shift)
+        return _compose(
+            "c_shift", [lambda t: phi(sc, zc, cc + n_shift, tol=t)], [zpow],
+            0.5 if n_shift else 1.0, tol,
+            lambda rs: (head + zpow * rs[0].value,
+                        abs(zpow) * rs[0].error_estimate + rounding))
+    return finite_exit("Phi", (s, z, c), route)
 
 
 # ---------------------------------------------------------------------------
@@ -678,74 +673,68 @@ def periodic_zeta(a, s, tol=1e-12):
     return finite_exit("F", (a, s), route)
 
 
-@lru_cache(maxsize=None)
-def _bernoulli(n):
-    """Exact Bernoulli number B_n by the Akiyama-Tanigawa triangle.
-
-    Only even indices are ever requested here, so the B_1 sign
-    convention is moot."""
-    a = [Fraction(0)] * (n + 1)
-    for m in range(n + 1):
-        a[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            a[j - 1] = j * (a[j - 1] - a[j])
-    return a[0]
-
-
 def hurwitz_zeta(s, c, tol=1e-12):
-    """zeta_H(s, c) = sum (n+c)^{-s} by Euler-Maclaurin, |s| <= ~30.
-
-    Head terms push Re(c) above 1/2 first: the c-shift identity of
-    ``_shift_c`` at z = 1, with ``_euler_maclaurin`` as the inner route.
-    """
+    """zeta_H(s, c) = sum (n+c)^{-s} by Euler-Maclaurin, |s| <= ~30: one
+    sum, ``_euler_maclaurin``, whose head also carries Re c above 1/2."""
     sc, cc = finite_entry("s c", (s, c), tol)
     if abs(sc - 1.0) < INT_TOL:
         raise PoleError("Hurwitz zeta has its pole at s = 1", location=1)
     _refuse_singular(None, c)  # its z = 1 defines it; only c is tested
-    n = max(0, math.ceil(0.5 - cc.real))
-    return finite_exit("zeta_H", (s, c), lambda: _shift_c(
-        sc, 1.0 + 0j, cc, n, tol, _euler_maclaurin, "euler_maclaurin"))
+    return finite_exit("zeta_H", (s, c), lambda: _euler_maclaurin(sc, cc, tol))
 
 
-def _euler_maclaurin(sc, zc, cx, tol):
-    """zeta_H(s, c) for Re(c) >= 1/2 (zc = 1 is ``_shift_c``'s argument).
+@lru_cache(maxsize=None)
+def _bernoulli_ratio(k):
+    """B_2k / (2k)!, exact, from the special value
+    q_{2k-1}(-1) = (1 - 4^k) B_2k / 2k of ``q_ratio``."""
+    return q_ratio(2 * k - 1, Fraction(-1)) / (
+        (1 - 4 ** k) * math.factorial(2 * k - 1))
 
-    The head sum_{n<N} (n+c)^{-s} is ``_c_shift_head`` at z = 1.  The
-    correction sum uses exact Bernoulli numbers with the asymptotic
-    term magnitude as the error proxy (N doubles until it is below tol).
-    The estimate adds the head's rounding and that of every exponential
-    e^w of the corrections (``_exp_rounding``), so cancellation among
-    large terms (Re s << 0) shows in it.
+
+def _euler_maclaurin(sc, cc, tol):
+    """zeta_H(s, c) = sum_{n<N} (n+c)^{-s} + corrections at c + N.
+
+    One ``_c_shift_head`` at z = 1 sums N = shift + big_n terms: the
+    shift takes Re c to 1/2 or above, and big_n doubles until the first
+    omitted correction, the error proxy, is at most 0.1 tol (else
+    ``AccuracyError`` with that bound).  The estimate adds the head's
+    rounding and that of each e^w of the corrections (``_exp_rounding``).
+    For Re s > 1, Re c > 0 the sum is at most its first term plus the
+    integral, M = e^{theta |Im s|} (Re c)^{-Re s} (1 + Re c / (Re s - 1))
+    (``_log_sum_bound``); where M lies below the least positive double
+    the value is 0, with that double as its estimate, and no head is built.
     """
+    a = cc.real
+    if sc.real > 1.0 and a > 0.0 and _log_sum_bound(
+            sc, cc, a, math.log1p(a / (sc.real - 1.0))) < _LOG_TINY:
+        return EvalResult(0j, "euler_maclaurin", _TINY)
     K = 12
+    shift = max(0, math.ceil(0.5 - a))
     big_n = max(10, math.ceil(1.2 * abs(sc)) + 5)
+    # magnitude of the first omitted correction term
+    b = float(abs(_bernoulli_ratio(K + 1)))
+    poch = math.prod(abs(sc + i) for i in range(2 * K + 1))
     for _ in range(6):
-        # magnitude of the first omitted correction term
-        poch = 1.0
-        for i in range(2 * K + 1):
-            poch *= abs(sc + i)
-        b = abs(_bernoulli(2 * K + 2)) / math.factorial(2 * K + 2)
-        tail = float(b) * poch * abs(cx + big_n) ** (-(sc.real + 2 * K + 1))
+        tail = b * poch * abs(cc + shift + big_n) ** (-(sc.real + 2 * K + 1))
         if tail <= 0.1 * tol:
             break
         big_n *= 2
     else:
-        raise AccuracyError("Euler-Maclaurin tail would not drop below tol")
+        raise AccuracyError("Euler-Maclaurin tail would not drop below tol",
+                            bound=tail)
 
-    value, _, rounding = _c_shift_head(sc, zc, cx, big_n)
-    # (w, term) pairs, each term a multiple of e^w
-    lb = principal_log(big_n + cx)
-    w = (1.0 - sc) * lb
-    terms = [(w, cmath.exp(w) / (sc - 1.0))]
-    w = -sc * lb
-    terms.append((w, 0.5 * cmath.exp(w)))
+    n = shift + big_n
+    value, _, rounding = _c_shift_head(sc, 1.0 + 0j, cc, n)
+    # (w, factor) pairs, each term factor e^w
+    lb = principal_log(cc + n)
+    terms = [((1.0 - sc) * lb, 1.0 / (sc - 1.0)), (-sc * lb, 0.5)]
     poch = sc
     for k in range(1, K + 1):
-        bk = float(_bernoulli(2 * k)) / math.factorial(2 * k)
-        w = (-sc - 2 * k + 1) * lb
-        terms.append((w, bk * poch * cmath.exp(w)))
+        bk = float(_bernoulli_ratio(k))
+        terms.append(((-sc - 2 * k + 1) * lb, bk * poch))
         poch *= (sc + 2 * k - 1) * (sc + 2 * k)
-    for w, t in terms:
+    for w, factor in terms:
+        t = factor * cmath.exp(w)
         value += t
         rounding += _exp_rounding(w, t)
     return EvalResult(value, "euler_maclaurin", tail + rounding)

@@ -343,7 +343,7 @@ _VANISH_Y_WORDS = ("Y0", "Y-1^2", "Y-3 Y0^-1", "Y-2^3")
 _VANISH_POINT = (0.5 + 0.3j, 0.62)
 
 
-def check_monodromy_vanishing(s, words=None, tol=0.0):
+def check_monodromy_vanishing(s, tol=0.0):
     """All branch corrections vanish identically at integer s.
 
     For integer s <= 0 every word gives exactly 0; for integer s >= 1
@@ -352,15 +352,13 @@ def check_monodromy_vanishing(s, words=None, tol=0.0):
     """
     if not isinstance(s, int):
         raise DomainError("monodromy vanishing is an integer-s statement")
-    if words is None:
-        words = _VANISH_WORDS if s <= 0 else _VANISH_Y_WORDS
+    words = _VANISH_WORDS if s <= 0 else _VANISH_Y_WORDS
     z0, c0 = _VANISH_POINT
     worst = 0.0
     for text in words:
         total, _ = monodromy(parse_word(text), s, z0, c0)
         worst = max(worst, abs(total))
-    point = (s,) + tuple(words)
-    return _exact_report("monodromy_vanishing", point, worst, tol)
+    return _exact_report("monodromy_vanishing", (s,) + words, worst, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ from lerchkit.deformed_polylog import (MonodromyMatrix, _alternating_phi,
                                        numeric_transport, rho, rho_word,
                                        unipotency_class, weyl_expand,
                                        z0_loop, z1_loop)
-from lerchkit.errors import BranchError, DomainError, TransportError
+from lerchkit.errors import (AccuracyError, BranchError, DomainError,
+                             TransportError)
 from lerchkit.eval_core import classify_stratum, phi
+from lerchkit.monodromy import GeneratorLetter
 from lerchkit.special_values import _padd, _pmul, poly_eval
 
 TWO_PI_I = 2j * math.pi
@@ -268,6 +270,8 @@ def test_rho_rejects_bad_input():
         rho("Q", 1, 1)
     with pytest.raises(DomainError):
         rho_word("Z1 Y0", 1, Fraction(1, 2))
+    with pytest.raises(DomainError, match="Z-letters only"):
+        rho_word([GeneratorLetter("Z0"), GeneratorLetter("Y", 1, -2)], 2, 0.3)
 
 
 def test_rho_word_orders_left_to_right():
@@ -362,6 +366,10 @@ def test_loops_are_valid_paths():
     with pytest.raises(TransportError):
         # corridor pinched against the singular point at 0
         numeric_transport(1, Fraction(1, 2), [-1.0 + 0j, 0.05j, -1.0 + 0j])
+    with pytest.raises(TransportError, match="at least two points"):
+        numeric_transport(1, Fraction(1, 2), [-1.0 + 0j])
+    with pytest.raises(DomainError, match="m >= 1"):
+        numeric_transport(0, Fraction(1, 2), z0_loop())
 
 
 @pytest.mark.parametrize("m,c", [
@@ -435,9 +443,11 @@ def test_transport_makes_no_phi_call(monkeypatch):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("c", [0.3 + 0.2j, Fraction(2, 7), 0, 2])
 def test_out_and_back_path_returns_the_identity(m, c):
-    # a path that encloses nothing: no closed form enters the check
-    got = numeric_transport(m, c, [-1.0, -1.0 + 0.5j, -1.0]).entries
-    assert np.max(np.abs(got - np.eye(m + 1))) < 1e-10
+    # a path that encloses nothing, or stays put (a zero-length segment
+    # takes no step): no closed form enters the check
+    for path in ([-1.0, -1.0 + 0.5j, -1.0], [-1.0, -1.0]):
+        got = numeric_transport(m, c, path).entries
+        assert np.max(np.abs(got - np.eye(m + 1))) < 1e-10
 
 
 def _operator_residual(ab, z0, A, m):
@@ -629,4 +639,48 @@ def test_c_between_the_integer_and_the_refusal_radius():
                         numeric_transport(m, c, loop)
         for m in (1, 2, 3):
             assert basis(m, n + 5e-13).kind == "singular"
+
+
+
+class _CountedFraction(Fraction):
+    """A Fraction that counts c + k: one per head term of the start frame."""
+    adds = 0
+
+    def __add__(self, other):
+        _CountedFraction.adds += 1
+        return Fraction.__add__(self, other)
+
+
+class _CountedInt(int):
+    """An int that counts k - j: one per term of li_star's tail; -k stays
+    counted, as the start frame feeds li_star k = -c."""
+    subs = 0
+
+    def __sub__(self, other):
+        _CountedInt.subs += 1
+        return int(self) - other
+
+    def __neg__(self):
+        return _CountedInt(-int(self))
+
+
+def test_heads_past_the_term_budget_refuse_before_the_first_term():
+    # MAX_TERMS (200,000) bounds the start frame's c-shift head and
+    # li_star's k-term tail: these ran 1e6 terms (0.25 to 0.6 s each), the
+    # last to return an imaginary part of -2.2e-9 on a real value
+    budget = r"of N = 1e\+06 terms passes the budget \|N\| <= MAX_TERMS"
+    _CountedFraction.adds = _CountedInt.subs = 0
+    with pytest.raises(AccuracyError, match="alternating-sum head " + budget):
+        numeric_transport(1, _CountedFraction(-1999999, 2), [-1, -1])
+    assert _CountedFraction.adds < 5
+    for call in (lambda: numeric_transport(1, _CountedInt(-10**6), [-1, -1]),
+                 lambda: li_star(2, _CountedInt(10**6), -1)):
+        with pytest.raises(AccuracyError, match="li_star tail " + budget):
+            call()
+    assert _CountedInt.subs == 0
+    # within the budget the same sums run
+    assert numeric_transport(1, -1000.5, [-1, -1]).kind == "regular"
+    assert li_star(2, _CountedInt(10), -1) == pytest.approx(
+        li_star(2, 10, -1), abs=0)
+    assert _CountedInt.subs == 10
 

@@ -895,6 +895,70 @@ def test_hurwitz_zeta_pole():
         hurwitz_zeta(1, 0.5)
 
 
+def _counted(monkeypatch, module, names):
+    """Count the calls of module.<name> for each name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(module, name), **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_hurwitz_zeta_is_one_head(monkeypatch):
+    # one Euler-Maclaurin sum: a c with Re c < 1/2 shifts inside the same
+    # head that Euler-Maclaurin sums (two heads and a _compose step before)
+    calls = _counted(monkeypatch, eval_core, ("_c_shift_head", "_compose"))
+    # (30-digit mpmath.zeta references)
+    for s, c, want in ((2, 0.3, 12.245364546107732),
+                       (2, -2.7, 14.769375845132315),
+                       (3, -4.5 + 0.25j,
+                        0.019659828148421859 - 11.586935209332418j)):
+        before = calls["_c_shift_head"]
+        r = hurwitz_zeta(s, c)
+        assert calls["_c_shift_head"] - before == 1, (s, c)
+        assert r.method == "euler_maclaurin"
+        assert abs(r.value - want) <= r.error_estimate, (s, c)
+    assert calls["_compose"] == 0
+
+
+def test_hurwitz_zeta_underflow_builds_no_head(monkeypatch):
+    # every term (n + 1.5)^-1e5 underflows: the whole-sum bound returns 0
+    # with the least positive double as its estimate, and no head term is
+    # built (this built 120,005 head terms to return 0 with estimate 0)
+    calls = _counted(monkeypatch, eval_core, ("_c_shift_head",))
+    for s, c in ((1e5, 1.5), (1e5 + 3e4j, 1.5 + 0.5j), (2000, 2.5)):
+        r = hurwitz_zeta(s, c)
+        assert r.value == 0 and r.error_estimate == 5e-324, (s, c)
+    assert calls["_c_shift_head"] == 0
+    # 1.5^-1500 ~ 1e-264 lies in range: the sum runs and keeps its value
+    r = hurwitz_zeta(1500, 1.5)
+    assert calls["_c_shift_head"] == 1
+    assert r.value.real == pytest.approx(1.5 ** -1500, rel=1e-12)
+
+
+def test_hurwitz_zeta_refusal_names_its_bound():
+    # far down the left half-plane the first dropped Euler-Maclaurin term
+    # stays above 0.1 tol through all six doublings of the head
+    with pytest.raises(AccuracyError, match="would not drop") as exc:
+        hurwitz_zeta(-28.5, 0.7)
+    assert 1e-13 < exc.value.bound < math.inf
+
+
+# B_2k for k = 1..13
+BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
+             Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730),
+             Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798),
+             Fraction(-174611, 330), Fraction(854513, 138),
+             Fraction(-236364091, 2730), Fraction(8553103, 6))
+
+
+def test_bernoulli_ratios_from_the_special_values():
+    for k, b in enumerate(BERNOULLI, 1):
+        assert eval_core._bernoulli_ratio(k) == b / math.factorial(2 * k)
+
+
 def test_lerch_zeta_reference():
     assert lerch_zeta(0.7, Fraction(1, 3), 0.6).value == pytest.approx(
         1.0430377044046821 + 0.29422439791660443j, abs=1e-10)

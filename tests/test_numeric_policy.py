@@ -41,6 +41,8 @@ polynomial kernel and the certified series sum each have one home.
   ``branch_numerics.finite_exit`` raises "overflows double precision",
   only those two and ``eval_core._overflows_double`` catch
   OverflowError, and no module wraps a function with ``functools.wraps``.
+* Exact rationals are built in ``special_values``: no other module calls
+  ``Fraction(...)`` once per pass of a loop or comprehension.
 """
 
 import ast
@@ -320,3 +322,30 @@ def test_no_wrapped_functions():
                 and any(alias.name == "wraps" for alias in node.names)
                 or isinstance(node, ast.Attribute) and node.attr == "wraps")
     assert _top_level_homes(found) == []
+
+
+def _repeated_parts(node):
+    """The parts of a loop or comprehension that run once per pass."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return node.body
+    if isinstance(node, ast.While):
+        return [node.test] + node.body
+    if isinstance(node, ast.DictComp):
+        parts = [node.key, node.value]
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+        parts = [node.elt]
+    else:
+        return []
+    # the first iterable is evaluated once, the rest once per outer pass
+    return (parts + [cond for gen in node.generators for cond in gen.ifs]
+            + [gen.iter for gen in node.generators[1:]])
+
+
+def test_no_fraction_built_in_a_loop():
+    # exact rationals are special_values' business: elsewhere a Fraction
+    # built per pass is a second hand-rolled exact kernel (a Bernoulli
+    # recurrence once stood in eval_core)
+    def found(node):
+        return any(_calls(part, "Fraction") for part in _repeated_parts(node))
+    assert [home for home in _top_level_homes(found)
+            if not home.startswith(KERNEL_HOME)] == []
