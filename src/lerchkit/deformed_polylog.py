@@ -67,6 +67,7 @@ from .branch_numerics import (INT_TOL, as_int, branched_power, finite_entry,
                               finite_exit, principal_log, refuse_past_budget)
 from .errors import BranchError, DomainError, TransportError
 from .eval_core import phi as _phi
+from .monodromy import _reduced
 from .special_values import _padd, _pmul, _pscale, poly_eval
 
 __all__ = [
@@ -151,11 +152,12 @@ def weyl_expand(m):
 # ---------------------------------------------------------------------------
 
 def li_star(m, k, z, tol=1e-12):
-    """Li*_m(z,-k) on C minus ((-inf,0] u [1,inf)), by the closed form
+    """Li*_m(z,-k) by the closed form
 
         z^{k+1} [ Li_m(z) + (log z)^m / m! ]
         + (-1)^m sum_{j<k} z^{j+1} / (k-j)^m,
-    with AccuracyError, naming the budget, for k > MAX_TERMS tail terms.
+    AccuracyError past k > MAX_TERMS tail terms, BranchError on [1, inf),
+    the upper-edge value on (-inf, 0) (log z = log|z| + i pi), 0 at z = 0.
     """
     zc = finite_entry("z", (z,), tol)[0]
     if k < 0 or m < 0:
@@ -166,8 +168,6 @@ def li_star(m, k, z, tol=1e-12):
         raise BranchError("Li* hits the polylog cut [1, inf)")
 
     def route():
-        # negative reals take their upper-edge values (log(-x) = log x +
-        # i pi), the same attachment convention used on every other cut
         if m == 0:
             return zc / (1.0 - zc)
         return _li_star_from(m, k, zc, zc * _phi(m, zc, 1, tol=tol).value)
@@ -369,28 +369,22 @@ def _unit_phase(c, inverse):
 
 
 def rho_word(word, m, c):
-    """Ordered product of generator matrices for a Y-free word (text, a
-    letter sequence or a reduced ``HomotopyWord``); paths read left to
-    right and the matrices multiply in the same order (validated against
-    numeric transport of concatenated loops)."""
-    from .monodromy import HomotopyWord, parse_word
-    if isinstance(word, str):
-        word = parse_word(word)
-    if isinstance(word, HomotopyWord):
-        if word.y_exponents:
-            raise DomainError("rho_word handles Z-letters only")
-        word = word.z_part
-    letters = list(word)
-    if m < 1:
+    """Ordered product of generator matrices for a word (text, letters or
+    a ``HomotopyWord``, reduced first as ``monodromy`` reads it: Y letters
+    must cancel); paths read left to right and the matrices multiply in
+    the same order (validated against numeric transport of concatenated
+    loops)."""
+    word = _reduced(word)
+    if word.y_exponents:
+        raise DomainError("rho_word handles Z-letters only")
+    if m < 1:  # the only guard for an empty word
         raise DomainError("rho wants m >= 1")
     n = m + 1
     mat = tuple(tuple(complex(i == j) for j in range(n)) for i in range(n))
-    for letter in letters:
-        if letter.kind == "Y":
-            raise DomainError("rho_word handles Z-letters only")
+    for letter in word.z_part:
         g = rho(letter.kind, m, c, inverse=(letter.exp == -1))
         mat = _matmul(mat, g.rows)
-    text = " ".join(str(x) for x in letters) if letters else "e"
+    text = str(word)
     # complex products pass double range as oo or NaN, never by raising
     return MonodromyMatrix(finite_exit("rho_word", (text, m, c), lambda: mat),
                            text, _basis_kind(c))

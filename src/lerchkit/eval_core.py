@@ -5,17 +5,17 @@ plane z not in [1, infinity) on the principal branch (powers of n+c use
 the principal log).  Four strategies cover the parameter space, tried
 in this order:
 
-series      |z| <= 0.75, Re(c) > 0 (certified tail bound from the ratio
+series      |z| <= 0.75, any c (certified tail bound from the ratio
             majorant at the current n, asked for 0.5 tol)
 reflection  Re(s) <= 0, |z| > 0.75, |z - 1| >= 4 pi 1e-8, Re(c) 1e-8 or
             more from any integer: a signed c-shift into 0 < Re(c') < 1
             and the three-term formula in Lerch-zeta coordinates
             (a = Log z / 2 pi i, semi-principal Log), prefactors c_0(s),
             c_1(s) of ``c_coeff``; its Phi terms live at Re(1 - s) > 1/2
-c_shift     other Re(c) < 1/16: Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} +
-            z^N Phi(s,z,c+N), N = ceil(1 - Re c), pushes Re(c) to 1 or
-            above, then re-dispatches (for Re(c) > 0 the integral takes
-            over if the shift refuses)
+c_shift     |z| > 0.75, other Re(c) < 1/16: Phi(s,z,c) = sum_{k<N} z^k
+            (c+k)^{-s} + z^N Phi(s,z,c+N), N = ceil(1 - Re c), pushes
+            Re(c) to 1 or above, then re-dispatches (for Re(c) > 0 the
+            integral takes over if the shift refuses)
 integral    the rest: Gamma(s)^{-1} int_0^inf t^{s-1} e^{-ct} /
             (1 - z e^{-t}) dt for any s (integrated by parts j times
             below Re(s) = 1/2, so that Re(s+j) >= 1/2, unless the pole at
@@ -163,28 +163,31 @@ def _exp_rounding(w, term):
 # strategy: direct series
 # ---------------------------------------------------------------------------
 
-def _series_region(zc, cc):
-    """The dispatcher's series region |z| <= 0.75, Re(c) > 0 (complex z, c)."""
-    return abs(zc) <= 0.75 and cc.real > 0
+def _series_region(zc):
+    """The dispatcher's series region |z| <= 0.75 (complex z), any c."""
+    return abs(zc) <= 0.75
 
 
 def phi_series(s, z, c, tol=1e-12):
     """Direct summation of sum z^n (n+c)^{-s} with a certified tail bound.
 
-    Works for |z| < 1 and any s (the geometric factor wins eventually);
-    for Re(c) <= 0 the finitely many terms with Re(n+c) <= 0 simply go
-    through the principal branched power like all the others.
+    Works for |z| < 1 and any s and c (the geometric factor wins
+    eventually); for Re(c) <= 0 the finitely many terms with Re(n+c) <= 0
+    simply go through the principal branched power like all the others.
 
-    The tail majorant is taken at the current n.  For k >= n >= |c| + 2,
-    Re(k+c) >= 2, so u = 1/(k+c) has Re u >= 0, where
-    |Log(1 + u)| <= |u| <= 1/(n - |c|), and
-    |t_{k+1}/t_k| <= rho(n) = |z| e^{|s|/(n - |c|)}, which falls with n;
+    The tail majorant is taken at the current n.  For k >= n >= 2 - Re c,
+    |k+c| >= Re(k+c) = k + Re c >= 2, so u = 1/(k+c) has Re u >= 0, where
+    |Log(1 + u)| <= |u| <= 1/(n + Re c), and
+    |t_{k+1}/t_k| <= rho(n) = |z| e^{|s|/(n + Re c)}, which falls with n;
     once rho(n) < 1 the tail from n is at most |t_n| / (1 - rho(n)).
     The sum stops at the first such n where that bound is below half of
-    tol, which leaves the other half for the rounding.  The estimate is
-    the tail bound plus the rounding of each drawn term e^w,
-    w = n Log z - s Log(n+c) (``_exp_rounding``).  A term beyond double
-    range raises ``AccuracyError``.  For Re s > 0 the whole sum is at most
+    tol, which leaves the other half for the rounding.  Where
+    max(2 - Re c, |s| / (-log|z|) - Re c) > MAX_TERMS no n within that
+    budget has rho(n) < 1, and the call raises ``AccuracyError`` naming
+    it before it draws a term.  The estimate is the tail bound plus the
+    rounding of each drawn term e^w, w = n Log z - s Log(n+c)
+    (``_exp_rounding``).  A term beyond double range raises
+    ``AccuracyError``.  For Re s > 0 the whole sum is at most
     M = e^{theta |Im s|} (min_n |n + c|)^{-Re s} / (1 - |z|), theta = |Arg c|
     (``_log_sum_bound``); where M lies below the least positive double
     the value is 0, with that double as its estimate, and no term is
@@ -233,10 +236,12 @@ def _series_sum(sc, zc, cc, tol):
             # the whole sum lies below the least positive double
             return EvalResult(0j, "series", _TINY)
     lz = cmath.log(zc)
-    ac = abs(cc)
-    n_min = ac + 2.0
+    n_min = 2.0 - cc.real
     sa = abs(sc)
-    q_max = -lz.real  # rho(n) < 1 exactly when q = |s|/(n - |c|) < -log|z|
+    # rho(n) < 1 exactly when q = |s|/(n + Re c) < -log|z| = q_max > 0
+    q_max = -math.log(abs(zc))
+    # that is when n > |s| / q_max - Re c: past the budget, no term is drawn
+    refuse_past_budget("series", max(0.0, n_min, sa / q_max - cc.real))
     target = 0.5 * tol
     # principal_log only turns a -0.0 imaginary part into +0.0 and rejects
     # 0, which the c guard already excludes: with that sign set once
@@ -245,16 +250,15 @@ def _series_sum(sc, zc, cc, tol):
         cc = complex(cc.real, 0.0)
     log = cmath.log
 
-    # rho = |z| e^q.  The factor books the rounding of log|z| and exp.
-    # That of q, a few EPS (1 + |c|/(n - |c|)) relative, lies inside the
-    # ratio bound's slack: |Log(1 + u)| <= |u| (1 - |u|^2/8) for Re u >= 0,
-    # |u| <= 1/2, and below MAX_TERMS, n - |c| and |c| stay under 2e5
+    # rho = |z| e^q.  The factor books the rounding of log|z|, of q - q_max,
+    # of exp and of q itself: n + Re c is one rounding of exact operands, so
+    # q is within 2 EPS of |s|/(n + Re c), relative, and q < q_max
     round_up = 1.0 + 4.0 * EPS * (q_max + 2.0)
     rounding = 0.0
 
     def terms():
         # (t_n, bound on the tail from n): |t_n| / (1 - rho(n)) once
-        # n >= |c| + 2, |t_n| <= target and rho(n) < 1, else inf
+        # n >= 2 - Re c, |t_n| <= target and rho(n) < 1, else inf
         nonlocal rounding
         for n in count():
             w = n * lz - sc * log(n + cc)
@@ -263,7 +267,7 @@ def _series_sum(sc, zc, cc, tol):
             rounding += (abs(w) + 4.0) * at  # _exp_rounding / EPS
             b = math.inf
             if n >= n_min and at <= target:
-                q = sa / (n - ac)
+                q = sa / (n + cc.real)
                 if q < q_max:  # else rho >= 1, and exp(q) might overflow
                     rho = math.exp(q - q_max) * round_up
                     if rho < 1.0:
@@ -608,12 +612,12 @@ def _exact_rational_case(s, z, c):
 def phi(s, z, c, tol=1e-12):
     """Evaluate Phi(s, z, c) on the principal branch, auto-dispatched.
 
-    Routes in the order of the module docstring: exact rational, series,
-    reflection, c_shift (the integral takes what a shift with
-    0 < Re c < 1/16 refuses), integral.  Input that ``finite_entry``
-    refuses raises DomainError before any route runs, a point that
-    ``classify_stratum`` calls singular raises StratumError with its tag
-    (z = oo is singular_zinf), the cut [1, oo) raises BranchError, and an
+    Routes in the order of the module docstring: exact rational, series
+    (any c in |z| <= 0.75), reflection, c_shift (the integral takes what a
+    shift with 0 < Re c < 1/16 refuses), integral.  Input that
+    ``finite_entry`` refuses raises DomainError before any route runs, a
+    point that ``classify_stratum`` calls singular StratumError with its
+    tag (z = oo is singular_zinf), the cut [1, oo) BranchError, and an
     overflow, or a value or estimate that is not finite, AccuracyError.
     """
     sc, zc, cc = finite_entry("s z c", (s, z, c), tol)
@@ -624,11 +628,11 @@ def phi(s, z, c, tol=1e-12):
 
 def _dispatch(sc, zc, cc, tol):
     """``phi``'s numeric routes, for a point off the singular strata."""
-    if _series_region(zc, cc):
+    if _series_region(zc):
         return _series_sum(sc, zc, cc, tol)
     # next to an integer Re c the reflection meets c + k = 0 or an inner z = 1,
     # within 2 pi NEAR of z = 1 an inner c = a or 1 - a, |a| ~ |z - 1| / 2 pi
-    if (sc.real <= 0 and abs(zc) > 0.75 and NEAR <= cc.real % 1.0 <= 1.0 - NEAR
+    if (sc.real <= 0 and NEAR <= cc.real % 1.0 <= 1.0 - NEAR
             and abs(zc - 1.0) >= 2.0 * _2PI * NEAR):
         _guard_cut(zc)  # raises BranchError on [1, oo)
         return _reflect_with_c_normalization(sc, zc, cc, tol)
@@ -744,6 +748,7 @@ def extended_polylog(s, z, c, tol=1e-12):
     """Li_s(z, c) = z * Phi(s, z, c); Li_s(z, 1) is the classical polylog."""
     zc = finite_entry("s z c", (s, z, c), tol)[1]
     if zc == 0:
+        _refuse_singular(None, c)  # as phi_series does at z = 0
         return EvalResult(0j, "series", 0.0)
     inner = phi(s, z, c, tol=tol)
     exact = None

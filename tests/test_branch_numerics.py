@@ -16,7 +16,7 @@ from lerchkit.branch_numerics import (EPS, QuadResult, branched_power,
                                       principal_log, quad_semiaxis,
                                       reciprocal_gamma, semi_principal_log,
                                       sum_with_tail_bound)
-from lerchkit.errors import AccuracyError, DomainError
+from lerchkit.errors import AccuracyError, DomainError, PoleError
 
 
 def test_principal_log_range_and_edge():
@@ -67,6 +67,12 @@ def test_complex_gamma_known_values():
     g = complex_gamma(0.5 + 1j)
     assert abs(g) ** 2 == pytest.approx(math.pi / math.cosh(math.pi),
                                         rel=1e-11)
+
+
+def test_complex_gamma_refuses_its_poles():
+    for s in (0, -3, -3.0 + 0j):
+        with pytest.raises(PoleError, match="gamma pole"):
+            complex_gamma(s)
 
 
 def test_gamma_rel_error_covers_gamma_and_its_reciprocal():

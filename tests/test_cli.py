@@ -173,6 +173,22 @@ def test_monodromy_overflow_exits_three(capsys):
         assert "overflows double precision" in err and err.count("\n") == 1
 
 
+def test_monodromy_text_ledger(capsys):
+    # one line per ledger term between the base value and the totals
+    code, out, _ = run(capsys, "monodromy", "--word", "Z1 Y-1",
+                       "--s", "1/2", "--z", "0.5+0.5i", "--c", "1/2")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "base", "Y-1^1", "(Z0^0", "monodromy", "branch"]
+    bv = lerchkit.branch_value("Z1 Y-1", Fraction(1, 2), 0.5 + 0.5j,
+                               Fraction(1, 2))
+    for (label, value), line in zip(bv.contributions, lines[1:3]):
+        assert line.strip().startswith(label)
+        assert complex(line.split()[-1].replace("i", "j")) == pytest.approx(
+            value, abs=1e-10)
+
+
 def test_monodromy_bad_word(capsys):
     code, _, err = run(capsys, "monodromy", "--word", "Q3",
                        "--s", "1/2", "--z", "-1", "--c", "1/2")
@@ -199,6 +215,19 @@ def test_special_point_value(capsys):
     assert code == 1  # --z needs --c
 
 
+def test_special_decimal_point_value(capsys):
+    # a decimal z or c gives a float value, in text and in JSON:
+    # Li_{-1}(z, c) = z (z / (1 - z)^2 + c / (1 - z)) = 1.25
+    code, out, _ = run(capsys, "special", "--m", "1",
+                       "--z", "0.5", "--c", "0.25")
+    assert code == 0
+    assert out.splitlines()[-1] == "Li_{-1}(0.5, 0.25) = 1.25"
+    code, out, _ = run(capsys, "special", "--m", "1",
+                       "--z", "0.5", "--c", "0.25", "--json")
+    doc = json.loads(out)
+    assert (doc["li"], doc["li_exact"]) == ([1.25, 0.0], False)
+
+
 def test_ode_identity_matrix(capsys):
     code, out, _ = run(capsys, "ode", "--m", "1", "--c", "1", "--matrices",
                        "--json")
@@ -217,6 +246,19 @@ def test_ode_coeffs_and_class(capsys):
     assert doc["class"] == "quasi-unipotent"
     rows = {r["k"]: r for r in doc["coeffs"]}
     assert rows[2]["alpha"] == [-1] and rows[2]["beta"] == [1]
+
+
+def test_ode_coeffs_and_class_text(capsys):
+    code, out, _ = run(capsys, "ode", "--m", "1", "--c", "1/2",
+                       "--coeffs", "--class")
+    assert code == 0
+    assert out.splitlines() == [
+        "operator z^k d^k coefficients (alpha_k z + beta_k) z^k,",
+        "polynomials in c, ascending:",
+        "  k=0: alpha=[0] beta=[1, -1]",
+        "  k=1: alpha=[0, -1] beta=[-1, 1]",
+        "  k=2: alpha=[-1] beta=[1]",
+        "class = quasi-unipotent"]
 
 
 @pytest.mark.parametrize("m", ["0", "-3"])
@@ -290,6 +332,16 @@ def test_verify_suite_passes(capsys):
     assert "suite spence:" in out
 
 
+def test_verify_json(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "spence", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["schema"], doc["command"], doc["suite"]) == (
+        "lerch-kit/1", "verify", "spence")
+    assert doc["passed"] and doc["checks"]
+    assert all(check["passed"] for check in doc["checks"])
+
+
 def test_verify_failure_exits_one(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "ladders",
                        "--tol", "1e-30")
@@ -322,6 +374,19 @@ def test_sweep_csv_stdout(capsys):
         want = phi(2, z, 1).value
         assert float(row["value_re"]) == pytest.approx(want.real, rel=1e-9)
         assert row["error"] == ""
+
+
+def test_sweep_extended_polylog(capsys):
+    # Li_s(z, c) = z Phi(s, z, c), which is 0 at z = 0
+    code, out, _ = run(capsys, "sweep", "--expr", "li",
+                       "--grid", "z=-1/2:1/2:3", "--s", "2", "--c", "1")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["method"] for row in rows] == ["series"] * 3
+    for row in rows:
+        z = float(row["z_re"])
+        want = lerchkit.extended_polylog(2, z, 1).value
+        assert complex(float(row["value_re"]), float(row["value_im"])) == want
 
 
 def test_sweep_exact_grid_flags_bad_rows(capsys):

@@ -272,6 +272,8 @@ def test_rho_rejects_bad_input():
         rho_word("Z1 Y0", 1, Fraction(1, 2))
     with pytest.raises(DomainError, match="Z-letters only"):
         rho_word([GeneratorLetter("Z0"), GeneratorLetter("Y", 1, -2)], 2, 0.3)
+    with pytest.raises(DomainError, match="m >= 1"):
+        rho_word("", 0, 0.3)  # no letter for rho to refuse m = 0
 
 
 def test_rho_word_orders_left_to_right():
@@ -290,6 +292,10 @@ def test_rho_word_takes_a_reduced_word():
     assert rho_word(word, 2, 0.3).rows == rho_word("Z0 Z1", 2, 0.3).rows
     assert rho_word(reduce_word(parse_word("Y0 Y0^-1")), 2, 0.3).rows \
         == rho_word("", 2, 0.3).rows
+    # text and letters are read the same way: reduced first
+    assert rho_word("Y0 Y0^-1", 2, 0.3) == rho_word("", 2, 0.3)
+    assert rho_word("Z0 Z0^-1 Z1", 2, 0.3) == rho_word("Z1", 2, 0.3)
+    assert rho_word("Z0 Z0^-1 Z1", 2, 0.3).generator == "Z1"
     with pytest.raises(DomainError):
         rho_word(reduce_word(parse_word("Z0 Y1")), 2, 0.3)
 

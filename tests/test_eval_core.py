@@ -45,7 +45,7 @@ PHI_REFERENCE = [
     ((0.5, -3.7 + 2.2j, 2.4),
      0.13721183877298285 + 0.059461791130823644j, "integral"),
     ((1.7, 0.3, -0.8 + 0.4j),
-     -0.49396193317903886 + 0.038080102132662497j, "c_shift"),
+     -0.49396193317903886 + 0.038080102132662497j, "series"),
     ((-0.7, 1.8 + 1.1j, 0.65),
      -0.43696668415568207 - 0.44367951781037279j, "reflection"),
 ]
@@ -136,6 +136,7 @@ def test_singular_strata_raise():
 def test_c_next_to_a_pole_is_classified_singular():
     # one radius, 1e-8, for the classifier and for phi's refusal
     assert classify_stratum(2, 0.5, -1 + 1e-10).tag == "singular_c"
+    assert str(classify_stratum(2, 0.5, -1 + 1e-10)) == "singular_c"
     with pytest.raises(StratumError) as exc:
         phi(2, 0.5, -1 + 1e-10)
     assert exc.value.stratum == "singular_c"
@@ -755,6 +756,29 @@ def test_small_positive_re_c_loses_no_box_point():
     assert met == 44
 
 
+def test_the_disk_takes_only_the_series(monkeypatch):
+    # inside |z| <= 0.75 every c goes to the series: the 540 points with
+    # Re c <= 0 among the first 512 `box` points of seeds 1-10 took a
+    # c-shift, whose _compose step re-entered phi for the same series
+    detours = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            detours.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    disk = [(s, z, c) for seed in range(1, 11)
+            for s, z, c in _box_points(seed, 512)
+            if abs(complex(z)) <= 0.75 and complex(c).real <= 0]
+    assert len(disk) == 540
+    for name in ("phi_c_shift", "_compose"):
+        monkeypatch.setattr(eval_core, name,
+                            counted(name, getattr(eval_core, name)))
+    assert {phi(s, z, c).method for s, z, c in disk} == {"series"}
+    assert not detours, detours
+
+
 def test_box_refusals_are_cheap(monkeypatch):
     # integrand calls made inside refused phi calls over the first 512
     # `box` points of seeds 1-3 (238,049 in 136 refusals when written,
@@ -789,12 +813,68 @@ def test_series_and_c_shift_estimates_count_rounding():
         ((-5.0869395887717115 - 13.470993156162384j,
           0.47103574121391695 + 0.06699454017307174j,
           -0.6971916345695499 + 1.370167061411455j),
-         2.870094391816123e-05 - 0.0029166024155722033j, "c_shift"),
+         2.870094391816123e-05 - 0.0029166024155722033j, "series"),
     ]
     for (s, z, c), want, method in cases:
         res = phi(s, z, c)
         assert res.method == method
         assert abs(res.value - want) <= res.error_estimate <= 1e-11, (s, z, c)
+    # the second point inside the disk is a series point; its head of two
+    # terms still checks the c-shift's rounding
+    (s, z, c), want, _ = cases[1]
+    res = phi_c_shift(s, z, c, 2)
+    assert res.method == "c_shift"
+    assert abs(res.value - want) <= res.error_estimate <= 1e-11
+
+
+def _count_series_terms(monkeypatch):
+    """[terms drawn by eval_core's sum_with_tail_bound], a live count."""
+    drawn = [0]
+    summed = eval_core.sum_with_tail_bound
+
+    def counted(terms, *args, **kwargs):
+        def each():
+            for term in terms:
+                drawn[0] += 1
+                yield term
+        return summed(each(), *args, **kwargs)
+
+    monkeypatch.setattr(eval_core, "sum_with_tail_bound", counted)
+    return drawn
+
+
+def test_series_majorant_reads_re_c(monkeypatch):
+    # for k >= n >= 2 - Re c, |k + c| >= k + Re c, so the ratio bound
+    # holds at once for large Re c or |Im c|; read from n >= |c| + 2 it
+    # drew 200,000 terms and refused; past Re c = MAX_TERMS the budget
+    # test must not count the n below 0.  30-digit direct sums of 200
+    # terms, whose omitted tails lie below 0.6^200
+    mpmath = pytest.importorskip("mpmath")
+    drawn = _count_series_terms(monkeypatch)
+    for s, z, c in ((2, 0.5, 1 + 3e5j), (0.5, 0.6, 200000.3),
+                    (0.5, 0.6, 1e10)):
+        drawn[0] = 0
+        res = phi(s, z, c)
+        assert res.method == "series" and drawn[0] < 100
+        with mpmath.workdps(30):
+            want = complex(mpmath.fsum(
+                mpmath.mpf(z) ** n * (n + mpmath.mpmathify(c)) ** -s
+                for n in range(200)))
+        assert abs(res.value - want) <= res.error_estimate <= 1e-12
+
+
+def test_series_past_the_term_budget_refuses_before_the_first_term(
+        monkeypatch):
+    # no n within MAX_TERMS has n >= 2 - Re c (first point) or
+    # rho(n) < 1, that is n > |s| / log 2 - Re c = 4.3e5 (second); the
+    # second drew 200,000 terms (0.1 s) before it refused
+    drawn = _count_series_terms(monkeypatch)
+    budget = r"series of N = %s terms passes the budget \|N\| <= MAX_TERMS"
+    for (s, z, c), n in (((2.5, 0.5, -300000.7), r"3e\+05"),
+                         ((3e5j, 0.5, 1.5), r"4\.33e\+05")):
+        with pytest.raises(AccuracyError, match=budget % n):
+            phi(s, z, c)
+    assert drawn[0] == 0
 
 
 def test_integral_estimate_counts_the_dropped_left_tail():
@@ -1028,6 +1108,12 @@ def test_extended_polylog():
     assert extended_polylog(1.5, 0.4 + 0.3j, 0.9).value == pytest.approx(
         0.47585713476472391 + 0.46952688382619379j, abs=1e-10)
     assert extended_polylog(2, 0, 1).value == 0j
+    assert extended_polylog(2, 0, 0.5).value == 0j
+    # z = 0 still tests c, as phi_series does: c = 0, -1 are singular
+    for c in (0, -1):
+        with pytest.raises(StratumError) as exc:
+            extended_polylog(2, 0, c)
+        assert exc.value.stratum == "singular_c"
     # the exact path: Li_{-2}(1/3, 1/2) = (1/3) Phi(-2, 1/3, 1/2)
     assert extended_polylog(-2, Fraction(1, 3), Fraction(1, 2)).exact \
         == Fraction(7, 8)

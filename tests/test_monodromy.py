@@ -424,6 +424,8 @@ def test_letter_inverse_and_validation():
     assert L("Y", -1, 2).inverse() == L("Y", 1, 2)
     with pytest.raises(ValueError):
         L("Z0", 2)       # exponents are +-1 after expansion
+    with pytest.raises(ValueError, match="kind must be Z0, Z1 or Y"):
+        L("Z2")
     with pytest.raises(ValueError):
         L("Y", 1)        # Y needs an index
     with pytest.raises(ValueError):
@@ -444,3 +446,10 @@ def test_homotopy_word_is_hashable_and_ordered():
     assert hash(w1) == hash(w2)
     w3 = reduce_word(parse_word("Z0 Z0^-1 Y-2 Y0 Y3 Z1 Y3^-1"))
     assert len({w1, w2, w3, reduce_word([])}) == 2
+
+
+def test_homotopy_word_text():
+    # Z letters in order, then each Y with its net exponent; e when empty
+    assert str(reduce_word(parse_word("Z0 Z1^-1 Y-2^3 Y1 Z1 Z1^-1"))) \
+        == "Z0 Z1^-1 Y-2^3 Y1^1"
+    assert str(HomotopyWord()) == "e"

@@ -23,6 +23,9 @@ polynomial kernel and the certified series sum each have one home.
   Phi(s,z,c) = sum_k z^k (c+k)^{-s} + z^N Phi(s,z,c+N) once: only
   ``_c_shift_head`` holds a loop or comprehension over ``branched_power``
   or ``principal_log``, and Euler-Maclaurin takes its head from it.
+* The series region has one home: no ``eval_core`` function but
+  ``_series_region`` holds the disk radius 0.75; ``_dispatch`` asks it
+  first, so every later route lies outside the disk.
 * ``eval_core`` has one Mellin integral: only ``_mellin`` calls
   ``quad_semiaxis``; ``phi_integral`` (past its z guards) and
   ``periodic_zeta`` (z Phi(s, z, 1)) both reach it.
@@ -179,6 +182,14 @@ def test_one_c_shift_identity():
                           or _calls(loop, "principal_log"))
                      for loop in ast.walk(fn))]
     assert homes == ["_c_shift_head"], homes
+
+
+def test_one_disk_radius():
+    tree = ast.parse((SRC / "eval_core.py").read_text())
+    holders = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(node, ast.Constant) and node.value == 0.75
+                       for node in ast.walk(fn))]
+    assert holders == ["_series_region"], holders
 
 
 def test_one_mellin_integral():

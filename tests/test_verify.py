@@ -88,7 +88,7 @@ def test_ladder_up_catches_a_wrong_phi_in_series_mode(monkeypatch):
 
 
 SERIES_GRID = [p for p in verify._LADDER_GRID
-               if eval_core._series_region(complex(p[1]), complex(p[2]))]
+               if eval_core._series_region(complex(p[1]))]
 
 
 def test_ladder_down_catches_a_wrong_phi_in_series_mode(monkeypatch):
@@ -100,7 +100,7 @@ def test_ladder_down_catches_a_wrong_phi_in_series_mode(monkeypatch):
     def skewed(s, z, c, tol=1e-12):
         r = real(s, z, c, tol=tol)
         sc, zc, cc = complex(s), complex(z), complex(c)
-        if not eval_core._series_region(zc, cc):
+        if not eval_core._series_region(zc):
             return r
         return r._replace(value=r.value + 1e-6 * zc * cc ** -sc)
 
@@ -191,6 +191,19 @@ def test_three_term_rejects_points_off_the_cylinder():
         check_lerch_three_term(1.5, 0.5, 0.5)
     with pytest.raises(DomainError):
         check_four_term(0.5, 0.5, 1.2)
+    with pytest.raises(DomainError, match="parity must be"):
+        check_four_term(0.4, 0.3, 0.7, parity=0)
+
+
+def test_ladder_down_right_of_the_cut():
+    # Re z >= 1 off the cut: the circle's radius is 0.05 |Im z|
+    r = check_ladder_down(2, 1.5 + 0.5j, 0.7)
+    assert r.passed and r.rel_residual < 1e-13, r.to_dict()
+
+
+def test_pde_refuses_an_unknown_target():
+    with pytest.raises(ValueError, match="target must be"):
+        check_pde(2, 0.5, 0.5, target="x")
 
 
 # ---------------------------------------------------------------------------
