@@ -48,7 +48,11 @@ b_{m-1} has v_0 = 0 and moves in closed form; only the lead chain's m
 forced parts F_k and v_0's geometric series are summed, to degree 30 in
 the scaled coefficients A_q h^q.  A step is accepted when the two
 dropped terms of each of these m+1 series stay below
-1e-10 * max(1, |value|), and halved otherwise.
+1e-10 * max(1, |value|), and halved otherwise.  Along a path v_0 and the
+steps are the same for every c and m, so the c-independent half of a
+step, the recurrence's rates and v_0's series, is a step record keyed on
+v_0(z0), z0, h and the degree: every transport that takes the step
+shares it, from a cache bounded at 256 records.
 
 Matrices are tuples of rows of Python complex numbers, multiplied,
 factored and solved by one small LU kernel with partial pivoting.  Only
@@ -62,6 +66,7 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .branch_numerics import (INT_TOL, as_int, branched_power, finite_entry,
                               finite_exit, principal_log, refuse_past_budget)
@@ -464,6 +469,12 @@ def _check_path(path):
     if abs(path[0] - _BASE) > 1e-9 or abs(path[-1] - _BASE) > 1e-9:
         raise TransportError("transport paths start and end at z = -1")
     for a, b in zip(path, path[1:]):
+        # [a, b] lies within |b - a| / 2 of its midpoint, so a midpoint
+        # farther than that plus 0.1 from 0 and from 1 clears both
+        reach = 0.5 * abs(b - a) + 0.1
+        mid = 0.5 * (a + b)
+        if abs(mid) > reach and abs(mid - 1.0) > reach:
+            continue
         if min(_seg_dist(a, b, 0.0), _seg_dist(a, b, 1.0)) < 0.1 - 1e-12:
             raise TransportError("path strays within 0.1 of a singular point")
 
@@ -537,31 +548,47 @@ def _start_frame(m, c):
 
 
 def _taylor_weights(c, n):
-    """The chain recurrence's lists [1/(q+1)] and [q+c-1], q < n, built
+    """The chain recurrence's c-dependent list [q + c - 1], q < n, built
     once per transport."""
     cc = complex(c)
-    return [1.0 / (q + 1) for q in range(n)], [q + cc - 1.0 for q in range(n)]
+    return [q + cc - 1.0 for q in range(n)]
 
 
-def _forced_taylor(v0, z0, h, m, weights):
+@lru_cache(maxsize=None)
+def _reciprocals(n):
+    """(1/(q+1) for q < n), one table per degree n."""
+    return tuple(1.0 / (q + 1) for q in range(n))
+
+
+@lru_cache(maxsize=256)
+def _step_record(v0, z0, h, n):
+    """The c-independent half of a Taylor step of degree n from z0 to
+    z0 + h with v_0(z0) = v0, as two tuples: the recurrence's rates
+    h / (z0 (q + 1)), q < n, and v_0's scaled coefficients
+    W_{0,q} = v0 / z0 * (h / (1 - z0))^q, q = 1..n, with W_{0,0} = v0.
+    Along a path v_0 and the steps are the same for every c and m, so
+    every transport that takes the step shares one record."""
+    # rate[q] = h / (z0 (q + 1))
+    rate = tuple(map(operator.mul, itertools.repeat(h / z0), _reciprocals(n)))
+    below = list(itertools.accumulate(
+        itertools.repeat(h / (1.0 - z0), n), operator.mul, initial=v0 / z0))
+    below[0] = v0
+    return rate, tuple(below)
+
+
+def _forced_taylor(v0, z0, h, m, shift):
     """Scaled Taylor coefficients W_q = A_q h^q about z0, q = 0..n with
-    n = len(weights[0]), of v_0 and of the forced parts F_1..F_m of the
-    lead chain, from weights = _taylor_weights(c, n) and v0 = v_0(z0).
+    n = len(shift), of v_0 and of the forced parts F_1..F_m of the
+    lead chain, from shift = _taylor_weights(c, n) and v0 = v_0(z0).
     Their sums are the values at z0 + h.
 
-    v_0 solves (1 - z) z v_0' = v_0, so it is a multiple of z / (1 - z):
-    W_{0,q} = v0 / z0 * (h / (1 - z0))^q for q >= 1.  F_k solves
-    z F_k' = F_{k-1} - (c - 1) F_k with F_0 = v_0 and F_k(z0) = 0, so
-    W_{k,0} = 0 and
+    v_0 solves (1 - z) z v_0' = v_0, so it is a multiple of z / (1 - z),
+    and its coefficients come with the rates from ``_step_record``.  F_k
+    solves z F_k' = F_{k-1} - (c - 1) F_k with F_0 = v_0 and F_k(z0) = 0,
+    so W_{k,0} = 0 and
     W_{k,q+1} = (W_{k-1,q} - (q + c - 1) W_{k,q}) h / (z0 (q + 1)).
     """
-    inv, shift = weights
-    # rate[q] = h / (z0 (q + 1))
-    rate = list(map(operator.mul, itertools.repeat(h / z0), inv))
-    below = list(itertools.accumulate(
-        itertools.repeat(h / (1.0 - z0), len(inv)), operator.mul,
-        initial=v0 / z0))
-    below[0] = v0
+    rate, below = _step_record(v0, z0, h, len(shift))
     out = [below]
     for _ in range(m):
         v = 0j
@@ -571,47 +598,15 @@ def _forced_taylor(v0, z0, h, m, weights):
     return out
 
 
-def numeric_transport(m, c, path):
-    """Continue the full solution frame of D_{m+1}^c along a polyline
-    (start = end = -1), and express the continued basis in the original
-    one.
-
-    The frame is carried in chain coordinates v_k = (theta + c - 1)^{m-k} y,
-    k = 0..m, in which the operator is the first-order system
-    (1 - z) z v_0' = v_0, z v_k' = v_{k-1} - (c - 1) v_k.  Two chains
-    carry all m+1 columns: the lead column's and that of b_{m-1}, whose
-    shifts give every other log column (``_chain_columns``).  A step h from
-    z0, at most 0.4 times the distance to {0, 1}, takes L = Log(1 + h/z0)
-    and E = e^{(1-c) L}.  With v_0 fixed the system is unipotent in log z:
-    in t = log z it reads dv_k/dt = v_{k-1} - (c - 1) v_k, so e^{(c-1) t} v_k
-    is a polynomial in t, and each v_k, k >= 1, moves to
-    E sum_{j=1..k} v_j L^{k-j} / (k-j)! plus a forced part F_k, zero at z0
-    and driven by v_0.  The chain of b_{m-1} has v_0 = 0 and takes that
-    closed form alone, with no truncation.  The lead chain adds its
-    F_1..F_m, summed with v_0's geometric series from the scaled
-    coefficients A_q h^q to degree 30 (``_forced_taylor``).  The step is
-    accepted when, for each of these m+1 series, the two dropped terms
-    stay below 1e-10 * max(1, |new chain value|), and halved otherwise.
-    M = S^-1 F is the same in chain and jet coordinates, since the start
-    frame S and the end frame F are both taken at z = -1.
-
-    S is refused when its 1-norm condition number kappa_1 = |S|_1 |S^-1|_1
-    exceeds 1e12.  With n = m + 1 it lies within a factor n of the 2-norm
-    kappa_2 that numpy's ``cond`` gives: kappa_2 / n <= kappa_1 <= n kappa_2.
-    For INT_TOL < dist(c, Z<=0) < NEAR the basis is regular and S nearly
-    degenerate: refused there for m <= 3 on both loops; ``rho`` returns.
-    The path is refused when max/min |z^{1-c}| along it exceeds about 9e5
-    (``_MAX_SWING``), a factor by which the lead row of M loses accuracy.
-    """
-    if m < 1:
-        raise DomainError("transport wants m >= 1")
-    path = [complex(p) for p in path]
+def _transport_rows(m, c, path):
+    """The rows of ``numeric_transport``'s matrix, for a path of finite
+    complex vertices."""
     _check_path(path)
     S = _start_frame(m, c)
     fac = _lu(S)
     if _cond1(S, fac) > 1e12:
         raise TransportError("degenerate start frame")
-    weights = _taylor_weights(c, _N_TAYLOR)
+    shift = _taylor_weights(c, _N_TAYLOR)
     one_c = 1.0 - complex(c)
     lead = [row[0] for row in S]
     logs = [row[1] for row in S[1:]]
@@ -624,7 +619,7 @@ def numeric_transport(m, c, path):
             direction = (b - pos) / abs(b - pos)
             for _ in range(40):
                 step = h * direction
-                series = _forced_taylor(lead[0], pos, step, m, weights)
+                series = _forced_taylor(lead[0], pos, step, m, shift)
                 # with v_0 fixed, v_1..v_k move by E times a Pascal matrix
                 # in L: new v_k = sum_{j<=k} flow[k-j] v_j + F_k
                 L = cmath.log(1.0 + step / pos)
@@ -649,7 +644,56 @@ def numeric_transport(m, c, path):
         raise TransportError("|z^(1-c)| swings by more than %.3g along "
                              "the path" % _MAX_SWING)
     # row i of the result solves S x = (chain of basis entry i at the end)
+    return tuple(tuple(_lu_solve(fac, col))
+                 for col in _chain_columns(lead, logs))
+
+
+def numeric_transport(m, c, path):
+    """Continue the full solution frame of D_{m+1}^c along a polyline
+    (start = end = -1), and express the continued basis in the original
+    one.
+
+    The frame is carried in chain coordinates v_k = (theta + c - 1)^{m-k} y,
+    k = 0..m, in which the operator is the first-order system
+    (1 - z) z v_0' = v_0, z v_k' = v_{k-1} - (c - 1) v_k.  Two chains
+    carry all m+1 columns: the lead column's and that of b_{m-1}, whose
+    shifts give every other log column (``_chain_columns``).  A step h from
+    z0, at most 0.4 times the distance to {0, 1}, takes L = Log(1 + h/z0)
+    and E = e^{(1-c) L}.  With v_0 fixed the system is unipotent in log z:
+    in t = log z it reads dv_k/dt = v_{k-1} - (c - 1) v_k, so e^{(c-1) t} v_k
+    is a polynomial in t, and each v_k, k >= 1, moves to
+    E sum_{j=1..k} v_j L^{k-j} / (k-j)! plus a forced part F_k, zero at z0
+    and driven by v_0.  The chain of b_{m-1} has v_0 = 0 and takes that
+    closed form alone, with no truncation.  The lead chain adds its
+    F_1..F_m, summed with v_0's geometric series from the scaled
+    coefficients A_q h^q to degree 30 (``_forced_taylor``).  The step is
+    accepted when, for each of these m+1 series, the two dropped terms
+    stay below 1e-10 * max(1, |new chain value|), and halved otherwise.
+    The half of a step that does not depend on c, the rates
+    h / (z0 (q + 1)) and v_0's series, is a step record
+    (``_step_record``): every transport that takes the step, whatever its
+    c and m, shares it from a cache bounded at 256 records, and the
+    matrices are bit for bit those of rebuilding it at each step.
+    M = S^-1 F is the same in chain and jet coordinates, since the start
+    frame S and the end frame F are both taken at z = -1.
+
+    S is refused when its 1-norm condition number kappa_1 = |S|_1 |S^-1|_1
+    exceeds 1e12.  With n = m + 1 it lies within a factor n of the 2-norm
+    kappa_2 that numpy's ``cond`` gives: kappa_2 / n <= kappa_1 <= n kappa_2.
+    For INT_TOL < dist(c, Z<=0) < NEAR the basis is regular and S nearly
+    degenerate: refused there for m <= 3 on both loops; ``rho`` returns.
+    The path is refused when max/min |z^{1-c}| along it exceeds about 9e5
+    (``_MAX_SWING``), a factor by which the lead row of M loses accuracy.
+    A vertex that is NaN or infinite is a DomainError naming it, and a
+    path or frame past double range (a vertex near 1e300, or m >= 172)
+    an AccuracyError.
+    """
+    if m < 1:
+        raise DomainError("transport wants m >= 1")
+    path = list(path)
+    n = len(path)
+    path = finite_entry(("path[%d] " * n) % tuple(range(n)), path)
     return MonodromyMatrix(
-        tuple(tuple(_lu_solve(fac, col))
-              for col in _chain_columns(lead, logs)),
+        finite_exit("numeric_transport", (m, c, "path"),
+                    lambda: _transport_rows(m, c, path)),
         "transport", _basis_kind(c))

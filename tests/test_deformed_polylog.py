@@ -15,6 +15,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,9 +24,10 @@ import pytest
 
 from lerchkit import deformed_polylog, verify
 from lerchkit.deformed_polylog import (MonodromyMatrix, _alternating_phi,
-                                       _cond1, _forced_taylor, _lu,
-                                       _lu_solve, _taylor_weights, basis,
-                                       li_star,
+                                       _check_path, _cond1, _forced_taylor,
+                                       _lu, _lu_solve, _seg_dist,
+                                       _step_record, _taylor_weights,
+                                       basis, li_star,
                                        numeric_transport, rho, rho_word,
                                        unipotency_class, weyl_expand,
                                        z0_loop, z1_loop)
@@ -378,6 +380,25 @@ def test_loops_are_valid_paths():
         numeric_transport(0, Fraction(1, 2), z0_loop())
 
 
+def test_path_check_refuses_exactly_the_paths_near_a_singular_point():
+    # the midpoint test skips only segments the projection clears
+    rng = random.Random(7)
+    refused = 0
+    for _ in range(2000):
+        path = [-1.0 + 0j] + [complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+                              for _ in range(2)] + [-1.0 + 0j]
+        near = any(min(_seg_dist(a, b, 0.0), _seg_dist(a, b, 1.0))
+                   < 0.1 - 1e-12 for a, b in zip(path, path[1:]))
+        try:
+            _check_path(path)
+        except TransportError:
+            refused += 1
+            assert near, path
+        else:
+            assert not near, path
+    assert 200 < refused < 1800
+
+
 @pytest.mark.parametrize("m,c", [
     (1, Fraction(1, 2)), (2, 0),
     # one case per stratum the transport benchmark draws: regular,
@@ -540,6 +561,108 @@ def test_transport_composes_like_the_word():
     got = numeric_transport(m, c, path).entries
     want = rho_word("Z0 Z1", m, c).entries
     assert np.max(np.abs(got - want)) < 1e-6
+
+
+@pytest.mark.parametrize("path,name,value", [
+    ([-1, math.nan, -1], "path[1]", "nan"), ([math.nan, -1], "path[0]", "nan"),
+    ([-1, math.inf, -1], "path[1]", "inf")])
+def test_non_finite_path_vertex_is_a_domain_error(path, name, value):
+    # a NaN vertex compares false with everything and took no step, which
+    # returned the identity; an infinite one ended in a step underflow.
+    # Both are refused before the first step looks up a step record.
+    before = _step_record.cache_info()
+    name = re.escape(name)
+    with pytest.raises(DomainError, match="%s must be finite, got %s = %s"
+                       % (name, name, value)):
+        numeric_transport(1, 0.5, path)
+    assert _step_record.cache_info() == before
+
+
+@pytest.mark.parametrize("m,path", [
+    # 171! in the start frame's log column passes double range
+    (172, z0_loop()), (200, z0_loop()),
+    # the squared length of a segment does in the path check
+    (1, [-1.0, 1e300j, -1.0])])
+@pytest.mark.parametrize("c", [0.5, 0.3 + 0.2j, 2])
+def test_transport_past_double_range_refuses_fast(m, path, c):
+    # each raised a bare OverflowError
+    t0 = time.perf_counter()
+    with pytest.raises(AccuracyError, match=r"numeric_transport\(%d, .*\) "
+                       r"overflows double precision" % m):
+        numeric_transport(m, c, path)
+    assert time.perf_counter() - t0 < 0.01
+
+
+# one c from each stratum of the transport benchmark: regular, rational,
+# singular and removable
+STRATA = [0.3 + 0.2j, Fraction(2, 7), 0, 2]
+
+
+def _bits(rows):
+    return [(x.real.hex(), x.imag.hex()) for row in rows for x in row]
+
+
+def test_step_records_leave_every_matrix_bit_identical(monkeypatch):
+    cases = [(m, c, loop) for m in (1, 2, 3) for c in STRATA
+             for loop in (z0_loop(), z1_loop())]
+    cold = []
+    for m, c, loop in cases:
+        _step_record.cache_clear()
+        cold.append(_bits(numeric_transport(m, c, loop).rows))
+    warm = [_bits(numeric_transport(*case).rows) for case in cases]
+    monkeypatch.setattr(deformed_polylog, "_step_record",
+                        _step_record.__wrapped__)
+    uncached = [_bits(numeric_transport(*case).rows) for case in cases]
+    assert cold == warm == uncached
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_a_second_c_on_a_loop_reads_the_step_records(m):
+    # the steps along a loop are the same for every c: a second c takes
+    # every one of them from the records the first one left
+    for loop in (z0_loop(), z1_loop()):
+        _step_record.cache_clear()
+        numeric_transport(m, STRATA[0], loop)
+        first = _step_record.cache_info()
+        for c in STRATA[1:]:
+            numeric_transport(m, c, loop)
+        last = _step_record.cache_info()
+        assert first.misses > 0 and last.misses == first.misses
+        assert last.hits - first.hits == 3 * (first.hits + first.misses)
+
+
+def test_step_record_holds_tuples():
+    z0, h = -0.5 + 0.2j, 0.1 - 0.05j
+    v0 = z0 / (1.0 - z0)
+    series = _forced_taylor(v0, z0, h, 2, _taylor_weights(0.5, 30))
+    record = _step_record(v0, z0, h, 30)
+    assert all(isinstance(part, tuple) for part in record)
+    assert [len(part) for part in record] == [30, 31]
+    assert series[0] is record[1]
+
+
+def _random_z0_loop(rng):
+    """A polyline from -1 once counterclockwise around 0 through 6 to 10
+    jittered vertices at radius 0.35 to 0.6, so never within 0.2 of 0 or
+    0.4 of 1: homotopic to z0_loop()."""
+    k = rng.randint(6, 10)
+    ring = [cmath.rect(rng.uniform(0.35, 0.6), math.pi + 2.0 * math.pi
+                       * (i + rng.uniform(-0.3, 0.3)) / k) for i in range(k)]
+    return [-1.0 + 0j] + ring + [ring[0], -1.0 + 0j]
+
+
+def test_step_records_stay_within_maxsize_on_new_paths():
+    # every step of a path the cache has not seen is a miss; the cache
+    # evicts and every transport still meets rho(Z0)
+    rng = random.Random(300)
+    maxsize = _step_record.cache_info().maxsize
+    _step_record.cache_clear()
+    for i in range(300):
+        m, c = 1 + i % 3, STRATA[i % 4]
+        got = numeric_transport(m, c, _random_z0_loop(rng)).entries
+        assert np.max(np.abs(got - rho("Z0", m, c).entries)) < 1e-8
+        assert _step_record.cache_info().currsize <= maxsize
+    assert _step_record.cache_info().misses > 10 * maxsize
 
 
 def test_commutator_word_nontrivial_on_singular_stratum():

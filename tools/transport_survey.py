@@ -23,6 +23,7 @@ this checkout is faster.
 import argparse
 import importlib
 import itertools
+import operator
 import statistics
 import sys
 import time
@@ -69,25 +70,40 @@ def row_errors(got, want):
     return lead, logs
 
 
+def cache_counts(dp):
+    """(hits, misses) of the checkout's step-record cache, or None for a
+    checkout without one."""
+    record = getattr(dp, "_step_record", None)
+    if record is None:
+        return None
+    info = record.cache_info()
+    return info.hits, info.misses
+
+
 def survey(mods, cases):
     """[(case, matrix rows or error text, (lead, log) rho_error parts or
-    None, seconds)]."""
+    None, seconds, (step-record hits, misses) or None)]."""
     dp, errors = mods
     rows = []
     for case in cases:
         m, c, gen = case
         loop = dp.z0_loop() if gen == "Z0" else dp.z1_loop()
+        before = cache_counts(dp)
         t0 = time.perf_counter()
         try:
             got = dp.numeric_transport(m, c, loop)
         except errors.LerchError as e:
-            rows.append((case, "%s: %s" % (type(e).__name__, e), None,
-                         time.perf_counter() - t0))
-            continue
+            got = "%s: %s" % (type(e).__name__, e)
         seconds = time.perf_counter() - t0
+        after = cache_counts(dp)
+        steps = (None if after is None
+                 else tuple(map(operator.sub, after, before)))
+        if isinstance(got, str):
+            rows.append((case, got, None, seconds, steps))
+            continue
         got = got.entries
         err = row_errors(got, dp.rho(gen, m, c).entries)
-        rows.append((case, got.tolist(), err, seconds))
+        rows.append((case, got.tolist(), err, seconds, steps))
     return rows
 
 
@@ -117,6 +133,14 @@ def main():
         for r in rows:
             per_key[r[0][0], stratum(r[0][1])] += r[3]
         return per_key
+
+    def record_share(counts):
+        if None in counts:
+            return ""
+        hits, misses = map(sum, zip(*counts))
+        return "  %5d steps %5.1f%% cached" % (
+            hits + misses, 100.0 * hits / max(1, hits + misses))
+
     # per checkout, per pass: seconds per key
     secs = [[seconds(rows) for rows in runs] for runs in passes]
     for src, runs, per_pass in zip(srcs, passes, secs):
@@ -129,10 +153,11 @@ def main():
             mine = [r for r in rows if (r[0][0], stratum(r[0][1])) == key]
             errs = [r[2] for r in mine if r[2] is not None]
             print("  m=%d %-9s %4d cases %3d refused  worst rho_error "
-                  "lead %.3g logs %.3g  %.3f s"
+                  "lead %.3g logs %.3g  %.3f s%s"
                   % (*key, len(mine), len(mine) - len(errs),
                      *worst_rows(errs),
-                     statistics.median(p[key] for p in per_pass)))
+                     statistics.median(p[key] for p in per_pass),
+                     record_share([r[4] for r in mine])))
         errs = [r[2] for r in rows if r[2] is not None]
         print("  worst rho_error over %d cases, %d refused: lead row %.3g, "
               "log rows %.3g" % (len(rows), len(rows) - len(errs),
