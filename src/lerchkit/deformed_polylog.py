@@ -48,11 +48,12 @@ b_{m-1} has v_0 = 0 and moves in closed form; only the lead chain's m
 forced parts F_k and v_0's geometric series are summed, to degree 30 in
 the scaled coefficients A_q h^q.  A step is accepted when the two
 dropped terms of each of these m+1 series stay below
-1e-10 * max(1, |value|), and halved otherwise.  Along a path v_0 and the
-steps are the same for every c and m, so the c-independent half of a
-step, the recurrence's rates and v_0's series, is a step record keyed on
-v_0(z0), z0, h and the degree: every transport that takes the step
-shares it, from a cache bounded at 256 records.
+1e-10 * max(1, |value|), and halved otherwise; the F_k are formed and
+tested one at a time, so the first to fail ends the attempt.  Along a
+path v_0 and the steps are the same for every c and m, so the
+c-independent half of a step (the rates, v_0's series, sum and step test,
+and L) is a step record keyed on v_0(z0), z0, h and the degree, shared
+by every transport that takes the step from a cache of 256 records.
 
 Matrices are tuples of rows of Python complex numbers, multiplied,
 factored and solved by one small LU kernel with partial pivoting.  Only
@@ -422,6 +423,7 @@ _N_ARC = 16        # polyline vertices on each loop's circle
 _Z1_HEIGHT = 0.65  # radius of the Z1 circle and height of its corridor
 _N_TAYLOR = 30     # degree of every chain series at a transport step
 _STEP_TOL = 1e-10  # bound on a step's dropped terms, relative to max(1, |v|)
+_MAX_COND = 1e12   # largest kappa_1 of an accepted start frame
 # Largest max/min of |z^{1-c}| on an accepted path.  A rounding error
 # (2^-53 relative) in the lead chain where |z^{1-c}| is least is a multiple
 # of z^{1-c}, unseen by the step test; it grows by up to that ratio before
@@ -479,6 +481,24 @@ def _check_path(path):
             raise TransportError("path strays within 0.1 of a singular point")
 
 
+_CRVZ_RATE = 3.0 + math.sqrt(8.0)
+
+
+@lru_cache(maxsize=None)
+def _crvz_weights(n):
+    """The n weights of Cohen, Rodriguez Villegas and Zagier's Algorithm 1
+    over d = (r^n + r^-n) / 2, r = 3 + sqrt 8, as ``_alternating_phi``
+    takes them for an even head; an odd head negates each, exactly."""
+    d = (_CRVZ_RATE ** n + _CRVZ_RATE ** -n) / 2.0
+    b, e, scale = -1.0, -d, 1.0 / d
+    tail = []
+    for k in range(n):
+        e = b - e
+        tail.append(scale * e)
+        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1))
+    return tuple(tail)
+
+
 def _alternating_phi(m, c):
     """[Phi(j, -1, c) = sum_k (-1)^k (k + c)^-j for j = 1..m], c off
     Z_{<=0}, with one 1/(k + c) per k for every j.  The exact shift
@@ -488,20 +508,16 @@ def _alternating_phi(m, c):
     1).  Its terms (k + c)^-j = int_0^1 x^k dmu are moments of a measure of
     total variation (Re c)^-j, so n weighted terms miss it by at most
     2 (Re c)^-j / (3 + sqrt 8)^n, and n is the least that makes this 2^-53
-    or less for every j <= m.  A head longer than MAX_TERMS refuses."""
+    or less for every j <= m; the weights are built once per n.  A head
+    longer than MAX_TERMS refuses."""
     n_shift = max(0, math.floor(0.5 - complex(c).real) + 1)
     refuse_past_budget("alternating-sum head", n_shift)
     shifted = complex(c + n_shift)
     re = shifted.real
-    rate = 3.0 + math.sqrt(8.0)
-    n = math.ceil(math.log(2.0 ** 54 * max(1.0 / re, re ** -m), rate))
-    d = (rate ** n + rate ** -n) / 2.0
-    b, e, scale = -1.0, -d, (-1.0) ** n_shift / d
-    tail = []
-    for k in range(n):
-        e = b - e
-        tail.append(scale * e)
-        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1))
+    n = math.ceil(math.log(2.0 ** 54 * max(1.0 / re, re ** -m), _CRVZ_RATE))
+    tail = _crvz_weights(n)
+    if n_shift % 2:
+        tail = map(operator.neg, tail)
     # c + k exactly (a Fraction stays one) in the head, where it can lie
     # near 0; the tail's bases lie in Re > 1/2, so c + N is rounded once
     # and each base c + N + k then rounds to within 2 ulp
@@ -560,51 +576,89 @@ def _reciprocals(n):
     return tuple(1.0 / (q + 1) for q in range(n))
 
 
+_StepRecord = namedtuple("_StepRecord", "rate below value ok log")
+
+
 @lru_cache(maxsize=256)
 def _step_record(v0, z0, h, n):
     """The c-independent half of a Taylor step of degree n from z0 to
-    z0 + h with v_0(z0) = v0, as two tuples: the recurrence's rates
-    h / (z0 (q + 1)), q < n, and v_0's scaled coefficients
-    W_{0,q} = v0 / z0 * (h / (1 - z0))^q, q = 1..n, with W_{0,0} = v0.
-    Along a path v_0 and the steps are the same for every c and m, so
-    every transport that takes the step shares one record."""
-    # rate[q] = h / (z0 (q + 1))
-    rate = tuple(map(operator.mul, itertools.repeat(h / z0), _reciprocals(n)))
+    z0 + h with v_0(z0) = v0: the rates h / (z0 (q + 1)), q < n, v_0's
+    scaled coefficients W_{0,q} = v0 / z0 * (h / (1 - z0))^q, q = 1..n,
+    with W_{0,0} = v0 (below), their sum v_0(z0 + h) (value), its step
+    test (ok) and L = Log(1 + h / z0) (log)."""
+    hz = h / z0
+    rate = tuple(map(operator.mul, itertools.repeat(hz), _reciprocals(n)))
     below = list(itertools.accumulate(
         itertools.repeat(h / (1.0 - z0), n), operator.mul, initial=v0 / z0))
     below[0] = v0
-    return rate, tuple(below)
+    value = sum(below)
+    return _StepRecord(rate, tuple(below), value, _passes(below, value),
+                       cmath.log(1.0 + hz))
+
+
+def _passes(W, value):
+    """The step test: the two dropped terms of the series W stay below
+    _STEP_TOL * max(1, |value|) (a NaN fails it)."""
+    return abs(W[-2]) + abs(W[-1]) <= _STEP_TOL * max(1.0, abs(value))
+
+
+def _forced_chain(below, shift, rate):
+    """The scaled Taylor coefficients W_{k,q}, q = 0..n, of the forced part
+    F_k, from those of the level below it, W_{k-1}, shift =
+    _taylor_weights(c, n) and a record's rates: F_k solves
+    z F_k' = F_{k-1} - (c - 1) F_k with F_k(z0) = 0, so W_{k,0} = 0 and
+    W_{k,q+1} = (W_{k-1,q} - (q + c - 1) W_{k,q}) h / (z0 (q + 1))."""
+    v = 0j
+    return [v] + [v := (p - s * v) * r for p, s, r in zip(below, shift, rate)]
 
 
 def _forced_taylor(v0, z0, h, m, shift):
     """Scaled Taylor coefficients W_q = A_q h^q about z0, q = 0..n with
-    n = len(shift), of v_0 and of the forced parts F_1..F_m of the
-    lead chain, from shift = _taylor_weights(c, n) and v0 = v_0(z0).
-    Their sums are the values at z0 + h.
-
-    v_0 solves (1 - z) z v_0' = v_0, so it is a multiple of z / (1 - z),
-    and its coefficients come with the rates from ``_step_record``.  F_k
-    solves z F_k' = F_{k-1} - (c - 1) F_k with F_0 = v_0 and F_k(z0) = 0,
-    so W_{k,0} = 0 and
-    W_{k,q+1} = (W_{k-1,q} - (q + c - 1) W_{k,q}) h / (z0 (q + 1)).
-    """
-    rate, below = _step_record(v0, z0, h, len(shift))
-    out = [below]
+    n = len(shift), of v_0 (a multiple of z / (1 - z)) and of F_1..F_m,
+    from shift = _taylor_weights(c, n) and v0 = v_0(z0), as the step
+    loop forms them; their sums are the values at z0 + h."""
+    record = _step_record(v0, z0, h, len(shift))
+    out = [record.below]
     for _ in range(m):
-        v = 0j
-        below = [v] + [v := (p - s * v) * r
-                       for p, s, r in zip(below, shift, rate)]
-        out.append(below)
+        out.append(_forced_chain(out[-1], shift, record.rate))
     return out
+
+
+def _lead_step(lead, record, shift, one_c):
+    """(lead chain at z0 + h, flow) from the one at z0 and the step's
+    record, or None at the first of its m+1 series to fail the step test.
+    With v_0 fixed, v_1..v_m move by E times a Pascal matrix in L:
+    new v_k = sum_{j<=k} flow[k-j] v_j + F_k, flow = [E L^d / d!]."""
+    rate, W, value, ok, L = record
+    if not ok:
+        return None
+    new, flow = [value], []
+    for k in range(1, len(lead)):
+        W = _forced_chain(W, shift, rate)
+        flow.append(cmath.exp(one_c * L) if k == 1
+                    else flow[-1] * L / (k - 1))
+        v = sum(W) + sum(map(operator.mul, lead[k:0:-1], flow))
+        if not _passes(W, v):
+            return None
+        new.append(v)
+    return new, flow
+
+
+# lru_cache keeps no exception: a path that fails raises on every call
+_checked_path = lru_cache(maxsize=64)(_check_path)
 
 
 def _transport_rows(m, c, path):
     """The rows of ``numeric_transport``'s matrix, for a path of finite
     complex vertices."""
-    _check_path(path)
+    _checked_path(tuple(path))
     S = _start_frame(m, c)
-    fac = _lu(S)
-    if _cond1(S, fac) > 1e12:
+    # kappa_1 >= max_j |s_j|_1 / min_j |s_j|_1 over the columns s_j, as
+    # |S^-1 s_j|_1 = 1: past the rounding of its m+1-term sums that ratio
+    # refuses S before the O(m^3) LU and condition number
+    norms = [sum(map(abs, col)) for col in zip(*S)]
+    if (max(norms) > _MAX_COND * (1.0 + (m + 2) * 2.0 ** -50) * min(norms)
+            or _cond1(S, fac := _lu(S)) > _MAX_COND):
         raise TransportError("degenerate start frame")
     shift = _taylor_weights(c, _N_TAYLOR)
     one_c = 1.0 - complex(c)
@@ -619,19 +673,11 @@ def _transport_rows(m, c, path):
             direction = (b - pos) / abs(b - pos)
             for _ in range(40):
                 step = h * direction
-                series = _forced_taylor(lead[0], pos, step, m, shift)
-                # with v_0 fixed, v_1..v_k move by E times a Pascal matrix
-                # in L: new v_k = sum_{j<=k} flow[k-j] v_j + F_k
-                L = cmath.log(1.0 + step / pos)
-                flow = [cmath.exp(one_c * L)]  # [E L^d / d!]
-                for d in range(1, m):
-                    flow.append(flow[-1] * L / d)
-                new = [sum(W) for W in series]
-                for k in range(1, m + 1):
-                    new[k] += sum(map(operator.mul, lead[k:0:-1], flow))
-                if all(abs(W[-2]) + abs(W[-1]) <= _STEP_TOL * max(1.0, abs(v))
-                       for W, v in zip(series, new)):
-                    lead = new
+                done = _lead_step(
+                    lead, _step_record(lead[0], pos, step, _N_TAYLOR),
+                    shift, one_c)
+                if done:
+                    lead, flow = done
                     logs = [sum(map(operator.mul, logs[k::-1], flow))
                             for k in range(m)]
                     pos = pos + step
@@ -669,17 +715,23 @@ def numeric_transport(m, c, path):
     coefficients A_q h^q to degree 30 (``_forced_taylor``).  The step is
     accepted when, for each of these m+1 series, the two dropped terms
     stay below 1e-10 * max(1, |new chain value|), and halved otherwise.
-    The half of a step that does not depend on c, the rates
-    h / (z0 (q + 1)) and v_0's series, is a step record
-    (``_step_record``): every transport that takes the step, whatever its
-    c and m, shares it from a cache bounded at 256 records, and the
-    matrices are bit for bit those of rebuilding it at each step.
-    M = S^-1 F is the same in chain and jet coordinates, since the start
-    frame S and the end frame F are both taken at z = -1.
+    The half of a step that does not depend on c (the rates
+    h / (z0 (q + 1)), v_0's series, its sum and step test, and L) is a
+    step record (``_step_record``) that every transport taking the step
+    shares, whatever its c and m, from a cache of 256 records.  A record
+    whose v_0 fails ends the attempt at once; otherwise F_1..F_m are
+    formed and tested one at a time, and the first to fail ends it before
+    the later ones, the rest of the flow and the log update.  The path
+    check runs once per vertex tuple.  The matrices are bit for bit those
+    of rebuilding everything at each step.  M = S^-1 F is the same in
+    chain and jet coordinates: S and F are both taken at z = -1.
 
     S is refused when its 1-norm condition number kappa_1 = |S|_1 |S^-1|_1
-    exceeds 1e12.  With n = m + 1 it lies within a factor n of the 2-norm
-    kappa_2 that numpy's ``cond`` gives: kappa_2 / n <= kappa_1 <= n kappa_2.
+    exceeds 1e12; max_j |s_j|_1 / min_j |s_j|_1 over its columns is a
+    lower bound that refuses it before its O(m^3) LU where it passes 1e12
+    (for c = 1/2 from m = 39 on).  With n = m + 1 kappa_1 lies within a
+    factor n of the 2-norm kappa_2 of numpy's ``cond``:
+    kappa_2 / n <= kappa_1 <= n kappa_2.
     For INT_TOL < dist(c, Z<=0) < NEAR the basis is regular and S nearly
     degenerate: refused there for m <= 3 on both loops; ``rho`` returns.
     The path is refused when max/min |z^{1-c}| along it exceeds about 9e5

@@ -24,7 +24,8 @@ import pytest
 
 from lerchkit import deformed_polylog, verify
 from lerchkit.deformed_polylog import (MonodromyMatrix, _alternating_phi,
-                                       _check_path, _cond1, _forced_taylor,
+                                       _check_path, _checked_path, _cond1,
+                                       _forced_chain, _forced_taylor,
                                        _lu, _lu_solve, _seg_dist,
                                        _step_record, _taylor_weights,
                                        basis, li_star,
@@ -543,7 +544,8 @@ def test_log_rows_of_transport_meet_rho_to_rounding(m, c):
 def test_transport_survey_runs(tmp_path):
     # the survey tool end to end, in its own interpreter, on 4 cases; its
     # last line holds the worst lead-row and log-row rho_error
-    tool = Path(__file__).resolve().parents[1] / "tools/transport_survey.py"
+    root = Path(__file__).resolve().parents[1]
+    tool = root / "tools/transport_survey.py"
     proc = subprocess.run([sys.executable, str(tool), "--n", "4",
                            "--seeds", "1"], capture_output=True, text=True,
                           timeout=120, cwd=tmp_path)
@@ -553,6 +555,20 @@ def test_transport_survey_runs(tmp_path):
                          r"lead row (\S+), log rows (\S+)", last)
     assert found, last
     assert float(found[1]) < 1e-8 and float(found[2]) <= 1e-13
+    # --against races two checkouts, here the same one twice, on those
+    # cases and on fresh random loops: no entry can differ
+    proc = subprocess.run([sys.executable, str(tool), "--n", "4", "--seeds",
+                           "1", "--against", str(root / "src")],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert any(re.match(r"worst entry difference 0 .*; 0 refusals differ$",
+                        line) for line in lines), proc.stdout
+    assert re.fullmatch(r"unseen: 48 random loops, caches cleared before each "
+                        r"pass: worst entry difference 0 .*; 0 refusals "
+                        r"differ", lines[-2]), lines[-2]
+    assert re.fullmatch(r"  unseen +\S+ \[\S+, \S+\]", lines[-1]), lines[-1]
 
 
 def test_transport_composes_like_the_word():
@@ -603,16 +619,41 @@ def _bits(rows):
 
 
 def test_step_records_leave_every_matrix_bit_identical(monkeypatch):
-    cases = [(m, c, loop) for m in (1, 2, 3) for c in STRATA
-             for loop in (z0_loop(), z1_loop())]
+    # the package's loops, seeded random loops the records have not seen,
+    # and c = 7, where a forced chain, not v_0, misses the step test
+    rng = random.Random(35)
+    loops = ([z0_loop(), z1_loop(), _random_z1_loop(rng)]
+             + [_random_z0_loop(rng) for _ in range(3)])
+    cases = [(m, c, loop) for m in (1, 2, 3) for c in STRATA + [7]
+             for loop in loops]
     cold = []
     for m, c, loop in cases:
         _step_record.cache_clear()
         cold.append(_bits(numeric_transport(m, c, loop).rows))
     warm = [_bits(numeric_transport(*case).rows) for case in cases]
-    monkeypatch.setattr(deformed_polylog, "_step_record",
-                        _step_record.__wrapped__)
-    uncached = [_bits(numeric_transport(*case).rows) for case in cases]
+    attempts = []  # per step attempt: [z0, v_0 passed, forced chains formed]
+
+    def record(v0, z0, h, n):
+        rec = _step_record.__wrapped__(v0, z0, h, n)
+        attempts.append([z0, rec.ok, 0])
+        return rec
+
+    def chain(*args):
+        attempts[-1][2] += 1
+        return _forced_chain(*args)
+    monkeypatch.setattr(deformed_polylog, "_step_record", record)
+    monkeypatch.setattr(deformed_polylog, "_forced_chain", chain)
+    uncached = []
+    for m, c, loop in cases:
+        attempts.clear()
+        uncached.append(_bits(numeric_transport(m, c, loop).rows))
+        if c == 7 and loop in loops[:2]:
+            # every v_0 passes, yet steps halve: an attempt retried from
+            # the same z0 failed at a forced chain, and stopped there
+            halved = [a for a, b in zip(attempts, attempts[1:])
+                      if a[0] == b[0]]
+            assert all(ok for _, ok, _ in attempts) and halved
+            assert m == 1 or min(chains for _, _, chains in halved) < m
     assert cold == warm == uncached
 
 
@@ -636,9 +677,13 @@ def test_step_record_holds_tuples():
     v0 = z0 / (1.0 - z0)
     series = _forced_taylor(v0, z0, h, 2, _taylor_weights(0.5, 30))
     record = _step_record(v0, z0, h, 30)
-    assert all(isinstance(part, tuple) for part in record)
-    assert [len(part) for part in record] == [30, 31]
-    assert series[0] is record[1]
+    assert all(isinstance(part, tuple) for part in record[:2])
+    assert [len(part) for part in record[:2]] == [30, 31]
+    assert series[0] is record.below
+    # v_0 at z0 + h, its step test and L = Log(1 + h/z0)
+    assert record.value == sum(record.below)
+    assert record.ok is True
+    assert record.log == cmath.log(1.0 + h / z0)
 
 
 def _random_z0_loop(rng):
@@ -649,6 +694,18 @@ def _random_z0_loop(rng):
     ring = [cmath.rect(rng.uniform(0.35, 0.6), math.pi + 2.0 * math.pi
                        * (i + rng.uniform(-0.3, 0.3)) / k) for i in range(k)]
     return [-1.0 + 0j] + ring + [ring[0], -1.0 + 0j]
+
+
+def _random_z1_loop(rng):
+    """A polyline from -1 up a corridor at height 0.5 to 0.8, once
+    counterclockwise around 1 through 6 to 10 jittered vertices at radius
+    0.35 to 0.6, and back: homotopic to z1_loop()."""
+    k = rng.randint(6, 10)
+    ring = [1.0 + cmath.rect(rng.uniform(0.35, 0.6), math.pi / 2.0 + 2.0
+                             * math.pi * (i + rng.uniform(-0.3, 0.3)) / k)
+            for i in range(k)]
+    corridor = complex(-1.0, rng.uniform(0.5, 0.8))
+    return [-1.0 + 0j, corridor] + ring + [ring[0], corridor, -1.0 + 0j]
 
 
 def test_step_records_stay_within_maxsize_on_new_paths():
@@ -663,6 +720,36 @@ def test_step_records_stay_within_maxsize_on_new_paths():
         assert np.max(np.abs(got - rho("Z0", m, c).entries)) < 1e-8
         assert _step_record.cache_info().currsize <= maxsize
     assert _step_record.cache_info().misses > 10 * maxsize
+
+
+def test_an_invalid_path_is_refused_on_every_call():
+    # the path check is memoised per vertex tuple, and keeps no refusal
+    for path, why in (([-1.0, 0.05j, -1.0], "within 0.1 of a singular"),
+                      ([-1.0, -0.5j], "start and end at z = -1"),
+                      ([-1.0], "at least two points")):
+        for _ in range(3):
+            with pytest.raises(TransportError, match=why):
+                numeric_transport(1, 0.5, path)
+    _checked_path.cache_clear()
+    for _ in range(3):
+        numeric_transport(1, 0.5, z0_loop())
+    assert _checked_path.cache_info()[:2] == (2, 1)  # hits, misses
+
+
+@pytest.mark.parametrize("m,c,lu_calls", [
+    # kappa_1 >= max_j |s_j|_1 / min_j |s_j|_1, 6e51 and 1e53 here: the LU
+    # and condition number took 0.7 s and 0.2 s before the refusal
+    (171, 0.5, 0), (120, 0.3 + 0.2j, 0),
+    # a ratio of 2.1e6 under kappa_1 = 8.8e12: the LU decides
+    (20, 0.5, 1)])
+def test_degenerate_start_frame_is_refused_by_its_column_norms(
+        monkeypatch, m, c, lu_calls):
+    calls = []
+    monkeypatch.setattr(deformed_polylog, "_lu",
+                        lambda a: calls.append(len(a)) or _lu(a))
+    with pytest.raises(TransportError, match="degenerate start frame"):
+        numeric_transport(m, c, z0_loop())
+    assert len(calls) == lu_calls
 
 
 def test_commutator_word_nontrivial_on_singular_stratum():

@@ -18,12 +18,20 @@ goes first, and prints the worst entry difference between the two
 checkouts' matrices, over max(1, max |entry|) of this checkout's matrix,
 and per m and stratum the time ratio OTHER / this: the median of the 5
 per-pass ratios, with their least and greatest.  A value above 1 means
-this checkout is faster.
+this checkout is faster.  --against then races both checkouts the same
+way on UNSEEN seeded random loops, alternately around 0 and around 1,
+one transport each, with the step-record and path-check caches cleared
+before each pass, so that every Taylor step misses its record: the
+`unseen` line gives the worst entry difference, the refusals that
+differ and the time ratio OTHER / this on those loops.
 """
 import argparse
+import cmath
 import importlib
 import itertools
+import math
 import operator
+import random
 import statistics
 import sys
 import time
@@ -36,6 +44,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import transport_cases  # noqa: E402
 
 PASSES = 5  # timed passes per checkout
+UNSEEN = 48  # seeded random loops of the --against race
 
 
 def stratum(c):
@@ -70,6 +79,38 @@ def row_errors(got, want):
     return lead, logs
 
 
+def random_loop(rng, around):
+    """A polyline from -1 once counterclockwise around `around` (0 or 1)
+    through 6 to 10 jittered vertices at radius 0.35 to 0.6 from it, so
+    never within 0.2 of 0 or 1; the loop around 1 reaches its ring along
+    a corridor at height 0.5 to 0.8.  Homotopic to the package's loop."""
+    k = rng.randint(6, 10)
+    start = math.pi if around == 0 else math.pi / 2.0
+    ring = [around + cmath.rect(rng.uniform(0.35, 0.6), start + 2.0 * math.pi
+                                * (i + rng.uniform(-0.3, 0.3)) / k)
+            for i in range(k)]
+    corridor = [] if around == 0 else [complex(-1.0, rng.uniform(0.5, 0.8))]
+    return [-1.0 + 0j] + corridor + ring + [ring[0]] + corridor + [-1.0 + 0j]
+
+
+def unseen_cases():
+    """UNSEEN (m, c, generator, loop) cases on fresh seeded random loops,
+    alternately around 0 and 1, with m = 1, 2, 3 in turn and c cycling
+    through one value per stratum."""
+    rng = random.Random(35)
+    strata = (0.3 + 0.2j, Fraction(2, 7), 0, 2)
+    return [(1 + i % 3, strata[i // 2 % 4], "Z%d" % (i % 2),
+             random_loop(rng, i % 2)) for i in range(UNSEEN)]
+
+
+def clear_caches(dp):
+    """Empty the step-record and path-check caches a checkout has."""
+    for name in ("_step_record", "_checked_path"):
+        cache = getattr(dp, name, None)
+        if cache is not None:
+            cache.cache_clear()
+
+
 def cache_counts(dp):
     """(hits, misses) of the checkout's step-record cache, or None for a
     checkout without one."""
@@ -82,12 +123,14 @@ def cache_counts(dp):
 
 def survey(mods, cases):
     """[(case, matrix rows or error text, (lead, log) rho_error parts or
-    None, seconds, (step-record hits, misses) or None)]."""
+    None, seconds, (step-record hits, misses) or None)] for cases
+    (m, c, generator) on the package's loops or (m, c, generator, loop)."""
     dp, errors = mods
     rows = []
     for case in cases:
-        m, c, gen = case
-        loop = dp.z0_loop() if gen == "Z0" else dp.z1_loop()
+        m, c, gen = case[:3]
+        loop = (case[3] if len(case) > 3
+                else dp.z0_loop() if gen == "Z0" else dp.z1_loop())
         before = cache_counts(dp)
         t0 = time.perf_counter()
         try:
@@ -107,6 +150,41 @@ def survey(mods, cases):
     return rows
 
 
+def race(mods, cases, fresh=False):
+    """Per checkout, the survey rows of PASSES passes over the cases,
+    alternating which checkout goes first; fresh clears each checkout's
+    caches before each of its passes."""
+    passes = [[] for _ in mods]
+    for i in range(PASSES):
+        for j in (range(len(mods)) if i % 2 == 0
+                  else reversed(range(len(mods)))):
+            if fresh:
+                clear_caches(mods[j][0])
+            passes[j].append(survey(mods[j], cases))
+    return passes
+
+
+def difference(rows, other):
+    """(worst entry difference over max(1, max |entry|) of rows, the case
+    where it lies, refusals that differ) between two checkouts' rows."""
+    worst, where, differ = 0.0, None, 0
+    for a, b in zip(rows, other):
+        if isinstance(a[1], str) or isinstance(b[1], str):
+            differ += a[1] != b[1]
+            continue
+        scale = max(1.0, max(abs(x) for row in a[1] for x in row))
+        diff = max(abs(x - y) for ra, rb in zip(a[1], b[1])
+                   for x, y in zip(ra, rb)) / scale
+        if diff > worst:
+            worst, where = diff, a[0][:3]
+    return worst, where, differ
+
+
+def show(label, ratios):
+    print("  %-13s %.2f [%.2f, %.2f]"
+          % (label, statistics.median(ratios), min(ratios), max(ratios)))
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=96)
@@ -117,11 +195,7 @@ def main():
              for case in itertools.islice(transport_cases(int(seed)), args.n)]
     srcs = [ROOT / "src"] + ([args.against] if args.against else [])
     mods = [load(src) for src in srcs]
-    passes = [[] for _ in srcs]
-    for i in range(PASSES):
-        for j in (range(len(srcs)) if i % 2 == 0
-                  else reversed(range(len(srcs)))):
-            passes[j].append(survey(mods[j], cases))
+    passes = race(mods, cases)
     keys = sorted({(case[0], stratum(case[1])) for case in cases})
 
     def worst_rows(errs):
@@ -163,30 +237,21 @@ def main():
               "log rows %.3g" % (len(rows), len(rows) - len(errs),
                                  *worst_rows(errs)))
     if args.against:
-        worst, where, differ = 0.0, None, 0
-        for a, b in zip(passes[0][0], passes[1][0]):
-            if isinstance(a[1], str) or isinstance(b[1], str):
-                differ += a[1] != b[1]
-                continue
-            scale = max(1.0, max(abs(x) for row in a[1] for x in row))
-            diff = max(abs(x - y) for ra, rb in zip(a[1], b[1])
-                       for x, y in zip(ra, rb)) / scale
-            if diff > worst:
-                worst, where = diff, a[0]
         print("worst entry difference %.3g (m, c, loop = %r); "
-              "%d refusals differ" % (worst, where, differ))
+              "%d refusals differ" % difference(passes[0][0], passes[1][0]))
         print("time ratio %s / %s, median [least, greatest] of %d "
               "alternating passes:" % (srcs[1], srcs[0], PASSES))
-
-        def show(label, ratios):
-            print("  %-13s %.2f [%.2f, %.2f]"
-                  % (label, statistics.median(ratios), min(ratios),
-                     max(ratios)))
         for key in keys:
             show("m=%d %s" % key,
                  [o[key] / t[key] for t, o in zip(*secs)])
         show("all", [sum(o.values()) / sum(t.values())
                      for t, o in zip(*secs)])
+        unseen = race(mods, unseen_cases(), fresh=True)
+        print("unseen: %d random loops, caches cleared before each pass: "
+              "worst entry difference %.3g (m, c, loop = %r); %d refusals "
+              "differ" % (UNSEEN, *difference(unseen[0][0], unseen[1][0])))
+        show("unseen", [sum(r[3] for r in o) / sum(r[3] for r in t)
+                        for t, o in zip(*unseen)])
 
 
 if __name__ == "__main__":
