@@ -38,22 +38,34 @@ The lead column's chain is (Li_{0,c}, ..., Li_{m,c}), and the chain of
 b_n = z^{1-c} (log z)^n / n! is (0, ..., 0, b_0, ..., b_n), so two
 chains carry the whole frame.  The start values
 Li_{j,c}(-1) = -Phi(j, -1, c) come from one accelerated alternating sum,
-with no quadrature.  Once v_0 is fixed the system is unipotent in log z:
-from z0 to z0 + h, with L = Log(1 + h/z0) and E = e^{(1-c) L},
+with no quadrature.  The matrix M = S^-1 F of the start frame S and the
+continued frame F is the same in chain and jet coordinates, as both are
+taken at z = -1.
+
+The transport step.  A step h from z0 is at most 0.4 times the distance
+to {0, 1}.  Once v_0 is fixed the system is unipotent in log z: in
+t = log z it reads dv_k/dt = v_{k-1} - (c-1) v_k, so e^{(c-1) t} v_k is a
+polynomial in t, and with L = Log(1 + h/z0) and E = e^{(1-c) L},
 
     v_k(z0 + h) = E sum_{j=1..k} v_j(z0) L^{k-j} / (k-j)! + F_k,
 
 where F_k is zero at z0 and driven by v_0 = K z/(1-z).  The chain of
-b_{m-1} has v_0 = 0 and moves in closed form; only the lead chain's m
-forced parts F_k and v_0's geometric series are summed, to degree 30 in
-the scaled coefficients A_q h^q.  A step is accepted when the two
-dropped terms of each of these m+1 series stay below
-1e-10 * max(1, |value|), and halved otherwise; the F_k are formed and
-tested one at a time, so the first to fail ends the attempt.  Along a
-path v_0 and the steps are the same for every c and m, so the
-c-independent half of a step (the rates, v_0's series, sum and step test,
-and L) is a step record keyed on v_0(z0), z0, h and the degree, shared
-by every transport that takes the step from a cache of 256 records.
+b_{m-1} has v_0 = 0 and moves in closed form, with no truncation.  The
+lead chain sums v_0's geometric series and its m forced parts F_k from
+their scaled Taylor coefficients W_{k,q} = A_q h^q, q = 0..30:
+W_{0,0} = v_0(z0) and W_{0,q} = v_0(z0) / z0 (h / (1 - z0))^q, and, as
+z F_k' = F_{k-1} - (c-1) F_k with F_k(z0) = 0, W_{k,0} = 0 and
+
+    W_{k,q+1} = (W_{k-1,q} - (q + c - 1) W_{k,q}) h / (z0 (q + 1)).
+
+A step is accepted when the last two terms of each of these m+1 series
+stay below 1e-10 * max(1, |value|), and halved otherwise.  v_0's series
+is tested first, then the F_k are formed and tested one at a time, so
+the first to fail ends the attempt.  Along a path v_0 and the steps are
+the same for every c and m, so the c-independent half of a step (the
+rates h / (z0 (q + 1)), v_0's series, its sum and step test, and L) is a
+step record keyed on v_0(z0), z0 and h, shared by every transport that
+takes the step from a cache of 256 records.
 
 Matrices are tuples of rows of Python complex numbers, multiplied,
 factored and solved by one small LU kernel with partial pivoting.  Only
@@ -563,33 +575,23 @@ def _start_frame(m, c):
     return [list(row) for row in zip(*columns)]
 
 
-def _taylor_weights(c, n):
-    """The chain recurrence's c-dependent list [q + c - 1], q < n, built
-    once per transport."""
-    cc = complex(c)
-    return [q + cc - 1.0 for q in range(n)]
-
-
-@lru_cache(maxsize=None)
-def _reciprocals(n):
-    """(1/(q+1) for q < n), one table per degree n."""
-    return tuple(1.0 / (q + 1) for q in range(n))
-
+# the rates of a step record are h / z0 times these
+_RECIPROCALS = tuple(1.0 / (q + 1) for q in range(_N_TAYLOR))
 
 _StepRecord = namedtuple("_StepRecord", "rate below value ok log")
 
 
 @lru_cache(maxsize=256)
-def _step_record(v0, z0, h, n):
-    """The c-independent half of a Taylor step of degree n from z0 to
-    z0 + h with v_0(z0) = v0: the rates h / (z0 (q + 1)), q < n, v_0's
-    scaled coefficients W_{0,q} = v0 / z0 * (h / (1 - z0))^q, q = 1..n,
-    with W_{0,0} = v0 (below), their sum v_0(z0 + h) (value), its step
-    test (ok) and L = Log(1 + h / z0) (log)."""
+def _step_record(v0, z0, h):
+    """The c-independent half of the step from z0 to z0 + h with
+    v_0(z0) = v0: the rates h / (z0 (q + 1)), v_0's scaled coefficients
+    W_{0,q} (below), their sum v_0(z0 + h) (value), its step test (ok)
+    and L = Log(1 + h / z0) (log)."""
     hz = h / z0
-    rate = tuple(map(operator.mul, itertools.repeat(hz), _reciprocals(n)))
+    rate = tuple(map(operator.mul, itertools.repeat(hz), _RECIPROCALS))
     below = list(itertools.accumulate(
-        itertools.repeat(h / (1.0 - z0), n), operator.mul, initial=v0 / z0))
+        itertools.repeat(h / (1.0 - z0), _N_TAYLOR), operator.mul,
+        initial=v0 / z0))
     below[0] = v0
     value = sum(below)
     return _StepRecord(rate, tuple(below), value, _passes(below, value),
@@ -597,37 +599,21 @@ def _step_record(v0, z0, h, n):
 
 
 def _passes(W, value):
-    """The step test: the two dropped terms of the series W stay below
+    """The step test: the last two terms of the series W stay below
     _STEP_TOL * max(1, |value|) (a NaN fails it)."""
     return abs(W[-2]) + abs(W[-1]) <= _STEP_TOL * max(1.0, abs(value))
 
 
 def _forced_chain(below, shift, rate):
-    """The scaled Taylor coefficients W_{k,q}, q = 0..n, of the forced part
-    F_k, from those of the level below it, W_{k-1}, shift =
-    _taylor_weights(c, n) and a record's rates: F_k solves
-    z F_k' = F_{k-1} - (c - 1) F_k with F_k(z0) = 0, so W_{k,0} = 0 and
-    W_{k,q+1} = (W_{k-1,q} - (q + c - 1) W_{k,q}) h / (z0 (q + 1))."""
+    """The scaled Taylor coefficients W_{k,q} of F_k from those of the
+    level below it, shift = [q + c - 1] and a record's rates."""
     v = 0j
     return [v] + [v := (p - s * v) * r for p, s, r in zip(below, shift, rate)]
 
 
-def _forced_taylor(v0, z0, h, m, shift):
-    """Scaled Taylor coefficients W_q = A_q h^q about z0, q = 0..n with
-    n = len(shift), of v_0 (a multiple of z / (1 - z)) and of F_1..F_m,
-    from shift = _taylor_weights(c, n) and v0 = v_0(z0), as the step
-    loop forms them; their sums are the values at z0 + h."""
-    record = _step_record(v0, z0, h, len(shift))
-    out = [record.below]
-    for _ in range(m):
-        out.append(_forced_chain(out[-1], shift, record.rate))
-    return out
-
-
 def _lead_step(lead, record, shift, one_c):
     """(lead chain at z0 + h, flow) from the one at z0 and the step's
-    record, or None at the first of its m+1 series to fail the step test.
-    With v_0 fixed, v_1..v_m move by E times a Pascal matrix in L:
+    record, or None at the first of its m+1 series to fail the step test;
     new v_k = sum_{j<=k} flow[k-j] v_j + F_k, flow = [E L^d / d!]."""
     rate, W, value, ok, L = record
     if not ok:
@@ -644,14 +630,10 @@ def _lead_step(lead, record, shift, one_c):
     return new, flow
 
 
-# lru_cache keeps no exception: a path that fails raises on every call
-_checked_path = lru_cache(maxsize=64)(_check_path)
-
-
 def _transport_rows(m, c, path):
     """The rows of ``numeric_transport``'s matrix, for a path of finite
     complex vertices."""
-    _checked_path(tuple(path))
+    _check_path(path)
     S = _start_frame(m, c)
     # kappa_1 >= max_j |s_j|_1 / min_j |s_j|_1 over the columns s_j, as
     # |S^-1 s_j|_1 = 1: past the rounding of its m+1-term sums that ratio
@@ -660,8 +642,9 @@ def _transport_rows(m, c, path):
     if (max(norms) > _MAX_COND * (1.0 + (m + 2) * 2.0 ** -50) * min(norms)
             or _cond1(S, fac := _lu(S)) > _MAX_COND):
         raise TransportError("degenerate start frame")
-    shift = _taylor_weights(c, _N_TAYLOR)
-    one_c = 1.0 - complex(c)
+    cc = complex(c)
+    shift = [q + cc - 1.0 for q in range(_N_TAYLOR)]
+    one_c = 1.0 - cc
     lead = [row[0] for row in S]
     logs = [row[1] for row in S[1:]]
     swing = [abs(logs[0])]  # |b_0| = |z^{1-c}| along the path
@@ -673,9 +656,8 @@ def _transport_rows(m, c, path):
             direction = (b - pos) / abs(b - pos)
             for _ in range(40):
                 step = h * direction
-                done = _lead_step(
-                    lead, _step_record(lead[0], pos, step, _N_TAYLOR),
-                    shift, one_c)
+                done = _lead_step(lead, _step_record(lead[0], pos, step),
+                                  shift, one_c)
                 if done:
                     lead, flow = done
                     logs = [sum(map(operator.mul, logs[k::-1], flow))
@@ -695,50 +677,22 @@ def _transport_rows(m, c, path):
 
 
 def numeric_transport(m, c, path):
-    """Continue the full solution frame of D_{m+1}^c along a polyline
-    (start = end = -1), and express the continued basis in the original
-    one.
+    """The matrix of D_{m+1}^c's basis continued along a polyline `path`
+    from -1 back to -1, in the basis at -1 (row i holds the coordinates of
+    the continued entry i, as in ``rho``), by the Taylor steps of the
+    module docstring.
 
-    The frame is carried in chain coordinates v_k = (theta + c - 1)^{m-k} y,
-    k = 0..m, in which the operator is the first-order system
-    (1 - z) z v_0' = v_0, z v_k' = v_{k-1} - (c - 1) v_k.  Two chains
-    carry all m+1 columns: the lead column's and that of b_{m-1}, whose
-    shifts give every other log column (``_chain_columns``).  A step h from
-    z0, at most 0.4 times the distance to {0, 1}, takes L = Log(1 + h/z0)
-    and E = e^{(1-c) L}.  With v_0 fixed the system is unipotent in log z:
-    in t = log z it reads dv_k/dt = v_{k-1} - (c - 1) v_k, so e^{(c-1) t} v_k
-    is a polynomial in t, and each v_k, k >= 1, moves to
-    E sum_{j=1..k} v_j L^{k-j} / (k-j)! plus a forced part F_k, zero at z0
-    and driven by v_0.  The chain of b_{m-1} has v_0 = 0 and takes that
-    closed form alone, with no truncation.  The lead chain adds its
-    F_1..F_m, summed with v_0's geometric series from the scaled
-    coefficients A_q h^q to degree 30 (``_forced_taylor``).  The step is
-    accepted when, for each of these m+1 series, the two dropped terms
-    stay below 1e-10 * max(1, |new chain value|), and halved otherwise.
-    The half of a step that does not depend on c (the rates
-    h / (z0 (q + 1)), v_0's series, its sum and step test, and L) is a
-    step record (``_step_record``) that every transport taking the step
-    shares, whatever its c and m, from a cache of 256 records.  A record
-    whose v_0 fails ends the attempt at once; otherwise F_1..F_m are
-    formed and tested one at a time, and the first to fail ends it before
-    the later ones, the rest of the flow and the log update.  The path
-    check runs once per vertex tuple.  The matrices are bit for bit those
-    of rebuilding everything at each step.  M = S^-1 F is the same in
-    chain and jet coordinates: S and F are both taken at z = -1.
-
-    S is refused when its 1-norm condition number kappa_1 = |S|_1 |S^-1|_1
-    exceeds 1e12; max_j |s_j|_1 / min_j |s_j|_1 over its columns is a
-    lower bound that refuses it before its O(m^3) LU where it passes 1e12
-    (for c = 1/2 from m = 39 on).  With n = m + 1 kappa_1 lies within a
-    factor n of the 2-norm kappa_2 of numpy's ``cond``:
-    kappa_2 / n <= kappa_1 <= n kappa_2.
-    For INT_TOL < dist(c, Z<=0) < NEAR the basis is regular and S nearly
-    degenerate: refused there for m <= 3 on both loops; ``rho`` returns.
-    The path is refused when max/min |z^{1-c}| along it exceeds about 9e5
-    (``_MAX_SWING``), a factor by which the lead row of M loses accuracy.
-    A vertex that is NaN or infinite is a DomainError naming it, and a
-    path or frame past double range (a vertex near 1e300, or m >= 172)
-    an AccuracyError.
+    TransportError where the path has fewer than two vertices, does not
+    start and end at -1 or comes within 0.1 of 0 or 1; where the start
+    frame S has a 1-norm condition number kappa_1 = |S|_1 |S^-1|_1 above
+    1e12 ("degenerate start frame"; its column-norm ratio, a lower bound,
+    refuses before the O(m^3) LU, for c = 1/2 from m = 39 on), as it is
+    for INT_TOL < dist(c, Z<=0) < NEAR with m <= 3, where ``rho``
+    returns; where max/min |z^{1-c}| along the path exceeds about 9e5
+    (``_MAX_SWING``), a factor by which the lead row loses accuracy; and
+    where a step halves 40 times.  A vertex that is NaN or infinite is a
+    DomainError naming it, and a path or frame past double range (a
+    vertex near 1e300, or m >= 172) an AccuracyError.
     """
     if m < 1:
         raise DomainError("transport wants m >= 1")

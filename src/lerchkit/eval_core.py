@@ -528,17 +528,23 @@ def _reflect_with_c_normalization(sc, zc, cc, tol):
       Phi(s, z, c') = c_0(s) e^{-2 pi i a c'}    Phi(1-s, e^{-2 pi i c'}, a)
                     + c_1(s) e^{2 pi i c'(1-a)}  Phi(1-s, e^{2 pi i c'}, 1-a)
 
-    with the coefficients c_n of ``c_coeff``, for Re(s) <= 0.  The two
-    inner ``phi`` calls live at Re(1-s) > 1/2 and are one ``_compose``
-    step, asked first for tol/8 each (tol/4 for N = 0).  The estimate
-    counts the error of Gamma(1-s) (``gamma_rel_error``) and the
-    rounding of the head, the two products and their sum (below).
+    with the coefficients c_n of ``c_coeff``, for Re(s) <= 0.  Where
+    Im Log z < 0 and |Log z| < 1, below the cut next to z = 1, a lies
+    next to 1 and 1 - a is -Log z / (2 pi i) from the principal Log:
+    1.0 - a would carry an error EPS, relative EPS / |1 - a|, into the
+    second inner call's term (1 - a)^(s-1), which no estimate books.
+    The two inner ``phi`` calls live at Re(1-s) > 1/2 and are one
+    ``_compose`` step, asked first for tol/8 each (tol/4 for N = 0).  The
+    estimate counts the error of Gamma(1-s) (``gamma_rel_error``) and
+    the rounding of the head, the two products and their sum (below).
     """
     n = -math.floor(cc.real)
     head, zpow, head_rounding = _c_shift_head(sc, zc, cc, n)
     cn, sp = cc + n, 1.0 - sc
     a = semi_principal_log(zc) / _2PI_I
-    w1, w2 = -_2PI_I * a * cn, _2PI_I * cn * (1.0 - a)
+    lg = principal_log(zc)
+    one_a = -lg / _2PI_I if lg.imag < 0.0 and abs(lg) < 1.0 else 1.0 - a
+    w1, w2 = -_2PI_I * a * cn, _2PI_I * cn * one_a
     p1 = c_coeff(0, sc) * cmath.exp(w1)
     p2 = c_coeff(1, sc) * cmath.exp(w2)
     # t_i is Gamma(1-s) r_i times three factors e^w, c_n's two with |w|
@@ -546,7 +552,7 @@ def _reflect_with_c_normalization(sc, zc, cc, tol):
     # _exp_rounding, 2 EPS each for the product with r_i and the sum, 16
     wc = abs(sp) * (math.log(_2PI) + 0.5 * math.pi) + 16.0
     args = [(sp, cmath.exp(-_2PI_I * cn), a),
-            (sp, cmath.exp(_2PI_I * cn), 1.0 - a)]
+            (sp, cmath.exp(_2PI_I * cn), one_a)]
 
     def combine(rs):
         t1, t2 = p1 * rs[0].value, p2 * rs[1].value

@@ -23,12 +23,10 @@ import numpy as np
 import pytest
 
 from lerchkit import deformed_polylog, verify
-from lerchkit.deformed_polylog import (MonodromyMatrix, _alternating_phi,
-                                       _check_path, _checked_path, _cond1,
-                                       _forced_chain, _forced_taylor,
-                                       _lu, _lu_solve, _seg_dist,
-                                       _step_record, _taylor_weights,
-                                       basis, li_star,
+from lerchkit.deformed_polylog import (_N_TAYLOR, MonodromyMatrix,
+                                       _alternating_phi, _check_path, _cond1,
+                                       _forced_chain, _lu, _lu_solve,
+                                       _seg_dist, _step_record, basis, li_star,
                                        numeric_transport, rho, rho_word,
                                        unipotency_class, weyl_expand,
                                        z0_loop, z1_loop)
@@ -505,25 +503,24 @@ def test_shared_recurrence_matches_per_solution_loop(m, c):
     # The forced-series recurrence, shared by every level of the lead
     # chain, against the expanded operator of weyl_expand applied to the
     # solution it yields: the level-m forced series, driven by
-    # v_0 = K z / (1 - z) and zero at z0 with all its lower levels.
+    # v_0 = K z / (1 - z) and zero at z0 with all its lower levels, from
+    # a step record and m links of _forced_chain, as _lead_step forms it.
     rng = random.Random(m)
     ab = [(complex(alpha.eval(c)), complex(beta.eval(c)))
           for alpha, beta in weyl_expand(m).entries]
-
-    def rand():
-        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    shift = [q + complex(c) - 1.0 for q in range(_N_TAYLOR)]
     for path in (z0_loop(), z1_loop()):
         for z0 in path[1:-1:3]:
-            for n in (30, 20):
-                series = _forced_taylor(rand(), z0, 1.0, m,
-                                        _taylor_weights(c, n))
-                assert len(series) == m + 1
-                A = series[-1]
-                assert len(A) == n + 1 and A[0] == 0
-                res, scale = _operator_residual(ab, z0, A, m)
-                assert len(res) == n - m - 1
-                for r, sc in zip(res, scale):
-                    assert abs(r) <= 1e-13 * sc
+            v0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            record = _step_record(v0, z0, 1.0)
+            A = record.below
+            for _ in range(m):
+                A = _forced_chain(A, shift, record.rate)
+            assert len(A) == _N_TAYLOR + 1 and A[0] == 0
+            res, scale = _operator_residual(ab, z0, A, m)
+            assert len(res) == _N_TAYLOR - m - 1
+            for r, sc in zip(res, scale):
+                assert abs(r) <= 1e-13 * sc
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -633,8 +630,8 @@ def test_step_records_leave_every_matrix_bit_identical(monkeypatch):
     warm = [_bits(numeric_transport(*case).rows) for case in cases]
     attempts = []  # per step attempt: [z0, v_0 passed, forced chains formed]
 
-    def record(v0, z0, h, n):
-        rec = _step_record.__wrapped__(v0, z0, h, n)
+    def record(v0, z0, h):
+        rec = _step_record.__wrapped__(v0, z0, h)
         attempts.append([z0, rec.ok, 0])
         return rec
 
@@ -675,11 +672,10 @@ def test_a_second_c_on_a_loop_reads_the_step_records(m):
 def test_step_record_holds_tuples():
     z0, h = -0.5 + 0.2j, 0.1 - 0.05j
     v0 = z0 / (1.0 - z0)
-    series = _forced_taylor(v0, z0, h, 2, _taylor_weights(0.5, 30))
-    record = _step_record(v0, z0, h, 30)
+    record = _step_record(v0, z0, h)
     assert all(isinstance(part, tuple) for part in record[:2])
     assert [len(part) for part in record[:2]] == [30, 31]
-    assert series[0] is record.below
+    assert record.below[0] == v0
     # v_0 at z0 + h, its step test and L = Log(1 + h/z0)
     assert record.value == sum(record.below)
     assert record.ok is True
@@ -723,17 +719,13 @@ def test_step_records_stay_within_maxsize_on_new_paths():
 
 
 def test_an_invalid_path_is_refused_on_every_call():
-    # the path check is memoised per vertex tuple, and keeps no refusal
+    # each call checks its path: a refused path is refused on every call
     for path, why in (([-1.0, 0.05j, -1.0], "within 0.1 of a singular"),
                       ([-1.0, -0.5j], "start and end at z = -1"),
                       ([-1.0], "at least two points")):
         for _ in range(3):
             with pytest.raises(TransportError, match=why):
                 numeric_transport(1, 0.5, path)
-    _checked_path.cache_clear()
-    for _ in range(3):
-        numeric_transport(1, 0.5, z0_loop())
-    assert _checked_path.cache_info()[:2] == (2, 1)  # hits, misses
 
 
 @pytest.mark.parametrize("m,c,lu_calls", [

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -655,6 +656,45 @@ def test_integer_re_c_below_re_s_zero_takes_the_other_routes():
         err = abs(res.value - want)
         assert err <= 1e-13 * max(1.0, abs(want))
         assert err <= res.error_estimate
+
+
+def _erdelyi_reference(mpmath, s, z, c):
+    """Phi(s, z, c) in mpmath by Erdelyi's series about z = 1, for
+    |Log z| < 2 pi and s off the positive integers, with L = Log z:
+    z^-c [Gamma(1-s) (-L)^(s-1) + sum_k zeta(s-k, c) L^k / k!].  Its
+    terms shrink like (|L| / 2 pi)^k; the sum stops at a term below
+    eps |sum|."""
+    mp = mpmath.mp
+    s, z, c = mp.mpc(s), mp.mpc(z), mp.mpc(c)
+    L = mp.log(z)
+    total = mp.gamma(1 - s) * (-L) ** (s - 1)
+    for k in count():
+        term = mp.zeta(s - k, c) * L ** k / mp.factorial(k)
+        total += term
+        if k > 3 and abs(term) < mp.eps * abs(total):
+            return mp.exp(-c * L) * total
+
+
+@pytest.mark.parametrize("s", [-1.5, -0.7 + 1j, -0.3 + 2j])
+@pytest.mark.parametrize("c", [0.7, 2.3])
+def test_reflection_below_the_cut_next_to_one_lies_within_its_estimate(s, c):
+    # below the cut a = Log z / 2 pi i lies next to 1, and the inner call
+    # at c = 1 - a took 1.0 - a, relative error EPS / |1 - a| that no
+    # estimate booked: 28 of these 36 values lay outside their estimates,
+    # phi(-1.5, 1 + 1e-6 e^{-0.3i}, 0.7) by 1.4e4 times
+    mpmath = pytest.importorskip("mpmath")
+    for eps in (1e-6, 1e-4, 1e-2):
+        for theta in (-0.3, -1.0):
+            z = 1.0 + eps * cmath.exp(1j * theta)
+            res = phi(s, z, c)
+            assert res.method == "reflection", (z, res.method)
+            refs = []
+            for dps in (30, 45):
+                with mpmath.workdps(dps):
+                    refs.append(_erdelyi_reference(mpmath, s, z, c))
+            want = complex(refs[1])
+            assert abs(refs[0] - refs[1]) <= 1e-20 * abs(want), z
+            assert abs(res.value - want) <= res.error_estimate, z
 
 
 # 0 < Re c < 1/16 with |z| > 0.75 and no reflection takes one c-shift

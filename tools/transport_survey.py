@@ -20,8 +20,9 @@ and per m and stratum the time ratio OTHER / this: the median of the 5
 per-pass ratios, with their least and greatest.  A value above 1 means
 this checkout is faster.  --against then races both checkouts the same
 way on UNSEEN seeded random loops, alternately around 0 and around 1,
-one transport each, with the step-record and path-check caches cleared
-before each pass, so that every Taylor step misses its record: the
+one transport each, with each checkout's step-record cache (and its
+path-check memo, in a checkout that has one) cleared before each pass,
+so that every Taylor step misses its record: the
 `unseen` line gives the worst entry difference, the refusals that
 differ and the time ratio OTHER / this on those loops.
 """
@@ -104,7 +105,9 @@ def unseen_cases():
 
 
 def clear_caches(dp):
-    """Empty the step-record and path-check caches a checkout has."""
+    """Empty the checkout's step-record cache, and its ``_checked_path``
+    memo where it has one.  The module's one other cache,
+    ``_crvz_weights``, depends on no path and stays filled."""
     for name in ("_step_record", "_checked_path"):
         cache = getattr(dp, name, None)
         if cache is not None:
