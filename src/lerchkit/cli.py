@@ -243,15 +243,6 @@ def cmd_verify(args):
     return 0 if rep.passed else 1
 
 
-_SWEEP_PARAMS = {
-    "phi": ("s", "z", "c"),
-    "li": ("s", "z", "c"),
-    "monodromy-term": ("s", "z", "c"),
-    "periodic_zeta": ("a", "s"),
-    "li_star": ("m", "k", "z"),
-}
-
-
 def _parse_grid(spec):
     var, eq, rng = spec.partition("=")
     parts = rng.split(":")
@@ -292,30 +283,43 @@ def _as_index(v):
     raise DomainError("index parameter must be an integer, got %r" % (v,))
 
 
-def _eval_expr(expr, p, tol):
-    if expr == "phi":
-        r = phi(p["s"], p["z"], p["c"], tol=tol)
-        return r.value, r.method, r.error_estimate
-    if expr == "li":
-        r = extended_polylog(p["s"], p["z"], p["c"], tol=tol)
-        return r.value, r.method, r.error_estimate
-    if expr == "periodic_zeta":
-        r = periodic_zeta(p["a"], p["s"], tol=tol)
-        return r.value, r.method, r.error_estimate
-    if expr == "li_star":
-        from .deformed_polylog import li_star
-        v = li_star(_as_index(p["m"]), _as_index(p["k"]), p["z"], tol=tol)
-        return v, "closed_form", None
-    if expr == "monodromy-term":
-        v = monodromy_Z_conj(0, 1, p["s"], p["z"], p["c"])
-        return v, "closed_form", None
-    raise ValueError("unknown expr %r" % expr)
+def _result(r):
+    return r.value, r.method, r.error_estimate
+
+
+def _li_star(m, k, z, tol):
+    from .deformed_polylog import li_star
+    return li_star(_as_index(m), _as_index(k), z, tol=tol), "closed_form", None
+
+
+# expr -> (parameters, call returning (value, method, error estimate));
+# the closed forms compute no error bound, so their estimate is None
+_SWEEP = {
+    "phi": (("s", "z", "c"), lambda s, z, c, tol:
+            _result(phi(s, z, c, tol=tol))),
+    "li": (("s", "z", "c"), lambda s, z, c, tol:
+           _result(extended_polylog(s, z, c, tol=tol))),
+    "monodromy-term": (("s", "z", "c"), lambda s, z, c, tol:
+                       (monodromy_Z_conj(0, 1, s, z, c), "closed_form", None)),
+    "periodic_zeta": (("a", "s"), lambda a, s, tol:
+                      _result(periodic_zeta(a, s, tol=tol))),
+    "li_star": (("m", "k", "z"), _li_star),
+}
+_INDEX = ("m", "k")  # integer options, one column each
+
+
+def _cells(name, w):
+    """The output columns of parameter name at value w: an index keeps
+    one, any other splits into real and imaginary parts."""
+    if name in _INDEX:
+        return {name: w if isinstance(w, int) else str(w)}
+    w = complex(w)
+    return {name + "_re": w.real, name + "_im": w.imag}
 
 
 def cmd_sweep(args):
-    import csv
     var, values = _parse_grid(args.grid)
-    needed = _SWEEP_PARAMS[args.expr]
+    needed, call = _SWEEP[args.expr]
     if var not in needed:
         raise ValueError("grid variable %r is not a parameter of %s "
                          "(parameters: %s)" % (var, args.expr,
@@ -327,66 +331,39 @@ def cmd_sweep(args):
         raw = getattr(args, name)
         if raw is None:
             raise ValueError("missing --%s for expr %s" % (name, args.expr))
-        fixed[name] = raw if name in ("m", "k") else parse_number(raw)[0]
-    tol = args.tol
+        fixed[name] = raw if name in _INDEX else parse_number(raw)[0]
 
-    cols = []
-    for name in needed:
-        cols.extend([name] if name in ("m", "k")
-                    else [name + "_re", name + "_im"])
+    cols = [col for name in needed for col in _cells(name, 0)]
     cols += ["value_re", "value_im", "method", "error_estimate", "error"]
-
-    rows = []
-    n_ok = 0
-    first_code = 0
+    rows, codes = [], []
     for v in values:  # deterministic grid order
-        params = dict(fixed)
-        params[var] = v
+        point = dict(fixed, **{var: v})
         row = {}
         for name in needed:
-            w = params[name]
-            if name in ("m", "k"):
-                row[name] = w if isinstance(w, int) else str(w)
-            else:
-                wc = complex(w)
-                row[name + "_re"] = wc.real
-                row[name + "_im"] = wc.imag
+            row.update(_cells(name, point[name]))
         try:
-            value, method, err = _eval_expr(args.expr, params, tol)
+            value, method, err = call(tol=args.tol, **point)
             row.update(value_re=value.real, value_im=value.imag,
                        method=method, error_estimate=err, error="")
-            n_ok += 1
         except LerchError as e:
             row.update(value_re="", value_im="", method="",
                        error_estimate="",
                        error="%s: %s" % (type(e).__name__, e))
-            if first_code == 0:
-                first_code = _exit_code(e)
+            codes.append(_exit_code(e))
         rows.append(row)
 
     if not values:
         print("warning: empty grid, header-only output", file=sys.stderr)
-
-    as_json = args.out is not None and args.out.endswith(".json")
-    if as_json:
-        import json
-        payload = {"schema": SCHEMA, "command": "sweep", "expr": args.expr,
-                   "var": var, "columns": cols, "rows": rows}
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+    if args.json:
+        _print_json({"schema": SCHEMA, "command": "sweep", "expr": args.expr,
+                     "var": var, "columns": cols, "rows": rows})
     else:
-        fh = open(args.out, "w", newline="") if args.out else sys.stdout
-        try:
-            writer = csv.DictWriter(fh, fieldnames=cols)
-            writer.writeheader()
-            writer.writerows(rows)
-        finally:
-            if args.out:
-                fh.close()
-    if values and n_ok == 0:
-        return first_code
-    return 0
+        import csv
+        writer = csv.DictWriter(sys.stdout, fieldnames=cols)
+        writer.writeheader()
+        writer.writerows(rows)
+    # exit with the first refusal's code only when every row was refused
+    return codes[0] if values and len(codes) == len(values) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +425,16 @@ def build_parser():
     ve.set_defaults(func=cmd_verify, usage_error=ve.error)
 
     sw = sub.add_parser("sweep", help="evaluate on a grid, CSV/JSON output")
-    sw.add_argument("--expr", required=True, choices=sorted(_SWEEP_PARAMS))
+    sw.add_argument("--expr", required=True, choices=sorted(_SWEEP))
     sw.add_argument("--grid", required=True,
                     help="var=start:stop:count (endpoints rational-first)")
     for n in ("s", "z", "c", "a"):
         sw.add_argument("--" + n)
-    sw.add_argument("--m", type=int)
-    sw.add_argument("--k", type=int)
+    for n in _INDEX:
+        sw.add_argument("--" + n, type=int)
     sw.add_argument("--tol", type=float, default=1e-12,
                     help="target tolerance (default: 1e-12)")
-    sw.add_argument("--out", help="output file; .json selects JSON, "
-                                  "anything else CSV (default: CSV to stdout)")
+    sw.add_argument("--json", action="store_true")
     sw.set_defaults(func=cmd_sweep)
     return parser
 

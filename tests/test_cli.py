@@ -428,25 +428,23 @@ def test_sweep_empty_grid_warns(capsys):
     assert len(out.strip().splitlines()) == 1  # header only
 
 
-def test_sweep_json_file(tmp_path, capsys):
-    target = tmp_path / "rows.json"
-    code, _, _ = run(capsys, "sweep", "--expr", "periodic_zeta",
-                     "--grid", "s=-3:-1:3", "--a", "1/3",
-                     "--out", str(target))
+def test_sweep_json_file(capsys):
+    # the document that `sweep ... --json > rows.json` writes
+    code, out, _ = run(capsys, "sweep", "--expr", "periodic_zeta",
+                       "--grid", "s=-3:-1:3", "--a", "1/3", "--json")
     assert code == 0
-    doc = json.loads(target.read_text())
+    doc = json.loads(out)
     assert doc["schema"] == "lerch-kit/1"
     assert doc["var"] == "s" and len(doc["rows"]) == 3
     assert all(r["error"] == "" for r in doc["rows"])
 
 
-def test_sweep_csv_file(tmp_path, capsys):
-    target = tmp_path / "rows.csv"
-    code, _, _ = run(capsys, "sweep", "--expr", "li_star",
-                     "--grid", "z=-0.8:0.8:5", "--m", "2", "--k", "1",
-                     "--out", str(target))
+def test_sweep_csv_file(capsys):
+    # the rows that `sweep ... > rows.csv` writes; an index keeps one column
+    code, out, _ = run(capsys, "sweep", "--expr", "li_star",
+                       "--grid", "z=-0.8:0.8:5", "--m", "2", "--k", "1")
     assert code == 0
-    rows = list(csv.DictReader(target.open()))
+    rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 5 and rows[0]["m"] == "2"
 
 
@@ -454,8 +452,7 @@ def test_sweep_csv_file(tmp_path, capsys):
     ("li_star", ("--m", "2", "--k", "1", "--tol", "1e-20")),
     ("monodromy-term", ("--s", "0.5", "--c", "0.7")),
 ])
-def test_sweep_reports_no_estimate_for_closed_forms(tmp_path, capsys, expr,
-                                                     point):
+def test_sweep_reports_no_estimate_for_closed_forms(capsys, expr, point):
     # neither closed form computes an error bound: li_star at z = 0.6 is
     # off by about 1e-16, so echoing --tol 1e-20 would be a false bound
     argv = ("sweep", "--expr", expr, "--grid", "z=0.3:0.6:2") + point
@@ -464,9 +461,9 @@ def test_sweep_reports_no_estimate_for_closed_forms(tmp_path, capsys, expr,
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["error_estimate"] for r in rows] == ["", ""]
     assert all(r["error"] == "" and r["value_re"] for r in rows)
-    target = tmp_path / "rows.json"
-    assert run(capsys, *argv, "--out", str(target))[0] == 0
-    doc = json.loads(target.read_text())
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    doc = json.loads(out)
     assert [r["error_estimate"] for r in doc["rows"]] == [None, None]
 
 

@@ -31,7 +31,7 @@ from lerchkit.deformed_polylog import (_N_TAYLOR, MonodromyMatrix,
                                        unipotency_class, weyl_expand,
                                        z0_loop, z1_loop)
 from lerchkit.errors import (AccuracyError, BranchError, DomainError,
-                             TransportError)
+                             StratumError, TransportError)
 from lerchkit.eval_core import classify_stratum, phi
 from lerchkit.monodromy import GeneratorLetter
 from lerchkit.special_values import _padd, _pmul, poly_eval
@@ -148,6 +148,18 @@ def test_li_star_edges():
         li_star(2, 1, 1.2)
     with pytest.raises(DomainError):
         li_star(2, -1, 0.5)
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_li_star_refuses_next_to_z1(m):
+    # z/(1 - z) at m = 0 once returned -1+1e12j at 1+1e-12j; m >= 1
+    # refused inside phi with the tag of c = 1, "multiple"
+    for z in (1 + 1e-12j, 1 - 1e-9, 1):
+        with pytest.raises(StratumError) as exc:
+            li_star(m, 1, z)
+        assert exc.value.stratum == "singular_z1"
+    with pytest.raises(BranchError):
+        li_star(m, 1, 2)
 
 
 def test_li_star_matches_its_series_in_the_disk():

@@ -23,7 +23,7 @@ from lerchkit import deformed_polylog, eval_core
 from lerchkit.branch_numerics import (EPS, principal_log, quad_semiaxis,
                                       semi_principal_log)
 from lerchkit.errors import (AccuracyError, BranchError, DomainError,
-                             StratumError)
+                             PoleError, StratumError)
 from lerchkit.eval_core import (c_coeff, classify_stratum, extended_polylog,
                                 hurwitz_zeta, lerch_zeta, periodic_zeta, phi,
                                 phi_c_shift, phi_integral, phi_series)
@@ -230,16 +230,16 @@ def test_public_routes_share_phis_finiteness_exit():
 def test_certain_c_shift_overflow_refuses_before_the_head(monkeypatch):
     # N log|z| = log|z^N| passes log 2^1024, for N of either sign (the
     # reflection's N < 0 takes z^N = 1 / z^|N|, past range for |z| < 1):
-    # z^N overflows, so no head term is built; these built up to 100,000
-    # head terms (0.1 to 0.3 s each) to refuse alike
-    powers = [0]
-    real_power = eval_core.branched_power
+    # z^N overflows, so no head term is built (each takes a Log(c + k));
+    # these built up to 100,000 head terms (0.1 to 0.3 s each) to refuse
+    logs = [0]
+    real_log = eval_core.principal_log
 
-    def counted_power(*args):
-        powers[0] += 1
-        return real_power(*args)
+    def counted_log(*args):
+        logs[0] += 1
+        return real_log(*args)
 
-    monkeypatch.setattr(eval_core, "branched_power", counted_power)
+    monkeypatch.setattr(eval_core, "principal_log", counted_log)
     calls = (("Phi(-1.5, (2+1j), -99999.7)",
               lambda: phi(-1.5, 2 + 1j, -99999.7)),
              ("Phi(2.5, (2+1j), -2000.7)",
@@ -260,12 +260,12 @@ def test_certain_c_shift_overflow_refuses_before_the_head(monkeypatch):
         with pytest.raises(AccuracyError, match=r"N = -?[0-9.e+]+ terms "
                            r"passes the budget \|N\| <= MAX_TERMS = 200000"):
             call()
-    assert powers[0] == 0
+    assert logs[0] == 0
     # below the threshold the head is built and the values stay finite
     assert phi(-1.5, 1.3 + 0.2j, -2000.7).method == "reflection"
     assert phi(2.5, 1.02 + 0.3j, -3000.3).method == "c_shift"
     assert phi(-0.5, 0.999j, 3000.3).method == "reflection"  # N = -3000
-    assert powers[0] > 0
+    assert logs[0] > 0
 
 
 def test_routes_refuse_points_outside_their_domain():
@@ -1013,6 +1013,10 @@ def test_hurwitz_zeta_estimate_counts_rounding():
 def test_hurwitz_zeta_pole():
     with pytest.raises(DomainError):
         hurwitz_zeta(1, 0.5)
+    # as_int calls this s the integer 1 (a box of side 2 INT_TOL); a disc
+    # of radius INT_TOL let it through to a value of about 5.6e11 (1 - i)
+    with pytest.raises(PoleError):
+        hurwitz_zeta(1 + 9e-13 + 9e-13j, 0.5)
 
 
 def _counted(monkeypatch, module, names):

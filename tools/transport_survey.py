@@ -20,9 +20,8 @@ and per m and stratum the time ratio OTHER / this: the median of the 5
 per-pass ratios, with their least and greatest.  A value above 1 means
 this checkout is faster.  --against then races both checkouts the same
 way on UNSEEN seeded random loops, alternately around 0 and around 1,
-one transport each, with each checkout's step-record cache (and its
-path-check memo, in a checkout that has one) cleared before each pass,
-so that every Taylor step misses its record: the
+one transport each, with each checkout's step-record cache cleared
+before each pass, so that every Taylor step misses its record: the
 `unseen` line gives the worst entry difference, the refusals that
 differ and the time ratio OTHER / this on those loops.
 """
@@ -73,7 +72,7 @@ def row_errors(got, want):
     """(lead row, log rows) parts of ``bench/oracle.rho_error``: the
     largest entry distance in row 0 and in rows 1..m, each over
     max(1, max |want|)."""
-    scale = max(1.0, max(abs(x) for x in want.flat))
+    scale = max(1.0, max(abs(x) for row in want for x in row))
     lead, logs = (max(abs(a - b) for ra, rb in zip(got[rows], want[rows])
                       for a, b in zip(ra, rb)) / scale
                   for rows in (slice(0, 1), slice(1, None)))
@@ -105,13 +104,12 @@ def unseen_cases():
 
 
 def clear_caches(dp):
-    """Empty the checkout's step-record cache, and its ``_checked_path``
-    memo where it has one.  The module's one other cache,
-    ``_crvz_weights``, depends on no path and stays filled."""
-    for name in ("_step_record", "_checked_path"):
-        cache = getattr(dp, name, None)
-        if cache is not None:
-            cache.cache_clear()
+    """Empty the checkout's step-record cache, where it has one.  The
+    module's one other cache, ``_crvz_weights``, depends on no path and
+    stays filled."""
+    record = getattr(dp, "_step_record", None)
+    if record is not None:
+        record.cache_clear()
 
 
 def cache_counts(dp):
@@ -147,9 +145,9 @@ def survey(mods, cases):
         if isinstance(got, str):
             rows.append((case, got, None, seconds, steps))
             continue
-        got = got.entries
-        err = row_errors(got, dp.rho(gen, m, c).entries)
-        rows.append((case, got.tolist(), err, seconds, steps))
+        got = got.rows
+        err = row_errors(got, dp.rho(gen, m, c).rows)
+        rows.append((case, got, err, seconds, steps))
     return rows
 
 
