@@ -83,8 +83,8 @@ from functools import lru_cache
 
 from .branch_numerics import (INT_TOL, as_int, branched_power, finite_entry,
                               finite_exit, principal_log, refuse_past_budget)
-from .errors import BranchError, DomainError, TransportError
-from .eval_core import _refuse_singular
+from .errors import DomainError, TransportError
+from .eval_core import _guard_cut, _refuse_singular
 from .eval_core import phi as _phi
 from .monodromy import _reduced
 from .special_values import _padd, _pmul, _pscale, poly_eval
@@ -176,7 +176,7 @@ def li_star(m, k, z, tol=1e-12):
         z^{k+1} [ Li_m(z) + (log z)^m / m! ]
         + (-1)^m sum_{j<k} z^{j+1} / (k-j)^m,
     AccuracyError past k > MAX_TERMS tail terms, StratumError within
-    NEAR (1e-8) of z = 1 (singular_z1), BranchError on (1, inf),
+    NEAR (1e-8) of z = 1 (singular_z1), BranchError within NEAR of (1, inf),
     the upper-edge value on (-inf, 0) (log z = log|z| + i pi), 0 at z = 0.
     """
     zc = finite_entry("z", (z,), tol)[0]
@@ -185,8 +185,7 @@ def li_star(m, k, z, tol=1e-12):
     if zc == 0:
         return 0j  # every term carries z^{>=1}, and z (log z)^m -> 0
     _refuse_singular(zc, None)
-    if zc.imag == 0 and zc.real >= 1:
-        raise BranchError("Li* hits the polylog cut [1, inf)")
+    _guard_cut(zc)
 
     def route():
         if m == 0:

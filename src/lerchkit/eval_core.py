@@ -28,22 +28,24 @@ raises AccuracyError).
 
 Tolerances, and the entry and exit that every public evaluator passes
 (``finite_entry``, ``finite_exit``), follow the numeric policy of
-branch_numerics.  One test, ``_stratum``, decides the stratum (radii in
-its docstring); ``classify_stratum`` reports its tag, and every
-evaluator refuses a singular point with that tag rather than return
-garbage.  z on (or within 1e-8 of) [1, infinity) is a branch error (the
-principal value is ambiguous there).  Every term formed as e^w books
-EPS (|w| + 4) |e^w| of rounding in its route's estimate
-(``_exp_rounding``).
+branch_numerics.  One test, ``_stratum``, decides the stratum (radii in its
+docstring); ``classify_stratum`` reports its tag, and every evaluator refuses
+a singular point with that tag rather than return garbage.  z on (or within
+1e-8 of) [1, infinity) is a branch error (the principal value is ambiguous
+there).  Log z is formed once, where z enters: ``phi``, ``phi_series`` and
+``phi_integral`` hand its principal value to the private routes, and
+``lerch_zeta`` and ``periodic_zeta`` hand 2 pi i a (2 pi i (a - 1) for
+Re a > 1/2), not the Log of a rounded z = e^{2 pi i a}, so that a next to 0
+or 1 keeps its digits.  Every term formed as e^w books EPS (|w| + 4) |e^w|
+of rounding in its route's estimate (``_exp_rounding``).
 
 The integral route (``periodic_zeta`` is z Phi(s, z, 1) on it) asks
-``quad_semiaxis`` for 0.1 * tol on the integral it returns, 1/Gamma
-included; a target the quadrature cannot reach makes it raise
-``AccuracyError``.  c_shift and reflection are one ``_compose`` step
-each: a plain share of tol per inner call, and one retry sized by the
-magnitudes if the estimate misses tol (1 + |value|).  The docstrings of
-``phi_integral`` (the ladder, the pole subtraction for |z| > 1, the
-estimate) and ``quad_semiaxis`` (the refusal rule) give the details.
+``quad_semiaxis`` for 0.1 * tol, 1/Gamma included, and raises
+``AccuracyError`` where it cannot reach it (``phi_integral`` has the
+ladder, the pole subtraction and the estimate, ``quad_semiaxis`` the
+refusal rule).  c_shift and reflection are one ``_compose`` step each: a
+plain share of tol per inner call, and one retry sized by the
+magnitudes if the estimate misses tol (1 + |value|).
 ``hurwitz_zeta`` is one Euler-Maclaurin sum: one c-shift head at z = 1,
 corrections at c + N, Bernoulli numbers from special_values' q_{2k-1}(-1).
 """
@@ -70,7 +72,6 @@ from .branch_numerics import (
     quad_semiaxis,
     reciprocal_gamma,
     refuse_past_budget,
-    semi_principal_log,
     sum_with_tail_bound,
 )
 from .errors import AccuracyError, BranchError, DomainError, PoleError, StratumError
@@ -112,13 +113,13 @@ def _stratum(z, c):
     (1e-8) of z = 1, singular_c within NEAR of n in {0, -1, ...},
     removable_c at a positive integer n under ``as_int`` (INT_TOL,
     1e-12), singular_z0 and singular_zinf at z = 0 and oo, multiple for
-    two at once, else regular; n is None off the c strata.  z = None
-    tests c alone, c = None z alone."""
+    two singular tags at once, else regular; n is None off the c strata.
+    z = None tests c alone, c = None z alone."""
     cc = None if c is None else complex(c)
     n = None if c is None else min(0, round(cc.real))
     if n is not None and abs(cc - n) >= NEAR:
         n = as_int(c)[1]  # positive or None: n <= 0 was caught above
-    flags = [] if n is None else ["singular_c" if n <= 0 else "removable_c"]
+    flags = ["singular_c"] if n is not None and n <= 0 else []
     if z is not None:
         zc = complex(z)
         if cmath.isinf(zc):
@@ -127,7 +128,8 @@ def _stratum(z, c):
             flags.append("singular_z0")
         elif abs(zc - 1.0) < NEAR:
             flags.append("singular_z1")
-    return "multiple" if len(flags) > 1 else (flags or ["regular"])[0], n
+    return ("multiple" if len(flags) > 1
+            else (flags or ["removable_c" if n else "regular"])[0]), n
 
 
 def _refuse_singular(z, c):
@@ -170,9 +172,8 @@ def _series_region(zc):
 def phi_series(s, z, c, tol=1e-12):
     """Direct summation of sum z^n (n+c)^{-s} with a certified tail bound.
 
-    Works for |z| < 1 and any s and c (the geometric factor wins
-    eventually); for Re(c) <= 0 the finitely many terms with Re(n+c) <= 0
-    simply go through the principal branched power like all the others.
+    Works for |z| < 1 and any s and c; the finitely many terms with
+    Re(n+c) <= 0 take the principal branched power like all the others.
 
     The tail majorant is taken at the current n.  For k >= n >= 2 - Re c,
     |k+c| >= Re(k+c) = k + Re c >= 2, so u = 1/(k+c) has Re u >= 0, where
@@ -203,7 +204,7 @@ def phi_series(s, z, c, tol=1e-12):
             w = -sc * principal_log(cc)
             value = cmath.exp(w)
             return EvalResult(value, "series", _exp_rounding(w, value))
-        return _series_sum(sc, zc, cc, tol)
+        return _series_sum(sc, zc, principal_log(zc), cc, tol)
     return finite_exit("Phi", (s, z, c), route)
 
 
@@ -223,8 +224,8 @@ def _log_sum_bound(sc, cc, least, rest):
     return sum(parts) + 8.0 * EPS * (sum(map(abs, parts)) + sc.real)
 
 
-def _series_sum(sc, zc, cc, tol):
-    """``phi_series`` past its guards, for 0 < |z| < 1 (``phi``'s route)."""
+def _series_sum(sc, zc, lz, cc, tol):
+    """``phi_series`` past its guards, 0 < |z| < 1 (``phi``'s route)."""
     # log M >= -Re s log|c| >= Re s (1 - |c|), as n = 0 is one of the n
     # and log x <= x - 1, so only Re s (|c| - 1) > -log 5e-324 needs log M
     if sc.real > 0.0 and sc.real * (abs(cc) - 1.0) > -_LOG_TINY:
@@ -234,17 +235,15 @@ def _series_sum(sc, zc, cc, tol):
         if _log_sum_bound(sc, cc, least, -math.log1p(-abs(zc))) < _LOG_TINY:
             # the whole sum lies below the least positive double
             return EvalResult(0j, "series", _TINY)
-    lz = cmath.log(zc)
     n_min = 2.0 - cc.real
     sa = abs(sc)
     # rho(n) < 1 exactly when q = |s|/(n + Re c) < -log|z| = q_max > 0
-    q_max = -math.log(abs(zc))
+    q_max = -lz.real
     # that is when n > |s| / q_max - Re c: past the budget, no term is drawn
     refuse_past_budget("series", max(0.0, n_min, sa / q_max - cc.real))
     target = 0.5 * tol
-    # principal_log only turns a -0.0 imaginary part into +0.0 and rejects
-    # 0, which the c guard already excludes: with that sign set once
-    # here, cmath.log(n + c) equals principal_log(n + c) bit for bit
+    # with a -0.0 imaginary part turned to +0.0 once here (and no n + c = 0),
+    # cmath.log(n + c) equals principal_log(n + c) bit for bit
     if cc.imag == 0.0:
         cc = complex(cc.real, 0.0)
     log = cmath.log
@@ -282,10 +281,8 @@ def _series_sum(sc, zc, cc, tol):
 # ---------------------------------------------------------------------------
 
 def phi_integral(s, z, c, tol=1e-12):
-    """Gamma(s)^{-1} int_0^inf t^{s-1} e^{-ct}/(1 - z e^{-t}) dt, any s.
-
-    Valid for Re(c) > 0 and z off the cut [1, inf); the denominator
-    never vanishes for real t > 0 there.
+    """Gamma(s)^{-1} int_0^inf t^{s-1} e^{-ct}/(1 - z e^{-t}) dt, any s,
+    Re(c) > 0 and z off the cut [1, inf), where 1 - z e^{-t} has no zero.
 
     With g(t) = t^{s-1} e^{-ct} / Gamma(s) and w = z e^{-t}, the kernel
     1/(1 - w) has a simple pole at t0 = Log z, and the integrand's
@@ -334,19 +331,20 @@ def phi_integral(s, z, c, tol=1e-12):
     if cc.real <= 0:
         raise DomainError("integral strategy needs Re(c) > 0")
     _guard_cut(zc)  # which holds z = 1 and its 1e-8 neighbourhood
-    return finite_exit("Phi", (s, z, c), lambda: _mellin(sc, zc, cc, tol))
+    return finite_exit("Phi", (s, z, c), lambda: _mellin(
+        sc, zc, principal_log(zc) if zc else 0j, cc, tol))
 
 
-def _mellin(sc, zc, cc, tol):
-    """``phi_integral`` past its checks.  ``periodic_zeta`` calls in here:
-    its z = e^{2 pi i a}, 0 < Re(a) < 1, keeps arg z in (0, 2 pi), off
-    the cut even within 1e-8 of z = 1."""
+def _mellin(sc, zc, lz, cc, tol):
+    """``phi_integral`` past its checks, lz = Log z (read for |z| > 1 only).
+    ``periodic_zeta`` calls in here: its z = e^{2 pi i a}, 0 < Re(a) < 1,
+    keeps arg z in (0, 2 pi), off the cut even within 1e-8 of z = 1."""
     j = 0 if sc.real >= 0.5 else math.ceil(1.0 - sc.real)
     g0 = closed = 0j
     pole_err = 0.0
     if sc.real >= 0.0625:  # T_FLOOR^(1/16) < 1e-18: the dropped tail is tiny
         rg = reciprocal_gamma(sc)
-        g0, closed, pole_err = _pole_term(sc, zc, cc, rg)
+        g0, closed, pole_err = _pole_term(sc, zc, lz, cc, rg)
         # with no pole subtracted the ladder stays for 1/16 <= Re s < 1/2:
         # the plain integral there refused one more bench `box` point and
         # drew 14,416 more integrand calls on seeds 1-3
@@ -397,16 +395,15 @@ def _ladder_numerator(j, cc):
     return p
 
 
-def _pole_term(sc, zc, cc, rg):
-    """(g0, closed, rounding) of the pole subtraction in ``phi_integral``,
-    all zero when the pole is not subtracted (gate and estimate in its
-    docstring)."""
+def _pole_term(sc, zc, t0, cc, rg):
+    """(g0, closed, rounding) of the pole subtraction in ``phi_integral``
+    at t0 = Log z, all zero when the pole is not subtracted (gate and
+    estimate in its docstring)."""
     r = abs(zc)
     # on the negative axis the poles log|z| +- i pi tie, both pi off the
     # real axis; subtracting one would make Phi complex at real s, c
     if r <= 1.0 or zc.imag == 0.0:
         return 0j, 0j, 0.0
-    t0 = principal_log(zc)
     x0, theta = t0.real, t0.imag
     lg0 = (sc - 1.0) * principal_log(t0) - cc * t0  # log(g(t0) / rg)
     lgx = (sc - 1.0) * math.log(x0) - cc * x0       # log(g(x0) / rg)
@@ -523,20 +520,20 @@ def c_coeff(n, s):
         * cmath.exp(sign * 1j * math.pi * (1.0 - sc) / 2.0))
 
 
-def _reflect_with_c_normalization(sc, zc, cc, tol):
+def _reflect_with_c_normalization(sc, zc, lz, cc, tol):
     """Phi(s, z, c) = head + z^N Phi(s, z, c') (``_c_shift_head``), where
     N = -floor(Re c) puts c' = c + N in 0 < Re(c') < 1, and the
-    three-term formula in Lerch-zeta coordinates z = e^{2 pi i a} (a from
-    the semi-principal Log, so 0 <= Re(a) < 1):
+    three-term formula in Lerch-zeta coordinates z = e^{2 pi i a}, with
+    a = lz / 2 pi i from lz = Log z (+ 1 where Im lz < 0: 0 <= Re a < 1):
 
       Phi(s, z, c') = c_0(s) e^{-2 pi i a c'}    Phi(1-s, e^{-2 pi i c'}, a)
                     + c_1(s) e^{2 pi i c'(1-a)}  Phi(1-s, e^{2 pi i c'}, 1-a)
 
     with the coefficients c_n of ``c_coeff``, for Re(s) <= 0.  Where
-    Im Log z < 0 and |Log z| < 1, below the cut next to z = 1, a lies
-    next to 1 and 1 - a is -Log z / (2 pi i) from the principal Log:
-    1.0 - a would carry an error EPS, relative EPS / |1 - a|, into the
-    second inner call's term (1 - a)^(s-1), which no estimate books.
+    Im lz < 0 and |lz| < 1, below the cut next to z = 1, a lies next
+    to 1 and 1 - a is -lz / (2 pi i): 1.0 - a would carry an error EPS,
+    relative EPS / |1 - a|, into the second inner call's term
+    (1 - a)^(s-1), which no estimate books.
     The two inner ``phi`` calls live at Re(1-s) > 1/2 and are one
     ``_compose`` step, asked first for tol/8 each (tol/4 for N = 0).  The
     estimate counts the error of Gamma(1-s) (``gamma_rel_error``) and
@@ -545,9 +542,8 @@ def _reflect_with_c_normalization(sc, zc, cc, tol):
     n = -math.floor(cc.real)
     head, zpow, head_rounding = _c_shift_head(sc, zc, cc, n)
     cn, sp = cc + n, 1.0 - sc
-    a = semi_principal_log(zc) / _2PI_I
-    lg = principal_log(zc)
-    one_a = -lg / _2PI_I if lg.imag < 0.0 and abs(lg) < 1.0 else 1.0 - a
+    a = (lz if lz.imag >= 0.0 else lz + _2PI_I) / _2PI_I
+    one_a = -lz / _2PI_I if lz.imag < 0.0 and abs(lz) < 1.0 else 1.0 - a
     w1, w2 = -_2PI_I * a * cn, _2PI_I * cn * one_a
     p1 = c_coeff(0, sc) * cmath.exp(w1)
     p2 = c_coeff(1, sc) * cmath.exp(w2)
@@ -622,9 +618,7 @@ def _exact_rational_case(s, z, c):
 def phi(s, z, c, tol=1e-12):
     """Evaluate Phi(s, z, c) on the principal branch, auto-dispatched.
 
-    Routes in the order of the module docstring: exact rational, series
-    (any c in |z| <= 0.75), reflection, c_shift (the integral takes what a
-    shift with 0 < Re c < 1/16 refuses), integral.  Input that
+    Routes in the order of the module docstring.  Input that
     ``finite_entry`` refuses raises DomainError before any route runs, a
     point that ``classify_stratum`` calls singular StratumError with its
     tag (z = oo is singular_zinf), the cut [1, oo) BranchError, and an
@@ -633,19 +627,19 @@ def phi(s, z, c, tol=1e-12):
     sc, zc, cc = finite_entry("s z c", (s, z, c), tol)
     _refuse_singular(z, c)
     return finite_exit("Phi", (s, z, c), lambda: _exact_rational_case(
-        s, z, c) or _dispatch(sc, zc, cc, tol))
+        s, z, c) or _dispatch(sc, zc, principal_log(zc), cc, tol))
 
 
-def _dispatch(sc, zc, cc, tol):
-    """``phi``'s numeric routes, for a point off the singular strata."""
+def _dispatch(sc, zc, lz, cc, tol):
+    """``phi``'s numeric routes off the singular strata, lz = Log z."""
     if _series_region(zc):
-        return _series_sum(sc, zc, cc, tol)
+        return _series_sum(sc, zc, lz, cc, tol)
     # next to an integer Re c the reflection meets c + k = 0 or an inner z = 1,
     # within 2 pi NEAR of z = 1 an inner c = a or 1 - a, |a| ~ |z - 1| / 2 pi
     if (sc.real <= 0 and NEAR <= cc.real % 1.0 <= 1.0 - NEAR
             and abs(zc - 1.0) >= 2.0 * _2PI * NEAR):
         _guard_cut(zc)  # raises BranchError on [1, oo)
-        return _reflect_with_c_normalization(sc, zc, cc, tol)
+        return _reflect_with_c_normalization(sc, zc, lz, cc, tol)
     if cc.real < 0.0625:
         # the slow decay of e^{-ct} at 0 < Re c < 1/16 often keeps the
         # integral from its target; it takes what the shift refuses
@@ -663,12 +657,18 @@ def _dispatch(sc, zc, cc, tol):
 # ---------------------------------------------------------------------------
 
 def lerch_zeta(s, a, c, tol=1e-12):
-    """zeta(s, a, c) = Phi(s, e^{2 pi i a}, c) for 0 < Re(a) < 1."""
-    ac = finite_entry("s a c", (s, a, c), tol)[1]
+    """zeta(s, a, c) = Phi(s, e^{2 pi i a}, c), 0 < Re(a) < 1, on ``phi``'s
+    routes with Log z = 2 pi i a, or 2 pi i (a - 1) (exact) for Re a > 1/2."""
+    sc, ac, cc = finite_entry("s a c", (s, a, c), tol)
     if not 0.0 < ac.real < 1.0:
         raise DomainError("lerch_zeta needs 0 < Re(a) < 1")
-    return finite_exit("zeta", (s, a, c),
-                       lambda: phi(s, exp_2pi_i(ac), c, tol=tol))
+    lz = _2PI_I * (ac if ac.real <= 0.5 else ac - 1.0)
+
+    def route():
+        zc = exp_2pi_i(ac)  # past double range for large -Im a
+        _refuse_singular(zc, c)
+        return _dispatch(sc, zc, lz, cc, tol)
+    return finite_exit("zeta", (s, a, c), route)
 
 
 def periodic_zeta(a, s, tol=1e-12):
@@ -678,10 +678,11 @@ def periodic_zeta(a, s, tol=1e-12):
     ac, sc = finite_entry("a s", (a, s), tol)
     if not 0.0 < ac.real < 1.0:
         raise DomainError("periodic_zeta needs 0 < Re(a) < 1")
+    lz = _2PI_I * (ac if ac.real <= 0.5 else ac - 1.0)
 
     def route():
         z = exp_2pi_i(ac)
-        res = _mellin(sc, z, 1.0 + 0j, tol)
+        res = _mellin(sc, z, lz, 1.0 + 0j, tol)
         return EvalResult(z * res.value, "integral",
                           abs(z) * res.error_estimate)
     return finite_exit("F", (a, s), route)

@@ -152,14 +152,16 @@ def test_li_star_edges():
 
 @pytest.mark.parametrize("m", range(4))
 def test_li_star_refuses_next_to_z1(m):
-    # z/(1 - z) at m = 0 once returned -1+1e12j at 1+1e-12j; m >= 1
-    # refused inside phi with the tag of c = 1, "multiple"
+    # z/(1 - z) at m = 0 once returned -1+1e12j at 1+1e-12j, and
+    # -2+1e-10j at 2+1e-10j, within the 1e-8 band about the cut where
+    # every m >= 1 refused
     for z in (1 + 1e-12j, 1 - 1e-9, 1):
         with pytest.raises(StratumError) as exc:
             li_star(m, 1, z)
         assert exc.value.stratum == "singular_z1"
-    with pytest.raises(BranchError):
-        li_star(m, 1, 2)
+    for z in (2, 2 + 1e-10j, 2 - 1e-10j):
+        with pytest.raises(BranchError):
+            li_star(m, 1, z)
 
 
 def test_li_star_matches_its_series_in_the_disk():

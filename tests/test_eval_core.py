@@ -119,6 +119,9 @@ def test_strategies_agree_pairwise():
             d = phi_c_shift(s, z, c + 0, 2).value
             assert a == pytest.approx(b, abs=1e-10), (s, z)
             assert a == pytest.approx(d, abs=1e-10), (s, z)
+        # the two routes take z = 0 as well, where Phi = c^-s
+        assert phi_integral(s, 0, c).value == pytest.approx(
+            phi_series(s, 0, c).value, abs=1e-10)
 
 
 def test_singular_strata_raise():
@@ -214,12 +217,15 @@ def test_results_beyond_double_range_are_refused():
 def test_public_routes_share_phis_finiteness_exit():
     # the first returned nan+nanj with estimate nan; the c-shift head of
     # hurwitz_zeta, the ladder numerator and 1/Gamma(300) of the integral
-    # under periodic_zeta raised a bare OverflowError
+    # under periodic_zeta raised a bare OverflowError.  lerch_zeta's
+    # z = e^{2 pi i a} passes double range at a = 0.5 - 200i
     calls = (("Phi(2.5, (2+1j), -2000.7)",
               lambda: phi_c_shift(2.5, 2 + 1j, -2000.7, 2002)),
              ("zeta_H(-200, -2000.7)", lambda: hurwitz_zeta(-200, -2000.7)),
              ("F(0.3, -200)", lambda: periodic_zeta(0.3, -200)),
-             ("F(0.3, 300)", lambda: periodic_zeta(0.3, 300)))
+             ("F(0.3, 300)", lambda: periodic_zeta(0.3, 300)),
+             ("zeta(2, (0.5-200j), 0.5)",
+              lambda: lerch_zeta(2, 0.5 - 200j, 0.5)))
     for name, call in calls:
         with pytest.raises(AccuracyError) as exc:
             call()
@@ -231,12 +237,13 @@ def test_certain_c_shift_overflow_refuses_before_the_head(monkeypatch):
     # N log|z| = log|z^N| passes log 2^1024, for N of either sign (the
     # reflection's N < 0 takes z^N = 1 / z^|N|, past range for |z| < 1):
     # z^N overflows, so no head term is built (each takes a Log(c + k));
-    # these built up to 100,000 head terms (0.1 to 0.3 s each) to refuse
+    # these built up to 100,000 head terms (0.1 to 0.3 s each) to refuse.
+    # Only the head's Logs count: phi takes one Log z at its entry
     logs = [0]
     real_log = eval_core.principal_log
 
     def counted_log(*args):
-        logs[0] += 1
+        logs[0] += sys._getframe(1).f_code.co_name == "_c_shift_head"
         return real_log(*args)
 
     monkeypatch.setattr(eval_core, "principal_log", counted_log)
@@ -658,15 +665,14 @@ def test_integer_re_c_below_re_s_zero_takes_the_other_routes():
         assert err <= res.error_estimate
 
 
-def _erdelyi_reference(mpmath, s, z, c):
+def _erdelyi_reference(mpmath, s, L, c):
     """Phi(s, z, c) in mpmath by Erdelyi's series about z = 1, for
-    |Log z| < 2 pi and s off the positive integers, with L = Log z:
+    s off the positive integers, given L = Log z with |L| < 2 pi:
     z^-c [Gamma(1-s) (-L)^(s-1) + sum_k zeta(s-k, c) L^k / k!].  Its
     terms shrink like (|L| / 2 pi)^k; the sum stops at a term below
     eps |sum|."""
     mp = mpmath.mp
-    s, z, c = mp.mpc(s), mp.mpc(z), mp.mpc(c)
-    L = mp.log(z)
+    s, L, c = mp.mpc(s), mp.mpc(L), mp.mpc(c)
     total = mp.gamma(1 - s) * (-L) ** (s - 1)
     for k in count():
         term = mp.zeta(s - k, c) * L ** k / mp.factorial(k)
@@ -691,10 +697,33 @@ def test_reflection_below_the_cut_next_to_one_lies_within_its_estimate(s, c):
             refs = []
             for dps in (30, 45):
                 with mpmath.workdps(dps):
-                    refs.append(_erdelyi_reference(mpmath, s, z, c))
+                    refs.append(_erdelyi_reference(
+                        mpmath, s, mpmath.log(mpmath.mpc(z)), c))
             want = complex(refs[1])
             assert abs(refs[0] - refs[1]) <= 1e-20 * abs(want), z
             assert abs(res.value - want) <= res.error_estimate, z
+
+
+@pytest.mark.parametrize("s", [-1.5, -0.3 + 2j])
+def test_lerch_zeta_next_to_a_0_and_1_lies_within_its_estimate(s):
+    # lerch_zeta rounded z = e^{2 pi i a}, then took its Log again, which
+    # lost the digits of a next to a = 0 and 1: 8 of these 12 values lay
+    # outside their estimates, (-0.3+2j, 1 - 1e-7, 0.7) by 2.3e4 times.
+    # Log z is 2 pi i a, or 2 pi i (a - 1) above a = 1/2, at the exact a
+    mpmath = pytest.importorskip("mpmath")
+    for k in (3, 5, 7):
+        for a in (10.0 ** -k, 1.0 - 10.0 ** -k):
+            res = lerch_zeta(s, a, 0.7)
+            assert res.method == "reflection", (a, res.method)
+            refs = []
+            for dps in (30, 45):
+                with mpmath.workdps(dps):
+                    x = mpmath.mpf(a) - (a > 0.5)
+                    refs.append(_erdelyi_reference(
+                        mpmath, s, 2j * mpmath.pi * x, 0.7))
+            want = complex(refs[1])
+            assert abs(refs[0] - refs[1]) <= 1e-20 * abs(want), a
+            assert abs(res.value - want) <= res.error_estimate, a
 
 
 # 0 < Re c < 1/16 with |z| > 0.75 and no reflection takes one c-shift
@@ -981,7 +1010,10 @@ def test_classify_stratum_tags():
     assert classify_stratum(2, 0.0, 0.5).tag == "singular_z0"
     assert classify_stratum(2, 1.0, 0.5).tag == "singular_z1"
     assert classify_stratum(2, 0.5, -2).tag == "singular_c"
-    assert classify_stratum(2, 1.0, 1).tag == "multiple"
+    # a positive integer c is removable: it joins no singular tag
+    assert classify_stratum(2, 1.0, 1).tag == "singular_z1"
+    assert classify_stratum(2, 0.0, 2).tag == "singular_z0"
+    assert classify_stratum(2, 1.0, 0).tag == "multiple"
 
 
 def test_hurwitz_zeta_reference():
@@ -1281,7 +1313,7 @@ def test_flat_reflection_retries_once(monkeypatch):
 def test_box_survey_runs():
     # the survey tool end to end, in its own interpreter, on 8 points of
     # this checkout against itself: no outcome differs, and the two sides
-    # are timed interleaved
+    # are timed interleaved, three times with the first side alternating
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, str(root / "tools/box_survey.py"),
                            "--n", "8", "--seeds", "1", "--against", "src"],
@@ -1290,6 +1322,9 @@ def test_box_survey_runs():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "0 points differ" in lines
-    assert re.fullmatch(r"interleaved timing over 8 points: time ratio "
-                        r"\d+\.\d{3} \(this checkout over the other\), "
-                        r"blocks of 64 won [01] to [01]", lines[-1]), lines[-1]
+    for line, first in zip(lines[-4:-1], ("this", "other", "this")):
+        assert re.fullmatch(r"interleaved timing over 8 points, %s first: "
+                            r"time ratio \d+\.\d{3} \(this checkout over the "
+                            r"other\), blocks of 64 won [01] to [01]" % first,
+                            line), line
+    assert re.fullmatch(r"median time ratio \d+\.\d{3}", lines[-1]), lines[-1]

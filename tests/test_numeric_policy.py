@@ -29,6 +29,11 @@ polynomial kernel and the certified series sum each have one home.
 * ``eval_core`` has one Mellin integral: only ``_mellin`` calls
   ``quad_semiaxis``; ``phi_integral`` (past its z guards) and
   ``periodic_zeta`` (z Phi(s, z, 1)) both reach it.
+* Log z is formed where z enters: in ``eval_core`` only ``phi``,
+  ``phi_series`` and ``phi_integral`` hand ``zc`` to ``principal_log``,
+  ``semi_principal_log`` or ``cmath.log``, the private routes take it
+  from their caller, ``semi_principal_log`` is not imported, and
+  ``lerch_zeta`` (whose Log z is 2 pi i a) does not call ``phi``.
 * ``eval_core`` takes every rounding bound from ``EPS``: it holds no
   float literal between 1e-17 and 1e-13.
 * ``eval_core`` has one retry rule for the identities that re-enter
@@ -200,6 +205,32 @@ def test_one_mellin_integral():
     users = [fn.name for fn in tree.body
              if isinstance(fn, ast.FunctionDef) and _calls(fn, "_mellin")]
     assert users == ["phi_integral", "periodic_zeta"], users
+
+
+def _takes_log_of_z(call):
+    """True when call is principal_log, semi_principal_log or cmath.log
+    with the name zc among its arguments."""
+    fn = call.func
+    named = (isinstance(fn, ast.Name)
+             and fn.id in ("principal_log", "semi_principal_log")
+             or isinstance(fn, ast.Attribute) and fn.attr == "log"
+             and isinstance(fn.value, ast.Name) and fn.value.id == "cmath")
+    return named and any(isinstance(arg, ast.Name) and arg.id == "zc"
+                         for arg in call.args)
+
+
+def test_log_z_is_formed_where_z_enters():
+    tree = ast.parse((SRC / "eval_core.py").read_text())
+    funcs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    takers = sorted(name for name, fn in funcs.items()
+                    if any(isinstance(node, ast.Call) and _takes_log_of_z(node)
+                           for node in ast.walk(fn)))
+    assert takers == ["phi", "phi_integral", "phi_series"], takers
+    imported = {alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "semi_principal_log" not in imported
+    # lerch_zeta hands phi's routes Log z = 2 pi i a, never a rounded z
+    assert not _calls(funcs["lerch_zeta"], "phi")
 
 
 def _is_tol_scale(node):

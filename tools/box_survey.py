@@ -18,8 +18,11 @@ alone moved, and the refusals that differ only in message, ``best`` or
 ``bound``.  Then both checkouts' ``phi``, without the counting wrappers,
 are timed on alternating blocks of 64 points, the side that goes first
 flipping from block to block, so that drift in the machine's speed
-falls on both alike; a last line gives the ratio of the total times
-(this checkout over the other) and the blocks each side won.
+falls on both alike.  That race runs three times, this checkout first
+on the even blocks of the first and third and the other on those of
+the second; a line per race gives the ratio of the total times (this
+checkout over the other) and the blocks each side won, and a last line
+the median of the three ratios.
 """
 import argparse
 import importlib
@@ -80,14 +83,15 @@ def survey(src, points_of, n, seeds):
     return rows, phi, errors.LerchError
 
 
-def race(sides, points):
+def race(sides, points, first):
     """(seconds of each side over points, blocks each side won) for
     sides [(phi, LerchError)], timed on alternating blocks of points,
-    the first side first on even blocks and second on odd ones."""
+    side `first` first on even blocks and second on odd ones."""
     seconds, won = [0.0, 0.0], [0, 0]
     for b in range(0, len(points), BLOCK):
         spent = [0.0, 0.0]
-        for k in ((0, 1) if b // BLOCK % 2 == 0 else (1, 0)):
+        for k in ((first, 1 - first) if b // BLOCK % 2 == 0
+                  else (1 - first, first)):
             phi, error = sides[k]
             start = time.perf_counter()
             for point in points[b:b + BLOCK]:
@@ -150,10 +154,15 @@ def main():
                  len(diff) - changed - len(returned)))
         points = [p[:3] for seed in seeds
                   for p in islice(points_of(seed), args.n)]
-        (mine, theirs), won = race(sides, points)
-        print("interleaved timing over %d points: time ratio %.3f (this "
-              "checkout over the other), blocks of %d won %d to %d"
-              % (len(points), mine / theirs, BLOCK, *won))
+        ratios = []
+        for first in (0, 1, 0):
+            (mine, theirs), won = race(sides, points, first)
+            ratios.append(mine / theirs)
+            print("interleaved timing over %d points, %s first: time ratio "
+                  "%.3f (this checkout over the other), blocks of %d won %d "
+                  "to %d" % (len(points), ("this", "other")[first],
+                             ratios[-1], BLOCK, *won))
+        print("median time ratio %.3f" % sorted(ratios)[1])
 
 def _share(move, estimates):
     return move / estimates if estimates else float("inf")
