@@ -218,13 +218,9 @@ _LANCZOS_C = (
 def _is_exact_nonpositive_int(s):
     """True when s is *exactly* a non-positive integer (int, Fraction,
     or a float/complex that equals one bit-for-bit)."""
-    try:
-        im = s.imag
-        re = s.real
-    except AttributeError:
-        re, im = s, 0
-    if im != 0:
+    if s.imag != 0:
         return False
+    re = s.real
     return re == math.floor(re) and re <= 0 if re == re else False
 
 

@@ -276,8 +276,6 @@ def _parse_grid(spec):
 def _as_index(v):
     if isinstance(v, int):
         return v
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
     if isinstance(v, float) and v == round(v):
         return int(round(v))
     raise DomainError("index parameter must be an integer, got %r" % (v,))

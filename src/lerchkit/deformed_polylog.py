@@ -50,22 +50,24 @@ polynomial in t, and with L = Log(1 + h/z0) and E = e^{(1-c) L},
     v_k(z0 + h) = E sum_{j=1..k} v_j(z0) L^{k-j} / (k-j)! + F_k,
 
 where F_k is zero at z0 and driven by v_0 = K z/(1-z).  The chain of
-b_{m-1} has v_0 = 0 and moves in closed form, with no truncation.  The
-lead chain sums v_0's geometric series and its m forced parts F_k from
-their scaled Taylor coefficients W_{k,q} = A_q h^q, q = 0..30:
-W_{0,0} = v_0(z0) and W_{0,q} = v_0(z0) / z0 (h / (1 - z0))^q, and, as
-z F_k' = F_{k-1} - (c-1) F_k with F_k(z0) = 0, W_{k,0} = 0 and
+b_{m-1} has v_0 = 0 and moves in closed form, with no truncation.  On
+the lead chain v_0 = (theta + c - 1)^m Li_{m,c} = sum_n z^{n+1} = z/(1-z)
+for every c and m (also for Li*, whose log term maps to z^{k+1}), so
+v_0 is not stepped and K = 1.  Its m forced parts F_k are summed from
+their scaled Taylor coefficients W_{k,q} = A_q h^q, q = 0..30, driven by
+those of v_0 at z0, W_{0,0} = z0 / (1 - z0) and
+W_{0,q} = (h / (1 - z0))^q / (1 - z0): as z F_k' = F_{k-1} - (c-1) F_k
+with F_k(z0) = 0, W_{k,0} = 0 and
 
     W_{k,q+1} = (W_{k-1,q} - (q + c - 1) W_{k,q}) h / (z0 (q + 1)).
 
-A step is accepted when the last two terms of each of these m+1 series
-stay below 1e-10 * max(1, |value|), and halved otherwise.  v_0's series
-is tested first, then the F_k are formed and tested one at a time, so
-the first to fail ends the attempt.  Along a path v_0 and the steps are
-the same for every c and m, so the c-independent half of a step (the
-rates h / (z0 (q + 1)), v_0's series, its sum and step test, and L) is a
-step record keyed on v_0(z0), z0 and h, shared by every transport that
-takes the step from a cache of 256 records.
+A step is accepted when the last two terms of each of these m series
+stay below 1e-10 * max(1, |v_k(z0 + h)|), and halved otherwise; the F_k
+are formed and tested one at a time, so the first to fail ends the
+attempt.  Along a path the steps are the same for every c and m, so the
+c-independent half of a step (the rates h / (z0 (q + 1)), v_0's
+coefficients and L) is a step record keyed on z0 and h, shared by every
+transport that takes the step from a cache of 256 records.
 
 Matrices are tuples of rows of Python complex numbers, multiplied,
 factored and solved by one small LU kernel with partial pivoting.  Only
@@ -580,30 +582,21 @@ def _start_frame(m, c):
 # the rates of a step record are h / z0 times these
 _RECIPROCALS = tuple(1.0 / (q + 1) for q in range(_N_TAYLOR))
 
-_StepRecord = namedtuple("_StepRecord", "rate below value ok log")
+_StepRecord = namedtuple("_StepRecord", "rate below log")
 
 
 @lru_cache(maxsize=256)
-def _step_record(v0, z0, h):
-    """The c-independent half of the step from z0 to z0 + h with
-    v_0(z0) = v0: the rates h / (z0 (q + 1)), v_0's scaled coefficients
-    W_{0,q} (below), their sum v_0(z0 + h) (value), its step test (ok)
-    and L = Log(1 + h / z0) (log)."""
+def _step_record(z0, h):
+    """The c-independent half of the step from z0 to z0 + h: the rates
+    h / (z0 (q + 1)), the scaled coefficients W_{0,q} of v_0 = z/(1 - z)
+    (below) and L = Log(1 + h / z0) (log)."""
     hz = h / z0
     rate = tuple(map(operator.mul, itertools.repeat(hz), _RECIPROCALS))
+    u = 1.0 / (1.0 - z0)
     below = list(itertools.accumulate(
-        itertools.repeat(h / (1.0 - z0), _N_TAYLOR), operator.mul,
-        initial=v0 / z0))
-    below[0] = v0
-    value = sum(below)
-    return _StepRecord(rate, tuple(below), value, _passes(below, value),
-                       cmath.log(1.0 + hz))
-
-
-def _passes(W, value):
-    """The step test: the last two terms of the series W stay below
-    _STEP_TOL * max(1, |value|) (a NaN fails it)."""
-    return abs(W[-2]) + abs(W[-1]) <= _STEP_TOL * max(1.0, abs(value))
+        itertools.repeat(h * u, _N_TAYLOR), operator.mul, initial=u))
+    below[0] = z0 * u
+    return _StepRecord(rate, tuple(below), cmath.log(1.0 + hz))
 
 
 def _forced_chain(below, shift, rate):
@@ -615,18 +608,19 @@ def _forced_chain(below, shift, rate):
 
 def _lead_step(lead, record, shift, one_c):
     """(lead chain at z0 + h, flow) from the one at z0 and the step's
-    record, or None at the first of its m+1 series to fail the step test;
-    new v_k = sum_{j<=k} flow[k-j] v_j + F_k, flow = [E L^d / d!]."""
-    rate, W, value, ok, L = record
-    if not ok:
-        return None
-    new, flow = [value], []
+    record, or None at the first F_k to fail the step test: the last two
+    terms of its series stay below _STEP_TOL * max(1, |v_k|) (a NaN fails
+    it).  new v_k = sum_{j<=k} flow[k-j] v_j + F_k, flow = [E L^d / d!],
+    for k >= 1; v_0 is z/(1 - z) and is not stepped, so lead[0] keeps its
+    value at -1, where every path starts and ends."""
+    rate, W, L = record
+    new, flow = [lead[0]], []
     for k in range(1, len(lead)):
         W = _forced_chain(W, shift, rate)
         flow.append(cmath.exp(one_c * L) if k == 1
                     else flow[-1] * L / (k - 1))
         v = sum(W) + sum(map(operator.mul, lead[k:0:-1], flow))
-        if not _passes(W, v):
+        if not abs(W[-2]) + abs(W[-1]) <= _STEP_TOL * max(1.0, abs(v)):
             return None
         new.append(v)
     return new, flow
@@ -658,8 +652,8 @@ def _transport_rows(m, c, path):
             direction = (b - pos) / abs(b - pos)
             for _ in range(40):
                 step = h * direction
-                done = _lead_step(lead, _step_record(lead[0], pos, step),
-                                  shift, one_c)
+                done = _lead_step(lead, _step_record(pos, step), shift,
+                                  one_c)
                 if done:
                     lead, flow = done
                     logs = [sum(map(operator.mul, logs[k::-1], flow))

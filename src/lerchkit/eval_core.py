@@ -656,13 +656,19 @@ def _dispatch(sc, zc, lz, cc, tol):
 # the zeta-family wrappers
 # ---------------------------------------------------------------------------
 
+def _log_of_coordinate(name, ac):
+    """Log z of z = e^{2 pi i a}, 0 < Re(a) < 1: 2 pi i a, or 2 pi i (a - 1)
+    (exact) for Re a > 1/2; a DomainError naming the caller off that strip."""
+    if not 0.0 < ac.real < 1.0:
+        raise DomainError("%s needs 0 < Re(a) < 1" % name)
+    return _2PI_I * (ac if ac.real <= 0.5 else ac - 1.0)
+
+
 def lerch_zeta(s, a, c, tol=1e-12):
     """zeta(s, a, c) = Phi(s, e^{2 pi i a}, c), 0 < Re(a) < 1, on ``phi``'s
-    routes with Log z = 2 pi i a, or 2 pi i (a - 1) (exact) for Re a > 1/2."""
+    routes with Log z from ``_log_of_coordinate``."""
     sc, ac, cc = finite_entry("s a c", (s, a, c), tol)
-    if not 0.0 < ac.real < 1.0:
-        raise DomainError("lerch_zeta needs 0 < Re(a) < 1")
-    lz = _2PI_I * (ac if ac.real <= 0.5 else ac - 1.0)
+    lz = _log_of_coordinate("lerch_zeta", ac)
 
     def route():
         zc = exp_2pi_i(ac)  # past double range for large -Im a
@@ -676,9 +682,7 @@ def periodic_zeta(a, s, tol=1e-12):
     in s: the integral of ``phi_integral`` at z = e^{2 pi i a}, without
     its z guards (see ``_mellin``), with its estimate scaled by |z|."""
     ac, sc = finite_entry("a s", (a, s), tol)
-    if not 0.0 < ac.real < 1.0:
-        raise DomainError("periodic_zeta needs 0 < Re(a) < 1")
-    lz = _2PI_I * (ac if ac.real <= 0.5 else ac - 1.0)
+    lz = _log_of_coordinate("periodic_zeta", ac)
 
     def route():
         z = exp_2pi_i(ac)

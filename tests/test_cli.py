@@ -420,6 +420,27 @@ def test_sweep_all_rows_failing_returns_domain_code(capsys):
         assert len(rows) == 2 and all(r["error"] for r in rows)
 
 
+def test_sweep_index_grid(capsys):
+    # a decimal grid of integral values runs as integers; an exact grid
+    # keeps integral steps as int, and a non-integral index is refused
+    code, out, _ = run(capsys, "sweep", "--expr=li_star", "--grid=k=0.0:2.0:3",
+                       "--m=2", "--z=0.5")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 3 and all(r["error"] == "" and r["value_re"]
+                                  for r in rows)
+    code, out, _ = run(capsys, "sweep", "--expr=li_star", "--grid=k=0:1:3",
+                       "--m=2", "--z=0.5")
+    assert code == 0
+    errs = [r["error"] for r in csv.DictReader(io.StringIO(out))]
+    assert errs[0] == errs[2] == "" and errs[1].startswith("DomainError")
+    code, out, _ = run(capsys, "sweep", "--expr=li_star",
+                       "--grid=m=1/2:3/2:2", "--k=1", "--z=0.5")
+    assert code == 2
+    errs = [r["error"] for r in csv.DictReader(io.StringIO(out))]
+    assert len(errs) == 2 and all(e.startswith("DomainError") for e in errs)
+
+
 def test_sweep_empty_grid_warns(capsys):
     code, out, err = run(capsys, "sweep", "--expr", "phi",
                          "--grid", "z=0:1:0", "--s", "2", "--c", "1")

@@ -517,16 +517,15 @@ def test_shared_recurrence_matches_per_solution_loop(m, c):
     # The forced-series recurrence, shared by every level of the lead
     # chain, against the expanded operator of weyl_expand applied to the
     # solution it yields: the level-m forced series, driven by
-    # v_0 = K z / (1 - z) and zero at z0 with all its lower levels, from
-    # a step record and m links of _forced_chain, as _lead_step forms it.
-    rng = random.Random(m)
+    # v_0 = z / (1 - z) and zero at z0 with all its lower levels, from a
+    # step record and m links of _forced_chain, as _lead_step forms it.
+    # The residual is linear in v_0, so v_0 = K z / (1 - z) needs no K.
     ab = [(complex(alpha.eval(c)), complex(beta.eval(c)))
           for alpha, beta in weyl_expand(m).entries]
     shift = [q + complex(c) - 1.0 for q in range(_N_TAYLOR)]
     for path in (z0_loop(), z1_loop()):
         for z0 in path[1:-1:3]:
-            v0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            record = _step_record(v0, z0, 1.0)
+            record = _step_record(z0, 1.0)
             A = record.below
             for _ in range(m):
                 A = _forced_chain(A, shift, record.rate)
@@ -550,6 +549,21 @@ def test_log_rows_of_transport_meet_rho_to_rounding(m, c):
         err = max(abs(a - b) for ra, rb in zip(got[1:], want[1:])
                   for a, b in zip(ra, rb))
         assert err <= 1e-13 * scale, (gen, err / scale)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("c", [0.3 + 0.2j, Fraction(2, 7), Fraction(1, 6), 0,
+                               Fraction(1, 2)])
+def test_lead_row_of_transport_meets_rho_to_1e_12(m, c):
+    # v_0 = z/(1 - z) is taken in closed form, so the lead row carries the
+    # truncation of F_1..F_m alone.  Stepping v_0's series as well left
+    # (3, 1/6) on the Z1 loop 1.2e-10 off.
+    for gen, path in (("Z0", z0_loop()), ("Z1", z1_loop())):
+        got = numeric_transport(m, c, path).rows
+        want = rho(gen, m, c).rows
+        scale = max(1.0, max(abs(x) for row in want for x in row))
+        err = max(abs(a - b) for a, b in zip(got[0], want[0]))
+        assert err <= 1e-12 * scale, (gen, err / scale)
 
 
 def test_transport_survey_runs(tmp_path):
@@ -579,6 +593,11 @@ def test_transport_survey_runs(tmp_path):
     assert re.fullmatch(r"unseen: 48 random loops, caches cleared before each "
                         r"pass: worst entry difference 0 .*; 0 refusals "
                         r"differ", lines[-2]), lines[-2]
+    # each checkout's worst lead-row and log-row rho_error on those loops
+    found = re.search(r"lead row (\S+) / (\S+), log rows (\S+) / (\S+);",
+                      lines[-2])
+    assert found and found[1] == found[2] and found[3] == found[4]
+    assert float(found[1]) <= 1e-11 and float(found[3]) <= 1e-13
     assert re.fullmatch(r"  unseen +\S+ \[\S+, \S+\]", lines[-1]), lines[-1]
 
 
@@ -631,7 +650,7 @@ def _bits(rows):
 
 def test_step_records_leave_every_matrix_bit_identical(monkeypatch):
     # the package's loops, seeded random loops the records have not seen,
-    # and c = 7, where a forced chain, not v_0, misses the step test
+    # and c = 7, where a forced chain misses the step test
     rng = random.Random(35)
     loops = ([z0_loop(), z1_loop(), _random_z1_loop(rng)]
              + [_random_z0_loop(rng) for _ in range(3)])
@@ -642,15 +661,14 @@ def test_step_records_leave_every_matrix_bit_identical(monkeypatch):
         _step_record.cache_clear()
         cold.append(_bits(numeric_transport(m, c, loop).rows))
     warm = [_bits(numeric_transport(*case).rows) for case in cases]
-    attempts = []  # per step attempt: [z0, v_0 passed, forced chains formed]
+    attempts = []  # per step attempt: [z0, forced chains formed]
 
-    def record(v0, z0, h):
-        rec = _step_record.__wrapped__(v0, z0, h)
-        attempts.append([z0, rec.ok, 0])
-        return rec
+    def record(z0, h):
+        attempts.append([z0, 0])
+        return _step_record.__wrapped__(z0, h)
 
     def chain(*args):
-        attempts[-1][2] += 1
+        attempts[-1][1] += 1
         return _forced_chain(*args)
     monkeypatch.setattr(deformed_polylog, "_step_record", record)
     monkeypatch.setattr(deformed_polylog, "_forced_chain", chain)
@@ -659,12 +677,12 @@ def test_step_records_leave_every_matrix_bit_identical(monkeypatch):
         attempts.clear()
         uncached.append(_bits(numeric_transport(m, c, loop).rows))
         if c == 7 and loop in loops[:2]:
-            # every v_0 passes, yet steps halve: an attempt retried from
-            # the same z0 failed at a forced chain, and stopped there
+            # steps halve: an attempt retried from the same z0 failed at
+            # a forced chain, and stopped there
             halved = [a for a, b in zip(attempts, attempts[1:])
                       if a[0] == b[0]]
-            assert all(ok for _, ok, _ in attempts) and halved
-            assert m == 1 or min(chains for _, _, chains in halved) < m
+            assert halved
+            assert m == 1 or min(chains for _, chains in halved) < m
     assert cold == warm == uncached
 
 
@@ -685,14 +703,15 @@ def test_a_second_c_on_a_loop_reads_the_step_records(m):
 
 def test_step_record_holds_tuples():
     z0, h = -0.5 + 0.2j, 0.1 - 0.05j
-    v0 = z0 / (1.0 - z0)
-    record = _step_record(v0, z0, h)
+    record = _step_record(z0, h)
+    assert record._fields == ("rate", "below", "log")
     assert all(isinstance(part, tuple) for part in record[:2])
     assert [len(part) for part in record[:2]] == [30, 31]
-    assert record.below[0] == v0
-    # v_0 at z0 + h, its step test and L = Log(1 + h/z0)
-    assert record.value == sum(record.below)
-    assert record.ok is True
+    # v_0 = z/(1 - z) in closed form: its Taylor series at z0, and
+    # L = Log(1 + h/z0)
+    assert cmath.isclose(record.below[0], z0 / (1.0 - z0), rel_tol=1e-15)
+    assert cmath.isclose(sum(record.below), (z0 + h) / (1.0 - z0 - h),
+                         rel_tol=1e-13)
     assert record.log == cmath.log(1.0 + h / z0)
 
 

@@ -22,8 +22,10 @@ this checkout is faster.  --against then races both checkouts the same
 way on UNSEEN seeded random loops, alternately around 0 and around 1,
 one transport each, with each checkout's step-record cache cleared
 before each pass, so that every Taylor step misses its record: the
-`unseen` line gives the worst entry difference, the refusals that
-differ and the time ratio OTHER / this on those loops.
+`unseen` line gives the worst entry difference, each checkout's worst
+lead-row and log-row ``rho_error`` (the loops are homotopic to the
+package's, so ``rho`` of their generator is the reference), the refusals
+that differ and the time ratio OTHER / this on those loops.
 """
 import argparse
 import cmath
@@ -248,9 +250,15 @@ def main():
         show("all", [sum(o.values()) / sum(t.values())
                      for t, o in zip(*secs)])
         unseen = race(mods, unseen_cases(), fresh=True)
+        worst, where, differ = difference(unseen[0][0], unseen[1][0])
+        (lead, logs), (o_lead, o_logs) = (
+            worst_rows([r[2] for r in runs[0] if r[2] is not None])
+            for runs in unseen)
         print("unseen: %d random loops, caches cleared before each pass: "
-              "worst entry difference %.3g (m, c, loop = %r); %d refusals "
-              "differ" % (UNSEEN, *difference(unseen[0][0], unseen[1][0])))
+              "worst entry difference %.3g (m, c, loop = %r); worst "
+              "rho_error this / other: lead row %.3g / %.3g, log rows "
+              "%.3g / %.3g; %d refusals differ"
+              % (UNSEEN, worst, where, lead, o_lead, logs, o_logs, differ))
         show("unseen", [sum(r[3] for r in o) / sum(r[3] for r in t)
                         for t, o in zip(*unseen)])
 
