@@ -40,7 +40,9 @@ chains carry the whole frame.  The start values
 Li_{j,c}(-1) = -Phi(j, -1, c) come from one accelerated alternating sum,
 with no quadrature.  The matrix M = S^-1 F of the start frame S and the
 continued frame F is the same in chain and jet coordinates, as both are
-taken at z = -1.
+taken at z = -1.  S is lower triangular, with first row (v_0, 0, ..., 0)
+over the Toeplitz matrix T of b_n(-1) = b_0 (i pi)^n / n!, so T^-1 is that
+of (-i pi)^n / (n! b_0), and S^-1 and kappa_1(S) need no solve.
 
 The transport step.  A step h from z0 is at most 0.4 times the distance
 to {0, 1}.  Once v_0 is fixed the system is unipotent in log z: in
@@ -69,8 +71,8 @@ c-independent half of a step (the rates h / (z0 (q + 1)), v_0's
 coefficients and L) is a step record keyed on z0 and h, shared by every
 transport that takes the step from a cache of 256 records.
 
-Matrices are tuples of rows of Python complex numbers, multiplied,
-factored and solved by one small LU kernel with partial pivoting.  Only
+Matrices are tuples of rows of Python complex numbers; an LU kernel with
+partial pivoting serves ``MonodromyMatrix.det`` alone.  Only
 ``MonodromyMatrix.entries`` builds an array, on each read, and it is the
 one place this package imports numpy.
 """
@@ -244,7 +246,7 @@ def basis(m, c):
 
 
 # ---------------------------------------------------------------------------
-# small complex matrices: tuples of rows, one LU kernel
+# small complex matrices: tuples of rows, an LU kernel for det
 # ---------------------------------------------------------------------------
 
 def _lu(a):
@@ -273,33 +275,6 @@ def _lu(a):
             for j in range(k + 1, n):
                 row[j] -= f * top[j]
     return lu, perm, sign
-
-
-def _lu_solve(fac, b):
-    """The x with a x = b, from fac = _lu(a) of a nonsingular a."""
-    lu, perm, _ = fac
-    n = len(lu)
-    x = [b[p] for p in perm]
-    for i in range(1, n):
-        x[i] -= sum(map(operator.mul, lu[i][:i], x[:i]))
-    for i in range(n - 1, -1, -1):
-        row = lu[i]
-        x[i] = (x[i] - sum(map(operator.mul, row[i + 1:], x[i + 1:]))) / row[i]
-    return x
-
-
-def _cond1(a, fac):
-    """kappa_1 = |a|_1 |a^-1|_1 from fac = _lu(a), inf for singular a."""
-    lu = fac[0]
-    n = len(lu)
-    if any(lu[i][i] == 0 for i in range(n)):
-        return math.inf
-    inverse = [_lu_solve(fac, [float(i == j) for i in range(n)])
-               for j in range(n)]  # its columns
-
-    def norm1(cols):
-        return max(sum(map(abs, col)) for col in cols)
-    return norm1(zip(*a)) * norm1(inverse)
 
 
 def _matmul(a, b):
@@ -493,7 +468,7 @@ def _check_path(path):
         mid = 0.5 * (a + b)
         if abs(mid) > reach and abs(mid - 1.0) > reach:
             continue
-        if min(_seg_dist(a, b, 0.0), _seg_dist(a, b, 1.0)) < 0.1 - 1e-12:
+        if min(_seg_dist(a, b, 0.0), _seg_dist(a, b, 1.0)) < 0.1 - INT_TOL:
             raise TransportError("path strays within 0.1 of a singular point")
 
 
@@ -549,6 +524,12 @@ def _alternating_phi(m, c):
     return sums
 
 
+def _toeplitz_product(a, b):
+    """[sum_{j<=k} a_{k-j} b_j for k < len(a)]: the lower-triangular
+    Toeplitz matrix of b (or, as they commute, of a) times the vector a."""
+    return [sum(map(operator.mul, a[k::-1], b)) for k in range(len(a))]
+
+
 def _chain_columns(lead, logs):
     """Chain columns [lead, b_{m-1}, ..., b_0] from the lead chain
     (v_0..v_m) and the chain of b_{m-1} without its zero head (v_1..v_m).
@@ -562,10 +543,9 @@ def _chain_columns(lead, logs):
 
 
 def _start_frame(m, c):
-    """Chain frame S at z = -1, as rows: row k holds the values of
-    v_k = (theta + c - 1)^{m-k} y, k = 0..m, for the basis entries
-    [lead, b_{m-1}, ..., b_0] in its columns.  The lead chain is
-    (Li_{0,c}, ..., Li_{m,c}), or Li* on the singular stratum, and
+    """The two chains at z = -1 (see ``_chain_columns``): the lead chain
+    (v_0..v_m) of Li_{m,c}, or Li* on the singular stratum, and the chain
+    of b_{m-1} without its zero head, (b_0..b_{m-1}), where
     b_n = z^{1-c} (log z)^n / n! takes its upper-edge value at -1.  With
     Li_{j,c}(-1) = -Phi(j, -1, c), Li* is li_star's closed form fed
     Li_j(-1) = -Phi(j, -1, 1)."""
@@ -575,8 +555,20 @@ def _start_frame(m, c):
         lead.append(_li_star_from(j, -ci, _BASE, -p) if singular else -p)
     zpow = branched_power(_BASE, 1.0 - complex(c))
     logs = [zpow * (1j * math.pi) ** n / math.factorial(n) for n in range(m)]
-    columns = _chain_columns(lead, logs)
-    return [list(row) for row in zip(*columns)]
+    return lead, logs
+
+
+def _frame_cond(lead, logs, inverse):
+    """kappa_1 = |S|_1 |S^-1|_1 of the start frame S whose columns are
+    ``_chain_columns(lead, logs)``, given `inverse`, the first column of
+    T^-1 for T the Toeplitz block of logs.  S is lower triangular:
+    S = [[d, 0], [l, T]] with d = lead[0] and l = lead[1:], so
+    S^-1 = [[1/d, 0], [-T^-1 l / d, T^-1]], and the widest column of S, T
+    or T^-1 is its first."""
+    inverse_norm = max(
+        (1.0 + sum(map(abs, _toeplitz_product(lead[1:], inverse))))
+        / abs(lead[0]), sum(map(abs, inverse)))
+    return max(sum(map(abs, lead)), sum(map(abs, logs))) * inverse_norm
 
 
 # the rates of a step record are h / z0 times these
@@ -630,19 +622,19 @@ def _transport_rows(m, c, path):
     """The rows of ``numeric_transport``'s matrix, for a path of finite
     complex vertices."""
     _check_path(path)
-    S = _start_frame(m, c)
-    # kappa_1 >= max_j |s_j|_1 / min_j |s_j|_1 over the columns s_j, as
-    # |S^-1 s_j|_1 = 1: past the rounding of its m+1-term sums that ratio
-    # refuses S before the O(m^3) LU and condition number
-    norms = [sum(map(abs, col)) for col in zip(*S)]
-    if (max(norms) > _MAX_COND * (1.0 + (m + 2) * 2.0 ** -50) * min(norms)
-            or _cond1(S, fac := _lu(S)) > _MAX_COND):
+    # S and the end chains are read at -1 itself
+    path = [_BASE, *path[1:-1], _BASE]
+    lead, logs = _start_frame(m, c)
+    # T^-1 has first column (-i pi)^n / (n! b_0), b_0 = e^{i pi (1-c)}, which
+    # underflows to 0 below Im c of about -237; a NaN kappa_1 refuses too
+    if logs[0] == 0 or not _frame_cond(lead, logs, inverse := [
+            (-1j * math.pi) ** n / math.factorial(n) / logs[0]
+            for n in range(m)]) <= _MAX_COND:
         raise TransportError("degenerate start frame")
     cc = complex(c)
     shift = [q + cc - 1.0 for q in range(_N_TAYLOR)]
     one_c = 1.0 - cc
-    lead = [row[0] for row in S]
-    logs = [row[1] for row in S[1:]]
+    start = lead
     swing = [abs(logs[0])]  # |b_0| = |z^{1-c}| along the path
     for a, b in zip(path, path[1:]):
         pos = a
@@ -656,8 +648,7 @@ def _transport_rows(m, c, path):
                                   one_c)
                 if done:
                     lead, flow = done
-                    logs = [sum(map(operator.mul, logs[k::-1], flow))
-                            for k in range(m)]
+                    logs = _toeplitz_product(logs, flow)
                     pos = pos + step
                     swing.append(abs(logs[0]))
                     break
@@ -667,9 +658,12 @@ def _transport_rows(m, c, path):
     if max(swing) > _MAX_SWING * min(swing):
         raise TransportError("|z^(1-c)| swings by more than %.3g along "
                              "the path" % _MAX_SWING)
-    # row i of the result solves S x = (chain of basis entry i at the end)
-    return tuple(tuple(_lu_solve(fac, col))
-                 for col in _chain_columns(lead, logs))
+    # row i of the result solves S x = (chain of basis entry i at the end):
+    # x_0 = 1 on the lead row exactly, as v_0 is not stepped
+    moved = list(map(operator.sub, lead[1:], start[1:]))
+    return tuple(map(tuple, _chain_columns(
+        [1.0 + 0j, *_toeplitz_product(moved, inverse)],
+        _toeplitz_product(logs, inverse))))
 
 
 def numeric_transport(m, c, path):
@@ -679,12 +673,14 @@ def numeric_transport(m, c, path):
     module docstring.
 
     TransportError where the path has fewer than two vertices, does not
-    start and end at -1 or comes within 0.1 of 0 or 1; where the start
-    frame S has a 1-norm condition number kappa_1 = |S|_1 |S^-1|_1 above
-    1e12 ("degenerate start frame"; its column-norm ratio, a lower bound,
-    refuses before the O(m^3) LU, for c = 1/2 from m = 39 on), as it is
-    for INT_TOL < dist(c, Z<=0) < NEAR with m <= 3, where ``rho``
-    returns; where max/min |z^{1-c}| along the path exceeds about 9e5
+    start and end within 1e-9 of -1 (ends that do are read as -1) or comes
+    within 0.1 of 0 or 1; where the start frame S has a 1-norm condition
+    number kappa_1 = |S|_1 |S^-1|_1 above 1e12 or not finite ("degenerate
+    start frame"; S is triangular with a closed-form inverse, so kappa_1
+    is exact in O(m^2), and it passes 1e12 for c = 1/2 from m = 19 on), as
+    it does for INT_TOL < dist(c, Z<=0) < NEAR with m <= 3, where ``rho``
+    returns, and where z^{1-c} at -1 underflows (Im c below about -237);
+    where max/min |z^{1-c}| along the path exceeds about 9e5
     (``_MAX_SWING``), a factor by which the lead row loses accuracy; and
     where a step halves 40 times.  A vertex that is NaN or infinite is a
     DomainError naming it, and a path or frame past double range (a

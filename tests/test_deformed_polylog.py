@@ -24,12 +24,13 @@ import pytest
 
 from lerchkit import deformed_polylog, verify
 from lerchkit.deformed_polylog import (_N_TAYLOR, MonodromyMatrix,
-                                       _alternating_phi, _check_path, _cond1,
-                                       _forced_chain, _lu, _lu_solve,
-                                       _seg_dist, _step_record, basis, li_star,
-                                       numeric_transport, rho, rho_word,
-                                       unipotency_class, weyl_expand,
-                                       z0_loop, z1_loop)
+                                       _alternating_phi, _chain_columns,
+                                       _check_path, _forced_chain,
+                                       _frame_cond, _lu, _seg_dist,
+                                       _start_frame, _step_record, basis,
+                                       li_star, numeric_transport, rho,
+                                       rho_word, unipotency_class,
+                                       weyl_expand, z0_loop, z1_loop)
 from lerchkit.errors import (AccuracyError, BranchError, DomainError,
                              StratumError, TransportError)
 from lerchkit.eval_core import classify_stratum, phi
@@ -590,6 +591,11 @@ def test_transport_survey_runs(tmp_path):
     lines = proc.stdout.splitlines()
     assert any(re.match(r"worst entry difference 0 .*; 0 refusals differ$",
                         line) for line in lines), proc.stdout
+    # the extreme probe: orders up to 172 and degenerate start frames
+    assert any(re.match(r"extreme: 418 cases on z0_loop\(\), m up to 172, "
+                        r"one pass each: worst entry difference 0 .*; 0 "
+                        r"outcomes differ; time ratio \S+$", line)
+               for line in lines), proc.stdout
     assert re.fullmatch(r"unseen: 48 random loops, caches cleared before each "
                         r"pass: worst entry difference 0 .*; 0 refusals "
                         r"differ", lines[-2]), lines[-2]
@@ -761,20 +767,76 @@ def test_an_invalid_path_is_refused_on_every_call():
                 numeric_transport(1, 0.5, path)
 
 
-@pytest.mark.parametrize("m,c,lu_calls", [
-    # kappa_1 >= max_j |s_j|_1 / min_j |s_j|_1, 6e51 and 1e53 here: the LU
-    # and condition number took 0.7 s and 0.2 s before the refusal
-    (171, 0.5, 0), (120, 0.3 + 0.2j, 0),
-    # a ratio of 2.1e6 under kappa_1 = 8.8e12: the LU decides
-    (20, 0.5, 1)])
-def test_degenerate_start_frame_is_refused_by_its_column_norms(
-        monkeypatch, m, c, lu_calls):
+@pytest.mark.parametrize("m,c", [
+    # kappa_1 of 6e51 and 1e53: the LU and condition number took 0.7 s and
+    # 0.2 s before the refusal
+    (171, 0.5), (120, 0.3 + 0.2j),
+    # kappa_1 = 8.8e12 under a column-norm ratio of 2.1e6, and a band of
+    # kappa_1 past 1e12 that the column-norm ratio missed: each paid the
+    # O(m^3) LU and condition number before the refusal (95 ms at m = 80)
+    (20, 0.5), (60, 0.71 - 0.3j), (80, 0.71 - 0.3j)])
+def test_degenerate_start_frame_is_refused_without_an_lu(monkeypatch, m, c):
     calls = []
     monkeypatch.setattr(deformed_polylog, "_lu",
                         lambda a: calls.append(len(a)) or _lu(a))
     with pytest.raises(TransportError, match="degenerate start frame"):
         numeric_transport(m, c, z0_loop())
-    assert len(calls) == lu_calls
+    assert not calls
+
+
+@pytest.mark.parametrize("m", [1, 3, 20])
+def test_start_frame_with_an_underflowing_log_solution_is_refused(m):
+    # b_0 = e^{i pi (1-c)} underflows to 0 below Im c of about -237, and
+    # T^-1 divides by it
+    assert _start_frame(m, 0.3 - 250j)[1][0] == 0
+    with pytest.raises(TransportError, match="degenerate start frame"):
+        numeric_transport(m, 0.3 - 250j, z0_loop())
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("c", [0.5, 0.3 + 0.2j, Fraction(2, 7), 0, -3, 2,
+                               0.71 - 0.3j])
+def test_start_frame_condition_number_is_exact(m, c):
+    # the closed-form T^-1 and kappa_1 against numpy's on S rebuilt from
+    # its chains: S is lower triangular, and T^-1 is the Toeplitz matrix of
+    # (-i pi)^n / (n! b_0)
+    lead, logs = _start_frame(m, c)
+    frame = np.array(_chain_columns(lead, logs)).T
+    assert np.all(np.triu(frame, 1) == 0)
+    inverse = [(-1j * math.pi) ** n / math.factorial(n) / logs[0]
+               for n in range(m)]
+    want = np.linalg.inv(frame)[1:, 1]
+    assert np.max(np.abs(inverse - want)) <= 1e-13 * np.max(np.abs(want))
+    assert _frame_cond(lead, logs, inverse) == pytest.approx(
+        np.linalg.cond(frame, 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("c", STRATA)
+def test_transport_matrices_are_upper_triangular_like_rho(m, c):
+    # rows 1..m continue the log solutions, which never gain a multiple of
+    # the lead one: below the diagonal every entry is an exact zero
+    rng = random.Random(40)
+    loops = [z0_loop(), z1_loop(), _random_z0_loop(rng),
+             _random_z1_loop(rng)]
+    for loop in loops:
+        rows = numeric_transport(m, c, loop).rows
+        assert all(rows[i][j] == 0 for i in range(m + 1) for j in range(i))
+
+
+@pytest.mark.parametrize("m,c", [(1, 0.5), (3, 0.3 + 0.2j),
+                                 (3, Fraction(2, 7))])
+def test_path_ends_near_minus_one_are_read_at_minus_one(m, c):
+    # ends within 1e-9 of -1 pass the path check; read where they lie, the
+    # end chains missed rho by 9e-10 (m = 1) to 1.1e-7 (m = 3)
+    for gen, loop in (("Z0", z0_loop()), ("Z1", z1_loop())):
+        path = [-1.0 + 9e-10j] + loop[1:-1] + [-1.0 - 9e-10j]
+        got = numeric_transport(m, c, path).rows
+        want = rho(gen, m, c).rows
+        scale = max(1.0, max(abs(x) for row in want for x in row))
+        err = max(abs(a - b) for ra, rb in zip(got, want)
+                  for a, b in zip(ra, rb))
+        assert err <= 1e-12 * scale, (gen, err / scale)
 
 
 def test_commutator_word_nontrivial_on_singular_stratum():
@@ -794,13 +856,13 @@ def test_matrix_wrapper():
 # the pure-Python matrix kernel
 # ---------------------------------------------------------------------------
 
-def test_lu_solve_swaps_rows_for_a_zero_leading_pivot():
-    # hand-solved: x = (1, 2i, -1)
+def test_lu_swaps_rows_for_a_zero_leading_pivot():
+    # hand-expanded along the first row: det a = -i (1) + 2 (-2)
     a = [[0j, 1j, 2], [1, 1, 0], [2, 0, 1]]
-    lu, perm, sign = fac = _lu(a)
+    lu, perm, sign = _lu(a)
     assert perm[0] != 0 and sign == -1
-    x = _lu_solve(fac, [-4, 1 + 2j, 1])
-    assert max(abs(g - w) for g, w in zip(x, [1, 2j, -1])) < 1e-15
+    det = MonodromyMatrix(a, "a", "regular").det()
+    assert abs(det - (-4 - 1j)) < 1e-15
 
 
 def test_kernel_matches_numpy_on_random_matrices():
@@ -809,13 +871,13 @@ def test_kernel_matches_numpy_on_random_matrices():
         for _ in range(10):
             a = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
                  for _ in range(n)]
-            b = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
-            fac = _lu(a)
-            x = np.linalg.solve(np.array(a), np.array(b))
-            assert np.max(np.abs(_lu_solve(fac, b) - x)) <= 1e-12 * max(
-                1.0, np.max(np.abs(x)))
-            assert _cond1(a, fac) == pytest.approx(np.linalg.cond(a, 1),
-                                                   rel=1e-12)
+            lu, perm, sign = _lu(a)
+            # P a = L U, with |L| <= 1 from partial pivoting
+            low = np.tril(np.array(lu), -1) + np.eye(n)
+            up = np.triu(np.array(lu))
+            assert np.max(np.abs(low)) <= 1.0
+            assert np.max(np.abs(np.array(a)[perm] - low @ up)) <= 1e-12
+            assert sign == np.linalg.det(np.eye(n)[perm])
             det = MonodromyMatrix(a, "a", "regular").det()
             assert det == pytest.approx(np.linalg.det(a), rel=1e-12)
 
@@ -850,16 +912,6 @@ def test_rho_word_matches_numpy_products():
             scale = max(scale, np.max(np.abs(want)))
         got = rho_word(" ".join(word), m, c).entries
         assert np.max(np.abs(got - want)) <= 1e-13 * scale, (m, c, word)
-
-
-@pytest.mark.parametrize("frame", [
-    [[1.0 + 0j, 2.0 + 0j], [2.0 + 0j, 4.0 + 0j]],   # exactly singular
-    [[1.0 + 0j, 1.0 + 0j], [1.0 + 0j, 1.0 + 1e-13j]]])  # kappa_1 ~ 4e13
-def test_degenerate_start_frame_is_refused(monkeypatch, frame):
-    assert _cond1(frame, _lu(frame)) > 1e12
-    monkeypatch.setattr(deformed_polylog, "_start_frame", lambda m, c: frame)
-    with pytest.raises(TransportError, match="degenerate start frame"):
-        numeric_transport(1, Fraction(1, 2), z0_loop())
 
 
 def test_c_between_the_integer_and_the_refusal_radius():

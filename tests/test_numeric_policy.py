@@ -81,8 +81,10 @@ def test_policy_tolerances_live_in_branch_numerics():
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Compare):
+                # a literal anywhere inside an operand, as in x < 0.1 - 1e-12
                 operands = [node.left] + node.comparators
-                if any(_is_policy_literal(x) for x in operands):
+                if any(_is_policy_literal(x) for operand in operands
+                       for x in ast.walk(operand)):
                     offenders.append("%s:%d" % (name, node.lineno))
         for node in tree.body:
             if isinstance(node, ast.Assign) and _is_policy_literal(node.value):

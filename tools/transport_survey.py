@@ -25,7 +25,13 @@ before each pass, so that every Taylor step misses its record: the
 `unseen` line gives the worst entry difference, each checkout's worst
 lead-row and log-row ``rho_error`` (the loops are homotopic to the
 package's, so ``rho`` of their generator is the reference), the refusals
-that differ and the time ratio OTHER / this on those loops.
+that differ and the time ratio OTHER / this on those loops.  Before it,
+the `extreme` line runs the EXTREME cases on ``z0_loop()``, one pass per
+checkout: orders m up to 172 and values of c where the start frame is
+degenerate or past double range, which the `transport` cases (m <= 3)
+never reach.  It gives the worst entry difference where both checkouts
+return, the number of outcomes that differ and the time ratio OTHER /
+this, and lists each differing outcome below it.
 """
 import argparse
 import cmath
@@ -47,6 +53,15 @@ from workloads import transport_cases  # noqa: E402
 
 PASSES = 5  # timed passes per checkout
 UNSEEN = 48  # seeded random loops of the --against race
+# the extreme probe: the four strata of `transport`, a band of degenerate
+# start frames (0.71 - 0.3i), log solutions that swing (0.5 - 8i) or pass
+# double range (+-250i), c next to Z<=0, and the surveyed rationals
+EXTREME_C = (0.3 + 0.2j, Fraction(2, 7), 0, 2, 0.5, Fraction(1, 6),
+             0.71 - 0.3j, 0.5 - 8j, 0.5 + 8j, 250j, -250j, 0.3 - 250j, 1e-9,
+             -1 + 1e-10, -3, 5.5, 7, Fraction(-37, 2), Fraction(-13, 2),
+             0.1114 + 0.4989j, 0.5 - 0.4j, 3 + 2j)
+EXTREME = [(m, c, "Z0") for m in (*range(1, 9), 12, 19, 20, 30, 39, 47, 60,
+                                  80, 120, 171, 172) for c in EXTREME_C]
 
 
 def stratum(c):
@@ -249,6 +264,18 @@ def main():
                  [o[key] / t[key] for t, o in zip(*secs)])
         show("all", [sum(o.values()) / sum(t.values())
                      for t, o in zip(*secs)])
+        extreme = [survey(mod, EXTREME) for mod in mods]
+        print("extreme: %d cases on z0_loop(), m up to %d, one pass each: "
+              "worst entry difference %.3g (m, c, loop = %r); %d outcomes "
+              "differ; time ratio %.2f"
+              % (len(EXTREME), EXTREME[-1][0], *difference(*extreme),
+                 sum(r[3] for r in extreme[1])
+                 / sum(r[3] for r in extreme[0])))
+        for a, b in zip(*extreme):
+            outcomes = [r[1] if isinstance(r[1], str) else "returns"
+                        for r in (a, b)]
+            if outcomes[0] != outcomes[1]:
+                print("  m=%d c=%r: %s / %s" % (*a[0][:2], *outcomes))
         unseen = race(mods, unseen_cases(), fresh=True)
         worst, where, differ = difference(unseen[0][0], unseen[1][0])
         (lead, logs), (o_lead, o_logs) = (
