@@ -273,21 +273,13 @@ def _parse_grid(spec):
     return var, [a + i * (b - a) / (count - 1) for i in range(count)]
 
 
-def _as_index(v):
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float) and v == round(v):
-        return int(round(v))
-    raise DomainError("index parameter must be an integer, got %r" % (v,))
-
-
 def _result(r):
     return r.value, r.method, r.error_estimate
 
 
 def _li_star(m, k, z, tol):
     from .deformed_polylog import li_star
-    return li_star(_as_index(m), _as_index(k), z, tol=tol), "closed_form", None
+    return li_star(m, k, z, tol=tol), "closed_form", None
 
 
 # expr -> (parameters, call returning (value, method, error estimate));

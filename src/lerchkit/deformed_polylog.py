@@ -71,8 +71,10 @@ c-independent half of a step (the rates h / (z0 (q + 1)), v_0's
 coefficients and L) is a step record keyed on z0 and h, shared by every
 transport that takes the step from a cache of 256 records.
 
-Matrices are tuples of rows of Python complex numbers; an LU kernel with
-partial pivoting serves ``MonodromyMatrix.det`` alone.  Only
+Matrices are tuples of rows of Python complex numbers.  Every matrix of
+the monodromy representation is upper triangular in this basis (the lead
+entry gains multiples of the log entries, each log entry only lower
+ones), so ``MonodromyMatrix.det`` is the product of the diagonal.  Only
 ``MonodromyMatrix.entries`` builds an array, on each read, and it is the
 one place this package imports numpy.
 """
@@ -110,6 +112,17 @@ __all__ = [
 ]
 
 _2PI_I = 2j * math.pi
+
+
+def _order(n, least, refusal, name="m"):
+    """The order n as an int, or DomainError: ``finite_entry``'s for a NaN
+    or oo, else `refusal` where ``as_int``, the package's one integer test,
+    finds no integer >= least."""
+    finite_entry(name, (n,))
+    is_int, k = as_int(n)
+    if not is_int or k < least:
+        raise DomainError("%s, got %s = %r" % (refusal, name, n))
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +169,7 @@ def weyl_expand(m):
     Z[c, theta], that A = -theta (theta+c-1)^m and
     B = (theta-1)(theta+c-1)^m.
     """
-    if m < 0:
-        raise DomainError("operator order needs m >= 0")
+    m = _order(m, 0, "operator order needs m >= 0")
     rows = _stirling_rows(m + 1)
     fm, fm1 = rows[m], rows[m + 1]
     entries = []
@@ -184,8 +196,8 @@ def li_star(m, k, z, tol=1e-12):
     the upper-edge value on (-inf, 0) (log z = log|z| + i pi), 0 at z = 0.
     """
     zc = finite_entry("z", (z,), tol)[0]
-    if k < 0 or m < 0:
-        raise DomainError("Li* wants m >= 0, k >= 0")
+    m = _order(m, 0, "Li* wants m >= 0, k >= 0")
+    k = _order(k, 0, "Li* wants m >= 0, k >= 0", "k")
     if zc == 0:
         return 0j  # every term carries z^{>=1}, and z (log z)^m -> 0
     _refuse_singular(zc, None)
@@ -232,8 +244,7 @@ def basis(m, c):
     """Fuchsian basis, lead entry first: "singular" (lead Li*_m(z, n))
     where ``as_int`` takes c for an n in Z<=0, else "regular", also for
     INT_TOL < dist(c, Z<=0) < NEAR, where ``numeric_transport`` refuses."""
-    if m < 1:
-        raise DomainError("basis wants m >= 1")
+    m = _order(m, 1, "basis wants m >= 1")
     singular, ci = _singular_c(c)
     logs = tuple("z^{1-c} (log z)^%d / %d!" % (j, j) if j > 1
                  else ("z^{1-c} log z" if j == 1 else "z^{1-c}")
@@ -246,36 +257,8 @@ def basis(m, c):
 
 
 # ---------------------------------------------------------------------------
-# small complex matrices: tuples of rows, an LU kernel for det
+# small complex matrices: tuples of rows
 # ---------------------------------------------------------------------------
-
-def _lu(a):
-    """LU factorisation with partial pivoting of the square matrix `a`.
-
-    Returns (lu, perm, sign): P a = L U with L unit lower and U upper
-    triangular, both packed into the rows `lu`; row i of P a is row
-    perm[i] of a, and sign = det P.  A column with no nonzero pivot is
-    skipped, which leaves a zero on the diagonal of U.
-    """
-    lu = [list(row) for row in a]
-    n = len(lu)
-    perm, sign = list(range(n)), 1
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(lu[i][k]))
-        if p != k:
-            lu[k], lu[p] = lu[p], lu[k]
-            perm[k], perm[p] = perm[p], perm[k]
-            sign = -sign
-        pivot = lu[k][k]
-        if pivot == 0:
-            continue
-        top = lu[k]
-        for row in lu[k + 1:]:
-            f = row[k] = row[k] / pivot
-            for j in range(k + 1, n):
-                row[j] -= f * top[j]
-    return lu, perm, sign
-
 
 def _matmul(a, b):
     cols = list(zip(*b))
@@ -307,8 +290,16 @@ class MonodromyMatrix(namedtuple("MonodromyMatrix", "rows generator kind")):
         return arr
 
     def det(self):
-        lu, _, sign = _lu(self.rows)
-        return complex(sign * math.prod(lu[i][i] for i in range(len(lu))))
+        """The product of the diagonal; DomainError naming the first entry
+        below the diagonal that is not zero, as rows from outside the
+        package may hold one."""
+        rows = self.rows
+        for i, row in enumerate(rows):
+            for j in range(i):
+                if row[j] != 0:
+                    raise DomainError("det wants an upper-triangular matrix, "
+                                      "got rows[%d][%d] = %r" % (i, j, row[j]))
+        return complex(math.prod(row[i] for i, row in enumerate(rows)))
 
 
 def _pascal_band(n, w):
@@ -328,8 +319,7 @@ def rho(generator, m, c, inverse=False):
     band of 2 pi i; on the singular stratum the band runs through the
     first row as well.  Z1 is I - 2 pi i E_{12} on both strata.
     """
-    if m < 1:
-        raise DomainError("rho wants m >= 1")
+    m = _order(m, 1, "rho wants m >= 1")
     n = m + 1
     w = -_2PI_I if inverse else _2PI_I
     kind = _basis_kind(c)
@@ -374,8 +364,7 @@ def rho_word(word, m, c):
     word = _reduced(word)
     if word.y_exponents:
         raise DomainError("rho_word handles Z-letters only")
-    if m < 1:  # the only guard for an empty word
-        raise DomainError("rho wants m >= 1")
+    m = _order(m, 1, "rho wants m >= 1")  # the only guard for an empty word
     n = m + 1
     mat = tuple(tuple(complex(i == j) for j in range(n)) for i in range(n))
     for letter in word.z_part:
@@ -392,8 +381,7 @@ def unipotency_class(m, c, irrational=False):
     for integer c, quasi-unipotent for rational c, otherwise inside a
     Borel subgroup without being quasi-unipotent.  Pass irrational=True
     for exact irrationals handed over as floats."""
-    if m < 1:
-        raise DomainError("rho wants m >= 1")
+    _order(m, 1, "rho wants m >= 1")
     _singular_c(c)  # refuses a non-finite c
     if irrational:
         return "borel"
@@ -635,7 +623,7 @@ def _transport_rows(m, c, path):
     shift = [q + cc - 1.0 for q in range(_N_TAYLOR)]
     one_c = 1.0 - cc
     start = lead
-    swing = [abs(logs[0])]  # |b_0| = |z^{1-c}| along the path
+    low = high = abs(logs[0])  # least and greatest |z^{1-c}| = |b_0| so far
     for a, b in zip(path, path[1:]):
         pos = a
         while abs(pos - b) > 1e-13:
@@ -650,14 +638,19 @@ def _transport_rows(m, c, path):
                     lead, flow = done
                     logs = _toeplitz_product(logs, flow)
                     pos = pos + step
-                    swing.append(abs(logs[0]))
+                    size = abs(logs[0])
+                    if size < low:
+                        low = size
+                    elif size > high:
+                        high = size
+                    if high > _MAX_SWING * low:
+                        raise TransportError(
+                            "|z^(1-c)| swings by more than %.3g along the "
+                            "path" % _MAX_SWING)
                     break
                 h *= 0.5
             else:
                 raise TransportError("step size underflow near %r" % (pos,))
-    if max(swing) > _MAX_SWING * min(swing):
-        raise TransportError("|z^(1-c)| swings by more than %.3g along "
-                             "the path" % _MAX_SWING)
     # row i of the result solves S x = (chain of basis entry i at the end):
     # x_0 = 1 on the lead row exactly, as v_0 is not stepped
     moved = list(map(operator.sub, lead[1:], start[1:]))
@@ -680,14 +673,13 @@ def numeric_transport(m, c, path):
     is exact in O(m^2), and it passes 1e12 for c = 1/2 from m = 19 on), as
     it does for INT_TOL < dist(c, Z<=0) < NEAR with m <= 3, where ``rho``
     returns, and where z^{1-c} at -1 underflows (Im c below about -237);
-    where max/min |z^{1-c}| along the path exceeds about 9e5
-    (``_MAX_SWING``), a factor by which the lead row loses accuracy; and
-    where a step halves 40 times.  A vertex that is NaN or infinite is a
-    DomainError naming it, and a path or frame past double range (a
-    vertex near 1e300, or m >= 172) an AccuracyError.
+    at the first step where max/min |z^{1-c}| so far along the path
+    exceeds about 9e5 (``_MAX_SWING``), a factor by which the lead row
+    loses accuracy; and where a step halves 40 times.  A vertex that is
+    NaN or infinite is a DomainError naming it, and a path or frame past
+    double range (a vertex near 1e300, or m >= 172) an AccuracyError.
     """
-    if m < 1:
-        raise DomainError("transport wants m >= 1")
+    m = _order(m, 1, "transport wants m >= 1")
     path = list(path)
     n = len(path)
     path = finite_entry(("path[%d] " * n) % tuple(range(n)), path)

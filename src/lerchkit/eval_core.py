@@ -610,9 +610,16 @@ def _exact_rational_case(s, z, c):
             "Phi(%d, %s, %s) is exact, but m = %d is above the exact "
             "path's budget m <= %d" % (-m, zf, cf, m, EXACT_M_BUDGET),
             bound=math.inf)
-    # Phi(-m, z, c) = Li_{-m}(z,c) / z, both exact rationals
+    # Phi(-m, z, c) = Li_{-m}(z,c) / z, both exact rationals; the estimate
+    # is the rounding of value = p/q from val = n/d, |p d - n q| / (q d),
+    # one ulp above the correctly rounded quotient, and 0 where it is exact
     val = negative_polylog(m).eval(zf, cf) / zf
-    return EvalResult(complex(val), "rational", 0.0, exact=val)
+    value = float(val)
+    p, q = value.as_integer_ratio()
+    miss = abs(p * val.denominator - val.numerator * q)
+    bound = (math.nextafter(miss / (q * val.denominator), math.inf)
+             if miss else 0.0)
+    return EvalResult(complex(value), "rational", bound, exact=val)
 
 
 def phi(s, z, c, tol=1e-12):

@@ -26,7 +26,7 @@ from lerchkit import deformed_polylog, verify
 from lerchkit.deformed_polylog import (_N_TAYLOR, MonodromyMatrix,
                                        _alternating_phi, _chain_columns,
                                        _check_path, _forced_chain,
-                                       _frame_cond, _lu, _seg_dist,
+                                       _frame_cond, _seg_dist,
                                        _start_frame, _step_record, basis,
                                        li_star, numeric_transport, rho,
                                        rho_word, unipotency_class,
@@ -292,6 +292,22 @@ def test_rho_rejects_bad_input():
         rho_word("", 0, 0.3)  # no letter for rho to refuse m = 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: li_star(2, m, 0.5), lambda m: li_star(m, 1, 0.5),
+    lambda m: rho("Z0", m, 0.3).rows, lambda m: weyl_expand(m),
+    lambda m: basis(m, 0.3),
+    lambda m: numeric_transport(m, 0.3, z0_loop()).rows])
+def test_orders_pass_the_package_integer_test(call):
+    # each raised a bare TypeError for a float order, integral or not
+    assert call(2.0) == call(2)
+    for m in (2.5, 1.5):
+        with pytest.raises(DomainError, match=r"m >= \d.*, got [mk] = "):
+            call(m)
+    for m in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            call(m)
+
+
 def test_rho_word_orders_left_to_right():
     c = Fraction(1, 2)
     a = rho("Z0", 2, c).entries
@@ -448,6 +464,18 @@ def test_transport_refuses_a_wide_swing_of_the_log_solution(m, c, loops):
             numeric_transport(m, c, path)
 
 
+@pytest.mark.parametrize("m,c,path", [
+    # tested after the whole path, these took 177,646, 29,344, 8,568 and
+    # 8,261 steps; the first two then refused as past double range
+    (1, -99999.5, z0_loop()), (1, -9999.5, z0_loop()),
+    (2, -999.5, z0_loop()), (2, -999.5, z1_loop())])
+def test_swing_is_refused_at_the_step_that_passes_it(monkeypatch, m, c, path):
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(TransportError, match=r"\|z\^\(1-c\)\| swings"):
+        numeric_transport(m, c, path)
+    assert 0 < len(steps) <= 200
+
+
 def test_start_frame_sum_meets_exact_constants():
     # each within its bound 2^-53 plus a few ulps
     catalan = 0.91596559417721901505
@@ -592,7 +620,7 @@ def test_transport_survey_runs(tmp_path):
     assert any(re.match(r"worst entry difference 0 .*; 0 refusals differ$",
                         line) for line in lines), proc.stdout
     # the extreme probe: orders up to 172 and degenerate start frames
-    assert any(re.match(r"extreme: 418 cases on z0_loop\(\), m up to 172, "
+    assert any(re.match(r"extreme: 437 cases on z0_loop\(\), m up to 172, "
                         r"one pass each: worst entry difference 0 .*; 0 "
                         r"outcomes differ; time ratio \S+$", line)
                for line in lines), proc.stdout
@@ -775,13 +803,20 @@ def test_an_invalid_path_is_refused_on_every_call():
     # kappa_1 past 1e12 that the column-norm ratio missed: each paid the
     # O(m^3) LU and condition number before the refusal (95 ms at m = 80)
     (20, 0.5), (60, 0.71 - 0.3j), (80, 0.71 - 0.3j)])
-def test_degenerate_start_frame_is_refused_without_an_lu(monkeypatch, m, c):
-    calls = []
-    monkeypatch.setattr(deformed_polylog, "_lu",
-                        lambda a: calls.append(len(a)) or _lu(a))
+def test_degenerate_start_frame_is_refused_before_the_first_step(
+        monkeypatch, m, c):
+    steps = _count_steps(monkeypatch)
     with pytest.raises(TransportError, match="degenerate start frame"):
         numeric_transport(m, c, z0_loop())
-    assert not calls
+    assert not steps
+
+
+def _count_steps(monkeypatch):
+    """The list of z0 of every ``_step_record`` call from now on."""
+    steps = []
+    monkeypatch.setattr(deformed_polylog, "_step_record",
+                        lambda z0, h: steps.append(z0) or _step_record(z0, h))
+    return steps
 
 
 @pytest.mark.parametrize("m", [1, 3, 20])
@@ -853,33 +888,25 @@ def test_matrix_wrapper():
 
 
 # ---------------------------------------------------------------------------
-# the pure-Python matrix kernel
+# the determinant of a triangular matrix
 # ---------------------------------------------------------------------------
 
-def test_lu_swaps_rows_for_a_zero_leading_pivot():
-    # hand-expanded along the first row: det a = -i (1) + 2 (-2)
-    a = [[0j, 1j, 2], [1, 1, 0], [2, 0, 1]]
-    lu, perm, sign = _lu(a)
-    assert perm[0] != 0 and sign == -1
-    det = MonodromyMatrix(a, "a", "regular").det()
-    assert abs(det - (-4 - 1j)) < 1e-15
-
-
-def test_kernel_matches_numpy_on_random_matrices():
+def test_det_of_upper_triangular_rows_matches_numpy():
     rng = random.Random(18)
     for n in range(1, 6):
         for _ in range(10):
-            a = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
-                 for _ in range(n)]
-            lu, perm, sign = _lu(a)
-            # P a = L U, with |L| <= 1 from partial pivoting
-            low = np.tril(np.array(lu), -1) + np.eye(n)
-            up = np.triu(np.array(lu))
-            assert np.max(np.abs(low)) <= 1.0
-            assert np.max(np.abs(np.array(a)[perm] - low @ up)) <= 1e-12
-            assert sign == np.linalg.det(np.eye(n)[perm])
+            a = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) if j >= i else 0j
+                  for j in range(n)] for i in range(n)]
             det = MonodromyMatrix(a, "a", "regular").det()
             assert det == pytest.approx(np.linalg.det(a), rel=1e-12)
+
+
+def test_det_refuses_rows_with_an_entry_below_the_diagonal():
+    # det = -4 - i, but the diagonal product is 0: no matrix of the
+    # representation has such rows
+    a = [[0j, 1j, 2], [1, 1, 0], [2, 0, 1]]
+    with pytest.raises(DomainError, match=r"rows\[1\]\[0\] = 1"):
+        MonodromyMatrix(a, "a", "regular").det()
 
 
 @pytest.mark.parametrize("m", range(1, 6))

@@ -75,6 +75,15 @@ def test_phi_exact_rational_route():
     assert res.exact == want
 
 
+def test_rational_route_books_its_rounding():
+    # the estimate was 0.0 on a value 1.64e-16 from the exact one
+    res = phi(-2, Fraction(1, 7), Fraction(5, 4))
+    err = abs(Fraction(res.value.real) - res.exact)
+    assert 0 < err <= res.error_estimate <= 2 * err
+    res = phi(-1, Fraction(1, 2), Fraction(1, 2))
+    assert (res.value, res.error_estimate) == (3, 0.0)
+
+
 def test_exact_value_beyond_double_range_is_an_accuracy_error():
     # Phi(-120, 9/10, 1/2) ~ 120! / log(10/9)^121 ~ 1e317
     with pytest.raises(AccuracyError, match="overflows double precision"):

@@ -54,12 +54,13 @@ from workloads import transport_cases  # noqa: E402
 PASSES = 5  # timed passes per checkout
 UNSEEN = 48  # seeded random loops of the --against race
 # the extreme probe: the four strata of `transport`, a band of degenerate
-# start frames (0.71 - 0.3i), log solutions that swing (0.5 - 8i) or pass
-# double range (+-250i), c next to Z<=0, and the surveyed rationals
+# start frames (0.71 - 0.3i), log solutions that swing (0.5 - 8i, and
+# -999.5, refused within a few steps) or pass double range (+-250i), c next
+# to Z<=0, and the surveyed rationals
 EXTREME_C = (0.3 + 0.2j, Fraction(2, 7), 0, 2, 0.5, Fraction(1, 6),
              0.71 - 0.3j, 0.5 - 8j, 0.5 + 8j, 250j, -250j, 0.3 - 250j, 1e-9,
              -1 + 1e-10, -3, 5.5, 7, Fraction(-37, 2), Fraction(-13, 2),
-             0.1114 + 0.4989j, 0.5 - 0.4j, 3 + 2j)
+             0.1114 + 0.4989j, 0.5 - 0.4j, 3 + 2j, -999.5)
 EXTREME = [(m, c, "Z0") for m in (*range(1, 9), 12, 19, 20, 30, 39, 47, 60,
                                   80, 120, 171, 172) for c in EXTREME_C]
 
