@@ -289,19 +289,20 @@ def reciprocal_gamma(s):
 #
 # Every node is a dyadic rational, the base level's u = _U_MIN + i/2 and
 # a finer level's new nodes u = _U_MIN + (2i + 1) h, with an exact index
-# i.  Levels 0 to _TABLE_DEPTH keep t, log t, e^-t and the weight of all
-# their nodes across the window in four arrays, built on first use: 44
-# base nodes and 21.5 * 2^level nodes of 32 bytes each above, 176 KB of
-# floats for levels 0-7 together (188 KB as the arrays allocate them).
-# Deeper levels call ``_node`` for each node.
+# i.  Levels 0 to _TABLE_DEPTH keep the (node, weight) pairs of ``_node``
+# across the window in one tuple each, built on first use, with the
+# weight-0 nodes below T_FLOOR (a prefix of each level) left out: 38 base
+# pairs and 19 * 2^level above, 2,432 pairs for levels 0-6 together,
+# 533 KB with their tuples and floats.  The integrand takes the
+# stored node as it is.  Deeper levels call ``_node`` for each node.
 _U_MIN = -9.0
 _U_MAX = 12.5
 T_FLOOR = 1e-290
 _MAX_LEVEL = 12     # mesh halvings before the quadrature gives up
 _FLOOR_WINDOW = 16  # a floor this many targets high is out of reach, and
                     # a level difference within this many floors stalled
-_TABLE_DEPTH = 7    # deepest level whose nodes are kept
-_tables = {}        # level -> (ts, logs, exps, ws), see ``_level_nodes``
+_TABLE_DEPTH = 6    # deepest level whose nodes are kept
+_tables = {}        # level -> (first, pairs), see ``_level_nodes``
 
 
 def _node(u):
@@ -316,29 +317,47 @@ def _node(u):
     return (t, math.log(t), math.exp(-t)), t * (1.0 + emu)
 
 
+def _weighted(us):
+    """The (node, weight) pairs of ``_node`` at us, weight-0 ones left
+    out, one at a time: a deep level's span can hold 10^5 nodes."""
+    return (pair for pair in map(_node, us) if pair[1])
+
+
 def _level_nodes(level):
-    """(ts, logs, exps, ws) for 0 <= level <= _TABLE_DEPTH: t, log t,
-    e^-t and the weight at the nodes the level adds across the whole
+    """(first, pairs) for 0 <= level <= _TABLE_DEPTH: the (node, weight)
+    pairs of ``_node`` at the nodes the level adds across the whole
     window, u = _U_MIN + i/2 at level 0 and u = _U_MIN + (2i + 1) h above
-    it, h = 0.5 / 2**level."""
+    it, h = 0.5 / 2**level, as one tuple from index i = first on.  The
+    nodes before it, those below T_FLOOR, have weight 0 and are left
+    out."""
     table = _tables.get(level)
     if table is None:
-        # imported here, so that a process that never integrates (most
-        # CLI commands) does not load the extension module
-        from array import array
-
         h = 0.5 / 2 ** level
         ms = range(int((_U_MAX - _U_MIN) / h) + 1)  # u = _U_MIN + m h
-        table = tuple(array("d") for _ in range(4))
-        for m in ms[1::2] if level else ms:
-            node, w = _node(_U_MIN + m * h)
-            for column, x in zip(table, (*node, w)):
-                column.append(x)
-        _tables[level] = table
+        us = [_U_MIN + m * h for m in (ms[1::2] if level else ms)]
+        pairs = tuple(_weighted(us))
+        table = _tables[level] = (len(us) - len(pairs), pairs)
     return table
 
 
-def quad_semiaxis(f, tol=1e-12):
+def _peak_index(t_peak):
+    """Index of the base node nearest u*, where t(u*) = t_peak: the root
+    of u - exp(-u) = log t_peak, by Newton from log t_peak (or _U_MIN,
+    if that is larger).  The start lies left of the root, and on this
+    concave function the steps then rise to it without passing it.  A
+    root beyond _U_MAX counts as _U_MAX."""
+    target = min(math.log(t_peak), _U_MAX)
+    u = max(target, _U_MIN)
+    for _ in range(64):
+        emu = math.exp(-u)
+        step = (u - emu - target) / (1.0 + emu)
+        u -= step
+        if step > -1e-9:
+            break
+    return round(2.0 * (u - _U_MIN))
+
+
+def quad_semiaxis(f, tol=1e-12, t_peak=None):
     """Integrate f over (0, infinity) by double-exponential trapezoid.
 
     Substitutes t = exp(u - exp(-u)) and applies the trapezoid rule in u
@@ -350,17 +369,22 @@ def quad_semiaxis(f, tol=1e-12):
 
     The base level (h0 = 1/2) walks out from u = 0, right and then left,
     until four successive terms lie below the cut 1e-3 min(tol, 1e-13)
-    (1 + scale), scale the largest |term| so far.  Finer levels add new
-    nodes only inside the live span, bounded by the base nodes just
-    outside the outermost terms above the final cut; the quiet base
-    nodes at and beyond its ends keep their place in the trapezoid sum.
+    (1 + scale), scale the largest |term| so far.  Where the term at
+    u = 0 lies at or below the cut and a t_peak > 0 is given, the walk
+    starts again from the base node nearest t = t_peak, where the
+    caller puts the integrand's peak, so that a peak far from t = 1/e
+    is not missed.  Finer levels add new nodes only inside the live
+    span, bounded by the base nodes just outside the outermost terms
+    above the final cut; the quiet base nodes at and beyond its ends
+    keep their place in the trapezoid sum.
     This assumes that beyond the live span the integrand stays below
     the cut, as the base walk does when it stops after four quiet nodes,
     and books h0 * sum |term| over those nodes in the error.
 
-    Levels 0 to ``_TABLE_DEPTH`` read their nodes from the tables above
-    ``_U_MIN``, deeper ones from ``_node``: the same floats either way,
-    and each the one ``math.log`` or ``math.exp`` gives at that t.
+    Levels 0 to ``_TABLE_DEPTH`` hand f the node tuples stored in the
+    tables above ``_U_MIN``, deeper ones those of ``_node``: the same
+    floats either way, and each the one ``math.log`` or ``math.exp``
+    gives at that t.
 
     Returns ``QuadResult(value, error)``; the error is the last level
     difference, plus the rounding floor F = EPS * h * mag defined below,
@@ -384,19 +408,27 @@ def quad_semiaxis(f, tol=1e-12):
     # the requested tolerance so truncation never dominates
     cut = min(tol, 1e-13) * 1e-3
 
-    ts, logs, exps, ws = _level_nodes(0)
+    first, base = _level_nodes(0)
     mid = int(-_U_MIN / h)  # the node u = 0
-    sizes = [0.0] * len(ts)  # |term| at each base node
-    total = f((ts[mid], logs[mid], exps[mid])) * ws[mid]
-    scale = mag = sizes[mid] = abs(total)
+    node, w = base[mid - first]
+    total = f(node) * w
+    if t_peak and abs(total) <= cut * (1.0 + abs(total)):
+        mid = min(max(_peak_index(t_peak), first), first + len(base) - 1)
+        node, w = base[mid - first]
+        total = f(node) * w
+    sizes = [0.0] * (first + len(base))  # |term| at each base node
+    scale = mag = size = sizes[mid] = abs(total)
     ends = []
     # extend to the right, then to the left, until several consecutive
     # terms are negligible relative to the running scale
     for step in (1, -1):
         i, quiet = mid + step, 0
-        while 0 <= i < len(ts) and quiet < 4:
-            t = ts[i]
-            term = f((t, logs[i], exps[i])) * ws[i] if t else 0j
+        while 0 <= i < len(sizes) and quiet < 4:
+            if i < first:
+                term = 0j
+            else:
+                node, w = base[i - first]
+                term = f(node) * w
             total += term
             size = sizes[i] = abs(term)
             mag += size
@@ -416,8 +448,9 @@ def quad_semiaxis(f, tol=1e-12):
     value = total * h
 
     # the live span (lo, hi) between the base nodes just outside the
-    # outermost terms above the final cut (around u = 0 if none is); the
-    # finer levels leave the nodes at and beyond its ends, and book them
+    # outermost terms above the final cut (around the start if none is);
+    # the finer levels leave the nodes at and beyond its ends, and book
+    # them
     live = [i for i in range(imin, imax + 1)
             if sizes[i] > cut * (1.0 + scale)] or [mid]
     lo, hi = max(live[0] - 1, imin), min(live[-1] + 1, imax)
@@ -427,21 +460,19 @@ def quad_semiaxis(f, tol=1e-12):
     was_stalled = False
     for level in range(1, _MAX_LEVEL + 1):
         h *= 0.5
-        # the new nodes inside the span are those with i0 <= i < i1
+        # the new nodes inside the span are those with i0 <= i < i1; the
+        # weight-0 ones, below T_FLOOR, come first and add no term
         i0, i1 = lo << (level - 1), hi << (level - 1)
         if level <= _TABLE_DEPTH:
-            ts, logs, exps, ws = _level_nodes(level)
-            nodes = zip(zip(ts[i0:i1], logs[i0:i1], exps[i0:i1]), ws[i0:i1])
+            first, pairs = _level_nodes(level)
+            nodes = pairs[max(i0 - first, 0):i1 - first]
         else:
-            nodes = (_node(_U_MIN + (2 * i + 1) * h) for i in range(i0, i1))
-        # nodes below T_FLOOR, the only ones of weight 0, come first,
-        # while mids is still 0j, so skipping them changes no bit of the sum
+            nodes = _weighted(_U_MIN + (2 * i + 1) * h for i in range(i0, i1))
         mids = 0j
         for node, w in nodes:
-            if w:
-                term = f(node) * w
-                mids += term
-                mag += abs(term)
+            term = f(node) * w
+            mids += term
+            mag += abs(term)
         refined = 0.5 * value + h * mids
         err = abs(refined - value)
         value = refined

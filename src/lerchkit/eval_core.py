@@ -379,7 +379,10 @@ def _mellin(sc, zc, lz, cc, tol):
                 return (rg * cmath.exp(sm1 * log_t - cc * t)
                         / (1.0 - zc * exp_t))
 
-    value, err = quad_semiaxis(integrand, tol=0.1 * tol)
+    # |t^(sig-1) e^(-ct)| peaks at t = (Re sig - 1) / Re c, where the
+    # quadrature's walk starts if it finds nothing at t = 1/e
+    value, err = quad_semiaxis(integrand, tol=0.1 * tol,
+                               t_peak=max(sig.real - 1.0, 0.0) / cc.real)
     value += closed
     return EvalResult(value, "integral", err + pole_err + tail
                       + gamma_rel_error(sig) * abs(value))

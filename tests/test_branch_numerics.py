@@ -274,7 +274,7 @@ QUAD_CASES = {
 
 @pytest.mark.parametrize("name", QUAD_CASES)
 def test_node_tables_change_no_bit(name, monkeypatch):
-    # levels 1 to 7 take their nodes from the tables, level 8 on from
+    # levels 1 to 6 take their nodes from the tables, level 7 on from
     # _node; with no table above the base level every level takes the
     # per-node path, and the sums are the same bit for bit
     f, tol, calls, refusal = QUAD_CASES[name]
@@ -289,23 +289,33 @@ def test_node_tables_change_no_bit(name, monkeypatch):
 
 
 def test_base_level_reads_its_nodes_from_the_table():
-    # the base level walks u = 0, 1/2, 1, ... and then -1/2, -1, ...;
-    # its table holds the very floats _node gives at those u
+    # the base level walks u = 0, 1/2, 1, ... and then -1/2, -1, ...,
+    # and hands the integrand the very tuples its table stores
     seen = []
     quad_semiaxis(lambda node: seen.append(node) or node[2], tol=1e-6)
-    for walk in (range(0, 26), range(-1, -19, -1)):
-        want = [branch_numerics._node(j / 2)[0] for j in walk]
-        n = next(k for k, (a, b) in enumerate(zip(seen, want)) if a != b)
+    first, base = branch_numerics._level_nodes(0)
+    for walk in (range(18, 44), range(17, first - 1, -1)):
+        want = [base[i - first][0] for i in walk]
+        n = next(k for k, (a, b) in enumerate(zip(seen, want)) if a is not b)
         assert n >= 5  # the walk stops after four quiet terms
         del seen[:n]
-    ts, logs, exps, ws = branch_numerics._level_nodes(0)
-    assert (list(zip(zip(ts, logs, exps), ws))
-            == [branch_numerics._node(i / 2 - 9.0) for i in range(44)])
+    # every tabled level stores, from index `first` on, the pair _node
+    # gives at each of its u up to the window's end, and leaves out
+    # exactly the weight-0 nodes before it
+    for level in range(branch_numerics._TABLE_DEPTH + 1):
+        first, pairs = branch_numerics._level_nodes(level)
+        h = 0.5 / 2 ** level
+        us = [-9.0 + (i / 2 if level == 0 else (2 * i + 1) * h)
+              for i in range(first + len(pairs) + 1)]
+        assert us[-2] <= 12.5 < us[-1]
+        assert all(branch_numerics._node(u)[1] == 0.0 for u in us[:first])
+        assert list(pairs) == [branch_numerics._node(u) for u in us[first:-1]]
+        assert all(w > 0.0 for _, w in pairs)
 
 
 @pytest.mark.parametrize("depth", [branch_numerics._TABLE_DEPTH, 0])
 def test_every_node_is_t_log_t_and_exp_minus_t(depth, monkeypatch):
-    # with the tables (levels 1 to 7 from them, 8 and 9 from _node) and
+    # with the tables (levels 1 to 6 from them, 7 to 9 from _node) and
     # without (every level above the base from _node), each node handed
     # to the integrand is (t, log t, e^-t) of the floats math computes
     monkeypatch.setattr(branch_numerics, "_TABLE_DEPTH", depth)
@@ -354,16 +364,51 @@ def test_live_span_agrees_with_the_untrimmed_rule():
     assert abs(got.value - 1e-20) <= got.error
 
 
+def test_walk_starts_again_at_the_given_peak():
+    # t^50 e^-t / 50! integrates to 1 and peaks at t = 50; at u = 0,
+    # t = 1/e, its term lies below the cut, so the walk from there sees
+    # nothing, while the walk from t_peak finds the peak
+    def f(node):
+        t, log_t, _ = node
+        return math.exp(50.0 * log_t - t - math.lgamma(51.0))
+    assert abs(quad_semiaxis(f).value) < 1e-20
+    got = quad_semiaxis(f, t_peak=50.0)
+    # f's own rounding, about 100 EPS at the peak, is the caller's to book
+    assert abs(got.value - 1.0) <= got.error + 100 * EPS
+    assert got.error <= 1e-12
+    # a peak past the window's end starts the walk at its last node,
+    # where the term is not negligible
+    with pytest.raises(AccuracyError, match="window edge"):
+        quad_semiaxis(_at_t(lambda t: float(t > 1e3)), t_peak=1e300)
+
+
+def _deep_size(obj, seen=None):
+    """Bytes of obj and of everything it holds, each object once:
+    ``sys.getsizeof`` over obj and, through tuples, lists and dicts, over
+    what they hold (the measure of ``tools/box_survey.py``)."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        obj = [x for item in obj.items() for x in item]
+    if isinstance(obj, (tuple, list)):
+        size += sum(_deep_size(x, seen) for x in obj)
+    return size
+
+
 def test_node_cache_is_bounded():
     # the 12-level refusal walks every level; only the shallow ones keep
-    # their nodes
+    # their nodes.  The 2,432 stored pairs of levels 0-6 take 533 KB with
+    # their tuples and floats (224 bytes a pair); a seventh tabled level,
+    # whose nodes the bench `box` points evaluate about 8 times each,
+    # would double that, and the cap keeps it out
     with pytest.raises(AccuracyError, match="within 12 levels"):
         quad_semiaxis(_at_t(lambda t: t ** -0.99 * math.exp(-t)))
     tables = branch_numerics._tables
     assert max(tables) == branch_numerics._TABLE_DEPTH < 12
-    size = sum(sys.getsizeof(column) for table in tables.values()
-               for column in table)
-    assert size <= 256 * 1024
+    assert _deep_size(tables) <= 600 * 1024
 
 
 def test_no_node_table_at_import():

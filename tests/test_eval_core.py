@@ -608,6 +608,29 @@ def test_quadrature_error_counts_its_rounding():
     assert quad_semiaxis(lambda node: math.exp(-node[0])).error >= EPS
 
 
+# far-field points whose Mellin integrand t^(s-1) e^(-ct) lies below the
+# quadrature's cut at t = 1/e and peaks at t = (s - 1) / c, far from it;
+# a walk out from t = 1/e alone returned 2.0e-31 for the first (estimate
+# 5.9e-31), missed the second by 2000 times its estimate and the third by
+# a relative 0.99
+FAR_PEAK = [(57.62, -0.571 + 1.976j, 0.314), (40, 2 + 1j, 3),
+            (4.477, -0.867 + 0.097j, 7080.03)]
+
+
+def test_quadrature_walk_starts_at_a_far_peak():
+    mpmath = pytest.importorskip("mpmath")
+    for s, z, c in FAR_PEAK:
+        res = phi(s, z, c)
+        assert res.method == "integral"
+        wants = []
+        for dps in (30, 45):
+            with mpmath.workdps(dps):
+                wants.append(complex(mpmath.lerchphi(z, s, c)))
+        # the reference holds where its two precisions agree
+        assert abs(wants[0] - wants[1]) <= 1e-20 * abs(wants[1]), (s, z, c)
+        assert abs(res.value - wants[1]) <= res.error_estimate, (s, z, c)
+
+
 # Re s <= 0, |z| > 0.75 with Re c outside (0, 1): one signed c-shift into
 # the strip, then the three-term formula.  Shifting up past the strip and
 # back down again asked the inner quadratures for targets below their

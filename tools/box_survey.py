@@ -8,7 +8,9 @@ process, on ``bench/workloads.box_points`` (or ``disk_points``), and
 prints per route (or error type) the points, the inner ``phi`` calls,
 the integrand calls and the series terms drawn, then a totals line:
 points returned and refused, integrand calls, series terms and wall
-seconds.
+seconds, and a line with the bytes that the quadrature's node tables
+(``branch_numerics._tables``) hold after the survey, counted deep: each
+container, node tuple and float once, an ``array`` with its buffer.
 --against surveys a second checkout's ``src`` as well and lists each point
 whose outcome differs: value, estimate and method, or error type,
 message, ``best`` and ``bound``.  A line counts the changed outcomes
@@ -39,15 +41,32 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 
+def deep_size(obj, seen=None):
+    """Bytes of obj and of everything it holds, each object once:
+    ``sys.getsizeof`` over obj and, through tuples, lists and dicts, over
+    what they hold (an ``array`` counts with its buffer)."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        obj = [x for item in obj.items() for x in item]
+    if isinstance(obj, (tuple, list)):
+        size += sum(deep_size(x, seen) for x in obj)
+    return size
+
+
 def survey(src, points_of, n, seeds):
     """([(seed, i, outcome, inner phi calls, integrand calls, series
-    terms)], phi, LerchError) under src: the rows, then the unwrapped
-    ``phi`` and the error base class of that checkout."""
+    terms)], phi, LerchError, table bytes) under src: the rows, then the
+    unwrapped ``phi`` and the error base class of that checkout, and the
+    deep size of its node tables after the survey."""
     for name in [m for m in sys.modules if m.split(".")[0] == "lerchkit"]:
         del sys.modules[name]
     sys.path.insert(0, str(Path(src).resolve()))
-    ec, errors = (importlib.import_module("lerchkit." + m)
-                  for m in ("eval_core", "errors"))
+    ec, errors, bn = (importlib.import_module("lerchkit." + m)
+                      for m in ("eval_core", "errors", "branch_numerics"))
     del sys.path[0]
     quad, summed = ec.quad_semiaxis, ec.sum_with_tail_bound
     calls, rows = [0, 0, 0], []
@@ -80,7 +99,7 @@ def survey(src, points_of, n, seeds):
                        repr(getattr(e, "bound", None)))
             rows.append((seed, i, out, *calls))
     ec.phi, ec.quad_semiaxis, ec.sum_with_tail_bound = phi, quad, summed
-    return rows, phi, errors.LerchError
+    return rows, phi, errors.LerchError, deep_size(bn._tables)
 
 
 def race(sides, points, first):
@@ -115,14 +134,15 @@ def main():
     points_of = getattr(workloads, args.workload + "_points")
     seeds = [int(x) for x in args.seeds.split(",")]
     srcs = [ROOT / "src"] + ([args.against] if args.against else [])
-    runs, seconds, sides = [], [], []
+    runs, seconds, sides, tables = [], [], [], []
     for src in srcs:
         start = time.perf_counter()
-        rows, *side = survey(src, points_of, args.n, seeds)
+        rows, phi, error, table_bytes = survey(src, points_of, args.n, seeds)
         seconds.append(time.perf_counter() - start)
         runs.append(rows)
-        sides.append(side)
-    for src, rows, wall in zip(srcs, runs, seconds):
+        sides.append((phi, error))
+        tables.append(table_bytes)
+    for src, rows, wall, table_bytes in zip(srcs, runs, seconds, tables):
         print("%s: %d points" % (src, len(rows)))
         for route in sorted({row[2][0] for row in rows}):
             mine = [row for row in rows if row[2][0] == route]
@@ -135,6 +155,8 @@ def main():
               "%d series terms, %.2f s"
               % (returned, len(rows) - returned, sum(r[4] for r in rows),
                  sum(r[5] for r in rows), wall))
+        print("  node tables: %d bytes (%.0f KB)"
+              % (table_bytes, table_bytes / 1024))
     if args.against:
         diff = [(a, b) for a, b in zip(*runs) if a[2] != b[2]]
         print("%d points differ" % len(diff))

@@ -15,17 +15,24 @@ median of 5 passes.  The last line of a survey without --against gives
 the worst of each row split over all cases.  --against surveys a second
 checkout's ``src`` as well, 5 passes each, alternating which checkout
 goes first, and prints the worst entry difference between the two
-checkouts' matrices, over max(1, max |entry|) of this checkout's matrix,
-and per m and stratum the time ratio OTHER / this: the median of the 5
-per-pass ratios, with their least and greatest.  A value above 1 means
-this checkout is faster.  --against then races both checkouts the same
-way on UNSEEN seeded random loops, alternately around 0 and around 1,
-one transport each, with each checkout's step-record cache cleared
-before each pass, so that every Taylor step misses its record: the
-`unseen` line gives the worst entry difference, each checkout's worst
-lead-row and log-row ``rho_error`` (the loops are homotopic to the
-package's, so ``rho`` of their generator is the reference), the refusals
-that differ and the time ratio OTHER / this on those loops.  Before it,
+checkouts' matrices, over max(1, max |entry|) of this checkout's matrix.
+It then races the two on the package loops: both checkouts run
+alternating blocks of BLOCK cases, the side that goes first flipping
+from block to block, so that drift in the machine's speed falls on both
+alike.  That race runs three times, this checkout first on the even
+blocks of the first and third and the other on those of the second; a
+line per race gives the time ratio OTHER / this and the blocks each side
+won, and per m and stratum, and over all cases, the median ratio of the
+three races is printed with their least and greatest.  A value above 1
+means this checkout is faster.  --against then races both checkouts in
+passes, as above, on UNSEEN seeded random loops, alternately around 0
+and around 1, one transport each, with each checkout's step-record
+cache cleared before each pass, so that every Taylor step misses its
+record: the `unseen` line gives the worst entry difference, each
+checkout's worst lead-row and log-row ``rho_error`` (the loops are
+homotopic to the package's, so ``rho`` of their generator is the
+reference), the refusals that differ and the time ratio OTHER / this on
+those loops.  Before it,
 the `extreme` line runs the EXTREME cases on ``z0_loop()``, one pass per
 checkout: orders m up to 172 and values of c where the start frame is
 degenerate or past double range, which the `transport` cases (m <= 3)
@@ -43,6 +50,7 @@ import random
 import statistics
 import sys
 import time
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +60,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import transport_cases  # noqa: E402
 
 PASSES = 5  # timed passes per checkout
+BLOCK = 16  # cases per timed block of the package-loop race
 UNSEEN = 48  # seeded random loops of the --against race
 # the extreme probe: the four strata of `transport`, a band of degenerate
 # start frames (0.71 - 0.3i), log solutions that swing (0.5 - 8i, and
@@ -183,6 +192,22 @@ def race(mods, cases, fresh=False):
     return passes
 
 
+def block_race(mods, cases, first):
+    """(per checkout, seconds per (m, stratum) key; blocks each checkout
+    won) over cases timed on alternating blocks of BLOCK cases, checkout
+    `first` first on even blocks and second on odd ones."""
+    seconds, won = [defaultdict(float) for _ in mods], [0, 0]
+    for b in range(0, len(cases), BLOCK):
+        spent = [0.0, 0.0]
+        for k in ((first, 1 - first) if b // BLOCK % 2 == 0
+                  else (1 - first, first)):
+            for row in survey(mods[k], cases[b:b + BLOCK]):
+                seconds[k][row[0][0], stratum(row[0][1])] += row[3]
+                spent[k] += row[3]
+        won[spent[1] < spent[0]] += 1
+    return seconds, won
+
+
 def difference(rows, other):
     """(worst entry difference over max(1, max |entry|) of rows, the case
     where it lies, refusals that differ) between two checkouts' rows."""
@@ -258,13 +283,20 @@ def main():
     if args.against:
         print("worst entry difference %.3g (m, c, loop = %r); "
               "%d refusals differ" % difference(passes[0][0], passes[1][0]))
-        print("time ratio %s / %s, median [least, greatest] of %d "
-              "alternating passes:" % (srcs[1], srcs[0], PASSES))
+        print("time ratio %s / %s on alternating blocks of %d cases:"
+              % (srcs[1], srcs[0], BLOCK))
+        races = []
+        for first in (0, 1, 0):
+            (mine, theirs), won = block_race(mods, cases, first)
+            races.append((mine, theirs))
+            print("  race, %s first on even blocks: ratio %.3f, blocks won "
+                  "%d (this) to %d (other)"
+                  % (("this", "other")[first],
+                     sum(theirs.values()) / sum(mine.values()), *won))
+        print("median [least, greatest] of the 3 races:")
         for key in keys:
-            show("m=%d %s" % key,
-                 [o[key] / t[key] for t, o in zip(*secs)])
-        show("all", [sum(o.values()) / sum(t.values())
-                     for t, o in zip(*secs)])
+            show("m=%d %s" % key, [o[key] / t[key] for t, o in races])
+        show("all", [sum(o.values()) / sum(t.values()) for t, o in races])
         extreme = [survey(mod, EXTREME) for mod in mods]
         print("extreme: %d cases on z0_loop(), m up to %d, one pass each: "
               "worst entry difference %.3g (m, c, loop = %r); %d outcomes "
