@@ -24,7 +24,9 @@ Numeric policy
 --------------
 Every decision "is this parameter an integer?" in the package goes
 through ``as_int``: exact for int and Fraction, within ``INT_TOL``
-(1e-12) for float and complex.  ``EPS`` is the one machine epsilon
+(1e-12) for float and complex, and an index argument (an order, a
+shift count, a loop index or winding number) through ``_order``, which
+refuses any other value by name.  ``EPS`` is the one machine epsilon
 that rounding bounds are built from.  ``eval_core._stratum`` is the one
 stratum test: singular within ``NEAR`` (1e-8) of z = 1 and of
 c in {0, -1, -2, ...}.  The gamma-pole test below is a different rule:
@@ -171,6 +173,17 @@ def finite_entry(names, values, tol=0.0):
     if not 0.0 <= tol < math.inf:
         raise DomainError("tol must be finite and >= 0, got tol = %s" % tol)
     return out
+
+
+def _order(n, least, refusal, name="m"):
+    """The index n as an int, or DomainError: ``finite_entry``'s for a NaN
+    or oo, else `refusal` where ``as_int`` finds no integer, or one below
+    least when least is not None."""
+    finite_entry(name, (n,))
+    is_int, k = as_int(n)
+    if not is_int or least is not None and k < least:
+        raise DomainError("%s, got %s = %r" % (refusal, name, n))
+    return k
 
 
 def finite_exit(name, args, route):

@@ -51,13 +51,18 @@ polynomial in t, and with L = Log(1 + h/z0) and E = e^{(1-c) L},
 
     v_k(z0 + h) = E sum_{j=1..k} v_j(z0) L^{k-j} / (k-j)! + F_k,
 
-where F_k is zero at z0 and driven by v_0 = K z/(1-z).  The chain of
-b_{m-1} has v_0 = 0 and moves in closed form, with no truncation.  On
-the lead chain v_0 = (theta + c - 1)^m Li_{m,c} = sum_n z^{n+1} = z/(1-z)
-for every c and m (also for Li*, whose log term maps to z^{k+1}), so
-v_0 is not stepped and K = 1.  Its m forced parts F_k are summed from
-their scaled Taylor coefficients W_{k,q} = A_q h^q, q = 0..30, driven by
-those of v_0 at z0, W_{0,0} = z0 / (1 - z0) and
+where F_k is zero at z0 and driven by v_0 = K z/(1-z).  The chains of
+the b_n have v_0 = 0, so F_k = 0: a step moves them by the Toeplitz
+matrix of flow(L) = [E L^d / d!] alone, and the path by that of
+flow(lam), lam = the sum of the steps' L = the continued Log z - i pi.
+So only the lead chain is stepped.  At the end T^-1 b(end) = flow(lam),
+as Toeplitz matrices commute: the log rows are that closed form, with no
+truncation, and |z^{1-c}| / |b_0(-1)| = e^{Re((1-c) lam)} along the
+path.  On the lead chain v_0 = (theta + c - 1)^m Li_{m,c} =
+sum_n z^{n+1} = z/(1-z) for every c and m (also for Li*, whose log term
+maps to z^{k+1}), so v_0 is not stepped and K = 1.  Its m forced parts
+F_k are summed from their scaled Taylor coefficients W_{k,q} = A_q h^q,
+q = 0..30, driven by those of v_0 at z0, W_{0,0} = z0 / (1 - z0) and
 W_{0,q} = (h / (1 - z0))^q / (1 - z0): as z F_k' = F_{k-1} - (c-1) F_k
 with F_k(z0) = 0, W_{k,0} = 0 and
 
@@ -87,8 +92,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .branch_numerics import (INT_TOL, as_int, branched_power, finite_entry,
-                              finite_exit, principal_log, refuse_past_budget)
+from .branch_numerics import (INT_TOL, _order, as_int, branched_power,
+                              finite_entry, finite_exit, principal_log,
+                              refuse_past_budget)
 from .errors import DomainError, TransportError
 from .eval_core import _guard_cut, _refuse_singular
 from .eval_core import phi as _phi
@@ -112,17 +118,6 @@ __all__ = [
 ]
 
 _2PI_I = 2j * math.pi
-
-
-def _order(n, least, refusal, name="m"):
-    """The order n as an int, or DomainError: ``finite_entry``'s for a NaN
-    or oo, else `refusal` where ``as_int``, the package's one integer test,
-    finds no integer >= least."""
-    finite_entry(name, (n,))
-    is_int, k = as_int(n)
-    if not is_int or k < least:
-        raise DomainError("%s, got %s = %r" % (refusal, name, n))
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +403,7 @@ _MAX_COND = 1e12   # largest kappa_1 of an accepted start frame
 # of z^{1-c}, unseen by the step test; it grows by up to that ratio before
 # M's lead row reads it, and beyond _STEP_TOL * 2^53 outgrows _STEP_TOL.
 _MAX_SWING = _STEP_TOL * 2.0 ** 53
+_LOG_SWING = math.log(_MAX_SWING)
 
 
 def z0_loop():
@@ -586,24 +582,30 @@ def _forced_chain(below, shift, rate):
     return [v] + [v := (p - s * v) * r for p, s, r in zip(below, shift, rate)]
 
 
+def _flow(one_c, L, n):
+    """[e^{(1-c) L} L^d / d! for d < n], the flow of the log chain
+    b = (b_0, ..., b_{n-1}): b at Log z + L is the lower-triangular
+    Toeplitz matrix of b at Log z times it."""
+    return list(itertools.accumulate(range(1, n), lambda f, d: f * L / d,
+                                     initial=cmath.exp(one_c * L)))
+
+
 def _lead_step(lead, record, shift, one_c):
-    """(lead chain at z0 + h, flow) from the one at z0 and the step's
-    record, or None at the first F_k to fail the step test: the last two
-    terms of its series stay below _STEP_TOL * max(1, |v_k|) (a NaN fails
-    it).  new v_k = sum_{j<=k} flow[k-j] v_j + F_k, flow = [E L^d / d!],
-    for k >= 1; v_0 is z/(1 - z) and is not stepped, so lead[0] keeps its
+    """The lead chain at z0 + h from the one at z0 and the step's record,
+    or None at the first F_k to fail the step test: the last two terms of
+    its series stay below _STEP_TOL * max(1, |v_k|) (a NaN fails it).
+    new v_k = sum_{j<=k} flow[k-j] v_j + F_k, flow = ``_flow`` of L, for
+    k >= 1; v_0 is z/(1 - z) and is not stepped, so lead[0] keeps its
     value at -1, where every path starts and ends."""
     rate, W, L = record
-    new, flow = [lead[0]], []
+    new, flow = [lead[0]], _flow(one_c, L, len(lead) - 1)
     for k in range(1, len(lead)):
         W = _forced_chain(W, shift, rate)
-        flow.append(cmath.exp(one_c * L) if k == 1
-                    else flow[-1] * L / (k - 1))
         v = sum(W) + sum(map(operator.mul, lead[k:0:-1], flow))
         if not abs(W[-2]) + abs(W[-1]) <= _STEP_TOL * max(1.0, abs(v)):
             return None
         new.append(v)
-    return new, flow
+    return new
 
 
 def _transport_rows(m, c, path):
@@ -623,7 +625,11 @@ def _transport_rows(m, c, path):
     shift = [q + cc - 1.0 for q in range(_N_TAYLOR)]
     one_c = 1.0 - cc
     start = lead
-    low = high = abs(logs[0])  # least and greatest |z^{1-c}| = |b_0| so far
+    # lam: the continued Log z - i pi, the sum of the steps' L, summed
+    # with Kahan's carry, as the log rows' error is |1 - c| times its own;
+    # |z^{1-c}| / |b_0(-1)| is e^{Re((1-c) lam)}, whose least and greatest
+    # logarithms so far are low and high
+    lam, carry, low, high = 0j, 0j, 0.0, 0.0
     for a, b in zip(path, path[1:]):
         pos = a
         while abs(pos - b) > 1e-13:
@@ -632,18 +638,17 @@ def _transport_rows(m, c, path):
             direction = (b - pos) / abs(b - pos)
             for _ in range(40):
                 step = h * direction
-                done = _lead_step(lead, _step_record(pos, step), shift,
-                                  one_c)
-                if done:
-                    lead, flow = done
-                    logs = _toeplitz_product(logs, flow)
-                    pos = pos + step
-                    size = abs(logs[0])
-                    if size < low:
-                        low = size
-                    elif size > high:
-                        high = size
-                    if high > _MAX_SWING * low:
+                record = _step_record(pos, step)
+                new = _lead_step(lead, record, shift, one_c)
+                if new:
+                    lead, pos, add = new, pos + step, record.log - carry
+                    lam, carry = lam + add, (lam + add - lam) - add
+                    swing = (one_c * lam).real
+                    if swing < low:
+                        low = swing
+                    elif swing > high:
+                        high = swing
+                    if high - low > _LOG_SWING:
                         raise TransportError(
                             "|z^(1-c)| swings by more than %.3g along the "
                             "path" % _MAX_SWING)
@@ -652,11 +657,13 @@ def _transport_rows(m, c, path):
             else:
                 raise TransportError("step size underflow near %r" % (pos,))
     # row i of the result solves S x = (chain of basis entry i at the end):
-    # x_0 = 1 on the lead row exactly, as v_0 is not stepped
+    # x_0 = 1 on the lead row exactly, as v_0 is not stepped, and the log
+    # rows are T^-1 b(end) = _flow(lam), as T and _flow's Toeplitz matrix
+    # commute
     moved = list(map(operator.sub, lead[1:], start[1:]))
     return tuple(map(tuple, _chain_columns(
         [1.0 + 0j, *_toeplitz_product(moved, inverse)],
-        _toeplitz_product(logs, inverse))))
+        _flow(one_c, lam, m))))
 
 
 def numeric_transport(m, c, path):
@@ -673,7 +680,8 @@ def numeric_transport(m, c, path):
     is exact in O(m^2), and it passes 1e12 for c = 1/2 from m = 19 on), as
     it does for INT_TOL < dist(c, Z<=0) < NEAR with m <= 3, where ``rho``
     returns, and where z^{1-c} at -1 underflows (Im c below about -237);
-    at the first step where max/min |z^{1-c}| so far along the path
+    at the first step where max/min |z^{1-c}| so far along the path,
+    read as e^{Re((1-c) lam)} from the continued Log z = i pi + lam,
     exceeds about 9e5 (``_MAX_SWING``), a factor by which the lead row
     loses accuracy; and where a step halves 40 times.  A vertex that is
     NaN or infinite is a DomainError naming it, and a path or frame past

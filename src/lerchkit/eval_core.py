@@ -62,6 +62,7 @@ from .branch_numerics import (
     NEAR,
     T_FLOOR,
     _is_exact_nonpositive_int,
+    _order,
     as_int,
     complex_gamma,
     exp_2pi_i,
@@ -488,11 +489,12 @@ def _c_shift_head(sc, zc, cc, n):
 
 
 def phi_c_shift(s, z, c, n_shift, tol=1e-12):
-    """Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} + z^N Phi(s,z,c+N), N >= 0:
-    one ``_compose`` step asking ``phi`` for tol/2 (tol for N = 0)."""
+    """Phi(s,z,c) = sum_{k<N} z^k (c+k)^{-s} + z^N Phi(s,z,c+N), N >= 0
+    the integer n_shift (an integral float is its int): one ``_compose``
+    step asking ``phi`` for tol/2 (tol for N = 0)."""
     sc, zc, cc = finite_entry("s z c", (s, z, c), tol)
-    if n_shift < 0:
-        raise DomainError("shift count must be >= 0")
+    n_shift = _order(n_shift, 0, "shift count must be an integer >= 0",
+                     "n_shift")
     _refuse_singular(z, c)
 
     def route():

@@ -17,9 +17,12 @@ residue of the Mellin kernel that ``phi_integral`` integrates.  Y_n
 contributes only for n <= 0.  Everything vanishes *identically* at
 s in {0, -1, -2, ...} (the reciprocal gamma factor and the unit phase
 factors), and all Y-monodromy vanishes at every integer s.  The closed
-forms pass ``phi``'s ``finite_entry``, its stratum test on z (z = 0,
-within 1e-8 of 1, oo: its StratumError) and a ``finite_exit`` that
-refuses one past double range, e.g. |k Im s| > ~113 in e^{2 pi i k s}.
+forms pass ``phi``'s ``finite_entry``, the package's index test
+``_order`` on their loop indices and windings (an integral float is its
+int, any other value a DomainError naming it), ``phi``'s stratum test on
+z (z = 0, within 1e-8 of 1, oo: its StratumError) and a ``finite_exit``
+that refuses one past double range, e.g. |k Im s| > ~113 in
+e^{2 pi i k s}.
 """
 
 import cmath
@@ -27,6 +30,7 @@ import math
 from collections import namedtuple
 
 from .branch_numerics import (
+    _order,
     as_int,
     branched_power,
     finite_entry,
@@ -205,6 +209,7 @@ def f_elementary(n, s, z, c):
     (2 pi i)^{1-s} ``_residue``, whose arg t_n in (pi, 2 pi) for n >= 1
     carries the phase e^{i pi (s-1)}."""
     sc, zc, cc = finite_entry("s z c", (s, z, c))
+    n = _order(n, None, "f_elementary wants an integer n", "n")
     _refuse_singular(z, None)
     return finite_exit("f_elementary", (n, s, z, c), lambda: branched_power(
         _2PI_I, 1.0 - sc) * _residue(n, sc, zc, cc))
@@ -239,6 +244,8 @@ def monodromy_Z_conj(k, j, s, z, c):
     s in {0, -1, -2, ...} (exact complex zero, not rounding-level).
     """
     sc, zc, cc = finite_entry("s z c", (s, z, c))
+    k = _order(k, None, "monodromy_Z_conj wants integer k and j", "k")
+    j = _order(j, None, "monodromy_Z_conj wants integer k and j", "j")
     _refuse_singular(z, None)
 
     def route():
@@ -258,6 +265,8 @@ def monodromy_Y(n, k, s, z, c):
     power scaling into a single factor (exact for negative k too).
     """
     sc, zc, cc = finite_entry("s z c", (s, z, c))
+    n = _order(n, None, "monodromy_Y wants integer n and k", "n")
+    k = _order(k, None, "monodromy_Y wants integer n and k", "k")
     _refuse_singular(z, None)
     if k == 0 or n >= 1:
         return 0j

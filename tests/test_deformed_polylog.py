@@ -457,11 +457,23 @@ def test_transport_matches_closed_form(m, c):
     (1, Fraction(-81, 2), (z0_loop(), z1_loop())),
     # rho_error 6.5e-5 without the swing check and a quadrature start
     # frame; kappa_1 of its start frame is below the 1e12 refused
-    (2, 0.5 - 8j, (z0_loop(),))])
+    (2, 0.5 - 8j, (z0_loop(),)),
+    # just past the bound: |z|^20.5 swings by 2^20.5 = 1.5e6 on the Z0
+    # loop (radius 1/2); c = -37/2 on the Z1 loop
+    (1, Fraction(-39, 2), (z0_loop(),)), (1, Fraction(-37, 2), (z1_loop(),))])
 def test_transport_refuses_a_wide_swing_of_the_log_solution(m, c, loops):
     for path in loops:
         with pytest.raises(TransportError, match=r"\|z\^\(1-c\)\| swings"):
             numeric_transport(m, c, path)
+
+
+def test_transport_accepts_a_swing_just_below_the_bound():
+    # m = 1, c = -37/2: |z^(1-c)| = |z|^19.5 swings by 2^19.5 = 7.4e5 on
+    # the Z0 loop (radius 1/2), below _MAX_SWING (9.0e5); c = -39/2 on the
+    # same loop is refused
+    got = numeric_transport(1, Fraction(-37, 2), z0_loop()).entries
+    want = rho("Z0", 1, Fraction(-37, 2)).entries
+    assert np.max(np.abs(got - want)) < 1e-8  # 6.4e-9
 
 
 @pytest.mark.parametrize("m,c,path", [
@@ -580,6 +592,21 @@ def test_log_rows_of_transport_meet_rho_to_rounding(m, c):
         assert err <= 1e-13 * scale, (gen, err / scale)
 
 
+@pytest.mark.parametrize("m", [8, 12])
+@pytest.mark.parametrize("c", [0, 2, 5.5, 0.3 + 0.2j])
+def test_log_rows_are_the_flow_of_the_continued_log(m, c):
+    # Rows 1..m are e^{(1-c) lam} lam^d / d! at lam, the continued Log z
+    # minus i pi, so their rounding does not grow with m.  Stepping the
+    # log chain by a Toeplitz product at every step left them 9.2e-15 to
+    # 9.7e-14 off.
+    got = numeric_transport(m, c, z0_loop()).rows
+    want = rho("Z0", m, c).rows
+    scale = max(1.0, max(abs(x) for row in want for x in row))
+    err = max(abs(a - b) for ra, rb in zip(got[1:], want[1:])
+              for a, b in zip(ra, rb))
+    assert err <= 5e-15 * scale, err / scale
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("c", [0.3 + 0.2j, Fraction(2, 7), Fraction(1, 6), 0,
                                Fraction(1, 2)])
@@ -633,6 +660,17 @@ def test_transport_survey_runs(tmp_path):
     assert found and found[1] == found[2] and found[3] == found[4]
     assert float(found[1]) <= 1e-11 and float(found[3]) <= 1e-13
     assert re.fullmatch(r"  unseen +\S+ \[\S+, \S+\]", lines[-1]), lines[-1]
+    # under the extreme line, each checkout's worst lead-row and log-row
+    # rho_error over the extreme cases that both return
+    found = [re.fullmatch(r"  worst rho_error where both return \((\d+) "
+                          r"cases\), this / other: lead row (\S+) / (\S+), "
+                          r"log rows (\S+) / (\S+)", line) for line in lines]
+    at = [i for i, f in enumerate(found) if f]
+    assert len(at) == 1 and lines[at[0] - 1].startswith("extreme: "), \
+        proc.stdout
+    found = found[at[0]]
+    assert int(found[1]) > 0 and found[2] == found[3] and found[4] == found[5]
+    assert float(found[2]) <= 1e-8 and float(found[4]) <= 1e-13
 
 
 def test_transport_composes_like_the_word():

@@ -295,6 +295,16 @@ def test_routes_refuse_points_outside_their_domain():
         phi_series(2, 1.2, 0.5)             # needs |z| < 1
 
 
+def test_shift_count_passes_the_package_index_test():
+    # a complex or NaN shift count raised a bare TypeError
+    assert phi_c_shift(1.5, 0.9j, 0.5, 1.0) == phi_c_shift(1.5, 0.9j, 0.5, 1)
+    for n in (0.9j, 1.5, -1):
+        with pytest.raises(DomainError, match="got n_shift = "):
+            phi_c_shift(1.5, 0.9j, 0.5, n)
+    with pytest.raises(DomainError, match="n_shift must be finite"):
+        phi_c_shift(1.5, 0.9j, 0.5, math.nan)
+
+
 def test_series_at_z_zero_is_the_first_term():
     assert phi_series(2, 0, 0.5).value == 4  # c^-s
 

@@ -97,6 +97,25 @@ def test_f_elementary_rejects_origin():
         assert exc.value.stratum == tag and isinstance(exc.value, DomainError)
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda x: f_elementary(x, 0.5, 0.3, 0.7), "n"),
+    (lambda x: monodromy_Z_conj(x, 1, 0.5, 0.3, 0.7), "k"),
+    (lambda x: monodromy_Z_conj(0, x, 0.5, 0.3, 0.7), "j"),
+    (lambda x: monodromy_Y(x, 1, 0.5, 0.3, 0.7), "n"),
+    (lambda x: monodromy_Y(-1, x, 0.5, 0.3, 0.7), "k")],
+    ids=["f_elementary-n", "Z_conj-k", "Z_conj-j", "Y-n", "Y-k"])
+def test_loop_indices_pass_the_package_index_test(call, name):
+    # a half-integer index returned a value for a loop that does not
+    # exist, and a NaN winding of Y reported an overflow
+    assert call(-1.0) == call(-1) != 0
+    for x in (0.5, -0.5, 0.3j):
+        with pytest.raises(DomainError, match="integer .*, got %s = " % name):
+            call(x)
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="%s must be finite" % name):
+            call(x)
+
+
 def test_c_coeff_value_and_poles():
     assert c_coeff(1, 0.5) == pytest.approx(0.5 - 0.5j, abs=1e-13)
     for s in (1, 2, 5):

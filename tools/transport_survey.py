@@ -38,7 +38,9 @@ checkout: orders m up to 172 and values of c where the start frame is
 degenerate or past double range, which the `transport` cases (m <= 3)
 never reach.  It gives the worst entry difference where both checkouts
 return, the number of outcomes that differ and the time ratio OTHER /
-this, and lists each differing outcome below it.
+this; a line below it gives each checkout's worst lead-row and log-row
+``rho_error`` over the cases that both return, and each differing
+outcome follows on a line of its own.
 """
 import argparse
 import cmath
@@ -304,6 +306,13 @@ def main():
               % (len(EXTREME), EXTREME[-1][0], *difference(*extreme),
                  sum(r[3] for r in extreme[1])
                  / sum(r[3] for r in extreme[0])))
+        both = [(a[2], b[2]) for a, b in zip(*extreme)
+                if a[2] is not None and b[2] is not None]
+        (lead, logs), (o_lead, o_logs) = (
+            worst_rows([errs[k] for errs in both]) for k in (0, 1))
+        print("  worst rho_error where both return (%d cases), this / "
+              "other: lead row %.3g / %.3g, log rows %.3g / %.3g"
+              % (len(both), lead, o_lead, logs, o_logs))
         for a, b in zip(*extreme):
             outcomes = [r[1] if isinstance(r[1], str) else "returns"
                         for r in (a, b)]
